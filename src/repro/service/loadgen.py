@@ -1,11 +1,11 @@
 """HTTP client and open-loop load generator for the admission service.
 
-:class:`ServiceClient` is a minimal stdlib (urllib) client speaking
-:mod:`repro.service.protocol` against a running ``repro serve``
-instance.  :class:`LoadGenerator` streams a job list at a configurable
-speed-up — request *i* is scheduled ``(submit_i − submit_0) / speedup``
-wall-clock seconds after the start — and reports sustained requests/sec
-plus latency percentiles.
+:class:`ServiceClient` speaks :mod:`repro.service.protocol` to a running
+``repro serve`` instance over pooled keep-alive connections
+(:mod:`repro.service.transport`).  :class:`LoadGenerator` streams a job
+list at a configurable speed-up — request *i* is scheduled
+``(submit_i − submit_0) / speedup`` wall-clock seconds after the start —
+and reports sustained requests/sec plus latency percentiles.
 
 Pacing is open-loop: send times come from the trace alone, never from
 response completion, so a slow server shows up as rising latency (and,
@@ -14,24 +14,21 @@ than as a silently throttled client.  One detail bends pure open-loop
 dispatch: with ``workers <= 1`` (the default) requests are *issued* in
 submit-time order from a single sender, because a virtual-clock server
 refuses arrivals behind its clock (``out_of_order``).  With more
-workers dispatch is fully concurrent; use that against live
-(``--live``) servers, which clamp stale submit times instead.
+workers that many senders dispatch concurrently; use that against
+live (``--live``) servers, which clamp stale submit times instead.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.cluster.job import Job
 from repro.obs.log import get_logger
 from repro.service import protocol
+from repro.service.transport import Transport, TransportError
 
 log = get_logger("service.loadgen")
 
@@ -81,6 +78,7 @@ class ServiceClient:
     def __init__(self, url: str, timeout: float = 10.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
+        self.transport = Transport(self.url, timeout=timeout)
 
     def rpc(self, request: dict[str, Any]) -> tuple[int, dict[str, Any]]:
         """POST one protocol request; returns ``(http_status, response)``.
@@ -90,30 +88,23 @@ class ServiceClient:
         ``0`` with a typed ``unavailable`` error, so callers (the
         open-loop load generator in particular) record them as
         failures and keep going instead of aborting the whole run.
+        Nothing is resent here: retries belong to
+        :class:`~repro.service.client.RetryingClient`.
         """
-        body = protocol.encode(request)
-        req = urllib.request.Request(
-            f"{self.url}/v1/rpc",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError:
-                payload = protocol.error_response(
-                    protocol.ErrorCode.INTERNAL, raw or str(exc)
-                )
-            return exc.code, payload
-        except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
-            return 0, protocol.error_response(
-                protocol.ErrorCode.UNAVAILABLE, f"{type(exc).__name__}: {exc}"
+            status, raw = self.transport.request(
+                "POST", "/v1/rpc", protocol.encode(request)
             )
+        except TransportError as exc:
+            return 0, protocol.error_response(
+                protocol.ErrorCode.UNAVAILABLE, str(exc)
+            )
+        payload = protocol.decode_response(status, raw)
+        if payload is None:
+            return 0, protocol.error_response(
+                protocol.ErrorCode.UNAVAILABLE, "malformed response body"
+            )
+        return status, payload
 
     def submit(self, job: Job) -> tuple[int, dict[str, Any]]:
         return self.rpc({
@@ -153,12 +144,13 @@ class ServiceClient:
 
     def healthy(self) -> bool:
         try:
-            with urllib.request.urlopen(
-                f"{self.url}/healthz", timeout=self.timeout
-            ) as resp:
-                return resp.status == 200
-        except (urllib.error.URLError, OSError):
+            return self.transport.request("GET", "/healthz")[0] == 200
+        except TransportError:
             return False
+
+    def close(self) -> None:
+        """Drop the pooled connections."""
+        self.transport.close()
 
 
 @dataclass(frozen=True)
@@ -239,7 +231,10 @@ class LoadGenerator:
         making every gap < 1 µs) degenerates to back-to-back sends.
     workers:
         ``<= 1``: one ordered sender (safe against virtual-clock
-        servers).  ``> 1``: concurrent open-loop dispatch.
+        servers).  ``> 1``: that many concurrent senders, each taking
+        the next due job — open-loop while fewer than ``workers``
+        requests are outstanding (``lag`` reports any lateness), and at
+        most ``workers`` connections to the server.
     latency_buckets:
         Ascending positive histogram bucket bounds (seconds) for the
         report's cumulative latency histogram; defaults to
@@ -296,7 +291,12 @@ class LoadGenerator:
         self._lock = threading.Lock()
 
     # -- one request -------------------------------------------------------
-    def _fire(self, job: Job, offset: float, epoch: float) -> None:
+    def _fire(self, jobs: Sequence[Job], offset: float, epoch: float) -> None:
+        """Send one request at its scheduled time; one result per job.
+
+        ``batch == 1`` sends the plain ``submit`` frame, otherwise
+        ``jobs`` travel as one batch frame.
+        """
         target = epoch + offset
         delay = target - time.monotonic()
         if delay > 0:
@@ -306,51 +306,30 @@ class LoadGenerator:
         # ServiceClient.rpc maps transport errors to a typed status-0
         # result, so a flaky server shows up in the report, not as an
         # aborted run.
-        status, response = self.client.submit(job)
-        latency = time.perf_counter() - t0
-        if response.get("ok"):
-            outcome = response.get("decision", {}).get("outcome", "ok")
+        items = None
+        if self.batch == 1:
+            status, response = self.client.submit(jobs[0])
         else:
-            outcome = response.get("error", {}).get("code", "error")
-        result = RequestResult(
-            job_id=job.job_id,
-            status=status,
-            outcome=outcome,
-            latency=latency,
-            sent_at=sent_at - epoch,
-            lag=max(0.0, sent_at - target),
-        )
-        with self._lock:
-            self._results.append(result)
-
-    def _fire_batch(self, jobs: Sequence[Job], offset: float, epoch: float) -> None:
-        """Send one batch frame; record one result per contained job."""
-        target = epoch + offset
-        delay = target - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        sent_at = time.monotonic()
-        t0 = time.perf_counter()
-        status, response = self.client.submit_batch(jobs)
+            status, response = self.client.submit_batch(jobs)
+            if response.get("ok"):
+                items = response.get("results")
         latency = time.perf_counter() - t0
-        items = response.get("results") if response.get("ok") else None
         results = []
         for i, job in enumerate(jobs):
-            if items is not None and i < len(items):
-                item = items[i]
-                if item.get("ok"):
-                    outcome = item.get("decision", {}).get("outcome", "ok")
-                    item_status = status
-                else:
-                    outcome = item.get("error", {}).get("code", "error")
-                    item_status = protocol.HTTP_STATUS.get(
-                        item.get("error", {}).get("code", ""), status
-                    )
+            # Without per-item envelopes (a plain submit, or a frame that
+            # failed whole: transport error, shed, draining) every job
+            # shares the response's fate.
+            if items is None:
+                item = response
             else:
-                # Whole-frame failure (transport error, shed, draining):
-                # every job in the frame shares the frame's fate.
-                outcome = response.get("error", {}).get("code", "error")
-                item_status = status
+                item = items[i] if i < len(items) else {}
+            item_status = status
+            if item.get("ok"):
+                outcome = item.get("decision", {}).get("outcome", "ok")
+            else:
+                outcome = item.get("error", {}).get("code", "error")
+                if items is not None:
+                    item_status = protocol.HTTP_STATUS.get(outcome, status)
             results.append(RequestResult(
                 job_id=job.job_id,
                 status=item_status,
@@ -373,21 +352,29 @@ class LoadGenerator:
                 latency_max=0.0,
             )
         base = self.jobs[0].submit_time
-        offsets = [(job.submit_time - base) / self.speedup for job in self.jobs]
+        # One request per group of ``batch`` consecutive jobs, due at the
+        # first job's offset.
+        schedule = iter([
+            (self.jobs[i:i + self.batch],
+             (self.jobs[i].submit_time - base) / self.speedup)
+            for i in range(0, len(self.jobs), self.batch)
+        ])
         epoch = time.monotonic()
-        if self.batch > 1:
-            for start in range(0, len(self.jobs), self.batch):
-                group = self.jobs[start:start + self.batch]
-                self._fire_batch(group, offsets[start], epoch)
-        elif self.workers <= 1:
-            for job, offset in zip(self.jobs, offsets):
-                self._fire(job, offset, epoch)
+
+        def sender() -> None:
+            while True:
+                with self._lock:
+                    due = next(schedule, None)
+                if due is None:
+                    return
+                self._fire(due[0], due[1], epoch)
+
+        if self.workers <= 1:
+            sender()
         else:
             threads = [
-                threading.Thread(
-                    target=self._fire, args=(job, offset, epoch), daemon=True
-                )
-                for job, offset in zip(self.jobs, offsets)
+                threading.Thread(target=sender, daemon=True)
+                for _ in range(self.workers)
             ]
             for thread in threads:
                 thread.start()

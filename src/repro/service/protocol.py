@@ -465,6 +465,28 @@ def encode(response: dict[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
+def decode_response(status: int, raw: bytes) -> Optional[dict[str, Any]]:
+    """The response object a peer sent, as every client must read it.
+
+    A non-protocol body under an error status (a proxy's or
+    ``http.server``'s own error page) becomes a typed ``internal``
+    error; under a success status it is a truncated or foreign response
+    and the result is ``None`` — callers report it as a transport fault.
+    """
+    try:
+        payload = json.loads(raw)
+    except ValueError:
+        payload = None
+    if isinstance(payload, dict):
+        return payload
+    if status >= 400:
+        return error_response(
+            ErrorCode.INTERNAL,
+            raw.decode("utf-8", errors="replace") or f"HTTP {status}",
+        )
+    return None
+
+
 __all__ = [
     "AdvanceRequest",
     "BatchRequest",
@@ -480,6 +502,7 @@ __all__ = [
     "StatsRequest",
     "SubmitRequest",
     "TraceRequest",
+    "decode_response",
     "encode",
     "error_response",
     "job_from_payload",

@@ -27,11 +27,13 @@ so admission latency percentiles come straight from ``GET /metrics``.
 from __future__ import annotations
 
 import json
+import logging
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic, perf_counter
-from typing import Any, Optional
+from typing import Any, Optional, TypeVar
 
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -638,6 +640,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-admission/1"
     protocol_version = "HTTP/1.1"
+    # One write per response: headers and body leave through a buffered
+    # wfile that is flushed once per request, with Nagle off.  Two small
+    # unbuffered sends would park the body behind the peer's delayed
+    # ACK (~40 ms per request on any keep-alive connection).
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AdmissionService:
@@ -645,28 +653,36 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ----------------------------------------------------------
     def log_message(self, fmt: str, *args: Any) -> None:  # quiet by default
-        log.debug("%s %s", self.address_string(), fmt % args)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s %s", self.address_string(), fmt % args)
 
-    def _send_json(self, status: int, payload: dict[str, Any]) -> None:
-        body = protocol.encode(payload)
+    def _send(
+        self, status: int, body: bytes, content_type: str,
+        retry_after: Optional[float] = None,
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        retry_after = payload.get("error", {}).get("retry_after")
         if retry_after is not None:
             # HTTP wants integral seconds; round up so clients never
             # come back earlier than the JSON hint says.
             self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
+        if self.service.draining:
+            # Tells keep-alive clients to drop their pooled socket (and
+            # ends this handler thread) instead of parking on a server
+            # that is going away.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(self, status: int, payload: dict[str, Any]) -> None:
+        self._send(
+            status, protocol.encode(payload), "application/json; charset=utf-8",
+            payload.get("error", {}).get("retry_after"),
+        )
+
+    def _refuse(self, status: int, code: str, message: str) -> None:
+        self._send_json(status, protocol.error_response(code, message))
 
     # -- verbs -------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
@@ -676,43 +692,29 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/v1/stats":
             self._send_json(200, self.service.stats_response())
         elif self.path == "/metrics":
-            self._send_text(200, self.service.prometheus_text(),
-                            "text/plain; version=0.0.4; charset=utf-8")
+            self._send(200, self.service.prometheus_text().encode("utf-8"),
+                       "text/plain; version=0.0.4; charset=utf-8")
         else:
-            self._send_json(
-                404, protocol.error_response(ErrorCode.NOT_FOUND,
-                                             f"no such endpoint {self.path!r}"),
-            )
+            self._refuse(404, ErrorCode.NOT_FOUND, f"no such endpoint {self.path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
         if self.path != "/v1/rpc":
-            self._send_json(
-                404, protocol.error_response(ErrorCode.NOT_FOUND,
-                                             f"no such endpoint {self.path!r}"),
-            )
+            self._refuse(404, ErrorCode.NOT_FOUND, f"no such endpoint {self.path!r}")
             return
         length_header = self.headers.get("Content-Length")
         if length_header is None:
-            self._send_json(
-                411, protocol.error_response(ErrorCode.TOO_LARGE,
-                                             "Content-Length header is required"),
-            )
+            self._refuse(411, ErrorCode.TOO_LARGE, "Content-Length header is required")
             return
         try:
             length = int(length_header)
         except ValueError:
-            self._send_json(
-                400, protocol.error_response(ErrorCode.BAD_JSON,
-                                             "malformed Content-Length"),
-            )
+            self._refuse(400, ErrorCode.BAD_JSON, "malformed Content-Length")
             return
         if length > self.service.max_request_bytes:
-            self._send_json(
-                413, protocol.error_response(
-                    ErrorCode.TOO_LARGE,
-                    f"request of {length} bytes exceeds the "
-                    f"{self.service.max_request_bytes}-byte limit",
-                ),
+            self._refuse(
+                413, ErrorCode.TOO_LARGE,
+                f"request of {length} bytes exceeds the "
+                f"{self.service.max_request_bytes}-byte limit",
             )
             return
         body = self.rfile.read(length)
@@ -732,16 +734,18 @@ class _TrackingServer(ThreadingHTTPServer):
     socketserver does not track daemon handler threads at all (and
     ``server_close`` joins nothing for them), so without this a
     graceful stop could close the WAL and snapshot the engine while a
-    handler is still mid-mutation.  Tracking them lets ``stop()`` join
-    with a bounded timeout and *report* a wedged handler instead of
-    silently racing it.
+    handler is still mid-mutation.  Tracking them (and their sockets)
+    lets :meth:`stop` wake handlers parked on idle keep-alive
+    connections, join with a bounded timeout and *report* a wedged
+    handler instead of silently racing it.
     """
 
     daemon_threads = True
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._handler_threads: list[threading.Thread] = []
+        #: Open connection -> the thread serving it.
+        self._handlers: dict[socket.socket, threading.Thread] = {}
         self._handler_lock = threading.Lock()
 
     def process_request(self, request: Any, client_address: Any) -> None:
@@ -752,40 +756,71 @@ class _TrackingServer(ThreadingHTTPServer):
             daemon=True,
         )
         with self._handler_lock:
-            self._handler_threads = [
-                t for t in self._handler_threads if t.is_alive()
-            ]
-            self._handler_threads.append(thread)
+            self._handlers[request] = thread
         thread.start()
+
+    def shutdown_request(self, request: Any) -> None:
+        # Runs in the handler thread once its last response is written.
+        with self._handler_lock:
+            self._handlers.pop(request, None)
+        super().shutdown_request(request)
 
     def alive_handlers(self) -> list[threading.Thread]:
         with self._handler_lock:
-            self._handler_threads = [
-                t for t in self._handler_threads if t.is_alive()
-            ]
-            return list(self._handler_threads)
+            return [t for t in self._handlers.values() if t.is_alive()]
+
+    def stop(self, accept_thread: Optional[threading.Thread]) -> bool:
+        """Stop accepting and wait (bounded) for every handler to leave.
+
+        Open connections are half-closed for reading: a handler parked
+        in ``readline()`` on an idle keep-alive connection sees EOF and
+        exits, while one that already read its request still writes its
+        answer.  Returns ``False`` — after logging who — if the accept
+        loop or a handler is still alive 5 s later.
+        """
+        self.shutdown()
+        self.server_close()
+        with self._handler_lock:
+            for request in self._handlers:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already hung up
+        wedged = []
+        if accept_thread is not None:
+            accept_thread.join(timeout=5.0)
+            if accept_thread.is_alive():
+                wedged.append(accept_thread.name)
+        deadline = monotonic() + 5.0
+        for worker in self.alive_handlers():
+            worker.join(timeout=max(0.0, deadline - monotonic()))
+            if worker.is_alive():
+                wedged.append(worker.name)
+        if wedged:
+            log.error(
+                "%d thread(s) still alive 5s after shutdown (%s); a request "
+                "handler is wedged — its work may be lost",
+                len(wedged), ", ".join(wedged),
+            )
+        return not wedged
 
 
-class ServiceServer:
-    """Lifecycle wrapper: bind, serve (optionally in-thread), shut down.
+_F = TypeVar("_F", bound="HttpFrontend")
 
-    ``port=0`` binds an ephemeral port; read :attr:`port` after
+
+class HttpFrontend:
+    """Bind / serve / stop lifecycle of one service behind :class:`_Handler`.
+
+    ``service`` is anything with the handler's read surface
+    (:class:`AdmissionService`, or the shard router, which duck-types
+    it).  ``port=0`` binds an ephemeral port; read :attr:`port` after
     construction.  :meth:`start` runs the accept loop in a daemon
-    thread (tests, embedded use); :meth:`serve_forever` blocks (the
-    CLI).  :meth:`stop` is graceful: new requests are refused with
-    ``shutting_down`` while the accept loop winds down, and an optional
-    exit checkpoint is written.
+    thread (tests, embedded use); :meth:`serve_forever` blocks.
     """
 
-    def __init__(
-        self,
-        service: AdmissionService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        checkpoint_on_exit: Optional[str] = None,
-    ) -> None:
-        self.service = service
-        self.checkpoint_on_exit = checkpoint_on_exit
+    label = "admission service"
+
+    def __init__(self, service: Any, host: str, port: int) -> None:
         self._httpd = _TrackingServer((host, port), _Handler)
         self._httpd.service = service  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
@@ -802,17 +837,48 @@ class ServiceServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "ServiceServer":
+    def start(self: _F) -> _F:
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-serve", daemon=True
         )
         self._thread.start()
-        log.info("admission service listening on %s", self.url)
+        log.info("%s listening on %s", self.label, self.url)
         return self
 
     def serve_forever(self) -> None:
-        log.info("admission service listening on %s", self.url)
+        log.info("%s listening on %s", self.label, self.url)
         self._httpd.serve_forever()
+
+    def stop(self) -> bool:
+        """Refuse new work, stop accepting, join the handlers (bounded)."""
+        self._httpd.service.draining = True  # type: ignore[attr-defined]
+        return self._httpd.stop(self._thread)
+
+    def __enter__(self: _F) -> _F:
+        return self.start()
+
+    def __exit__(self, *exc: Any) -> None:
+        self.stop()
+
+
+class ServiceServer(HttpFrontend):
+    """The admission service's HTTP front-end (``repro serve``).
+
+    :meth:`stop` is graceful: new requests are refused with
+    ``shutting_down`` while the accept loop winds down, and an optional
+    exit checkpoint is written.
+    """
+
+    def __init__(
+        self,
+        service: AdmissionService,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        checkpoint_on_exit: Optional[str] = None,
+    ) -> None:
+        super().__init__(service, host, port)
+        self.service = service
+        self.checkpoint_on_exit = checkpoint_on_exit
 
     def stop(self) -> bool:
         """Drain, stop the accept loop, and close the WAL.
@@ -823,37 +889,7 @@ class ServiceServer:
         than silently abandoned, so operators and tests can tell a
         wedged handler from a clean exit.
         """
-        self.service.draining = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        clean = True
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            if self._thread.is_alive():
-                clean = False
-                log.error(
-                    "server thread %s is still alive 5s after shutdown; "
-                    "a request handler is wedged — its work may be lost",
-                    self._thread.name,
-                )
-            else:
-                self._thread = None
-        # server_close() does not join daemon handler threads: wait for
-        # in-flight requests to leave the engine before touching the WAL
-        # or the exit checkpoint.
-        deadline = monotonic() + 5.0
-        wedged = []
-        for worker in self._httpd.alive_handlers():
-            worker.join(timeout=max(0.0, deadline - monotonic()))
-            if worker.is_alive():
-                wedged.append(worker.name)
-        if wedged:
-            clean = False
-            log.error(
-                "%d handler thread(s) still alive 5s after shutdown (%s); "
-                "closing the WAL under them — their work may be lost",
-                len(wedged), ", ".join(wedged),
-            )
+        clean = super().stop()
         # Flush/close the WAL only after the accept loop and handlers
         # are down, so no acked record can race the close and be lost
         # on graceful exit.
@@ -881,11 +917,5 @@ class ServiceServer:
                 )
         return clean
 
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
 
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
-
-__all__ = ["AdmissionService", "LATENCY_BUCKETS", "ServiceServer"]
+__all__ = ["AdmissionService", "HttpFrontend", "LATENCY_BUCKETS", "ServiceServer"]

@@ -47,8 +47,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from time import perf_counter
 from typing import Any, Callable, Optional
 
@@ -58,10 +56,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service import protocol
 from repro.service.engine import EngineConfig
 from repro.service.protocol import ErrorCode, ProtocolError
+from repro.service.server import HttpFrontend
 from repro.service.sharding.breaker import CLOSED, HALF_OPEN, OPEN, ShardBreaker
 from repro.service.sharding.parking import ParkingLot
 from repro.service.sharding.partition import plan_shards, shard_for_submit
 from repro.service.sharding.paths import shard_path
+from repro.service.transport import Transport, TransportError
 
 log = get_logger("service.sharding.router")
 
@@ -201,6 +201,9 @@ class ShardRouter:
         self.backends = [url.rstrip("/") for url in backends]
         self.num_shards = len(backends)
         self.timeout = float(timeout)
+        self._transports = [
+            Transport(url, timeout=self.timeout) for url in self.backends
+        ]
         self.max_request_bytes = int(max_request_bytes)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.draining = False
@@ -235,43 +238,28 @@ class ShardRouter:
         response body) — these feed its circuit breaker.  App-level
         refusals prove the shard is alive and do not.
         """
-        request = urllib.request.Request(
-            f"{self.backends[shard]}/v1/rpc",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                status = resp.status
-                raw = resp.read().decode("utf-8", errors="replace")
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            try:
-                return exc.code, json.loads(raw), False
-            except json.JSONDecodeError:
-                return exc.code, protocol.error_response(
-                    ErrorCode.INTERNAL, raw or str(exc)
-                ), False
-        except (urllib.error.URLError, OSError) as exc:
+            status, raw = self._transports[shard].request("POST", "/v1/rpc", body)
+        except TransportError as exc:
             self._note_forward_error(shard)
             return 503, protocol.error_response(
-                ErrorCode.UNAVAILABLE, f"shard {shard}: {type(exc).__name__}: {exc}"
+                ErrorCode.UNAVAILABLE, f"shard {shard}: {exc}"
             ), True
-        try:
-            parsed = json.loads(raw)
-            if not isinstance(parsed, dict):
-                raise json.JSONDecodeError("response is not an object", raw, 0)
+        parsed = protocol.decode_response(status, raw)
+        if parsed is not None:
             return status, parsed, False
-        except json.JSONDecodeError as exc:
-            # A 200 with an unparseable body means the shard died (or
-            # was truncated) mid-response: a typed per-shard fault, not
-            # an exception loose in the router's handler thread.
-            self._note_forward_error(shard)
-            return 503, protocol.error_response(
-                ErrorCode.UNAVAILABLE,
-                f"shard {shard}: malformed response body ({exc})",
-            ), True
+        # A 200 with an unparseable body means the shard died (or was
+        # truncated) mid-response: a typed per-shard fault, not an
+        # exception loose in the router's handler thread.
+        self._note_forward_error(shard)
+        return 503, protocol.error_response(
+            ErrorCode.UNAVAILABLE, f"shard {shard}: malformed response body"
+        ), True
+
+    def close(self) -> None:
+        """Drop the pooled shard connections."""
+        for transport in self._transports:
+            transport.close()
 
     def _note_forward_error(self, shard: int) -> None:
         self.registry.counter(
@@ -329,22 +317,15 @@ class ShardRouter:
 
     def _get(self, shard: int, path: str) -> tuple[int, Optional[dict[str, Any]], str]:
         """GET a side endpoint from one shard: ``(status, json, text)``."""
-        request = urllib.request.Request(
-            f"{self.backends[shard]}{path}", method="GET"
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                raw = resp.read().decode("utf-8")
-                status = resp.status
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode("utf-8", errors="replace")
-            status = exc.code
-        except (urllib.error.URLError, OSError):
+            status, raw = self._transports[shard].request("GET", path)
+        except TransportError:
             return 0, None, ""
+        text = raw.decode("utf-8", errors="replace")
         try:
-            return status, json.loads(raw), raw
-        except json.JSONDecodeError:
-            return status, None, raw
+            return status, json.loads(text), text
+        except ValueError:
+            return status, None, text
 
     def _fan_out(self, bodies: list[Optional[bytes]]) -> list[Optional[tuple[int, dict[str, Any]]]]:
         """POST per-shard bodies concurrently; ``None`` body skips a shard."""
@@ -862,7 +843,7 @@ class ShardRouter:
         return "\n".join(lines) + "\n"
 
 
-class RouterServer:
+class RouterServer(HttpFrontend):
     """HTTP lifecycle wrapper for a :class:`ShardRouter`.
 
     Reuses the single-server request handler (the router duck-types
@@ -876,63 +857,14 @@ class RouterServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        from repro.service.server import _Handler, _TrackingServer
-
+        super().__init__(router, host, port)
         self.router = router
-        self._httpd = _TrackingServer((host, port), _Handler)
-        self._httpd.service = router  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "RouterServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        log.info("shard router listening on %s (%d shards)",
-                 self.url, self.router.num_shards)
-        return self
-
-    def serve_forever(self) -> None:
-        log.info("shard router listening on %s (%d shards)",
-                 self.url, self.router.num_shards)
-        self._httpd.serve_forever()
+        self.label = f"shard router ({router.num_shards} shards)"
 
     def stop(self) -> bool:
-        self.router.draining = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        clean = True
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            if self._thread.is_alive():
-                clean = False
-                log.error("router thread still alive 5s after shutdown")
-            else:
-                self._thread = None
-        for worker in self._httpd.alive_handlers():
-            worker.join(timeout=5.0)
-            if worker.is_alive():
-                clean = False
-                log.error("router handler %s wedged at shutdown", worker.name)
+        clean = super().stop()
+        self.router.close()
         return clean
-
-    def __enter__(self) -> "RouterServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
 
 __all__ = ["RouterServer", "ShardRouter", "merge_scenario_metrics"]

@@ -343,6 +343,20 @@ class TestRouterServer:
             server.stop()
             f.stop()
 
+    def test_keepalive_burst_has_no_delayed_ack_stall(self):
+        from tests.test_service.test_server import keepalive_burst
+
+        f = Fleet(1)
+        server = RouterServer(f.router, port=0).start()
+        try:
+            elapsed = keepalive_burst(server)
+            assert elapsed < 0.4, f"40 keep-alive requests took {elapsed:.3f}s"
+            # ... and the router held one pooled connection to its shard.
+            assert f.router._transports[0].opened == 1
+        finally:
+            assert server.stop() is True
+            f.stop()
+
     def test_stop_marks_the_router_draining(self):
         f = Fleet(2)
         server = RouterServer(f.router, port=0).start()

@@ -1,6 +1,10 @@
 """Tests for the HTTP service front-end and its backpressure limits."""
 
+import http.client
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -34,6 +38,43 @@ def submit_payload(job_id: int, submit_time: float = 0.0) -> dict:
         "id": job_id, "submit_time": submit_time, "runtime": 10.0,
         "estimated_runtime": 10.0, "numproc": 1, "deadline": 100.0,
     }
+
+
+def keepalive_burst(server, rounds: int = 20) -> float:
+    """``rounds`` POST+GET pairs on ONE raw keep-alive connection.
+
+    Returns the wall time of the burst and asserts that exactly one
+    handler thread served all of it.
+    """
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+    body = json.dumps({"v": PROTOCOL_VERSION, "type": "stats"})
+    try:
+        conn.request("GET", "/healthz")  # dial + first handler outside the clock
+        conn.getresponse().read()
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            conn.request("POST", "/v1/rpc", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 200 and json.loads(response.read())["ok"]
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200 and not response.will_close
+            response.read()
+        elapsed = time.perf_counter() - t0
+        assert len(server._httpd.alive_handlers()) == 1
+    finally:
+        conn.close()
+    return elapsed
+
+
+class TestKeepAlive:
+    def test_burst_on_one_connection_has_no_delayed_ack_stall(self, server):
+        # Regression: headers and body used to leave as two unbuffered
+        # sends with Nagle on, so every keep-alive response waited ~40 ms
+        # for the client's delayed ACK (this burst took ~0.9 s).
+        elapsed = keepalive_burst(server)
+        assert elapsed < 0.4, f"40 keep-alive requests took {elapsed:.3f}s"
 
 
 class TestEndpoints:
@@ -323,8 +364,63 @@ class TestShutdown:
                 return True
 
         server = ServiceServer(make_service(), port=0).start()
-        server._httpd._handler_threads.append(Wedged())
+        server._httpd._handlers[socket.socket()] = Wedged()
         assert server.stop() is False
+
+    def test_stop_with_an_idle_persistent_client_is_fast_and_clean(self):
+        # A handler parked in readline() on an idle keep-alive connection
+        # used to be joined for the full 5 s and reported as wedged.
+        server = ServiceServer(make_service(), port=0).start()
+        client = ServiceClient(server.url, timeout=5.0)
+        assert client.healthy()
+        assert len(server._httpd.alive_handlers()) == 1
+        t0 = time.monotonic()
+        assert server.stop() is True
+        assert time.monotonic() - t0 < 1.0
+        assert server._httpd.alive_handlers() == []
+        assert client.rpc({"v": PROTOCOL_VERSION, "type": "stats"})[0] == 0
+
+    def test_stop_answers_the_inflight_request_beside_an_idle_connection(self):
+        service = make_service()
+        server = ServiceServer(service, port=0).start()
+        idle = ServiceClient(server.url, timeout=5.0)
+        assert idle.healthy()
+
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
+        service._engine_lock.acquire()  # hold the in-flight request hostage
+        try:
+            conn.request(
+                "POST", "/v1/rpc",
+                body=json.dumps({"v": PROTOCOL_VERSION, "type": "submit",
+                                 "job": submit_payload(1)}),
+                headers={"Content-Type": "application/json"},
+            )
+            deadline = time.monotonic() + 5.0
+            while service._inflight == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service._inflight == 1
+            stopped: list = []
+            stopper = threading.Thread(
+                target=lambda: stopped.append(server.stop()), daemon=True
+            )
+            stopper.start()
+            # stop() half-closes both connections; only the idle one ends.
+            deadline = time.monotonic() + 5.0
+            while len(server._httpd.alive_handlers()) > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server._httpd.alive_handlers()) == 1
+        finally:
+            service._engine_lock.release()
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        stopper.join(timeout=10.0)
+        conn.close()
+
+        assert stopped == [True]
+        assert response.status == 200 and payload["decision"]["job"] == 1
+        # Answered while draining: the client is told to drop the socket.
+        assert response.getheader("Connection") == "close"
+        assert response.will_close
 
     def test_stop_waits_for_inflight_handler_before_closing_wal(self, tmp_path):
         # A handler blocked mid-request (here: on the engine lock) must
