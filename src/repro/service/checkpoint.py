@@ -209,7 +209,7 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
         job = _rebuild_job(data)
         by_id[job.job_id] = job
         engine.rms.jobs.append(job)
-    engine._known_ids.update(by_id)
+    engine._jobs_by_id.update(by_id)
     # Auto-assigned ids must never collide with restored explicit ids:
     # a post-restore submit without an id would otherwise be refused as
     # a duplicate (or silently answered with the old job's decision).

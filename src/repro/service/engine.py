@@ -223,7 +223,8 @@ class AdmissionEngine:
         self.streams = streams
         self.decisions: list[Decision] = []
         self._decision_index: dict[int, Decision] = {}
-        self._known_ids: set[int] = set()
+        #: Every submitted job by id: the duplicate check and ``query``.
+        self._jobs_by_id: dict[int, Job] = {}
         #: LSN of the last write-ahead-log record applied to this engine
         #: (0 = no WAL).  Maintained by the service layer; checkpointed so
         #: recovery can skip the already-materialised log prefix.
@@ -306,7 +307,7 @@ class AdmissionEngine:
             raise EngineError(
                 f"job {job.job_id} already {job.state.value}; cannot submit"
             )
-        if job.job_id in self._known_ids:
+        if job.job_id in self._jobs_by_id:
             raise DuplicateJob(
                 f"a job with id {job.job_id} was already submitted; "
                 f"ids are the service's job handle and must be unique"
@@ -321,7 +322,7 @@ class AdmissionEngine:
                     f"{self.sim.now:.6g}s"
                 )
         self.rms.submit(job)
-        self._known_ids.add(job.job_id)
+        self._jobs_by_id[job.job_id] = job
         self._submit_seq += 1
         trace_id: Optional[str] = trace
         if trace_id is None and self.telemetry:
@@ -377,10 +378,7 @@ class AdmissionEngine:
     # -- interrogation ------------------------------------------------------
     def query(self, job_id: int) -> Optional[Job]:
         """The submitted job with ``job_id``, or ``None``."""
-        for job in self.rms.jobs:
-            if job.job_id == job_id:
-                return job
-        return None
+        return self._jobs_by_id.get(job_id)
 
     def peek_trace_id(self, job_id: int) -> str:
         """The trace id the *next* successful submit of ``job_id`` gets.

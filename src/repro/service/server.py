@@ -1,4 +1,4 @@
-"""A stdlib HTTP front-end for the admission engine (``repro serve``).
+"""The HTTP front-end for the admission engine (``repro serve``).
 
 One :class:`AdmissionService` owns one :class:`AdmissionEngine` behind a
 lock (the engine is single-threaded state; HTTP threads serialize on
@@ -28,17 +28,17 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic, perf_counter
 from typing import Any, Optional, TypeVar
 
+from repro.cluster.job import Job
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.service import checkpoint as checkpoint_mod
-from repro.service import protocol
+from repro.service import http11, protocol
 from repro.service.engine import (
     AdmissionEngine,
     DuplicateJob,
@@ -138,6 +138,19 @@ class AdmissionService:
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._shed_total = 0
+        # Metric handles of the request path, looked up once: a registry
+        # get-or-create sorts the label keys and takes the registry lock.
+        #: (request type, outcome) -> (requests_total, request_seconds).
+        self._request_metrics: dict[tuple[str, str], tuple[Counter, Histogram]] = {}
+        if wal is not None:
+            self._wal_append_seconds = self.registry.histogram(
+                "service_wal_append_seconds",
+                "Wall-clock latency of one WAL append (including any fsync)",
+                buckets=LATENCY_BUCKETS,
+            )
+            self._wal_appends = self.registry.counter(
+                "service_wal_appends_total", "Requests appended to the WAL"
+            )
 
     # -- backpressure accounting -------------------------------------------
     def _acquire_slot(self) -> bool:
@@ -227,14 +240,22 @@ class AdmissionService:
             status = protocol.HTTP_STATUS[ErrorCode.INTERNAL]
         elapsed = perf_counter() - t0
         outcome = "ok" if response.get("ok") else response["error"]["code"]
-        self.registry.counter(
-            "service_requests_total", "Protocol requests by type and outcome",
-            type=rtype, outcome=outcome,
-        ).inc()
-        self.registry.histogram(
-            "service_request_seconds", "Wall-clock request handling latency",
-            buckets=LATENCY_BUCKETS, type=rtype,
-        ).observe(elapsed)
+        handles = self._request_metrics.get((rtype, outcome))
+        if handles is None:
+            handles = self._request_metrics[rtype, outcome] = (
+                self.registry.counter(
+                    "service_requests_total",
+                    "Protocol requests by type and outcome",
+                    type=rtype, outcome=outcome,
+                ),
+                self.registry.histogram(
+                    "service_request_seconds",
+                    "Wall-clock request handling latency",
+                    buckets=LATENCY_BUCKETS, type=rtype,
+                ),
+            )
+        handles[0].inc()
+        handles[1].observe(elapsed)
         return status, response
 
     # -- write-ahead logging ------------------------------------------------
@@ -250,23 +271,8 @@ class AdmissionService:
         self._crash("wal.before_append")
         t0 = perf_counter()
         lsn = self.wal.append(self.engine.sim.now, req, clamp=clamp)
-        self.registry.histogram(
-            "service_wal_append_seconds",
-            "Wall-clock latency of one WAL append (including any fsync)",
-            buckets=LATENCY_BUCKETS,
-        ).observe(perf_counter() - t0)
-        self.registry.counter(
-            "service_wal_appends_total", "Requests appended to the WAL"
-        ).inc()
-        self.registry.gauge(
-            "service_wal_last_lsn", "Highest LSN appended to the WAL"
-        ).set(lsn)
-        self.registry.gauge(
-            "service_wal_bytes_written", "Bytes appended to the WAL"
-        ).set(self.wal.bytes_written)
-        self.registry.gauge(
-            "service_wal_fsyncs", "fsync calls issued by the WAL"
-        ).set(self.wal.syncs)
+        self._wal_append_seconds.observe(perf_counter() - t0)
+        self._wal_appends.inc()
         self._crash("wal.after_append")
         return lsn
 
@@ -281,10 +287,6 @@ class AdmissionService:
         finally:
             if lsn is not None:
                 self.engine.wal_lsn = lsn
-                self.registry.gauge(
-                    "service_wal_applied_lsn",
-                    "Highest LSN applied to the engine",
-                ).set(lsn)
         self._crash("wal.after_apply")
         return result
 
@@ -431,8 +433,9 @@ class AdmissionService:
             request.job, default_submit_time=engine.now
         )
         clamp = bool(getattr(engine.clock, "live", False))
-        if job.job_id in engine._known_ids:
-            return self._duplicate_submit(job)
+        existing = engine.query(job.job_id)
+        if existing is not None:
+            return self._duplicate_submit(job, existing)
         # Stamp the (possibly auto-assigned) id into the logged payload
         # so recovery rebuilds the job under the identical handle.
         logged = dict(request.job)
@@ -478,7 +481,7 @@ class AdmissionService:
         except DuplicateJob as exc:
             return protocol.error_response(ErrorCode.CONFLICT, str(exc))
 
-    def _duplicate_submit(self, job: Any) -> dict[str, Any]:
+    def _duplicate_submit(self, job: Job, existing: Job) -> dict[str, Any]:
         """Resolve a submit whose job id the engine already knows.
 
         A *retry* of the same submission (identical job parameters) is
@@ -487,10 +490,8 @@ class AdmissionService:
         clients retry submits across drops and crashes.  A *different*
         job under a known id is still a hard conflict.
         """
-        engine = self.engine
-        existing = engine.query(job.job_id)
-        prior = engine.decision_for(job.job_id)
-        if existing is not None and prior is not None and (
+        prior = self.engine.decision_for(job.job_id)
+        if prior is not None and (
             existing.runtime == job.runtime
             and existing.estimated_runtime == job.estimated_runtime
             and existing.numproc == job.numproc
@@ -583,15 +584,28 @@ class AdmissionService:
             }
 
     def _scrape_engine_gauges(self) -> None:
-        """Refresh scrape-time gauges derived from engine state.
+        """Refresh scrape-time gauges derived from engine and WAL state.
 
         The cumulative request counters update inline; everything that
         lives *inside* the engine (kernel trace accounting, admission
-        cache counters, windowed telemetry) is sampled here, under the
-        engine lock, each time ``/metrics`` is rendered.
+        cache counters, windowed telemetry) or the WAL (its LSN, byte
+        and fsync counts) is sampled here, under the engine lock, each
+        time ``/metrics`` is rendered.
         """
         with self._engine_lock:
             engine = self.engine
+            if self.wal is not None:
+                for name, help_text, value in (
+                    ("service_wal_last_lsn", "Highest LSN appended to the WAL",
+                     self.wal.next_lsn - 1),
+                    ("service_wal_bytes_written", "Bytes appended to the WAL",
+                     self.wal.bytes_written),
+                    ("service_wal_fsyncs", "fsync calls issued by the WAL",
+                     self.wal.syncs),
+                    ("service_wal_applied_lsn", "Highest LSN applied to the engine",
+                     engine.wal_lsn),
+                ):
+                    self.registry.gauge(name, help_text).set(value)
             trace = engine.sim.trace
             if trace is not None:
                 self.registry.gauge(
@@ -635,16 +649,17 @@ class AdmissionService:
         return prometheus_text(self.registry)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Maps HTTP to the service; all logic lives in :class:`AdmissionService`."""
+class _Handler(socketserver.StreamRequestHandler):
+    """Maps HTTP to the service; all logic lives in :class:`AdmissionService`.
 
-    server_version = "repro-admission/1"
-    protocol_version = "HTTP/1.1"
-    # One write per response: headers and body leave through a buffered
-    # wfile that is flushed once per request, with Nagle off.  Two small
-    # unbuffered sends would park the body behind the peer's delayed
-    # ACK (~40 ms per request on any keep-alive connection).
-    wbufsize = -1
+    One instance serves one connection: a loop of
+    :func:`~repro.service.http11.read_request` /
+    :func:`~repro.service.http11.encode_response` until either side
+    ends it.
+    """
+
+    # Every response is one ``sendall`` of head + body; with Nagle off
+    # it leaves at once instead of waiting for the peer's ACK.
     disable_nagle_algorithm = True
 
     @property
@@ -652,28 +667,47 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     # -- plumbing ----------------------------------------------------------
-    def log_message(self, fmt: str, *args: Any) -> None:  # quiet by default
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("%s %s", self.address_string(), fmt % args)
+    def handle(self) -> None:
+        reader = http11.Reader(self.connection.recv)
+        self.path = "-"
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                try:
+                    request = http11.read_request(reader)
+                    if request is None:
+                        return
+                    self.path = request.target
+                    self.close_connection = not request.keep_alive
+                    if request.method == "POST":
+                        self.do_POST(request.content_length, reader)
+                    else:
+                        if request.content_length:
+                            # Nobody reads a GET's body, so it must not
+                            # be taken for the next request.
+                            self.close_connection = True
+                        self.do_GET()
+                except http11.HttpError as exc:
+                    # Where the next request starts is unknown now.
+                    self.close_connection = True
+                    self._refuse(exc.status, exc.code, exc.message)
+        except OSError as exc:
+            log.debug("%s hung up mid-exchange: %s", self.client_address, exc)
 
     def _send(
         self, status: int, body: bytes, content_type: str,
         retry_after: Optional[float] = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            # HTTP wants integral seconds; round up so clients never
-            # come back earlier than the JSON hint says.
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
         if self.service.draining:
             # Tells keep-alive clients to drop their pooled socket (and
             # ends this handler thread) instead of parking on a server
             # that is going away.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            self.close_connection = True
+        self.connection.sendall(http11.encode_response(
+            status, body, content_type, retry_after, close=self.close_connection
+        ))
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("%s %s -> %d", self.client_address, self.path, status)
 
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         self._send(
@@ -697,27 +731,27 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._refuse(404, ErrorCode.NOT_FOUND, f"no such endpoint {self.path!r}")
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+    def do_POST(  # noqa: N802 (stdlib naming)
+        self, length: Optional[int], reader: http11.Reader
+    ) -> None:
+        limit = self.service.max_request_bytes
+        refusal: Optional[tuple[int, str, str]] = None
         if self.path != "/v1/rpc":
-            self._refuse(404, ErrorCode.NOT_FOUND, f"no such endpoint {self.path!r}")
-            return
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            self._refuse(411, ErrorCode.TOO_LARGE, "Content-Length header is required")
-            return
-        try:
-            length = int(length_header)
-        except ValueError:
-            self._refuse(400, ErrorCode.BAD_JSON, "malformed Content-Length")
-            return
-        if length > self.service.max_request_bytes:
-            self._refuse(
+            refusal = 404, ErrorCode.NOT_FOUND, f"no such endpoint {self.path!r}"
+        elif length is None:
+            refusal = 411, ErrorCode.TOO_LARGE, "Content-Length header is required"
+        elif length > limit:
+            refusal = (
                 413, ErrorCode.TOO_LARGE,
-                f"request of {length} bytes exceeds the "
-                f"{self.service.max_request_bytes}-byte limit",
+                f"request of {length} bytes exceeds the {limit}-byte limit",
             )
+        if refusal is not None:
+            # Refused before the body is read, so whatever follows on
+            # this connection is not known to be a request.
+            self.close_connection = True
+            self._refuse(*refusal)
             return
-        body = self.rfile.read(length)
+        body = reader.read(length)
         try:
             status, payload = self.service.handle(body)
         except DropRequest:
@@ -728,8 +762,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, payload)
 
 
-class _TrackingServer(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` that remembers its handler threads.
+class _TrackingServer(socketserver.ThreadingTCPServer):
+    """A ``ThreadingTCPServer`` that remembers its handler threads.
 
     socketserver does not track daemon handler threads at all (and
     ``server_close`` joins nothing for them), so without this a
@@ -741,6 +775,7 @@ class _TrackingServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

@@ -1,7 +1,8 @@
 """One persistent HTTP/1.1 transport for every outbound call in the service.
 
 :class:`Transport` keeps a thread-safe LIFO pool of idle keep-alive
-``http.client.HTTPConnection`` objects to **one** peer, so the client,
+connections (a socket plus the :mod:`~repro.service.http11` read-ahead
+buffer over it) to **one** peer, so the client,
 the load generator, the supervisor's health wait and the shard router
 stop paying a TCP connect, an accept and a fresh server handler thread
 per request.  :meth:`Transport.request` borrows a connection (dialling
@@ -36,15 +37,23 @@ Rules the callers rely on
 
 from __future__ import annotations
 
-import http.client
+import re
 import socket
 import threading
 from typing import Optional
+
+from repro.service import http11
 
 #: Idle connections kept per peer; surplus ones are closed on return.
 MAX_IDLE = 8
 
 _QUICKACK: Optional[int] = getattr(socket, "TCP_QUICKACK", None)
+
+# host is a name, an IPv4 address or a bracketed IPv6 address.
+_URL = re.compile(r"http://(\[[0-9A-Fa-f:.]+\]|[^\s:/\[\]]+)(?::([0-9]{1,5}))?(/\S*)?")
+
+#: One connection: its socket and the read-ahead buffer over it.
+_Connection = tuple[socket.socket, http11.Reader]
 
 
 class TransportError(Exception):
@@ -55,35 +64,35 @@ class Transport:
     """Pooled keep-alive HTTP client for one ``http://host:port`` peer."""
 
     def __init__(self, url: str, timeout: float = 10.0) -> None:
-        scheme, _, rest = url.partition("://")
-        if scheme != "http" or not rest:
+        match = _URL.fullmatch(url.rstrip("/"))
+        if match is None or int(match[2] or 80) > 65535:
             raise ValueError(f"expected an http://host:port URL, got {url!r}")
-        netloc, _, prefix = rest.rstrip("/").partition("/")
-        self._netloc = netloc
-        self._prefix = f"/{prefix}" if prefix else ""
+        host, port, prefix = match.groups()
+        self._netloc = f"{host}:{port}" if port else host
+        self._address = (host.strip("[]"), int(port or 80))
+        self._prefix = prefix or ""
         self.timeout = timeout
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
         #: Connections dialled so far (tests and reports read it).
         self.opened = 0
 
-    def _checkout(self) -> http.client.HTTPConnection:
-        """The most recently used live idle connection, else a new one."""
+    def _checkout(self) -> Optional[_Connection]:
+        """The most recently used live idle connection, if there is one."""
         while True:
             with self._lock:
-                conn = self._idle.pop() if self._idle else None
-                if conn is None:
+                if not self._idle:
                     self.opened += 1
-            if conn is None:
-                return http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+                    return None
+                conn = self._idle.pop()
             if not self._peer_gone(conn):
                 return conn
-            conn.close()
+            conn[0].close()
 
-    def _peer_gone(self, conn: http.client.HTTPConnection) -> bool:
+    def _peer_gone(self, conn: _Connection) -> bool:
         """Zero-timeout readability poll of an idle connection's socket."""
-        sock = conn.sock
-        if sock is None:
+        sock, reader = conn
+        if reader.pending:
             return True
         try:
             sock.settimeout(0.0)
@@ -96,6 +105,11 @@ class Transport:
         # EOF, RST, or bytes nobody asked for: unusable either way.
         return True
 
+    def _dial(self) -> _Connection:
+        sock = socket.create_connection(self._address, timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock, http11.Reader(sock.recv)
+
     def request(
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> tuple[int, bytes]:
@@ -104,31 +118,34 @@ class Transport:
         Raises :class:`TransportError` on any socket or framing failure;
         HTTP error statuses are returned, not raised.
         """
-        conn = self._checkout()
-        headers = {"Content-Type": "application/json"} if body is not None else {}
+        message = http11.encode_request(
+            method, self._prefix + path, self._netloc, body
+        )
+        sock: Optional[socket.socket] = None
         try:
-            conn.request(method, self._prefix + path, body=body, headers=headers)
+            sock, reader = self._checkout() or self._dial()
+            sock.sendall(message)
             if _QUICKACK is not None:
-                conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-            response = conn.getresponse()
-            payload = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+                sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+            response = http11.read_response(reader)
+        except (OSError, http11.HttpError) as exc:
+            if sock is not None:
+                sock.close()
             raise TransportError(f"{type(exc).__name__}: {exc}") from exc
         with self._lock:
             keep = not response.will_close and len(self._idle) < MAX_IDLE
             if keep:
-                self._idle.append(conn)
+                self._idle.append((sock, reader))
         if not keep:
-            conn.close()
-        return response.status, payload
+            sock.close()
+        return response.status, response.body
 
     def close(self) -> None:
         """Close every idle connection; ones in use are not touched."""
         with self._lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for sock, _ in idle:
+            sock.close()
 
 
 __all__ = ["MAX_IDLE", "Transport", "TransportError"]

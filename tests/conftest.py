@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# Before the sanitizer patches ``time``: hypothesis keeps its own
+# reference to ``perf_counter`` for a gc callback, and a collection can
+# start inside an engine decision span.
+import hypothesis  # noqa: F401
 import pytest
 
 from repro.analysis import sanitizer

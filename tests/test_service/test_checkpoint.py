@@ -104,10 +104,14 @@ class TestRoundTrip:
 
     def test_restore_remembers_submitted_ids(self):
         engine = AdmissionEngine(EngineConfig(num_nodes=2, rating=1.0))
-        engine.submit(make_job(runtime=10.0, deadline=100.0, job_id=1))
+        for job_id in (1, 2, 3):
+            engine.submit(make_job(runtime=10.0, deadline=100.0, job_id=job_id))
         resumed = checkpoint.restore(checkpoint.snapshot(engine))
-        with pytest.raises(DuplicateJob):
-            resumed.submit(make_job(runtime=5.0, deadline=200.0, job_id=1))
+        for job_id in (1, 2, 3):  # first / middle / last
+            assert resumed.query(job_id) is resumed.rms.jobs[job_id - 1]
+            with pytest.raises(DuplicateJob):
+                resumed.submit(make_job(runtime=5.0, deadline=200.0, job_id=job_id))
+        assert resumed.query(4) is None
 
     def test_rng_streams_resume_identically(self):
         streams = RngStreams(seed=5)

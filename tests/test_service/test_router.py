@@ -76,7 +76,7 @@ class TestRouting:
         for job_id in range(1, 9):
             owner = shard_for_job(job_id, 4)
             for shard, service in enumerate(fleet.services):
-                known = service.engine._known_ids
+                known = service.engine._jobs_by_id
                 assert (job_id in known) == (shard == owner)
 
     def test_queries_follow_the_submit_hash(self, fleet):

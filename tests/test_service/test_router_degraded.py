@@ -257,7 +257,7 @@ class TestParking:
             assert len(fleet.router.parking[victim]) == 0
             # The shard's engine saw the submits in original arrival order.
             engine = fleet.services[victim].engine
-            seen = [j for j in owned[:4] if j in engine._known_ids]
+            seen = [j for j in owned[:4] if j in engine._jobs_by_id]
             assert seen == owned[:4]
             # Parked jobs are now queryable through the router.
             status, response = fleet.handle(

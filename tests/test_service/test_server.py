@@ -3,6 +3,8 @@
 import http.client
 import json
 import socket
+import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -11,6 +13,7 @@ import urllib.request
 import pytest
 
 from repro.service.engine import AdmissionEngine, EngineConfig
+from repro.service import http11, protocol
 from repro.service.loadgen import ServiceClient
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import AdmissionService, ServiceServer
@@ -75,6 +78,152 @@ class TestKeepAlive:
         # for the client's delayed ACK (this burst took ~0.9 s).
         elapsed = keepalive_burst(server)
         assert elapsed < 0.4, f"40 keep-alive requests took {elapsed:.3f}s"
+
+
+def raw_exchange(server, data: bytes):
+    """Send raw bytes on a fresh connection; the (stdlib-parsed) answer."""
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.sendall(data)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        payload = json.loads(response.read())
+    return response, payload
+
+
+@pytest.fixture
+def handler_errors(server, monkeypatch):
+    """Exceptions that escaped a handler thread into socketserver."""
+    escaped: list = []
+    monkeypatch.setattr(
+        server._httpd, "handle_error",
+        lambda request, address: escaped.append(sys.exc_info()[1]),
+    )
+    return escaped
+
+
+STATS_BODY = b'{"v":1,"type":"stats"}'
+
+
+class TestHostileBytes:
+    """Refusals below the protocol layer are still typed JSON envelopes."""
+
+    @pytest.mark.parametrize("headers", [
+        # -1 used to park the handler in read(-1) until the peer hung up,
+        # -5 raised ValueError in the handler thread, 5_0 was read as 50.
+        pytest.param(b"Content-Length: -1", id="minus-one"),
+        pytest.param(b"Content-Length: -5", id="minus-five"),
+        pytest.param(b"Content-Length: 5_0", id="underscore"),
+        pytest.param(b"Content-Length: +2", id="plus"),
+        pytest.param(b"Content-Length:", id="empty"),
+        pytest.param(b"Content-Length: 22\r\nContent-Length: 2", id="two-differing"),
+    ])
+    def test_content_length_is_ascii_digits_or_a_typed_400(
+        self, server, handler_errors, headers
+    ):
+        response, payload = raw_exchange(
+            server, b"POST /v1/rpc HTTP/1.1\r\n" + headers + b"\r\n\r\n" + STATS_BODY
+        )
+        assert response.status == 400
+        assert payload["ok"] is False and payload["error"]["code"] == "bad_json"
+        assert "Content-Length" in payload["error"]["message"]
+        assert response.getheader("Connection") == "close"
+        assert handler_errors == []
+        assert server.service.engine.stats()["submitted"] == 0
+
+    @pytest.mark.parametrize("raw, status, code", [
+        pytest.param(b"\x16\x03\x01\x02\x00\r\n\r\n", 400, "bad_json", id="tls-hello"),
+        pytest.param(b"GET /healthz\r\n\r\n", 400, "bad_json", id="no-version"),
+        pytest.param(b"GET  /healthz HTTP/1.1\r\n\r\n", 400, "bad_json",
+                     id="two-spaces"),
+        pytest.param(b"GET /healthz HTTP/1.1\n\n", 400, "bad_json", id="bare-lf"),
+        pytest.param(b"GET /healthz HTTP/2.0\r\n\r\n", 505, "bad_version",
+                     id="http2"),
+        pytest.param(b"GET /" + b"a" * 9000 + b" HTTP/1.1\r\n\r\n", 414, "too_large",
+                     id="long-request-line"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 9000 + b"\r\n\r\n",
+                     431, "too_large", id="long-header-line"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\n" + b"X-N: 1\r\n" * 101 + b"\r\n",
+                     431, "too_large", id="101-headers"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\nNoColonHere\r\n\r\n", 400, "bad_json",
+                     id="no-colon"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\nSpaced : v\r\n\r\n", 400, "bad_json",
+                     id="space-before-colon"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", 400,
+                     "bad_json", id="obs-fold"),
+        pytest.param(b"DELETE /v1/rpc HTTP/1.1\r\n\r\n", 501, "unknown_type",
+                     id="method"),
+        pytest.param(b"POST /v1/rpc HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b"16\r\n" + STATS_BODY + b"\r\n0\r\n\r\n", 501, "invalid_field",
+                     id="chunked"),
+        pytest.param(b"POST /v1/rpc HTTP/1.1\r\n"
+                     b"Content-Length: 99999999999999999999\r\n\r\n", 413, "too_large",
+                     id="20-digit-length"),
+    ])
+    def test_malformed_requests_get_a_typed_envelope_and_a_close(
+        self, server, handler_errors, raw, status, code
+    ):
+        response, payload = raw_exchange(server, raw)
+        assert response.status == status
+        assert payload == protocol.decode_response(status, protocol.encode(payload))
+        assert payload["ok"] is False and payload["error"]["code"] == code
+        assert response.getheader("Content-Type").startswith("application/json")
+        assert response.getheader("Connection") == "close"
+        assert handler_errors == []
+        # The thread is gone and the server still serves.
+        deadline = time.monotonic() + 5.0
+        while server._httpd.alive_handlers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server._httpd.alive_handlers() == []
+        assert ServiceClient(server.url, timeout=5.0).healthy()
+
+    def test_truncated_body_and_vanishing_peers_do_not_escape(
+        self, server, handler_errors
+    ):
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(b"POST /v1/rpc HTTP/1.1\r\nContent-Length: 22\r\n\r\n{")
+            sock.shutdown(socket.SHUT_WR)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 400
+            assert "1 of 22 body bytes" in json.loads(response.read())["error"]["message"]
+        # Reset while the server is answering: nothing to assert but silence.
+        sock = socket.create_connection((server.host, server.port), timeout=5.0)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(b"GET /metrics HTTP/1.1\r\n\r\n")
+        sock.close()
+        assert ServiceClient(server.url, timeout=5.0).healthy()
+        assert handler_errors == []
+
+    def test_refused_posts_end_the_connection_with_the_body_unread(self, server):
+        # 404/411/413 answer before reading the body; what follows on the
+        # connection must not be parsed as a request.
+        for head, status in (
+            (b"POST /nope HTTP/1.1\r\nContent-Length: 22\r\n\r\n", 404),
+            (b"POST /v1/rpc HTTP/1.1\r\n\r\n", 411),
+            (b"POST /v1/rpc HTTP/1.1\r\nContent-Length: 999999\r\n\r\n", 413),
+        ):
+            response, payload = raw_exchange(server, head + STATS_BODY)
+            assert response.status == status and payload["ok"] is False
+            assert response.getheader("Connection") == "close"
+
+    def test_get_with_a_body_is_answered_then_closed(self, server):
+        response, payload = raw_exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nContent-Length: 22\r\n\r\n" + STATS_BODY,
+        )
+        assert response.status == 200 and payload["status"] == "ok"
+        assert response.getheader("Connection") == "close"
+
+    def test_pipelined_requests_are_answered_in_order(self, server):
+        one = (b"POST /v1/rpc HTTP/1.1\r\nContent-Length: 22\r\n\r\n" + STATS_BODY)
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(one + b"GET /healthz HTTP/1.1\r\n\r\n" + one)
+            reader = http11.Reader(sock.recv)
+            kinds = [
+                json.loads(http11.read_response(reader).body).get("type", "health")
+                for _ in range(3)
+            ]
+        assert kinds == ["stats", "health", "stats"]
 
 
 class TestEndpoints:

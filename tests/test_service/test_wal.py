@@ -322,6 +322,10 @@ class TestRecovery:
             d.as_dict() for d in svc.engine.decisions
         ]
         assert engine.wal_lsn == 9
+        for job_id in (1, 4, 8):  # first / middle / last
+            assert engine.query(job_id) is engine.rms.jobs[job_id - 1]
+            assert engine.query(job_id).job_id == job_id
+        assert engine.query(9) is None
 
     def test_failed_applications_fail_identically_on_replay(self, tmp_path):
         # An out-of-order submit is appended (append-before-apply) but
@@ -355,6 +359,9 @@ class TestRecovery:
         engine, report = recover(str(path), checkpoint_path=str(ckpt))
         assert report.skipped == 3 and report.replayed == 2
         assert engine.metrics().as_dict() == svc.engine.metrics().as_dict()
+        # Ids from the checkpoint (1, 3) and from the replayed tail (5).
+        for job_id in (1, 3, 5):
+            assert engine.query(job_id) is engine.rms.jobs[job_id - 1]
 
     def test_recover_without_config_or_checkpoint_fails(self, tmp_path):
         path = tmp_path / "wal.log"
@@ -404,6 +411,7 @@ class TestRecovery:
     def test_wal_metrics_are_exported(self, tmp_path):
         svc = self.service(tmp_path / "wal.log")
         svc.handle(json.dumps(submit_req(1, 1.0)).encode())
+        svc.prometheus_text()  # the WAL gauges are sampled at scrape time
         appends = svc.registry.get("service_wal_appends_total")
         last_lsn = svc.registry.get("service_wal_last_lsn")
         assert appends is not None and appends.value == 1
