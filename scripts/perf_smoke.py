@@ -52,7 +52,6 @@ def _run_parity(policy: str, jobs: int, nodes: int, seed: int) -> bool:
     )
     args = [sys.executable, "-c", PARITY_SNIPPET, policy, str(jobs), str(nodes), str(seed)]
     env.pop("REPRO_DISABLE_ADMISSION_CACHE", None)
-    env.pop("REPRO_LAZY_SYNC", None)
     fast = subprocess.run(args, env=env, capture_output=True, text=True)
     env["REPRO_DISABLE_ADMISSION_CACHE"] = "1"
     reference = subprocess.run(args, env=env, capture_output=True, text=True)

@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-stats", action="store_true",
         help="shorthand for --mode cache: admission fast-path counters "
-             "(suitability cache hits, projections avoided, tombstones)",
+             "(nodes refused without a ledger sync, exact projections "
+             "run, tombstones)",
     )
     p.add_argument(
         "--json", action="store_true",

@@ -30,8 +30,6 @@ risk metric detects and Libra's Eq. 2 capacity test cannot.
 
 from __future__ import annotations
 
-import math
-from array import array
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.cluster.job import Job
@@ -52,6 +50,32 @@ TaskListener = Callable[["Node", "NodeTask", float], None]
 
 #: Predicted delays below this many seconds are float noise, not risk.
 PREDICTED_DELAY_EPSILON = 1e-6
+
+_INF = float("inf")
+
+# Robustness constants of TimeSharedNode.refutes_zero_risk: a refusal
+# must survive the ~1e-12 relative drift between lazily derived and
+# chop-by-chop ledgers, so it needs a gap four orders above what the
+# float σ-test can resolve, and every discrete projection decision
+# taken inside one of these bands is "cannot tell".
+#: Relative Eq. 4 gap that proves σ_j > 0.
+REFUTE_REL_GAP = 1e-4
+#: Estimates this close above the ``SHARE_EPSILON`` overrun threshold,
+#: and Eq. 1 shares this close above the ``SHARE_EPSILON`` clamp.
+_REFUTE_EST_BAND = 1e-6
+_REFUTE_SHARE_BAND = 1e-6
+#: Remaining deadlines this close to zero (Eq. 4 pole, floor-share
+#: flip): worst-case drift moves a phase end by ~5e-8 s, and Eq. 4
+#: divides that by the remaining deadline.
+_REFUTE_REM_BAND = 1.0
+#: A first-phase share total must clear 1 by this to count as over-commit.
+_REFUTE_FIT_BAND = 1e-6
+#: Predicted delays in this band may or may not snap to zero.
+_REFUTE_SNAP_LO = PREDICTED_DELAY_EPSILON / 10.0
+_REFUTE_SNAP_HI = PREDICTED_DELAY_EPSILON * 10.0
+#: Above this many entries float summation error (and the share total
+#: that stretches every phase) could hide the gap.
+_REFUTE_MAX_ENTRIES = 64
 
 
 class NodeTask:
@@ -341,15 +365,6 @@ class TimeSharedNode(Node):
         # Per-generation admission aggregate (see admission_aggregate).
         self._agg: Optional[tuple] = None
         self._agg_gen = -1
-        # Per-generation projection column: resident deadlines snapshot.
-        self._proj_gen = -1
-        self._proj_deadlines: Optional[list[float]] = None
-        # Reusable _project_sigma scratch columns (cleared per call so
-        # the hot path allocates no fresh lists).
-        self._scratch_orig: list[int] = []
-        self._scratch_est: list[float] = []
-        self._scratch_deadline: list[float] = []
-        self._scratch_shares: list[float] = []
         # The completion event name is stable; format it once, not per
         # recompute (checkpointing pattern-matches on it).
         self._completion_name = f"node{self.node_id}:completion"
@@ -633,46 +648,23 @@ class TimeSharedNode(Node):
         return self._min_deadline
 
     def admission_aggregate(self) -> Optional[tuple]:
-        """Per-generation admission aggregate over the resident ledgers.
+        """Per-generation Eq. 2 zero-mode aggregate over the resident ledgers.
 
-        Built lazily from the ledgers *as of* :attr:`_last_sync`
-        (``t0``) and cached until the next :attr:`generation` bump.
-        The admission fast paths feed it to the O(1) refutation
-        certificates (:func:`repro.scheduling.risk.refute_sigma_zero`
-        and libra's Eq. 2 over-commit bound).  Those certificates are
-        one-sided: they may only *reject* a node, and the caller falls
-        back to the exact projection whenever the aggregate cannot
-        decide — so a ``None`` here (spare redistribution enabled,
-        which breaks the monotone share-growth bound, or a resident
-        deadline already elapsed at build time) merely disables the
-        shortcut.
+        Built from the ledgers *as of* :attr:`_last_sync` (``t0``) and
+        cached until the next :attr:`generation` bump, for libra's O(1)
+        over-commit certificate.  The certificate is one-sided — it may
+        only *reject* a node, and the caller walks the node whenever the
+        aggregate cannot decide — so a ``None`` here (spare
+        redistribution enabled, which breaks the monotone share-growth
+        bound) merely disables the shortcut.
 
-        Tuple layout::
-
-            (t0, n_healthy, n_overrun, sum_min, d_min_h, est0_min_d,
-             d_max, d_2nd, est0_max_d, min_est0,
-             sum_zero, d_min_z, min_w_est0)
-
-        Healthy/overrun follow the projection's classification at
-        ``t0`` (estimated remaining time above/below
-        ``SHARE_EPSILON``). ``sum_min`` is Σ min(share, 1) over
-        healthy residents — a lower bound on the projection's first
-        phase total at any later instant of the same generation,
-        because every healthy share is non-decreasing while its rate
-        stays fixed.  ``d_min_h``/``d_max``/``d_2nd`` are the healthy
-        deadline extremes with tie-conservative build-time estimates
-        (``est0_min_d`` is the *largest* estimate among earliest-
-        deadline ties), and ``min_est0`` is the classification
-        stability horizon. ``sum_zero``/``d_min_z``/``min_w_est0``
-        are the Eq. 2 zero-mode share sum and its validity guards for
-        libra's over-commit certificate.
+        Tuple layout ``(t0, sum_zero, d_min_z, min_w_est0)``: the Eq. 2
+        zero-mode share sum at ``t0`` and its validity guards — the
+        earliest counted deadline and the smallest counted estimated
+        work.
         """
         if self._agg_gen == self.generation:
-            agg = self._agg
-            if agg is None or agg[0] >= self._last_sync:
-                return agg
-            # Ledgers advanced past the build instant: refresh so the
-            # certificates get the sharpest (zero-staleness) bounds.
+            return self._agg
         self._agg_gen = self.generation
         if self.share_params.redistribute_spare:
             self._agg = None
@@ -681,48 +673,14 @@ class TimeSharedNode(Node):
         t0 = self._last_sync
         rating = self.rating
         work_threshold = WORK_EPSILON / rating
-        n_healthy = 0
-        n_overrun = 0
-        sum_min = 0.0
-        d_min_h = float("inf")
-        est0_min_d = 0.0
-        d_max = float("-inf")
-        d_2nd = float("-inf")
-        est0_max_d = 0.0
-        min_est0 = float("inf")
         sum_zero = 0.0
         d_min_z = float("inf")
         min_w_est0 = float("inf")
         for task in self.tasks.values():
             est_work = task.remaining_est_work
             est_time = est_work / rating
-            deadline = task.deadline
-            if est_time <= SHARE_EPSILON:
-                n_overrun += 1
-            else:
-                rem = deadline - t0
-                if rem <= 0.0:
-                    self._agg = None
-                    return None
-                n_healthy += 1
-                s = est_time / rem
-                sum_min += s if s < 1.0 else 1.0
-                if deadline <= d_min_h:
-                    if deadline < d_min_h:
-                        d_min_h = deadline
-                        est0_min_d = est_time
-                    elif est_time > est0_min_d:
-                        est0_min_d = est_time
-                if deadline > d_max:
-                    d_2nd = d_max
-                    d_max = deadline
-                    est0_max_d = est_time
-                elif deadline > d_2nd:
-                    d_2nd = deadline
-                if est_time < min_est0:
-                    min_est0 = est_time
-            # Eq. 2 zero-mode sum (libra) has its own skip threshold.
             if est_time > work_threshold:
+                deadline = task.deadline
                 rem_z = deadline - t0
                 if rem_z > 0.0:
                     sum_zero += est_time / rem_z
@@ -730,11 +688,7 @@ class TimeSharedNode(Node):
                         d_min_z = deadline
                     if est_work < min_w_est0:
                         min_w_est0 = est_work
-        self._agg = (
-            t0, n_healthy, n_overrun, sum_min, d_min_h, est0_min_d,
-            d_max, d_2nd, est0_max_d, min_est0,
-            sum_zero, d_min_z, min_w_est0,
-        )
+        self._agg = (t0, sum_zero, d_min_z, min_w_est0)
         return self._agg
 
     def iter_share_terms(self, now: float) -> Iterable[tuple[NodeTask, float]]:
@@ -932,155 +886,148 @@ class TimeSharedNode(Node):
 
         return [(job, delays[job.job_id]) for job, _ in entries]
 
-    def _project_sigma(
-        self,
-        now: float,
-        est_new: float,
-        deadline_new: float,
-    ) -> tuple[bool, float]:
-        """Columnar fusion of :meth:`_project_delays` with the σ test.
+    def refutes_zero_risk(self, now: float, est_new: float, deadline_new: float) -> bool:
+        """Prove σ_j > 0 for a hypothetical placement without touching the node.
 
-        The residual slow path of LibraRisk's fast scan: residents plus
-        one hypothetical ``(est_new, deadline_new)`` placement, phases
-        identical float-for-float to :meth:`_project_delays` (same
-        share clamps, same accumulation order, same in-place
-        compaction) but carried positionally — per-task deadline
-        columns cached per :attr:`generation` in a stdlib ``array``,
-        per-call estimate columns, projected delays in a flat list —
-        with no :class:`Job` tuples, no per-job dict, and the Eq. 5/6
-        accumulation fused over the same entries order
-        (:func:`repro.scheduling.assess_delays` float sequence).
+        Runs the :meth:`_project_delays` phases for the residents plus
+        one ``(est_new, deadline_new)`` candidate on **lazily derived**
+        estimates: rates are constant between recomputes, so a
+        resident's estimate at ``now`` is ``(remaining_est_work −
+        rate·rating·(now − _last_sync)) / rating`` — no :meth:`sync`, no
+        chop consumed, no ledger written.  Returns ``True`` as soon as
+        two recorded Eq. 4 values differ by more than
+        ``REFUTE_REL_GAP`` relative; ``False`` means "cannot tell",
+        never "suitable", and the caller then runs the exact synced
+        projection.
 
-        Returns ``(zero_risk, max_delay)``; an infinite Eq. 4 value
-        short-circuits to ``(False, inf)`` exactly as the scan's early
-        exit did — ``assess_delays`` maps it to σ = ∞, never suitable.
+        Why ``True`` implies the exact σ_j > 0: the derived estimates
+        sit within ~1e-12 relative of the chop-by-chop ledgers, and the
+        recorded values are continuous in them except where the
+        projection takes a discrete decision, each of which answers
+        "cannot tell" inside a band (the ``_REFUTE_*`` constants) far
+        wider than that drift.  A 1e-4 relative gap therefore survives,
+        and among at most ``_REFUTE_MAX_ENTRIES`` values it exceeds the
+        float error of the Eq. 6 variance by an order of magnitude.  One
+        decision needs no band: ``est − rate·(est/rate)`` can round to an
+        ulp above ``SHARE_EPSILON`` and keep a finished entry pending in
+        the exact projection, but no entry finishes before its deadline
+        (rates never exceed ``est/rem``), so that residue meets a
+        remaining deadline of at most an ulp, is cleared within
+        nanoseconds, and moves the recorded delay by as little.
+
+        The arithmetic is the projection's, regrouped (it need not be
+        bit-identical): with ``q = est / share`` — the remaining
+        deadline of an unclamped entry — a phase lasts ``min(q) ·
+        max(total, 1)`` and consumes ``share · min(q)`` of each estimate.
         """
-        tasks = self.tasks
-        col = self._proj_deadlines
-        if col is None or self._proj_gen != self.generation:
-            col = array("d", (t.deadline for t in tasks.values()))
-            self._proj_deadlines = col
-            self._proj_gen = self.generation
-        rating = self.rating
-        floor = self.share_params.overrun_floor_share
-        m = len(col)
-        n_entries = m + 1
-        delays = [0.0] * n_entries
-        # Scratch columns live on the node so the hot path allocates no
-        # fresh lists per call (cleared below before reuse).
-        pend_orig = self._scratch_orig
-        pend_est = self._scratch_est
-        pend_deadline = self._scratch_deadline
-        shares = self._scratch_shares
-        del pend_orig[:], pend_est[:], pend_deadline[:]
-        n_overruns = 0
-        i = 0
-        # Entries order = residents in task order, then the candidate —
-        # the same order _projected_suitable fed to _project_delays.
-        for task in tasks.values():
-            est = task.remaining_est_work / rating
-            if est <= SHARE_EPSILON:
-                delay = now - col[i]
-                delays[i] = delay if delay > 0.0 else 0.0
-                n_overruns += 1
-            else:
-                pend_orig.append(i)
-                pend_est.append(est)
-                pend_deadline.append(col[i])
-            i += 1
-        if est_new <= SHARE_EPSILON:
-            delay = now - deadline_new
-            delays[m] = delay if delay > 0.0 else 0.0
-            n_overruns += 1
-        else:
-            pend_orig.append(m)
-            pend_est.append(est_new)
-            pend_deadline.append(deadline_new)
-
         params = self.share_params
-        redistribute = params.redistribute_spare
-        overrun_share_sum = n_overruns * floor
-        inf = float("inf")
-        t = now
-        while pend_est:
-            total = overrun_share_sum
-            del shares[:]
-            append_share = shares.append
-            for est, deadline in zip(pend_est, pend_deadline):
-                rem = deadline - t
-                if est <= SHARE_EPSILON or rem <= 0.0:
-                    s = floor
-                else:
-                    s = est / rem
-                    if s < SHARE_EPSILON:
-                        s = SHARE_EPSILON
-                    elif s > 1.0:
-                        s = 1.0
-                append_share(s)
+        tasks = self.tasks
+        if params.redistribute_spare or len(tasks) >= _REFUTE_MAX_ENTRIES:
+            return False
+        rem_new = deadline_new - now
+        if est_new <= _REFUTE_EST_BAND or rem_new <= _REFUTE_REM_BAND:
+            return False
+        if self._min_deadline_gen != self.generation:
+            self.min_resident_deadline()  # rebuild the cache
+        if self._min_deadline - now <= _REFUTE_REM_BAND:
+            return False
+
+        rating = self.rating
+        elapsed = rating * (now - self._last_sync)
+        floor = params.overrun_floor_share
+        # An overrun resident records its accrued delay — 0 while its
+        # deadline is ahead, so Eq. 4 is exactly 1 — and holds the floor
+        # share through every phase.
+        v_lo, v_hi = _INF, 0.0
+        overrun_share_sum = 0.0
+        s = est_new / rem_new
+        if s > 1.0:
+            s = 1.0
+            q_min = est_new
+        elif s < _REFUTE_SHARE_BAND:
+            return False
+        else:
+            q_min = rem_new
+        total = s
+        pend_est = [est_new]
+        pend_deadline = [deadline_new]
+        shares = [s]
+        for task in tasks.values():
+            est_work = task.remaining_est_work
+            est = (est_work - task.rate * elapsed) / rating
+            if est > _REFUTE_EST_BAND:
+                deadline = task.deadline
+                rem = deadline - now
+                s = est / rem
+                if s > 1.0:
+                    s = 1.0
+                    if est < q_min:
+                        q_min = est
+                elif s < _REFUTE_SHARE_BAND:
+                    return False
+                elif rem < q_min:
+                    q_min = rem
                 total += s
-            if total > 1.0 or (redistribute and total > SHARE_EPSILON):
-                scale = 1.0 / total
+                pend_est.append(est)
+                pend_deadline.append(deadline)
+                shares.append(s)
+            elif est_work / rating <= SHARE_EPSILON:
+                # Exhausted at the last sync, so exhausted at any later one.
+                v_lo = v_hi = 1.0
+                overrun_share_sum += floor
             else:
-                scale = 1.0
+                return False
+        total += overrun_share_sum
+        if total <= 1.0 + _REFUTE_FIT_BAND:
+            return False  # may be a healthy fit
 
-            best_dt = -1.0
-            for est, s in zip(pend_est, shares):
-                rate = s * scale
-                if rate <= SHARE_EPSILON:
-                    continue
-                dt = est / rate
-                if best_dt < 0.0 or dt < best_dt:
-                    best_dt = dt
-            if best_dt < 0.0:
-                for orig in pend_orig:
-                    delays[orig] = inf
-                break
-
-            t += best_dt
+        t = now
+        while True:
+            t += q_min * total if total > 1.0 else q_min
+            consumed = q_min
+            total = overrun_share_sum
+            q_min = _INF
             write = 0
-            for i, s in enumerate(shares):
-                remaining = pend_est[i] - s * scale * best_dt
-                if remaining <= SHARE_EPSILON:
-                    deadline = pend_deadline[i]
-                    delay = t - deadline
-                    delays[pend_orig[i]] = (
-                        0.0 if delay < PREDICTED_DELAY_EPSILON else delay
-                    )
-                else:
-                    pend_orig[write] = pend_orig[i]
-                    pend_est[write] = remaining
-                    pend_deadline[write] = pend_deadline[i]
+            for est, deadline, s in zip(pend_est, pend_deadline, shares):
+                est -= s * consumed
+                if est > _REFUTE_EST_BAND:
+                    rem = deadline - t
+                    if rem > _REFUTE_REM_BAND:
+                        s = est / rem
+                        if s > 1.0:
+                            s = 1.0
+                            q = est
+                        elif s < _REFUTE_SHARE_BAND:
+                            return False
+                        else:
+                            q = rem
+                    elif rem < -_REFUTE_REM_BAND:
+                        s = floor
+                        q = est / floor
+                    else:
+                        return False
+                    if q < q_min:
+                        q_min = q
+                    total += s
+                    pend_est[write] = est
+                    pend_deadline[write] = deadline
+                    shares[write] = s
                     write += 1
-            del pend_orig[write:], pend_est[write:], pend_deadline[write:]
-
-        # σ accumulation in entries order, Σv / Σv² left-to-right as
-        # assess_delays' sum() calls; early exit on infinite values.
-        isinf = math.isinf
-        sum_v = 0.0
-        sum_v2 = 0.0
-        max_delay = 0.0
-        for i in range(m):
-            rem = col[i] - now
-            delay = delays[i]
-            if rem <= 0.0 or isinf(delay):
-                return (False, inf)
-            v = (delay + rem) / rem
-            if isinf(v):
-                return (False, inf)
-            sum_v += v
-            sum_v2 += v * v
-            if delay > max_delay:
-                max_delay = delay
-        rem = deadline_new - now
-        delay = delays[m]
-        if rem <= 0.0 or isinf(delay):
-            return (False, inf)
-        v = (delay + rem) / rem
-        if isinf(v):
-            return (False, inf)
-        sum_v += v
-        sum_v2 += v * v
-        if delay > max_delay:
-            max_delay = delay
-        mu = sum_v / n_entries
-        return (sum_v2 / n_entries - mu * mu <= 0.0, max_delay)
+                    continue
+                delay = t - deadline
+                if delay < _REFUTE_SNAP_LO:
+                    v = 1.0
+                elif delay > _REFUTE_SNAP_HI:
+                    rem = deadline - now
+                    v = (delay + rem) / rem
+                else:
+                    return False
+                if v < v_lo:
+                    v_lo = v
+                if v > v_hi:
+                    v_hi = v
+                if v_hi - v_lo > REFUTE_REL_GAP * v_hi:
+                    return True
+            if not write:
+                return False
+            del pend_est[write:], pend_deadline[write:], shares[write:]

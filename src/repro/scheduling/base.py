@@ -38,17 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: exact memoization, so both paths produce byte-identical output).
 DISABLE_CACHE_ENV = "REPRO_DISABLE_ADMISSION_CACHE"
 
-#: Opt-in: defer node ledger syncs until a node is actually read on a
-#: slow path or mutated, instead of syncing every node on every submit.
-#: Mathematically equivalent but NOT bit-identical to the eager default
-#: (float subtraction is not associative across different sync chop
-#: points), hence off unless requested — see docs/PERFORMANCE.md.
-LAZY_SYNC_ENV = "REPRO_LAZY_SYNC"
-
-#: Debug: double-check every O(1) σ>0 refutation certificate against
-#: the exact forward projection (asserts on disagreement).  Slows scans
-#: back down to projection cost; in lazy-sync mode the verification
-#: sync may shift ledger chop points.  Test/diagnosis only.
+#: Debug: re-prove every refusal the fast paths make without a sync —
+#: LibraRisk's σ>0 refutation on lazily derived ledgers against the
+#: exact synced projection, Libra's over-commit certificate against the
+#: Eq. 2 walk — and assert on disagreement.  Slows scans back down to
+#: projection cost.  Test/diagnosis only.
 VERIFY_CERT_ENV = "REPRO_VERIFY_CERT"
 
 #: Compact the shared deferred-sync chop log once it grows past this
@@ -85,11 +79,10 @@ class SchedulingPolicy(abc.ABC):
         #: policy's behaviour is fixed for its lifetime (tests override
         #: the attributes directly).
         self.fast_path = not _env_flag(DISABLE_CACHE_ENV)
-        self.lazy_sync = _env_flag(LAZY_SYNC_ENV)
         self.verify_cert = _env_flag(VERIFY_CERT_ENV)
-        #: Shared scan-instant log for deferred ledger sync (eager fast
-        #: path only; see ``TimeSharedNode.attach_chop_log``).  ``None``
-        #: when deferral is off.
+        #: Shared scan-instant log for deferred ledger sync (fast path
+        #: only; see ``TimeSharedNode.attach_chop_log``).  ``None`` when
+        #: deferral is off.
         self._sync_chops: Optional[list[float]] = None
         #: Monotone counters describing fast-path effectiveness
         #: (suitability cache hits/misses, projections avoided, ...).
@@ -133,16 +126,16 @@ class SchedulingPolicy(abc.ABC):
     def _attach_sync_deferral(self, cluster: "Cluster") -> None:
         """Share one deferred-sync chop log across the cluster's nodes.
 
-        Eager fast path only: the reference scan syncs every occupied
-        node at every submit instant, and those instants — the *chops*
-        — are part of the byte-identical ledger history (float
-        subtraction is not associative).  Deferral records each scan
-        instant once here; a node the scan can reject in O(1) (poison,
-        certificate) skips its sync and replays the identical chop
-        sequence on its next real touch.  Lazy-sync mode keeps its own
-        derivation and never attaches.
+        Fast path only: the reference scan syncs every occupied node
+        at every submit instant, and those instants — the *chops* — are
+        part of the byte-identical ledger history (float subtraction is
+        not associative).  Deferral records each scan instant once
+        here; a node the scan refuses without reading its synced
+        ledgers (poison, refutation, over-commit certificate) skips its
+        sync and replays the identical chop sequence on its next real
+        touch.
         """
-        if not self.fast_path or self.lazy_sync:
+        if not self.fast_path:
             return
         chops: list[float] = []
         self._sync_chops = chops

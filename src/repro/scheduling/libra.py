@@ -46,9 +46,8 @@ def _over_commitment_certified(
 ) -> bool:
     """O(1) proof that the Eq. 2 zero-mode total robustly exceeds 1.
 
-    ``agg`` is a ``TimeSharedNode.admission_aggregate`` tuple of the
-    node's current generation (its ``sum_zero``/``d_min_z``/
-    ``min_w_est0`` slots), ``s_new`` the candidate's exact unclamped
+    ``agg`` is the ``TimeSharedNode.admission_aggregate`` tuple of the
+    node's current generation, ``s_new`` the candidate's exact unclamped
     Eq. 1 share.  Sound because every resident share counted at build
     time ``t0`` is non-decreasing while its execution rate stays fixed
     (no generation bump), *provided* no counted resident crosses its
@@ -57,10 +56,7 @@ def _over_commitment_certified(
     node's rating) by ``now``.  Returns ``True`` only when the walk
     would certainly reject; ``False`` means "walk the node".
     """
-    t0 = agg[0]
-    sum_zero = agg[10]
-    d_min_z = agg[11]
-    min_w_est0 = agg[12]
+    t0, sum_zero, d_min_z, min_w_est0 = agg
     if now >= d_min_z:
         return False
     if min_w_est0 - rating * (now - t0) <= WORK_EPSILON + _CERT_SLACK:
@@ -140,7 +136,6 @@ class LibraPolicy(SchedulingPolicy):
         set changes."""
         cluster = self.cluster
         assert cluster is not None and self.rms is not None
-        lazy = self.lazy_sync
         verify = self.verify_cert
         suitable: list[tuple[float, TimeSharedNode]] = []
         online = 0
@@ -172,21 +167,12 @@ class LibraPolicy(SchedulingPolicy):
                             if verify:
                                 self._assert_capacity_cert(node, job, now)
                             continue
-                if not lazy:
-                    node.sync(now)
+                node.sync(now)
             work_threshold = WORK_EPSILON / rating
             total = 0.0
             n_walked += 1
-            if lazy:
-                speed = rating * (now - node._last_sync)
             for task in tasks.values():
-                if lazy:
-                    est_work = task.remaining_est_work - task.rate * speed
-                    if est_work < 0.0:
-                        est_work = 0.0
-                    est = est_work / rating
-                else:
-                    est = task.remaining_est_work / rating
+                est = task.remaining_est_work / rating
                 rem = task.deadline - now
                 if est <= work_threshold or rem <= 0.0:
                     continue  # "zero" mode: expired/exhausted jobs vanish

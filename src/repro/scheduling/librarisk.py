@@ -42,8 +42,7 @@ from repro.cluster.job import Job
 from repro.cluster.node import TimeSharedNode
 from repro.cluster.share import SHARE_EPSILON, WORK_EPSILON
 from repro.scheduling.base import SchedulingPolicy
-from repro.scheduling.risk import RiskAssessment, assess_delays, refute_sigma_zero
-from repro.sim.numerics import exact_zero
+from repro.scheduling.risk import RiskAssessment, assess_delays
 
 _NODE_ORDERS = ("worst_fit", "best_fit", "index")
 _SUITABILITIES = ("sigma", "no-delay")
@@ -152,13 +151,13 @@ class LibraRiskPolicy(SchedulingPolicy):
         * **infeasible job** — a candidate whose own deadline already
           passed has an infinite Eq. 4 value on every occupied node,
           so only empty nodes (σ of one value) can admit it;
-        * **σ>0 certificate** — the node's per-generation
-          :meth:`~repro.cluster.node.TimeSharedNode.admission_aggregate`
-          feeds :func:`~repro.scheduling.risk.refute_sigma_zero`: an
-          O(1) robust-margin proof that placing the job leaves σ_j > 0,
-          answered from aggregates alone — no ledger sync, no walk, no
-          projection (the sync it skips is deferred through the shared
-          chop log and replayed bit-identically on next touch);
+        * **refutation** —
+          :meth:`~repro.cluster.node.TimeSharedNode.refutes_zero_risk`
+          projects the node on lazily derived estimates and proves
+          σ_j > 0 by a robust gap between two Eq. 4 values — no ledger
+          sync, no state written (the sync it skips is deferred through
+          the shared chop log and replayed bit-identically on next
+          touch);
         * **healthy fit** — all shares defined, each ≤ 1 and Σ ≤ 1 + ε:
           the projection would predict zero delay for everyone, making
           every deadline-delay exactly ``(0 + r) / r = 1.0``, σ = 0 —
@@ -166,23 +165,19 @@ class LibraRiskPolicy(SchedulingPolicy):
           same loop accumulates the resident-only Eq. 2 sum with
           ``total_admission_share``'s skip rule and summation order, so
           best-fit ordering can reuse it instead of re-walking the node;
-        * **projection** — everything else rebuilds the aggregate at
-          the (now synced) current instant, retries the certificate,
-          and only then runs the exact forward simulation — the fused
-          columnar ``_project_sigma`` kernel, float-identical to
-          ``_project_delays`` + ``assess_delays`` with an early exit on
-          the first infinite deadline-delay.
+        * **projection** — whatever is left gets the reference scan's
+          own :meth:`assess_node`.
         """
         cluster = self.cluster
         assert cluster is not None and self.rms is not None
         sigma_mode = self.suitability == "sigma"
-        lazy = self.lazy_sync
         verify = self.verify_cert
         zero_risk: list[TimeSharedNode] = []
         loads: dict[int, float] = {}
         online = 0
         n_poisoned = n_fast_fit = n_empty = n_projected = 0
-        n_cert = n_agg_hit = n_agg_built = n_infeasible = 0
+        n_refuted = n_infeasible = 0
+        deadline_new = job.absolute_deadline
         rem_new = job.remaining_deadline(now)
         infeasible = rem_new <= 0.0
         # est_time_on(node, est) = (est * reference_rating) / rating —
@@ -218,30 +213,16 @@ class LibraRiskPolicy(SchedulingPolicy):
                     # return unsuitable — in either suitability mode.
                     n_infeasible += 1
                     continue
-                if node._agg_gen == node.generation:
-                    agg = node._agg
-                    if agg is not None:
-                        n_agg_hit += 1
-                        if refute_sigma_zero(
-                            agg,
-                            now,
-                            est_work_new / node.rating,
-                            rem_new,
-                            node.share_params.overrun_floor_share,
-                        ):
-                            n_cert += 1
-                            if verify:
-                                self._assert_cert(
-                                    node, job, est_work_new / node.rating, now
-                                )
-                            continue
-                if not lazy:
-                    # Eager mode advances every occupied node's ledgers
-                    # at every submit instant, exactly as the reference
-                    # scan does — identical sync chop points keep the
-                    # busy-time accumulation bit-identical (pending
-                    # deferred chops replay first, inside sync).
-                    node.sync(now)
+                if node.refutes_zero_risk(now, est_work_new / node.rating, deadline_new):
+                    n_refuted += 1
+                    if verify:
+                        self._assert_refuted(node, job, now)
+                    continue
+                # Advance the ledgers exactly as the reference scan does
+                # — identical sync chop points keep the busy-time
+                # accumulation bit-identical (pending deferred chops
+                # replay first, inside sync).
+                node.sync(now)
 
             rating = node.rating
             est_new = est_work_new / rating
@@ -251,17 +232,8 @@ class LibraRiskPolicy(SchedulingPolicy):
             total = 0.0
             resident_load = 0.0
             work_threshold = WORK_EPSILON / rating
-            if lazy:
-                dt = now - node._last_sync
-                speed = rating * dt
             for task in tasks.values():
-                if lazy:
-                    est_work = task.remaining_est_work - task.rate * speed
-                    if est_work < 0.0:
-                        est_work = 0.0
-                    est = est_work / rating
-                else:
-                    est = task.remaining_est_work / rating
+                est = task.remaining_est_work / rating
                 rem = task.deadline - now
                 if est <= SHARE_EPSILON or rem <= 0.0:
                     healthy = False
@@ -287,37 +259,9 @@ class LibraRiskPolicy(SchedulingPolicy):
                         zero_risk.append(node)
                         loads[node.node_id] = resident_load
                         continue
-            # Slow path: the exact forward projection (lazy nodes sync
-            # first — the projection reads and the node may be chosen).
-            if tasks:
-                if lazy:
-                    node.sync(now)
-                agg = node._agg
-                if node._agg_gen != node.generation or (
-                    agg is not None and agg[0] < node._last_sync
-                ):
-                    # The walk proved this node over-committed or
-                    # unhealthy; (re)build the aggregate at the freshly
-                    # synced instant — zero staleness makes the O(1)
-                    # certificate's bounds as sharp as they get — and
-                    # retry it before paying for the projection.  Later
-                    # scans then answer from the aggregate without
-                    # touching the node at all.
-                    n_agg_built += 1
-                    agg = node.admission_aggregate()
-                    if agg is not None and refute_sigma_zero(
-                        agg,
-                        now,
-                        est_new,
-                        rem_new,
-                        node.share_params.overrun_floor_share,
-                    ):
-                        n_cert += 1
-                        if verify:
-                            self._assert_cert(node, job, est_new, now)
-                        continue
             n_projected += 1
-            if self._projected_suitable(node, job, est_new, now, sigma_mode):
+            assessment = self.assess_node(node, job, now)
+            if assessment.zero_risk if sigma_mode else assessment.strictly_safe:
                 zero_risk.append(node)
 
         self._bump_cache_stats(
@@ -327,9 +271,7 @@ class LibraRiskPolicy(SchedulingPolicy):
             empty_shortcuts=n_empty,
             projections_run=n_projected,
             infeasible_skips=n_infeasible,
-            agg_hits=n_agg_hit,
-            agg_rebuilds=n_agg_built,
-            sigma_cert_hits=n_cert,
+            sigma_cert_hits=n_refuted,
         )
 
         if len(zero_risk) < job.numproc:
@@ -339,46 +281,14 @@ class LibraRiskPolicy(SchedulingPolicy):
         chosen = self._order_with_loads(zero_risk, loads, now)[: job.numproc]
         self._allocate(job, chosen, now)
 
-    def _projected_suitable(
-        self,
-        node: TimeSharedNode,
-        job: Job,
-        est_new: float,
-        now: float,
-        sigma_mode: bool,
-    ) -> bool:
-        """Run the forward projection and decide suitability in one pass.
-
-        Float-for-float the same computation as ``assess_node`` +
-        ``RiskAssessment``, carried by the columnar
-        :meth:`~repro.cluster.node.TimeSharedNode._project_sigma`
-        kernel: deadline-delay values accumulate in pairs order
-        (residents in task order, then the new job), Σv and Σv²
-        left-to-right exactly as ``assess_delays``'s ``sum()`` calls,
-        and σ == 0 ⇔ the unclamped variance is ≤ 0.  The only
-        divergence is the early return on an infinite value — which
-        ``assess_delays`` maps to σ = ∞, never suitable either way.
-        """
-        zero_risk, max_delay = node._project_sigma(now, est_new, job.absolute_deadline)
-        if sigma_mode:
-            return zero_risk
-        return zero_risk and exact_zero(max_delay)
-
-    def _assert_cert(
-        self,
-        node: TimeSharedNode,
-        job: Job,
-        est_new: float,
-        now: float,
-    ) -> None:
-        """``REPRO_VERIFY_CERT``: prove a fired σ>0 certificate against
-        the exact projection (debug/test only — the sync below is what
+    def _assert_refuted(self, node: TimeSharedNode, job: Job, now: float) -> None:
+        """``REPRO_VERIFY_CERT``: prove a fired refutation against the
+        exact synced projection (debug/test only — the sync below is what
         the deferred path would have replayed anyway)."""
         node.sync(now)
-        zero_risk, _ = node._project_sigma(now, est_new, job.absolute_deadline)
-        if zero_risk:
+        if self.assess_node(node, job, now).zero_risk:
             raise AssertionError(
-                f"σ>0 certificate contradicted by the exact projection on node "
+                f"σ>0 refutation contradicted by the exact projection on node "
                 f"{node.node_id} for job {job.job_id} at t={now:.6g}"
             )
 

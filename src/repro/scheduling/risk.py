@@ -52,23 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cluster.share import SHARE_EPSILON
 from repro.sim.numerics import exact_zero
-
-#: Relative robustness margin of the O(1) refutation certificate: every
-#: inequality it relies on must hold by this relative factor, which
-#: swamps both accumulated ledger-chop drift (~1e-12 relative) and the
-#: ~1e-6 relative spread the float σ-test can fail to distinguish from
-#: zero.  Anything closer falls back to the exact projection.
-_REL = 1e-4
-#: The certificate only fires when the first projected completion is
-#: late by more than this (seconds) — an order of magnitude above
-#: ``PREDICTED_DELAY_EPSILON`` so the projection could never clamp that
-#: delay to zero.
-_CLAMP_GUARD = 1e-5
-#: Absolute slack absorbing float accumulation error of the aggregate
-#: sums and the per-resident ``SHARE_EPSILON`` classification losses.
-_SLACK = 1e-9
 
 
 def deadline_delay(delay: float, remaining_deadline: float) -> float:
@@ -134,190 +118,3 @@ def assess_delays(pairs: Sequence[tuple[float, float]]) -> RiskAssessment:
     # guard the tiny negative residue floating point can produce.
     var = max(0.0, sum(v * v for v in values) / n - mu * mu)
     return RiskAssessment(mu=mu, sigma=math.sqrt(var), max_delay=max_delay, n_jobs=n)
-
-
-def refute_sigma_zero(
-    agg: tuple,
-    now: float,
-    est_new: float,
-    rem_new: float,
-    floor: float,
-) -> bool:
-    """O(1) certificate that placing the candidate leaves σ_j > 0.
-
-    ``agg`` is a :meth:`TimeSharedNode.admission_aggregate` tuple built
-    at some ``t0 <= now`` of the node's *current* generation;
-    ``est_new``/``rem_new`` are the candidate's estimated remaining
-    runtime on this node and remaining deadline, and ``floor`` the
-    overrun floor share.  Returns ``True`` only when the node is
-    **provably** not zero-risk — the caller may then skip the exact
-    forward projection; ``False`` means "cannot decide", never
-    "suitable".
-
-    Soundness argument (each step robust by ``_REL`` against ledger
-    drift and the ~1e-6 spread the float σ-test cannot resolve):
-
-    1. Every healthy resident's Eq. 1 share is non-decreasing between
-       recomputes (its rate was fixed at ``min(share, 1) * scale`` with
-       ``scale <= 1``), so ``sum_min`` built at ``t0`` lower-bounds the
-       projection's first-phase share total at ``now``; symmetrically
-       the deadline ratio ``(d_min - t0) / (d_min - now)`` caps its
-       growth, giving an upper bound.  Stability guards (``min_est0``
-       vs. elapsed time, all deadlines still ahead) pin the
-       healthy/overrun classification.
-    2. If the total robustly exceeds 1, the projection's first
-       completion happens at ``rem_c * total`` where ``rem_c`` is the
-       smallest remaining deadline — provided that entry's share is
-       robustly unclamped (checked, ties conservatively) — so the first
-       completer records deadline-delay ``v = total > 1 + margin``
-       (the clamp guard keeps its delay above the zero-snap epsilon).
-    3. Any overrun resident records ``v = 1.0`` exactly (delay 0,
-       deadline still ahead): spread ≥ margin ⇒ σ > 0.
-    4. With no overruns, suppose the recorded values were all within
-       float-σ resolution of each other, hence all ≈ ``total``: then
-       every entry's completion lands at ``now + v * rem_i``, so the
-       robustly-unique farthest-deadline entry ``k`` eventually runs
-       alone with remaining deadline ≥ ``rem_k - total_hi * rem_2nd``
-       and an unclamped share ≤ 1 − margin — finishing *on time*,
-       recording ``v_k = 1.0`` and contradicting the hypothesis.
-       Deadline ties at the maximum make the bound non-positive and
-       fall back automatically.
-
-    A **clamped candidate** (``s_n >= 1``, the same float test the
-    projection applies) extends step 2: it contributes exactly 1.0 to
-    every phase total and stays clamped throughout (the estimate/
-    deadline gap only widens at rates ≤ 1), and its phase-1 completion
-    coordinate is ``est_new`` rather than ``rem_new``.  Two robust
-    sub-cases:
-
-    * *resident first* (``est_new`` robustly above ``rem_min_r``): the
-      earliest-deadline resident completes first at ``rem_min_r *
-      total`` — step 2 applies verbatim with that resident required
-      robustly unclamped;
-    * *candidate first* (``est_new`` robustly below ``rem_min_r``): the
-      candidate completes at ``est_new * total``, recording ``v = total
-      * s_n`` with **no** assumption on any resident share (``sum_min``
-      already clamps them), and its delay ≥ ``(total − 1) * rem_new``
-      clears the zero-snap epsilon since ``est_new >= rem_new``.  The
-      σ = 0 hypothesis value then carries the factor ``s_n``, so step
-      4's upper bound ``total_hi`` is scaled by it.
-
-    The ambiguous band between the two falls back to the projection.
-    """
-    (
-        t0,
-        n_healthy,
-        n_overrun,
-        sum_min,
-        d_min_h,
-        est0_min_d,
-        d_max,
-        d_2nd,
-        est0_max_d,
-        min_est0,
-        _sum_zero,
-        _d_min_z,
-        _min_w_est0,
-    ) = agg
-    if rem_new <= 0.0 or est_new <= SHARE_EPSILON:
-        return False
-    dt_age = now - t0
-    # Classification stability: every t0-healthy resident must still
-    # have estimate robustly above the overrun threshold (estimated
-    # time declines at most 1:1 with wall time).
-    if min_est0 - dt_age <= 1e-6:
-        return False
-    rem_min_r = d_min_h - now
-    if rem_min_r <= 0.0:
-        return False
-    s_n = est_new / rem_new
-    s_n_c = s_n if s_n <= 1.0 else 1.0
-    total_lo = (
-        sum_min * (1.0 - _SLACK)
-        + n_overrun * floor
-        + s_n_c
-        - (_SLACK + n_healthy * 1e-11)
-    )
-    # Robust over-commit: the projection's first-phase total exceeds 1
-    # by more than every float tolerance combined.
-    if total_lo <= 1.0 + _REL * (1.0 + total_lo):
-        return False
-    # The earliest FIRST-PHASE completion must belong to a robustly
-    # unclamped entry so it lands at rem_c * total.  An entry's phase-1
-    # completion coordinate is est / min(share, 1): ``rem`` while the
-    # share is unclamped, ``est`` once it clamps to exactly 1 — which
-    # is where a clamped *candidate* stays sound: it contributes
-    # exactly 1.0 to every phase total (estimate exceeds remaining
-    # deadline, and the gap only widens at rates <= 1), so the
-    # earliest-deadline *resident* still completes first at
-    # rem_min_r * total provided it does so robustly.  Deadlines are
-    # exact constants, so the resident minimum is unambiguous.
-    v_scale = 1.0
-    if s_n >= 1.0:
-        # Clamped candidate (same float test the projection applies).
-        if est_new * (1.0 - _REL) > rem_min_r:
-            # Earliest-deadline resident robustly completes first (every
-            # resident coordinate is >= rem_min_r, clamped or not; the
-            # candidate's is est_new): v_first = total as usual, so the
-            # resident itself must be robustly unclamped.
-            if est0_min_d > rem_min_r * (1.0 - _REL):
-                return False
-            rem_c = rem_min_r
-        elif est_new * (1.0 + _REL) <= rem_min_r:
-            # Candidate robustly completes first, at est_new * total:
-            # its Eq. 4 value is total * s_n — needing no assumption on
-            # any resident share (sum_min already clamps them).  Its
-            # delay >= (total - 1) * rem_new since est_new >= rem_new.
-            rem_c = rem_new
-            v_scale = s_n
-        else:
-            return False  # ambiguous first completer
-    elif rem_new <= rem_min_r:
-        if est_new > rem_new * (1.0 - _REL):
-            return False
-        if rem_min_r <= rem_new * (1.0 + _REL) and est0_min_d > rem_min_r * (1.0 - _REL):
-            return False
-        rem_c = rem_new
-    else:
-        if est0_min_d > rem_min_r * (1.0 - _REL):
-            return False
-        if rem_new <= rem_min_r * (1.0 + _REL) and est_new > rem_new * (1.0 - _REL):
-            return False
-        rem_c = rem_min_r
-    # The first completer's delay must clear the zero-snap epsilon.
-    if (total_lo - 1.0) * rem_c <= _CLAMP_GUARD:
-        return False
-    if n_overrun:
-        # An overrun resident pins v = 1.0 against the late first
-        # completer's v >= total > 1 + margin: σ > 0.
-        return True
-    if n_healthy == 0:
-        # Unreachable from the scan (an empty node takes the empty-node
-        # shortcut), but guard the aggregate sentinels regardless.
-        return False
-    # No overruns: refute via the farthest-deadline entry finishing on
-    # time once everyone else is (hypothetically) done.
-    ratio = (d_min_h - t0) / rem_min_r
-    # Upper bound on the common Eq. 4 value under the σ = 0 hypothesis:
-    # the first completer's v is total (times s_n when the clamped
-    # candidate finishes first), so every other value must sit within
-    # float-σ resolution of it.
-    total_hi = (
-        sum_min * ratio * (1.0 + _SLACK) + s_n_c + _SLACK + n_healthy * 1e-11
-    ) * v_scale
-    rem_max_r = d_max - now
-    if rem_new >= rem_max_r:
-        rem_k = rem_new
-        rem_2 = rem_max_r
-        est_k = est_new
-    else:
-        rem_k = rem_max_r
-        rem_2nd_r = d_2nd - now
-        rem_2 = rem_2nd_r if rem_new <= rem_2nd_r else rem_new
-        est_k = est0_max_d
-    final_rem_lo = rem_k - total_hi * rem_2 * (1.0 + _REL)
-    if final_rem_lo <= 0.0:
-        return False
-    if est_k > final_rem_lo * (1.0 - _REL):
-        return False
-    return True

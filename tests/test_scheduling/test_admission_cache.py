@@ -235,22 +235,6 @@ class TestCacheStatsCounters:
         assert result.metrics.total_submitted == 40
 
 
-class TestLazySync:
-    def test_lazy_sync_is_deterministic(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LAZY_SYNC", "1")
-        first = _run_metrics("librarisk", seed=9, monkeypatch=monkeypatch,
-                             disable_cache=False)
-        second = _run_metrics("librarisk", seed=9, monkeypatch=monkeypatch,
-                              disable_cache=False)
-        assert first == second
-
-    def test_lazy_sync_flag_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LAZY_SYNC", "1")
-        assert LibraRiskPolicy().lazy_sync is True
-        monkeypatch.delenv("REPRO_LAZY_SYNC")
-        assert LibraRiskPolicy().lazy_sync is False
-
-
 class TestKernelTombstones:
     def test_cancel_is_lazy_and_counted(self):
         sim = Simulator()

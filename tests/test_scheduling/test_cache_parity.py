@@ -177,22 +177,6 @@ def test_churn_certificates_hold_under_verification(monkeypatch):
     assert policy.cache_stats.get("sigma_cert_hits", 0) > 0
 
 
-def test_churn_lazy_sync_is_deterministic(monkeypatch):
-    # Lazy sync is mathematically equivalent but not bit-identical to
-    # eager chop points; under churn it must still be run-to-run
-    # deterministic.
-    monkeypatch.delenv("REPRO_DISABLE_ADMISSION_CACHE", raising=False)
-    monkeypatch.setenv("REPRO_LAZY_SYNC", "1")
-    config = ScenarioConfig(
-        num_jobs=150, num_nodes=16, seed=99, policy="librarisk",
-        estimate_mode="inaccuracy", arrival_delay_factor=0.5,
-    )
-    first, fails, _, _ = _run_churn(config, mtbf_hours=10.0, repair_hours=1.0)
-    second, _, _, _ = _run_churn(config, mtbf_hours=10.0, repair_hours=1.0)
-    assert fails > 0
-    assert first == second
-
-
 def test_libra_non_default_share_mode_uses_reference_path(monkeypatch):
     # "floor"/"infinite" expired-share modes are research knobs the
     # inlined scan does not replicate; the policy must route them to the
