@@ -202,19 +202,10 @@ class SpaceSharedNode(Node):
     """A node that runs exactly one task at a time, to completion.
 
     Used by EDF: the task executes at the node's full rating, so its
-    completion instant is known exactly at start time and a single
-    completion event suffices.
+    completion instant is known exactly at start time.  The node owns
+    no timer: :func:`start_job_tasks` schedules one completion event
+    for all of a job's tasks that finish together.
     """
-
-    def __init__(
-        self,
-        node_id: int,
-        rating: float,
-        sim: Simulator,
-        listener: Optional[TaskListener] = None,
-    ) -> None:
-        super().__init__(node_id, rating, sim, listener)
-        self._completion_event: Optional[Event] = None
 
     @property
     def available(self) -> bool:
@@ -222,45 +213,21 @@ class SpaceSharedNode(Node):
 
     def start_task(self, job: Job, work: float, now: float) -> NodeTask:
         """Begin executing ``work`` rating-seconds of ``job`` exclusively."""
-        if self.tasks:
-            raise RuntimeError(f"node {self.node_id} is space-shared and already busy")
-        task = NodeTask(job, self.node_id, work=work, est_work=work, added_at=now)
-        task.rate = 1.0
-        self.tasks[job.job_id] = task
-        duration = work / self.rating
-        self._completion_event = self.sim.schedule(
-            duration,
-            self._on_complete,
-            priority=EventPriority.COMPLETION,
-            name=f"node{self.node_id}:job{job.job_id}:done",
-            payload=task,
-        )
-        return task
-
-    def _on_complete(self, event: Event) -> None:
-        task: NodeTask = event.payload
-        now = self.sim.now
-        self.busy_time += task.remaining_work
-        task.remaining_work = 0.0
-        task.remaining_est_work = 0.0
-        del self.tasks[task.job.job_id]
-        self._completion_event = None
-        self._notify(task, now)
+        start_job_tasks(job, [self], work, now)
+        return self.tasks[job.job_id]
 
     def fail(self, now: float) -> list[Job]:
         """Kill the resident task (if any) and go offline.
 
         Work already performed is credited to ``busy_time``
-        proportionally to elapsed run time.
+        proportionally to elapsed run time.  The job's completion event
+        stays scheduled and skips the killed task when it fires.
         """
         if not self.online:
             raise RuntimeError(f"node {self.node_id} already failed")
         self.online = False
         self.failures += 1
         affected: list[Job] = []
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
         for task in list(self.tasks.values()):
             started = task.added_at
             self.busy_time += max(0.0, (now - started)) * self.rating
@@ -274,34 +241,73 @@ class SpaceSharedNode(Node):
         if task is None:
             return None
         self.busy_time += max(0.0, (now - task.added_at)) * self.rating
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
         return task
 
-    def restore_task(self, job: Job, remaining_work: float, added_at: float) -> NodeTask:
-        """Re-create a checkpointed resident task and its completion event.
 
-        Space-shared execution runs at full rating, so the completion
-        instant is exactly ``added_at + remaining_work / rating``
-        (the work ledger is only zeroed at completion).
-        """
-        if self.tasks:
-            raise RuntimeError(f"node {self.node_id} is space-shared and already busy")
-        task = NodeTask(
-            job, self.node_id, work=remaining_work, est_work=remaining_work,
-            added_at=added_at,
-        )
+def start_job_tasks(
+    job: Job, nodes: Sequence[SpaceSharedNode], work: float, start: float
+) -> None:
+    """Run ``work`` rating-seconds of ``job`` on each of ``nodes`` from ``start``.
+
+    The single start path of the space-shared discipline: policies call
+    it once per dispatched job, :meth:`SpaceSharedNode.start_task` is
+    its one-node case, and checkpoint restore calls it with the stored
+    ``added_at`` as ``start`` (the work ledger is only zeroed at
+    completion, so ``start + work / rating`` is the original instant).
+
+    One ``COMPLETION`` event is scheduled per distinct completion
+    instant ``start + work / rating`` — exactly one on equal-rated
+    nodes — carrying that group's nodes and tasks in start order.
+
+    Equivalence with one event per task: the per-task events of one job
+    share ``(time, priority)`` within such a group and would hold
+    consecutive sequence numbers (nothing else is scheduled while a job
+    starts), so the kernel fires them back to back in start order with
+    nothing in between.  The group event is that run, fired once.
+    """
+    job_id = job.job_id
+    groups: dict[float, tuple[list[SpaceSharedNode], list[NodeTask]]] = {}
+    for node in nodes:
+        if node.tasks:
+            raise RuntimeError(f"node {node.node_id} is space-shared and already busy")
+        task = NodeTask(job, node.node_id, work=work, est_work=work, added_at=start)
         task.rate = 1.0
-        self.tasks[job.job_id] = task
-        self._completion_event = self.sim.schedule_at(
-            added_at + remaining_work / self.rating,
-            self._on_complete,
+        node.tasks[job_id] = task
+        finish = start + work / node.rating
+        group = groups.get(finish)
+        if group is None:
+            group = groups[finish] = ([], [])
+        group[0].append(node)
+        group[1].append(task)
+    for finish, group in groups.items():
+        nodes[0].sim.schedule_at(
+            finish,
+            _complete_tasks,
             priority=EventPriority.COMPLETION,
-            name=f"node{self.node_id}:job{job.job_id}:done",
-            payload=task,
+            name=f"job{job_id}:done",
+            payload=group,
         )
-        return task
+
+
+def _complete_tasks(event: Event) -> None:
+    """Complete, in start order, each task of the group still resident.
+
+    A member killed meanwhile by ``fail`` / ``remove_task`` is skipped;
+    the check is on task identity, so a new job placed on that node
+    before this (now stale) event fires is left running.  An event
+    whose members are all gone still fires, as a no-op: nobody holds
+    it to cancel.
+    """
+    now = event.time
+    for node, task in zip(*event.payload):
+        job_id = task.job.job_id
+        if node.tasks.get(job_id) is not task:
+            continue
+        node.busy_time += task.remaining_work
+        task.remaining_work = 0.0
+        task.remaining_est_work = 0.0
+        del node.tasks[job_id]
+        node._notify(task, now)
 
 
 class TimeSharedNode(Node):

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 #: Default window length in simulated seconds (one hour of trace time).
 DEFAULT_WINDOW = 3600.0
@@ -95,32 +95,39 @@ class WindowedCounter:
         self._slice = self.window / self.buckets
         self._counts = [0.0] * self.buckets
         #: Index of the time slice the cursor currently sits in
-        #: (floor(t / slice)); -inf until the first event arrives.
-        self._cursor = -math.inf
+        #: (floor(t / slice)); ``None`` until the first event arrives.
+        self._cursor: Optional[int] = None
         self._lock = threading.Lock()
 
     def _advance(self, t: float) -> None:  # repro-lint: locked  private helper, every caller holds self._lock
         """Zero the slices between the cursor and ``t`` (lock held)."""
         index = math.floor(t / self._slice)
-        if self._cursor == -math.inf:
+        cursor = self._cursor
+        if cursor is None:
             self._cursor = index
             return
-        if index <= self._cursor:
+        steps = index - cursor
+        if steps <= 0:
             return  # same slice, or a stale read behind the cursor
-        steps = index - self._cursor
-        if steps >= self.buckets:
-            for i in range(self.buckets):
-                self._counts[i] = 0.0
+        buckets = self.buckets
+        if steps >= buckets:
+            self._counts[:] = [0.0] * buckets
         else:
-            for step in range(1, int(steps) + 1):
-                self._counts[int((self._cursor + step) % self.buckets)] = 0.0
+            # Ring positions cursor+1 .. index: one run, or two when it wraps.
+            lo = (cursor + 1) % buckets
+            hi = lo + steps
+            if hi <= buckets:
+                self._counts[lo:hi] = [0.0] * steps
+            else:
+                self._counts[lo:] = [0.0] * (buckets - lo)
+                self._counts[: hi - buckets] = [0.0] * (hi - buckets)
         self._cursor = index
 
     def note(self, t: float, amount: float = 1.0) -> None:
         """Record ``amount`` events at simulated time ``t``."""
         with self._lock:
             self._advance(t)
-            self._counts[int(self._cursor % self.buckets)] += amount
+            self._counts[self._cursor % self.buckets] += amount
 
     def total(self, t: float) -> float:
         """Events inside the window ending at simulated time ``t``."""

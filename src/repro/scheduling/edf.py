@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job
-from repro.cluster.node import SpaceSharedNode
+from repro.cluster.node import SpaceSharedNode, start_job_tasks
 from repro.scheduling.base import SchedulingPolicy
 
 
@@ -107,10 +107,12 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
             # first numproc in cluster order are exactly the slice the
             # full list comprehension would have taken.
             free: list[SpaceSharedNode] = []
-            for n in self.cluster:
-                if n.available_for_work:
+            wanted = job.numproc
+            for n in self.cluster.nodes:
+                if not n.tasks and n.online:
                     free.append(n)
-                    if len(free) == job.numproc:
+                    wanted -= 1
+                    if not wanted:
                         break
             else:
                 # Non-preemptive wait: the selection is revisited at the
@@ -129,8 +131,7 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
         job.mark_running(now, [n.node_id for n in nodes])
         self._track(job)
         self.rms.notify_accepted(job)
-        for node in nodes:
-            node.start_task(job, work, now)
+        start_job_tasks(job, nodes, work, now)
 
     @property
     def queued_jobs(self) -> int:

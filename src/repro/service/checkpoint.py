@@ -6,10 +6,10 @@ jobs ever submitted with their lifecycle state, per-node work ledgers,
 the policy's queue and completion tracking, the engine's decision log,
 and any named RNG streams.  Pending kernel events are **not** stored —
 they are closures — but at any quiescent point the only live events are
-node completion timers, which are pure functions of the stored ledgers
-and are re-derived on restore (space-shared completions from
-``added_at + remaining_work / rating``; time-shared ones by a single
-``recompute``).
+completion timers, which are pure functions of the stored ledgers
+and are re-derived on restore (space-shared completions, one event per
+running job and completion instant, from ``added_at + remaining_work /
+rating``; time-shared ones by a single ``recompute``).
 
 Two determinism guarantees:
 
@@ -35,7 +35,7 @@ import tempfile
 from typing import Any, Optional
 
 from repro.cluster.job import Job, JobState, UrgencyClass, reserve_job_ids
-from repro.cluster.node import SpaceSharedNode, TimeSharedNode
+from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
 from repro.service.engine import AdmissionEngine, Decision, EngineConfig
 from repro.sim.rng import RngStreams
 
@@ -45,9 +45,10 @@ CHECKPOINT_FORMAT = "repro-admission-engine"
 #: Bumped whenever the snapshot schema changes incompatibly.
 CHECKPOINT_VERSION = 1
 
-#: Pending events a quiescent engine may legally hold: node completion
-#: timers only (both disciplines name them ``node<id>:...``).
-_RESTORABLE_EVENT = re.compile(r"^node\d+:(completion|job\d+:done)$")
+#: Pending events a quiescent engine may legally hold: completion
+#: timers only (``node<id>:completion`` per time-shared node,
+#: ``job<id>:done`` per running space-shared job and completion instant).
+_RESTORABLE_EVENT = re.compile(r"^(node\d+:completion|job\d+:done)$")
 
 
 class CheckpointError(ValueError):
@@ -234,6 +235,9 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
         queue.extend(_lookup(by_id, job_id) for job_id in policy_state["queue"])
 
     # Nodes in id order so re-derived completion timers get stable seqs.
+    # Space-shared tasks are regrouped per job and started together, as
+    # at dispatch: (job, work, added_at) -> the job's nodes in id order.
+    space_jobs: dict[tuple[int, float, float], list[SpaceSharedNode]] = {}
     for data in sorted(snap["nodes"], key=lambda d: d["id"]):
         node = engine.cluster.node(int(data["id"]))
         node.busy_time = float(data["busy_time"])
@@ -256,9 +260,15 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
             node.restore_tasks(entries, now)
         elif isinstance(node, SpaceSharedNode):
             (job, work, _est, added_at), = entries  # space-shared: one task
-            node.restore_task(job, work, added_at)
+            space_jobs.setdefault((job.job_id, work, added_at), []).append(node)
         else:  # pragma: no cover - no other disciplines exist
             raise CheckpointError(f"cannot restore node type {type(node).__name__}")
+    # Earliest-started first, as the uninterrupted run numbered these
+    # jobs' completion events (same-instant starts: lowest node id first).
+    for (job_id, work, added_at), members in sorted(
+        space_jobs.items(), key=lambda item: item[0][2]
+    ):
+        start_job_tasks(by_id[job_id], members, work, added_at)
 
     engine.decisions = [
         Decision(

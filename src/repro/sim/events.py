@@ -76,15 +76,9 @@ class Event:
         return (self.time, self.priority, self.seq)
 
     def __lt__(self, other: "Event") -> bool:
-        # Called O(log n) times per heap operation — compare fields
-        # directly instead of allocating two key tuples per call.
-        # The inequality is a deliberate exact tie-break (same-instant
-        # events fall through to priority/seq), not a tolerance.
-        if self.time != other.time:  # repro-lint: disable=DET003  exact tie-break
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
+        # Not on any kernel path: the heap orders (time, priority, seq,
+        # event) tuples and seq is unique, so the event is never reached.
+        return self.sort_key() < other.sort_key()
 
     # -- cancellation -----------------------------------------------------
     def cancel(self) -> None:

@@ -10,6 +10,10 @@ Design notes
 * **Determinism** — events are ordered ``(time, priority, seq)``; the
   sequence number is assigned at scheduling time, so there is exactly
   one legal execution order for a given schedule history.
+* **Heap entries are tuples** — the queue holds ``(time, priority,
+  seq, event)``, so ``heapq`` orders it with the C tuple comparator;
+  ``seq`` is unique, hence the :class:`Event` in the last slot is never
+  compared and ``Event.__lt__`` is not on any kernel path.
 * **No time-stepping** — the clock jumps from event to event, which is
   what keeps the 3000-job × 128-node experiments of the paper well
   under a second each.
@@ -73,7 +77,7 @@ class Simulator:
         on_event: Optional[Callable[[Event], None]] = None,
     ) -> None:
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._events_fired = 0
         self._tombstones_dropped = 0
@@ -138,35 +142,39 @@ class Simulator:
         SimulationError
             If ``time`` lies in the past or is not finite.
         """
-        time = float(time)
-        if not math.isfinite(time):
-            raise SimulationError(f"event time must be finite, got {time!r}")
-        if time < self._now:
+        return self._push(Event(time, priority, callback, name=name, payload=payload))
+
+    def schedule_event(self, event: Event) -> Event:
+        """Schedule a pre-built :class:`Event` (assigns its sequence number).
+
+        Raises
+        ------
+        SimulationError
+            If ``event.time`` lies in the past or is not finite.
+        """
+        return self._push(event)
+
+    def _push(self, event: Event) -> Event:
+        """The one validated heap push behind every ``schedule*`` call."""
+        time = event.time
+        # `not (now <= time < inf)` is also true for NaN, which a plain
+        # `time < now` lets through to corrupt the heap order.
+        if not self._now <= time < math.inf:
+            if not math.isfinite(time):
+                raise SimulationError(f"event time must be finite, got {time!r}")
             raise SimulationError(
                 f"cannot schedule event at t={time:.6g}: clock is already at t={self._now:.6g}"
             )
-        event = Event(time, priority, callback, name=name, payload=payload)
-        event.seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def schedule_event(self, event: Event) -> Event:
-        """Schedule a pre-built :class:`Event` (assigns its sequence number)."""
-        if event.time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={event.time:.6g}: clock is at t={self._now:.6g}"
-            )
-        event.seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = event.seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, event.priority, seq, event))
         return event
 
     # -- execution --------------------------------------------------------
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is drained."""
         self._drop_cancelled_head()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the single earliest live event.
@@ -179,8 +187,8 @@ class Simulator:
         self._drop_cancelled_head()
         if not self._heap:
             return False
-        event = heapq.heappop(self._heap)
-        self._now = event.time
+        time, _, _, event = heapq.heappop(self._heap)
+        self._now = time
         self._events_fired += 1
         if self.trace is not None:
             self.trace.record(event)
@@ -210,20 +218,20 @@ class Simulator:
             # re-read each iteration because drain_cancelled() rebinds it.
             while not self._stopped:
                 heap = self._heap
-                while heap and heap[0].cancelled:
+                while heap and heap[0][3]._cancelled:
                     pop(heap)
                     self._tombstones_dropped += 1
                 if not heap:
                     break
-                event = heap[0]
-                if until is not None and event.time > until:
+                time, _, _, event = heap[0]
+                if until is not None and time > until:
                     break
                 if self._events_fired >= self.max_events:
                     raise SimulationError(
                         f"exceeded max_events={self.max_events}: possible event loop"
                     )
                 pop(heap)
-                self._now = event.time
+                self._now = time
                 self._events_fired += 1
                 if self.trace is not None:
                     self.trace.record(event)
@@ -267,7 +275,7 @@ class Simulator:
 
     # -- internals --------------------------------------------------------
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3]._cancelled:
             heapq.heappop(self._heap)
             self._tombstones_dropped += 1
 
@@ -277,7 +285,7 @@ class Simulator:
         Useful for long simulations that cancel many timers — the heap
         otherwise retains tombstones until their scheduled times.
         """
-        live = [ev for ev in self._heap if not ev.cancelled]
+        live = [entry for entry in self._heap if not entry[3]._cancelled]
         removed = len(self._heap) - len(live)
         if removed:
             heapq.heapify(live)
@@ -287,7 +295,7 @@ class Simulator:
 
     def iter_pending(self) -> Iterable[Event]:
         """Yield pending live events in an unspecified order (inspection only)."""
-        return (ev for ev in self._heap if not ev.cancelled)
+        return (entry[3] for entry in self._heap if not entry[3]._cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -102,6 +102,48 @@ class TestRoundTrip:
         resumed.drain()
         assert resumed.query(2).state.value == "completed"
 
+    def test_edf_restore_with_multi_node_jobs_running(self):
+        def feed(engine, jobs):
+            for job in jobs:
+                engine.submit(job)
+
+        def jobs():
+            return [
+                make_job(runtime=100.0, numproc=4, deadline=1000.0, job_id=1),
+                make_job(runtime=60.0, numproc=3, deadline=1000.0, submit=5.0, job_id=2),
+                # Queued behind 1 and 2 (needs 4 of 8 nodes, 1 is free).
+                make_job(runtime=30.0, numproc=4, deadline=1000.0, submit=6.0, job_id=3),
+                make_job(runtime=20.0, numproc=2, deadline=1000.0, submit=70.0, job_id=4),
+            ]
+
+        config = EngineConfig(policy="edf", num_nodes=8, rating=1.0)
+        reference = AdmissionEngine(config)
+        feed(reference, jobs())
+        reference.drain()
+
+        first = AdmissionEngine(config)
+        feed(first, jobs()[:3])
+        assert sorted(first.policy._pending_tasks) == [1, 2]
+        resumed = checkpoint.restore(json.loads(checkpoint.dumps(checkpoint.snapshot(first))))
+        # One completion event per running job, not one per task.
+        assert sorted(e.name for e in resumed.sim.iter_pending()) == [
+            "job1:done", "job2:done",
+        ]
+        assert sorted(e.time for e in resumed.sim.iter_pending()) == [65.0, 100.0]
+        feed(resumed, jobs()[3:])
+        resumed.drain()
+
+        assert [d.as_dict() for d in resumed.decisions] == [
+            d.as_dict() for d in reference.decisions
+        ]
+        assert resumed.metrics().as_dict() == reference.metrics().as_dict()
+        assert [(j.job_id, j.start_time, j.finish_time) for j in resumed.rms.jobs] == [
+            (j.job_id, j.start_time, j.finish_time) for j in reference.rms.jobs
+        ]
+        assert [n.busy_time for n in resumed.cluster] == [
+            n.busy_time for n in reference.cluster
+        ]
+
     def test_restore_remembers_submitted_ids(self):
         engine = AdmissionEngine(EngineConfig(num_nodes=2, rating=1.0))
         for job_id in (1, 2, 3):

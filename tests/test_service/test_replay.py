@@ -60,6 +60,27 @@ class TestParityWithBatch:
         assert canonical_records(replay_session) == canonical_records(batch_session)
 
 
+    @pytest.mark.parametrize("policy", ("edf", "fcfs", "edf-easy", "conservative"))
+    def test_space_shared_policies_at_paper_scale(self, policy):
+        # One completion event per started job: batch and replay must
+        # still fire the same events and reach the same per-job outcomes.
+        config = ScenarioConfig(policy=policy)
+        jobs = build_scenario_jobs(config)
+        batch = run_scenario(config, jobs=jobs)
+        engine, report = replay_scenario(config)
+
+        assert report.metrics.as_dict() == batch.metrics.as_dict()
+        assert report.horizon == batch.horizon
+        assert report.events == batch.events
+        assert [
+            (j.job_id, j.state, j.start_time, j.finish_time, j.assigned_nodes)
+            for j in engine.rms.jobs
+        ] == [
+            (j.job_id, j.state, j.start_time, j.finish_time, j.assigned_nodes)
+            for j in jobs
+        ]
+
+
 class TestReplayJobs:
     def test_report_counts_outcomes(self):
         config = ScenarioConfig(policy="librarisk", num_jobs=60, num_nodes=8, seed=3)

@@ -1,6 +1,8 @@
 """Tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import SimulationError, Simulator
@@ -61,6 +63,14 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_event(Event(0.5, EventPriority.NORMAL, None))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_schedule_event_non_finite_raises(self, sim, bad):
+        # `nan < now` is False, so a past-only check lets NaN into the
+        # heap, where it compares false against everything.
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_event(Event(bad, EventPriority.NORMAL, None))
+        assert sim.pending == 0
 
 
 class TestOrdering:
@@ -274,3 +284,84 @@ class TestOnEventObserver:
         sim.schedule_at(3.0, lambda e: None)
         sim.run()
         assert seen == [3.0]
+
+
+# One step of the interleaving property below.
+_OPS = st.one_of(
+    st.tuples(
+        st.just("schedule"),
+        st.integers(0, 6),                                   # time offset
+        st.sampled_from(sorted(int(p) for p in EventPriority)),
+        st.booleans(),                                       # reschedule at now when fired
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("step")),
+)
+
+
+class TestHeapModel:
+    """The tuple heap against a plain list sorted by ``Event.sort_key()``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=60))
+    def test_interleavings_match_sorted_model(self, ops):
+        sim = Simulator()
+        model: list[Event] = []   # every event still in the heap, tombstones included
+        fired: list[Event] = []
+        expected: list[Event] = []
+        dropped = 0
+
+        def callback(event):
+            fired.append(event)
+            if event.payload:  # schedule at the current instant from a callback
+                model.append(
+                    sim.schedule_at(sim.now, callback, priority=event.priority)
+                )
+
+        def live():
+            return sorted((e for e in model if not e.cancelled), key=Event.sort_key)
+
+        for op in ops:
+            if op[0] == "schedule":
+                _, offset, priority, again = op
+                model.append(
+                    sim.schedule(float(offset), callback, priority=priority, payload=again)
+                )
+            elif op[0] == "cancel" and model:
+                model[op[1] % len(model)].cancel()
+            elif op[0] == "drain":
+                removed = sim.drain_cancelled()
+                assert removed == sum(e.cancelled for e in model)
+                dropped += removed
+                model = [e for e in model if not e.cancelled]
+            elif op[0] == "step":
+                order = live()
+                assert sim.peek() == (order[0].time if order else None)
+                # peek/step discard the tombstones ahead of the first live event.
+                head = order[0].sort_key() if order else None
+                stale = [
+                    e for e in model
+                    if e.cancelled and (head is None or e.sort_key() < head)
+                ]
+                dropped += len(stale)
+                model = [e for e in model if e not in stale]
+                assert sim.step() is bool(order)
+                if order:
+                    expected.append(order[0])
+                    model.remove(order[0])
+            assert sim.pending == len(model)
+            assert sim.tombstones_dropped == dropped
+            assert sorted(sim.iter_pending(), key=Event.sort_key) == live()
+
+        # run() fires what is left — including same-instant events the
+        # callbacks add while it runs — in sort_key order.
+        mark = len(fired)
+        sim.run()
+        tail = fired[mark:]
+        assert [e.sort_key() for e in tail] == sorted(e.sort_key() for e in tail)
+        assert {id(e) for e in tail} >= {id(e) for e in model if not e.cancelled}
+        assert all(not e.cancelled for e in fired)
+        assert fired[:mark] == expected
+        assert sim.pending == 0
+        assert sim.events_fired == len(fired)
