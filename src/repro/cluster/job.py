@@ -36,6 +36,8 @@ class JobState(enum.Enum):
     REJECTED = "rejected"      # admission control refused it
     FAILED = "failed"          # a node it ran on failed
 
+    successors: tuple["JobState", ...]  # this member's row of _VALID_TRANSITIONS
+
 
 class UrgencyClass(enum.Enum):
     """Deadline urgency class from the experimental methodology (§4)."""
@@ -44,15 +46,19 @@ class UrgencyClass(enum.Enum):
     LOW = "low"    # high deadline/runtime factor — loose deadline
 
 
-_VALID_TRANSITIONS = {
-    JobState.CREATED: {JobState.SUBMITTED},
-    JobState.SUBMITTED: {JobState.QUEUED, JobState.RUNNING, JobState.REJECTED},
-    JobState.QUEUED: {JobState.RUNNING, JobState.REJECTED},
-    JobState.RUNNING: {JobState.COMPLETED, JobState.FAILED},
-    JobState.COMPLETED: set(),
-    JobState.REJECTED: set(),
-    JobState.FAILED: set(),
+_VALID_TRANSITIONS: dict[JobState, tuple[JobState, ...]] = {
+    JobState.CREATED: (JobState.SUBMITTED,),
+    JobState.SUBMITTED: (JobState.QUEUED, JobState.RUNNING, JobState.REJECTED),
+    JobState.QUEUED: (JobState.RUNNING, JobState.REJECTED),
+    JobState.RUNNING: (JobState.COMPLETED, JobState.FAILED),
+    JobState.COMPLETED: (),
+    JobState.REJECTED: (),
+    JobState.FAILED: (),
 }
+# Each member carries its row: ``Job.transition`` then checks legality by
+# identity, where indexing the table would run the Python ``Enum.__hash__``.
+for _state, _allowed in _VALID_TRANSITIONS.items():
+    _state.successors = _allowed
 
 _id_lock = threading.Lock()
 _next_auto_id = 1
@@ -164,7 +170,7 @@ class Job:
     # -- state machine ----------------------------------------------------
     def transition(self, new_state: JobState) -> None:
         """Move the job to ``new_state``, enforcing legal transitions."""
-        if new_state not in _VALID_TRANSITIONS[self.state]:
+        if new_state not in self.state.successors:
             raise ValueError(
                 f"job {self.job_id}: illegal transition {self.state.value} -> {new_state.value}"
             )

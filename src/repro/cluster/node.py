@@ -45,8 +45,9 @@ from repro.cluster.share import (
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
 
-#: Listener signature: ``listener(node, task, now)`` on task completion.
-TaskListener = Callable[["Node", "NodeTask", float], None]
+#: ``listener(node, task, now, count)``: ``count`` nodes finished ``task`` at
+#: ``now`` — 1 on a time-shared node, a whole completion group on space-shared.
+TaskListener = Callable[["Node", "NodeTask", float, int], None]
 
 #: Predicted delays below this many seconds are float noise, not risk.
 PREDICTED_DELAY_EPSILON = 1e-6
@@ -79,11 +80,11 @@ _REFUTE_MAX_ENTRIES = 64
 
 
 class NodeTask:
-    """One job's slice of work on one node."""
+    """One job's slice of work on a node; the space-shared nodes of a job
+    that finish together hold one record, so a task names no node."""
 
     __slots__ = (
         "job",
-        "node_id",
         "remaining_work",
         "remaining_est_work",
         "rate",
@@ -94,13 +95,11 @@ class NodeTask:
     def __init__(
         self,
         job: Job,
-        node_id: int,
         work: float,
         est_work: float,
         added_at: float,
     ) -> None:
         self.job = job
-        self.node_id = node_id
         self.remaining_work = float(work)
         self.remaining_est_work = float(est_work)
         self.rate = 0.0  # effective node fraction, set by recompute()
@@ -127,7 +126,7 @@ class NodeTask:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<NodeTask job={self.job.job_id} node={self.node_id} "
+            f"<NodeTask job={self.job.job_id} "
             f"work={self.remaining_work:.6g} est={self.remaining_est_work:.6g} "
             f"rate={self.rate:.4f}>"
         )
@@ -168,9 +167,9 @@ class Node:
     def has_job(self, job_id: int) -> bool:
         return job_id in self.tasks
 
-    def _notify(self, task: NodeTask, now: float) -> None:
+    def _notify(self, task: NodeTask, now: float, count: int = 1) -> None:
         if self.listener is not None:
-            self.listener(self, task, now)
+            self.listener(self, task, now, count)
 
     def _materialize(self) -> None:
         """Apply deferred ledger chops (no-op without a chop log)."""
@@ -204,7 +203,7 @@ class SpaceSharedNode(Node):
     Used by EDF: the task executes at the node's full rating, so its
     completion instant is known exactly at start time.  The node owns
     no timer: :func:`start_job_tasks` schedules one completion event
-    for all of a job's tasks that finish together.
+    for all of a job's nodes that finish together.
     """
 
     @property
@@ -255,59 +254,64 @@ def start_job_tasks(
     ``added_at`` as ``start`` (the work ledger is only zeroed at
     completion, so ``start + work / rating`` is the original instant).
 
-    One ``COMPLETION`` event is scheduled per distinct completion
-    instant ``start + work / rating`` — exactly one on equal-rated
-    nodes — carrying that group's nodes and tasks in start order.
+    Nodes are grouped by completion instant ``start + work / rating``
+    (one group on equal-rated nodes).  A group is one allocation: one
+    :class:`NodeTask` in every member's ``tasks`` and one ``COMPLETION``
+    event carrying the record and its members in start order.  Every
+    node is checked before any is touched: a refused start changes
+    nothing.
 
-    Equivalence with one event per task: the per-task events of one job
-    share ``(time, priority)`` within such a group and would hold
-    consecutive sequence numbers (nothing else is scheduled while a job
-    starts), so the kernel fires them back to back in start order with
-    nothing in between.  The group event is that run, fired once.
+    Equivalence with one event per node: those events would share
+    ``(time, priority)`` within a group and hold consecutive sequence
+    numbers (nothing else is scheduled while a job starts), so the
+    kernel would fire them back to back in start order with nothing in
+    between.  The group event is that run, fired once.
     """
     job_id = job.job_id
-    groups: dict[float, tuple[list[SpaceSharedNode], list[NodeTask]]] = {}
+    groups: dict[float, list[SpaceSharedNode]] = {}
+    rating = None
     for node in nodes:
         if node.tasks:
             raise RuntimeError(f"node {node.node_id} is space-shared and already busy")
-        task = NodeTask(job, node.node_id, work=work, est_work=work, added_at=start)
+        if not node.online:
+            raise RuntimeError(f"node {node.node_id} is offline")
+        if node.rating != rating:  # else: the previous node's group
+            rating = node.rating
+            members = groups.setdefault(start + work / rating, [])
+        members.append(node)
+    for finish, members in groups.items():
+        task = NodeTask(job, work=work, est_work=work, added_at=start)
         task.rate = 1.0
-        node.tasks[job_id] = task
-        finish = start + work / node.rating
-        group = groups.get(finish)
-        if group is None:
-            group = groups[finish] = ([], [])
-        group[0].append(node)
-        group[1].append(task)
-    for finish, group in groups.items():
+        for node in members:
+            node.tasks[job_id] = task
         nodes[0].sim.schedule_at(
             finish,
             _complete_tasks,
             priority=EventPriority.COMPLETION,
             name=f"job{job_id}:done",
-            payload=group,
+            payload=(task, members),
         )
 
 
 def _complete_tasks(event: Event) -> None:
-    """Complete, in start order, each task of the group still resident.
+    """Free, in start order, each member of the group still running the task.
 
     A member killed meanwhile by ``fail`` / ``remove_task`` is skipped;
     the check is on task identity, so a new job placed on that node
-    before this (now stale) event fires is left running.  An event
-    whose members are all gone still fires, as a no-op: nobody holds
-    it to cancel.
+    before this (now stale) event fires is left running.  The listener
+    hears once, after every member is free, how many completed; an
+    event whose members are all gone still fires, as a no-op: nobody
+    holds it to cancel.
     """
-    now = event.time
-    for node, task in zip(*event.payload):
-        job_id = task.job.job_id
-        if node.tasks.get(job_id) is not task:
-            continue
+    task, members = event.payload
+    job_id = task.job.job_id
+    done = [node for node in members if node.tasks.get(job_id) is task]
+    for node in done:
         node.busy_time += task.remaining_work
-        task.remaining_work = 0.0
-        task.remaining_est_work = 0.0
         del node.tasks[job_id]
-        node._notify(task, now)
+    if done:
+        task.remaining_work = task.remaining_est_work = 0.0
+        done[0]._notify(task, event.time, len(done))
 
 
 class TimeSharedNode(Node):
@@ -483,7 +487,7 @@ class TimeSharedNode(Node):
         if job.job_id in self.tasks:
             raise RuntimeError(f"job {job.job_id} already has a task on node {self.node_id}")
         self.sync(now)
-        task = NodeTask(job, self.node_id, work=work, est_work=est_work, added_at=now)
+        task = NodeTask(job, work=work, est_work=est_work, added_at=now)
         self.tasks[job.job_id] = task
         self.recompute(now)
         return task
@@ -627,7 +631,7 @@ class TimeSharedNode(Node):
         self._last_sync = now
         for job, work, est_work, added_at in entries:
             self.tasks[job.job_id] = NodeTask(
-                job, self.node_id, work=work, est_work=est_work, added_at=added_at
+                job, work=work, est_work=est_work, added_at=added_at
             )
         self.recompute(now)
 

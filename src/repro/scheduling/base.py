@@ -6,10 +6,10 @@ driven entirely by events:
 * the RMS calls :meth:`SchedulingPolicy.on_job_submitted` for every
   arriving job;
 * nodes call the policy back (it installs itself as their task
-  listener) whenever a task finishes.
+  listener) whenever one or more nodes finish their share of a job.
 
-The base class tracks multi-node job completion: a parallel job has
-``numproc`` tasks and completes when the last one finishes.
+The base class tracks multi-node job completion: a parallel job runs
+on ``numproc`` nodes and completes when the last one finishes.
 
 Observability: setting :attr:`SchedulingPolicy.observer` (a
 :class:`~repro.obs.hooks.PolicyObserver`) surfaces every admission
@@ -74,7 +74,7 @@ class SchedulingPolicy(abc.ABC):
         #: every admission decision with its reason.  Observers are
         #: passive: they may not mutate jobs or scheduling state.
         self.observer: Optional["PolicyObserver"] = None
-        self._pending_tasks: dict[int, int] = {}  # job_id -> unfinished task count
+        self._pending_tasks: dict[int, int] = {}  # job_id -> nodes still running it
         #: Admission fast-path switches, read once at construction so a
         #: policy's behaviour is fixed for its lifetime (tests override
         #: the attributes directly).
@@ -181,14 +181,14 @@ class SchedulingPolicy(abc.ABC):
         """Handle a job arriving at the RMS at simulated time ``now``."""
 
     # -- task/job completion tracking -----------------------------------------
-    def _task_listener(self, node: "Node", task: "NodeTask", now: float) -> None:
+    def _task_listener(self, node: "Node", task: "NodeTask", now: float, count: int) -> None:
         job = task.job
         remaining = self._pending_tasks.get(job.job_id)
         if remaining is None:
             raise RuntimeError(
                 f"task completion for untracked job {job.job_id} on node {node.node_id}"
             )
-        remaining -= 1
+        remaining -= count
         if remaining > 0:
             self._pending_tasks[job.job_id] = remaining
             return

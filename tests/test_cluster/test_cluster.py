@@ -100,4 +100,4 @@ class TestAggregates:
             cluster.node(nid).add_task(job, work=10.0, est_work=10.0, now=0.0)
         tasks = cluster.tasks_of(job)
         assert len(tasks) == 2
-        assert {t.node_id for t in tasks} == {0, 2}
+        assert tasks == [cluster.node(0).tasks[5], cluster.node(2).tasks[5]]

@@ -21,7 +21,7 @@ def make_node(sim, rating=1.0, listener=None, **share_kwargs):
 class TestSingleTask:
     def test_accurate_job_finishes_exactly_at_deadline(self, sim):
         done = []
-        node = make_node(sim, listener=lambda n, t, now: done.append(now))
+        node = make_node(sim, listener=lambda n, t, now, count: done.append(now))
         job = make_job(runtime=50.0, estimate=50.0, deadline=100.0, submit=0.0)
         node.add_task(job, work=50.0, est_work=50.0, now=0.0)
         # Eq. 1: share = 50/100 = 0.5 -> actual 50 s of work at rate 0.5
@@ -33,7 +33,7 @@ class TestSingleTask:
 
     def test_overestimated_job_finishes_early(self, sim):
         done = []
-        node = make_node(sim, listener=lambda n, t, now: done.append(now))
+        node = make_node(sim, listener=lambda n, t, now, count: done.append(now))
         job = make_job(runtime=20.0, estimate=50.0, deadline=100.0)
         node.add_task(job, work=20.0, est_work=50.0, now=0.0)
         sim.run()
@@ -52,7 +52,7 @@ class TestSingleTask:
     def test_underestimated_job_enters_overrun_floor(self, sim):
         done = []
         node = make_node(
-            sim, listener=lambda n, t, now: done.append(now), overrun_floor_share=0.1
+            sim, listener=lambda n, t, now, count: done.append(now), overrun_floor_share=0.1
         )
         job = make_job(runtime=80.0, estimate=40.0, deadline=100.0)
         node.add_task(job, work=80.0, est_work=40.0, now=0.0)
@@ -66,7 +66,7 @@ class TestSingleTask:
 class TestMultiTask:
     def test_two_fitting_jobs_meet_their_deadlines(self, sim):
         done = {}
-        node = make_node(sim, listener=lambda n, t, now: done.__setitem__(t.job.job_id, now))
+        node = make_node(sim, listener=lambda n, t, now, count: done.__setitem__(t.job.job_id, now))
         a = make_job(runtime=30.0, deadline=100.0, job_id=1)
         b = make_job(runtime=40.0, deadline=200.0, job_id=2)
         node.add_task(a, work=30.0, est_work=30.0, now=0.0)
@@ -104,7 +104,7 @@ class TestMultiTask:
 
     def test_arrival_mid_flight_preserves_earlier_job_share(self, sim):
         done = {}
-        node = make_node(sim, listener=lambda n, t, now: done.__setitem__(t.job.job_id, now))
+        node = make_node(sim, listener=lambda n, t, now, count: done.__setitem__(t.job.job_id, now))
         a = make_job(runtime=50.0, deadline=100.0, job_id=1)
         node.add_task(a, work=50.0, est_work=50.0, now=0.0)
         sim.run(until=40.0)
@@ -243,7 +243,7 @@ class TestPredictedDelays:
             for j, d in make_node(sim).predicted_delays(0.0, extra=[(a, 80.0), (b, 60.0)])
         }
         done = {}
-        node.listener = lambda n, t, now: done.__setitem__(t.job.job_id, now)
+        node.listener = lambda n, t, now, count: done.__setitem__(t.job.job_id, now)
         node.add_task(a, work=80.0, est_work=80.0, now=0.0)
         node.add_task(b, work=60.0, est_work=60.0, now=0.0)
         sim.run()
