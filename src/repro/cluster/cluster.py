@@ -137,8 +137,6 @@ class Cluster:
         """Cluster-wide fraction of capacity used over ``[0, horizon]``."""
         if horizon <= 0:
             return 0.0
-        for n in self.nodes:
-            n._materialize()  # flush deferred ledger chops before reading
         used = sum(n.busy_time for n in self.nodes)
         return used / (self.total_rating * horizon)
 

@@ -54,11 +54,11 @@ PREDICTED_DELAY_EPSILON = 1e-6
 
 _INF = float("inf")
 
-# Robustness constants of TimeSharedNode.refutes_zero_risk: a refusal
-# must survive the ~1e-12 relative drift between lazily derived and
-# chop-by-chop ledgers, so it needs a gap four orders above what the
-# float σ-test can resolve, and every discrete projection decision
-# taken inside one of these bands is "cannot tell".
+# Robustness constants of TimeSharedNode.refutes_zero_risk: its
+# arithmetic is the projection's regrouped, not bit-identical, so a
+# refusal needs a gap four orders above what the float σ-test can
+# resolve, and every discrete projection decision taken inside one of
+# these bands is "cannot tell".
 #: Relative Eq. 4 gap that proves σ_j > 0.
 REFUTE_REL_GAP = 1e-4
 #: Estimates this close above the ``SHARE_EPSILON`` overrun threshold,
@@ -66,8 +66,8 @@ REFUTE_REL_GAP = 1e-4
 _REFUTE_EST_BAND = 1e-6
 _REFUTE_SHARE_BAND = 1e-6
 #: Remaining deadlines this close to zero (Eq. 4 pole, floor-share
-#: flip): worst-case drift moves a phase end by ~5e-8 s, and Eq. 4
-#: divides that by the remaining deadline.
+#: flip): Eq. 4 divides a phase end's rounding error by the remaining
+#: deadline.
 _REFUTE_REM_BAND = 1.0
 #: A first-phase share total must clear 1 by this to count as over-commit.
 _REFUTE_FIT_BAND = 1e-6
@@ -170,9 +170,6 @@ class Node:
     def _notify(self, task: NodeTask, now: float, count: int = 1) -> None:
         if self.listener is not None:
             self.listener(self, task, now, count)
-
-    def _materialize(self) -> None:
-        """Apply deferred ledger chops (no-op without a chop log)."""
 
     def utilisation(self, horizon: float) -> float:
         """Fraction of this node's capacity used over ``[0, horizon]``."""
@@ -328,26 +325,15 @@ class TimeSharedNode(Node):
     add/remove, completion, overrun demotion (all via
     :meth:`recompute`), restore, failure and repair.  Admission fast
     paths key cached per-node verdicts on it; :meth:`sync` deliberately
-    does *not* bump it, because the cross-submit caches
-    (:meth:`min_resident_deadline`, :meth:`admission_aggregate`) depend
-    only on task membership and on ledger values *at a recorded sync
-    point*, never on values that drift between syncs.
+    does *not* bump it, because the one cross-submit cache
+    (:meth:`min_resident_deadline`) depends only on task membership,
+    never on ledger values.
 
-    Deferred sync (the chop log)
-    ----------------------------
-    The eager admission scans sync every occupied node at every submit,
-    and those sync instants ("chops") are part of the byte-identical
-    ledger history: float subtraction is not associative, so skipping a
-    chop and catching up later in one step produces different bits.
-    Skipping a chop and catching up later *in the same steps* does not.
-    A policy may therefore register a shared, append-only list of chop
-    times via :meth:`attach_chop_log` and then *defer* a node's sync by
-    simply not calling it: the node replays every recorded chop it
-    missed — in order, with the identical per-chop arithmetic — the
-    next time anything reads or advances its ledgers
-    (:meth:`_materialize`, hooked into :meth:`sync` and every
-    ledger-reading view).  The replayed history is bit-identical to the
-    eager one; only *when* the Python work happens moves.
+    Both admission scans sync every occupied online node at every
+    submit instant.  Those instants are part of the byte-identical
+    ledger history — float subtraction is not associative, so catching
+    up later in one step would produce different bits — which is why a
+    scan syncs even the nodes it then refuses without reading them.
     """
 
     def __init__(
@@ -367,92 +353,13 @@ class TimeSharedNode(Node):
         self.generation = 0
         self._min_deadline_gen = -1
         self._min_deadline = float("inf")
-        # Deferred-sync chop log (see class docstring): a shared list of
-        # sync instants appended by the admission scan, plus this node's
-        # replay cursor into it.
-        self._chops: Optional[list[float]] = None
-        self._chop_idx = 0
-        # Per-generation admission aggregate (see admission_aggregate).
-        self._agg: Optional[tuple] = None
-        self._agg_gen = -1
         # The completion event name is stable; format it once, not per
         # recompute (checkpointing pattern-matches on it).
         self._completion_name = f"node{self.node_id}:completion"
 
-    # -- deferred sync -------------------------------------------------------
-    def attach_chop_log(self, chops: list[float]) -> None:
-        """Share an append-only list of sync instants with this node.
-
-        The registering policy appends the current time once per
-        admission scan *instead of* syncing every node; nodes it did not
-        touch replay the missed chops on their next read/mutation.
-        """
-        self._chops = chops
-        self._chop_idx = len(chops)
-
-    def _materialize(self) -> None:
-        """Replay every recorded chop this node has not applied yet.
-
-        Bit-identical to having called :meth:`sync` at each recorded
-        instant: same outer (chop) / inner (task) loop order, same
-        per-chop arithmetic, same busy-time accumulation order.
-        """
-        chops = self._chops
-        if chops is None:
-            return
-        i = self._chop_idx
-        n = len(chops)
-        if i >= n:
-            return
-        self._chop_idx = n
-        last = self._last_sync
-        tasks = self.tasks
-        if not tasks:
-            t = chops[n - 1]
-            if t > last:
-                self._last_sync = t
-            return
-        rating = self.rating
-        busy = self.busy_time
-        while i < n:
-            t = chops[i]
-            i += 1
-            dt = t - last
-            if dt > 0.0:
-                for task in tasks.values():
-                    consumed = task.rate * rating * dt
-                    if consumed > 0.0:
-                        remaining = task.remaining_work
-                        busy += consumed if consumed < remaining else remaining
-                        remaining -= consumed
-                        task.remaining_work = remaining if remaining > 0.0 else 0.0
-                        est_remaining = task.remaining_est_work - consumed
-                        task.remaining_est_work = (
-                            est_remaining if est_remaining > 0.0 else 0.0
-                        )
-                last = t
-        self.busy_time = busy
-        self._last_sync = last
-
-    def utilisation(self, horizon: float) -> float:
-        self._materialize()
-        return super().utilisation(horizon)
-
     # -- time advance -------------------------------------------------------
     def sync(self, now: float) -> None:
         """Advance every task's work ledgers from the last sync to ``now``."""
-        chops = self._chops
-        if chops is not None:
-            n = len(chops)
-            idx = self._chop_idx
-            if idx < n:
-                if idx == n - 1 and chops[idx] >= now:
-                    # Common case: the only pending chop is this very
-                    # scan instant — replaying it IS the sync below, so
-                    # just consume it (chops never exceed the clock).
-                    self._chop_idx = n
-                else:
-                    self._materialize()
         dt = now - self._last_sync
         if dt < 0:
             raise ValueError(
@@ -597,10 +504,7 @@ class TimeSharedNode(Node):
 
     def repair(self, now: float) -> None:
         super().repair(now)
-        # Restart the clock: nothing ran while offline.  Chops recorded
-        # while this node was offline must never touch its ledgers.
-        if self._chops is not None:
-            self._chop_idx = len(self._chops)
+        # Restart the clock: nothing ran while offline.
         self._last_sync = now
         self.generation += 1
 
@@ -657,53 +561,8 @@ class TimeSharedNode(Node):
             self._min_deadline_gen = self.generation
         return self._min_deadline
 
-    def admission_aggregate(self) -> Optional[tuple]:
-        """Per-generation Eq. 2 zero-mode aggregate over the resident ledgers.
-
-        Built from the ledgers *as of* :attr:`_last_sync` (``t0``) and
-        cached until the next :attr:`generation` bump, for libra's O(1)
-        over-commit certificate.  The certificate is one-sided — it may
-        only *reject* a node, and the caller walks the node whenever the
-        aggregate cannot decide — so a ``None`` here (spare
-        redistribution enabled, which breaks the monotone share-growth
-        bound) merely disables the shortcut.
-
-        Tuple layout ``(t0, sum_zero, d_min_z, min_w_est0)``: the Eq. 2
-        zero-mode share sum at ``t0`` and its validity guards — the
-        earliest counted deadline and the smallest counted estimated
-        work.
-        """
-        if self._agg_gen == self.generation:
-            return self._agg
-        self._agg_gen = self.generation
-        if self.share_params.redistribute_spare:
-            self._agg = None
-            return None
-        self._materialize()
-        t0 = self._last_sync
-        rating = self.rating
-        work_threshold = WORK_EPSILON / rating
-        sum_zero = 0.0
-        d_min_z = float("inf")
-        min_w_est0 = float("inf")
-        for task in self.tasks.values():
-            est_work = task.remaining_est_work
-            est_time = est_work / rating
-            if est_time > work_threshold:
-                deadline = task.deadline
-                rem_z = deadline - t0
-                if rem_z > 0.0:
-                    sum_zero += est_time / rem_z
-                    if deadline < d_min_z:
-                        d_min_z = deadline
-                    if est_work < min_w_est0:
-                        min_w_est0 = est_work
-        self._agg = (t0, sum_zero, d_min_z, min_w_est0)
-        return self._agg
-
     def iter_share_terms(self, now: float) -> Iterable[tuple[NodeTask, float]]:
         """Yield ``(task, unclamped Eq. 1 share)`` for every resident task."""
-        self._materialize()
         for task in self.tasks.values():
             yield task, admission_share(
                 task.remaining_est_time(self.rating), task.job.remaining_deadline(now)
@@ -713,37 +572,21 @@ class TimeSharedNode(Node):
         self,
         now: float,
         extra: Sequence[tuple[float, float]] = (),
-        expired_job_share_mode: str = "zero",
     ) -> float:
         """Eq. 2 total share as the *admission control* computes it.
 
-        Parameters
-        ----------
-        extra:
-            Hypothetical ``(remaining_est_time, remaining_deadline)``
-            pairs, e.g. the job under admission.
-        expired_job_share_mode:
-            How a resident job whose deadline has expired (or whose
-            estimate is exhausted — share mathematically 0/undefined)
-            enters the sum.  ``"zero"`` reproduces Libra's blindness to
-            such jobs (paper narrative, default); ``"floor"`` counts the
-            execution floor share; ``"infinite"`` makes the node
-            unconditionally unsuitable.
+        A resident job whose deadline has expired, or whose estimate is
+        exhausted, has no defined Eq. 1 share and is left out of the
+        sum: this is Libra's blindness to such jobs (paper narrative).
+        ``extra`` holds hypothetical ``(remaining_est_time,
+        remaining_deadline)`` pairs, e.g. the job under admission.
         """
-        if expired_job_share_mode not in ("zero", "floor", "infinite"):
-            raise ValueError(f"unknown expired_job_share_mode {expired_job_share_mode!r}")
-        self._materialize()
         total = 0.0
         for task in self.tasks.values():
             est_time = task.remaining_est_time(self.rating)
             rem_deadline = task.job.remaining_deadline(now)
             if est_time <= WORK_EPSILON / self.rating or rem_deadline <= 0.0:
-                if expired_job_share_mode == "zero":
-                    continue
-                if expired_job_share_mode == "floor":
-                    total += self.share_params.overrun_floor_share
-                    continue
-                return float("inf")
+                continue
             total += admission_share(est_time, rem_deadline)
         for est_time, rem_deadline in extra:
             total += admission_share(est_time, rem_deadline)
@@ -778,7 +621,6 @@ class TimeSharedNode(Node):
 
         Returns ``(job, predicted_delay)`` pairs, hypotheticals included.
         """
-        self._materialize()
         entries: list[tuple[Job, float]] = [
             (t.job, t.remaining_est_time(self.rating)) for t in self.tasks.values()
         ]
@@ -900,30 +742,27 @@ class TimeSharedNode(Node):
         """Prove σ_j > 0 for a hypothetical placement without touching the node.
 
         Runs the :meth:`_project_delays` phases for the residents plus
-        one ``(est_new, deadline_new)`` candidate on **lazily derived**
-        estimates: rates are constant between recomputes, so a
-        resident's estimate at ``now`` is ``(remaining_est_work −
-        rate·rating·(now − _last_sync)) / rating`` — no :meth:`sync`, no
-        chop consumed, no ledger written.  Returns ``True`` as soon as
-        two recorded Eq. 4 values differ by more than
-        ``REFUTE_REL_GAP`` relative; ``False`` means "cannot tell",
-        never "suitable", and the caller then runs the exact synced
-        projection.
+        one ``(est_new, deadline_new)`` candidate on the ledgers as
+        they stand — the caller has synced the node to ``now`` — and
+        writes nothing.  Returns ``True`` as soon as two recorded Eq. 4
+        values differ by more than ``REFUTE_REL_GAP`` relative;
+        ``False`` means "cannot tell", never "suitable", and the caller
+        then runs the exact projection.
 
-        Why ``True`` implies the exact σ_j > 0: the derived estimates
-        sit within ~1e-12 relative of the chop-by-chop ledgers, and the
-        recorded values are continuous in them except where the
-        projection takes a discrete decision, each of which answers
-        "cannot tell" inside a band (the ``_REFUTE_*`` constants) far
-        wider than that drift.  A 1e-4 relative gap therefore survives,
-        and among at most ``_REFUTE_MAX_ENTRIES`` values it exceeds the
-        float error of the Eq. 6 variance by an order of magnitude.  One
-        decision needs no band: ``est − rate·(est/rate)`` can round to an
-        ulp above ``SHARE_EPSILON`` and keep a finished entry pending in
-        the exact projection, but no entry finishes before its deadline
-        (rates never exceed ``est/rem``), so that residue meets a
-        remaining deadline of at most an ulp, is cleared within
-        nanoseconds, and moves the recorded delay by as little.
+        Why ``True`` implies the exact σ_j > 0: the recorded values are
+        continuous in the estimates except where the projection takes a
+        discrete decision, each of which answers "cannot tell" inside a
+        band (the ``_REFUTE_*`` constants) far wider than the rounding
+        the regrouped arithmetic introduces.  A 1e-4 relative gap
+        therefore survives, and among at most ``_REFUTE_MAX_ENTRIES``
+        values it exceeds the float error of the Eq. 6 variance by an
+        order of magnitude.  One decision needs no band: ``est −
+        rate·(est/rate)`` can round to an ulp above ``SHARE_EPSILON``
+        and keep a finished entry pending in the exact projection, but
+        no entry finishes before its deadline (rates never exceed
+        ``est/rem``), so that residue meets a remaining deadline of at
+        most an ulp, is cleared within nanoseconds, and moves the
+        recorded delay by as little.
 
         The arithmetic is the projection's, regrouped (it need not be
         bit-identical): with ``q = est / share`` — the remaining
@@ -943,7 +782,6 @@ class TimeSharedNode(Node):
             return False
 
         rating = self.rating
-        elapsed = rating * (now - self._last_sync)
         floor = params.overrun_floor_share
         # An overrun resident records its accrued delay — 0 while its
         # deadline is ahead, so Eq. 4 is exactly 1 — and holds the floor
@@ -963,8 +801,7 @@ class TimeSharedNode(Node):
         pend_deadline = [deadline_new]
         shares = [s]
         for task in tasks.values():
-            est_work = task.remaining_est_work
-            est = (est_work - task.rate * elapsed) / rating
+            est = task.remaining_est_work / rating
             if est > _REFUTE_EST_BAND:
                 deadline = task.deadline
                 rem = deadline - now
@@ -981,8 +818,7 @@ class TimeSharedNode(Node):
                 pend_est.append(est)
                 pend_deadline.append(deadline)
                 shares.append(s)
-            elif est_work / rating <= SHARE_EPSILON:
-                # Exhausted at the last sync, so exhausted at any later one.
+            elif est <= SHARE_EPSILON:
                 v_lo = v_hi = 1.0
                 overrun_share_sum += floor
             else:

@@ -123,10 +123,10 @@ def effective_rates(
        Because every rate returned here is ≤ the job's nominal share
        ``est/rem``, each job's share is **non-decreasing** until the
        next recompute: the estimate drains at most ``share`` per unit
-       time while the deadline drains at exactly 1.  Libra's O(1)
-       over-commit certificate (``libra._over_commitment_certified``)
-       is sound only under this monotonicity — a change that lets a
-       rate exceed the nominal share must revisit it
+       time while the deadline drains at exactly 1.  The soundness
+       argument of ``TimeSharedNode.refutes_zero_risk`` uses the same
+       bound (no job finishes before its deadline) — a change that lets
+       a rate exceed the nominal share must revisit it
        (``REPRO_VERIFY_CERT=1`` audits every firing).
     """
     total = sum(shares)

@@ -31,9 +31,8 @@ class LibraBudgetPolicy(LibraPolicy):
         self,
         pricing: Optional[LibraPricing] = None,
         budgets: Optional[Mapping[int, float]] = None,
-        expired_job_share_mode: str = "zero",
     ) -> None:
-        super().__init__(expired_job_share_mode=expired_job_share_mode)
+        super().__init__()
         self.pricing = pricing or LibraPricing()
         self.budgets: Mapping[int, float] = budgets or {}
         #: job_id -> price quoted at acceptance (for revenue accounting).

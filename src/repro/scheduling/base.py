@@ -38,18 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: exact memoization, so both paths produce byte-identical output).
 DISABLE_CACHE_ENV = "REPRO_DISABLE_ADMISSION_CACHE"
 
-#: Debug: re-prove every refusal the fast paths make without a sync —
-#: LibraRisk's σ>0 refutation on lazily derived ledgers against the
-#: exact synced projection, Libra's over-commit certificate against the
-#: Eq. 2 walk — and assert on disagreement.  Slows scans back down to
-#: projection cost.  Test/diagnosis only.
+#: Debug: re-prove every node LibraRisk's σ>0 refutation refuses
+#: against the exact projection, and assert on disagreement.  Slows
+#: scans back down to projection cost.  Test/diagnosis only.
 VERIFY_CERT_ENV = "REPRO_VERIFY_CERT"
-
-#: Compact the shared deferred-sync chop log once it grows past this
-#: many scan instants (bounds memory; occupied nodes replay their
-#: pending chops, idle/offline nodes drop theirs — exactly what the
-#: eager scan would have done).
-_CHOP_COMPACT_THRESHOLD = 4096
 
 
 def _env_flag(name: str) -> bool:
@@ -80,10 +72,6 @@ class SchedulingPolicy(abc.ABC):
         #: the attributes directly).
         self.fast_path = not _env_flag(DISABLE_CACHE_ENV)
         self.verify_cert = _env_flag(VERIFY_CERT_ENV)
-        #: Shared scan-instant log for deferred ledger sync (fast path
-        #: only; see ``TimeSharedNode.attach_chop_log``).  ``None`` when
-        #: deferral is off.
-        self._sync_chops: Optional[list[float]] = None
         #: Monotone counters describing fast-path effectiveness
         #: (suitability cache hits/misses, projections avoided, ...).
         #: Surfaced by the profiler's ``cache`` block and the service
@@ -122,58 +110,6 @@ class SchedulingPolicy(abc.ABC):
         get = stats.get
         for key, n in counts.items():
             stats[key] = get(key, 0) + n
-
-    def _attach_sync_deferral(self, cluster: "Cluster") -> None:
-        """Share one deferred-sync chop log across the cluster's nodes.
-
-        Fast path only: the reference scan syncs every occupied node
-        at every submit instant, and those instants — the *chops* — are
-        part of the byte-identical ledger history (float subtraction is
-        not associative).  Deferral records each scan instant once
-        here; a node the scan refuses without reading its synced
-        ledgers (poison, refutation, over-commit certificate) skips its
-        sync and replays the identical chop sequence on its next real
-        touch.
-        """
-        if not self.fast_path:
-            return
-        chops: list[float] = []
-        self._sync_chops = chops
-        for node in cluster:
-            attach = getattr(node, "attach_chop_log", None)
-            if attach is not None:
-                attach(chops)
-
-    def _note_scan_chop(self, now: float) -> None:
-        """Record one admission-scan instant in the shared chop log."""
-        chops = self._sync_chops
-        if chops is None:
-            return
-        if len(chops) >= _CHOP_COMPACT_THRESHOLD:
-            self._compact_chops()
-        chops.append(now)
-
-    def _compact_chops(self) -> None:
-        """Bound the chop log: replay occupied nodes, drop the rest.
-
-        Materialising an occupied node performs exactly the deferred
-        syncs the eager scan would have done; idle and offline nodes
-        never replay chops anyway (the eager scan skips idle syncs and
-        ``repair`` restarts the clock), so their indices just jump.
-        """
-        chops = self._sync_chops
-        cluster = self.cluster
-        if chops is None or cluster is None:
-            return
-        attached = [n for n in cluster if getattr(n, "_chops", None) is chops]
-        for node in attached:
-            if node.online and node.tasks:
-                node._materialize()
-            else:
-                node._chop_idx = len(chops)
-        del chops[:]
-        for node in attached:
-            node._chop_idx = 0
 
     # -- admission entry point ----------------------------------------------
     @abc.abstractmethod

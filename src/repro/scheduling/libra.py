@@ -12,13 +12,12 @@ that nodes are saturated to their maximum" (§3.3).  That saturation is
 exactly what makes Libra fragile to estimate error, which LibraRisk
 then fixes.
 
-The ``expired_job_share_mode`` knob controls how Libra's Eq. 2 sum
-sees resident jobs whose state the estimate can no longer describe —
-an overrunning job (estimate exhausted) or one whose deadline has
-already passed.  Eq. 1 is undefined for them; the default ``"zero"``
-simply omits them, reproducing the blindness the paper attributes to
-Libra ("it relies heavily on the idealistic assumption of accurate
-runtime estimates").
+Libra's Eq. 2 sum omits resident jobs whose state the estimate can no
+longer describe — an overrunning job (estimate exhausted) or one whose
+deadline has already passed.  Eq. 1 is undefined for them, and leaving
+them out reproduces the blindness the paper attributes to Libra ("it
+relies heavily on the idealistic assumption of accurate runtime
+estimates").
 """
 
 from __future__ import annotations
@@ -32,50 +31,12 @@ from repro.scheduling.base import SchedulingPolicy
 #: Slack for float error in the Σ share <= 1 capacity test.
 CAPACITY_EPSILON = 1e-9
 
-#: Robustness margin of the O(1) over-commitment certificate (relative).
-_CERT_REL = 1e-4
-#: Absolute slack absorbing aggregate accumulation error.
-_CERT_SLACK = 1e-9
-
-
-def _over_commitment_certified(
-    agg: tuple,
-    now: float,
-    s_new: float,
-    rating: float,
-) -> bool:
-    """O(1) proof that the Eq. 2 zero-mode total robustly exceeds 1.
-
-    ``agg`` is the ``TimeSharedNode.admission_aggregate`` tuple of the
-    node's current generation, ``s_new`` the candidate's exact unclamped
-    Eq. 1 share.  Sound because every resident share counted at build
-    time ``t0`` is non-decreasing while its execution rate stays fixed
-    (no generation bump), *provided* no counted resident crosses its
-    deadline (``d_min_z`` guard) or falls under the zero-mode skip
-    threshold (``min_w_est0`` guard, estimates decline at most at the
-    node's rating) by ``now``.  Returns ``True`` only when the walk
-    would certainly reject; ``False`` means "walk the node".
-    """
-    t0, sum_zero, d_min_z, min_w_est0 = agg
-    if now >= d_min_z:
-        return False
-    if min_w_est0 - rating * (now - t0) <= WORK_EPSILON + _CERT_SLACK:
-        return False
-    total_lo = sum_zero * (1.0 - _CERT_SLACK) - _CERT_SLACK + s_new
-    return total_lo > 1.0 + CAPACITY_EPSILON + _CERT_REL * (1.0 + total_lo)
-
 
 class LibraPolicy(SchedulingPolicy):
     """Deadline-based proportional-share admission with best-fit placement."""
 
     name = "libra"
     discipline = "time_shared"
-
-    def __init__(self, expired_job_share_mode: str = "zero") -> None:
-        super().__init__()
-        if expired_job_share_mode not in ("zero", "floor", "infinite"):
-            raise ValueError(f"unknown expired_job_share_mode {expired_job_share_mode!r}")
-        self.expired_job_share_mode = expired_job_share_mode
 
     def validate_cluster(self, cluster: Cluster) -> None:
         for node in cluster:
@@ -84,24 +45,19 @@ class LibraPolicy(SchedulingPolicy):
                     f"{self.name} requires time-shared nodes; node {node.node_id} "
                     f"is {type(node).__name__}"
                 )
-        if self.expired_job_share_mode == "zero":
-            # Non-default Eq. 2 modes always take the reference scan,
-            # which syncs directly — deferral would never be exercised.
-            self._attach_sync_deferral(cluster)
 
     # -- admission ----------------------------------------------------------
     def on_job_submitted(self, job: Job, now: float) -> None:
-        # The inlined fast scan only replicates the default "zero" Eq. 2
-        # semantics; the research knobs take the reference path.
-        if self.fast_path and self.expired_job_share_mode == "zero":
+        if self.fast_path:
             self._submit_fast(job, now)
         else:
             self._submit_reference(job, now)
 
     def _submit_reference(self, job: Job, now: float) -> None:
         """Pre-cache admission scan, kept verbatim as the escape hatch
-        (``REPRO_DISABLE_ADMISSION_CACHE=1``) and for the non-default
-        ``expired_job_share_mode`` values."""
+        (``REPRO_DISABLE_ADMISSION_CACHE=1``).  The fast path must stay
+        byte-identical to this — see ``tests/test_scheduling/
+        test_cache_parity.py``."""
         assert self.cluster is not None and self.rms is not None
         suitable: list[tuple[float, TimeSharedNode]] = []
         for node in self.cluster:
@@ -111,9 +67,7 @@ class LibraPolicy(SchedulingPolicy):
             node.sync(now)  # bring work ledgers to `now` before reading shares
             est_time = self.cluster.est_time_on(node, job.estimated_runtime)
             total = node.total_admission_share(
-                now,
-                extra=[(est_time, job.remaining_deadline(now))],
-                expired_job_share_mode=self.expired_job_share_mode,
+                now, extra=[(est_time, job.remaining_deadline(now))]
             )
             if total <= 1.0 + CAPACITY_EPSILON:
                 suitable.append((total, node))
@@ -122,98 +76,48 @@ class LibraPolicy(SchedulingPolicy):
         self._finish(job, suitable, online, now)
 
     def _submit_fast(self, job: Job, now: float) -> None:
-        """The ``"zero"``-mode scan with ``total_admission_share``
-        inlined: same skip rule, same summation order, bit-identical
-        totals — but no per-node method dispatch, no extra-pair list,
-        and no sync calls on idle nodes (an empty node's sync is a pure
-        no-op).  A job whose deadline already passed gets an infinite
-        Eq. 1 share on every node, so the scan degenerates to the online
-        count (ledger syncs deferred through the shared chop log).  An
-        over-committed node's generation gets an
-        :meth:`~repro.cluster.node.TimeSharedNode.admission_aggregate`
-        built once, after which :func:`_over_commitment_certified`
-        rejects it in O(1) — no sync, no resident walk — until its task
-        set changes."""
+        """:meth:`_submit_reference` with ``total_admission_share``
+        inlined: same sync instants, same skip rule, same summation
+        order, bit-identical totals — but no per-node method dispatch,
+        no extra-pair list, and no sync calls on idle nodes (an empty
+        node's sync only moves its clock).  A job whose deadline already
+        passed gets an infinite Eq. 1 share on every node, so its scan
+        only syncs and counts."""
         cluster = self.cluster
         assert cluster is not None and self.rms is not None
-        verify = self.verify_cert
         suitable: list[tuple[float, TimeSharedNode]] = []
         online = 0
-        n_walked = n_cert = n_agg_hit = n_agg_built = 0
         rem_new = job.remaining_deadline(now)
         feasible = rem_new > 0.0
         # est_time_on(node, est) = (est * reference_rating) / rating.
         est_work_new = job.estimated_runtime * cluster.reference_rating
-        self._note_scan_chop(now)
 
         for node in cluster.nodes:
             if not node.online:
                 continue
             online += 1
             tasks = node.tasks
-            if not feasible:
-                # admission_share(·, rem <= 0) = inf on every node;
-                # occupied nodes' syncs are deferred to the chop log.
-                continue
-            rating = node.rating
             if tasks:
-                if node._agg_gen == node.generation:
-                    agg = node._agg
-                    if agg is not None:
-                        n_agg_hit += 1
-                        s_new = (est_work_new / rating) / rem_new
-                        if _over_commitment_certified(agg, now, s_new, rating):
-                            n_cert += 1
-                            if verify:
-                                self._assert_capacity_cert(node, job, now)
-                            continue
                 node.sync(now)
+            if not feasible:
+                continue  # admission_share(·, rem <= 0) = inf on every node
+            rating = node.rating
             work_threshold = WORK_EPSILON / rating
             total = 0.0
-            n_walked += 1
             for task in tasks.values():
                 est = task.remaining_est_work / rating
                 rem = task.deadline - now
                 if est <= work_threshold or rem <= 0.0:
-                    continue  # "zero" mode: expired/exhausted jobs vanish
+                    continue  # expired/exhausted jobs vanish from Eq. 2
                 total += est / rem
             total += (est_work_new / rating) / rem_new
             if total <= 1.0 + CAPACITY_EPSILON:
                 suitable.append((total, node))
-            elif tasks and node._agg_gen != node.generation:
-                # Over-committed: build the aggregate once per node
-                # generation so later scans reject in O(1).  No
-                # staleness refresh: the certificate is one-sided
-                # (sum_zero only grows while rates are fixed), so an
-                # aging aggregate weakens it but never unsounds it —
-                # and re-building every scan costs more than the walks
-                # the sharper bounds would save.
-                n_agg_built += 1
-                node.admission_aggregate()
 
         self._bump_cache_stats(
-            online_scans=online,
-            inline_share_sums=n_walked,
-            capacity_cert_hits=n_cert,
-            agg_hits=n_agg_hit,
-            agg_rebuilds=n_agg_built,
+            online_scans=online, inline_share_sums=online if feasible else 0
         )
         self._finish(job, suitable, online, now)
-
-    def _assert_capacity_cert(self, node: TimeSharedNode, job: Job, now: float) -> None:
-        """``REPRO_VERIFY_CERT``: prove a fired over-commitment
-        certificate against the exact Eq. 2 walk (debug/test only)."""
-        assert self.cluster is not None
-        node.sync(now)
-        est_time = self.cluster.est_time_on(node, job.estimated_runtime)
-        total = node.total_admission_share(
-            now, extra=[(est_time, job.remaining_deadline(now))]
-        )
-        if total <= 1.0 + CAPACITY_EPSILON:
-            raise AssertionError(
-                f"over-commitment certificate contradicted by the Eq. 2 walk on "
-                f"node {node.node_id} for job {job.job_id} at t={now:.6g}"
-            )
 
     def _finish(
         self,

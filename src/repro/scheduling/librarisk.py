@@ -47,6 +47,7 @@ from repro.scheduling.risk import RiskAssessment, assess_delays
 _NODE_ORDERS = ("worst_fit", "best_fit", "index")
 _SUITABILITIES = ("sigma", "no-delay")
 
+
 class LibraRiskPolicy(SchedulingPolicy):
     """The paper's contribution: risk-managed proportional-share admission.
 
@@ -87,7 +88,6 @@ class LibraRiskPolicy(SchedulingPolicy):
                     f"{self.name} requires time-shared nodes; node {node.node_id} "
                     f"is {type(node).__name__}"
                 )
-        self._attach_sync_deferral(cluster)
 
     # -- Algorithm 1 -----------------------------------------------------------
     def assess_node(self, node: TimeSharedNode, job: Job, now: float) -> RiskAssessment:
@@ -139,7 +139,9 @@ class LibraRiskPolicy(SchedulingPolicy):
 
     def _submit_fast(self, job: Job, now: float) -> None:
         """One fused pass per node, equal to :meth:`_submit_reference`
-        decision-for-decision and bit-for-bit.
+        decision-for-decision and bit-for-bit.  Every occupied node is
+        synced first, at the instants the reference scan syncs, so the
+        ledgers carry the same history on either path.
 
         Exact shortcuts, in test order per node:
 
@@ -147,17 +149,14 @@ class LibraRiskPolicy(SchedulingPolicy):
           every Eq. 4 value infinite, so σ_j = ∞ until the task set
           changes; the verdict comes from
           :meth:`~repro.cluster.node.TimeSharedNode.min_resident_deadline`
-          (cached per node generation) without touching the ledgers;
+          (cached per node generation) without reading the ledgers;
         * **infeasible job** — a candidate whose own deadline already
           passed has an infinite Eq. 4 value on every occupied node,
           so only empty nodes (σ of one value) can admit it;
         * **refutation** —
           :meth:`~repro.cluster.node.TimeSharedNode.refutes_zero_risk`
-          projects the node on lazily derived estimates and proves
-          σ_j > 0 by a robust gap between two Eq. 4 values — no ledger
-          sync, no state written (the sync it skips is deferred through
-          the shared chop log and replayed bit-identically on next
-          touch);
+          projects the node on its estimates and proves σ_j > 0 by a
+          robust gap between two Eq. 4 values, writing nothing;
         * **healthy fit** — all shares defined, each ≤ 1 and Σ ≤ 1 + ε:
           the projection would predict zero delay for everyone, making
           every deadline-delay exactly ``(0 + r) / r = 1.0``, σ = 0 —
@@ -183,7 +182,6 @@ class LibraRiskPolicy(SchedulingPolicy):
         # est_time_on(node, est) = (est * reference_rating) / rating —
         # hoist the numerator; the division stays per node.
         est_work_new = job.estimated_runtime * cluster.reference_rating
-        self._note_scan_chop(now)
 
         for node in cluster.nodes:
             if not node.online:
@@ -198,12 +196,15 @@ class LibraRiskPolicy(SchedulingPolicy):
                     loads[node.node_id] = 0.0
                     continue
             else:
+                # Advance the ledgers exactly as the reference scan does
+                # — identical sync instants keep the busy-time
+                # accumulation bit-identical.
+                node.sync(now)
                 if node._min_deadline_gen != node.generation:
                     node.min_resident_deadline()  # rebuild the cache
                 if now >= node._min_deadline:
                     # The poison verdict needs no ledgers, only the
                     # deadlines — valid until the task set changes.
-                    # Sync deferred: the chop replays on next touch.
                     n_poisoned += 1
                     continue
                 if infeasible:
@@ -218,11 +219,6 @@ class LibraRiskPolicy(SchedulingPolicy):
                     if verify:
                         self._assert_refuted(node, job, now)
                     continue
-                # Advance the ledgers exactly as the reference scan does
-                # — identical sync chop points keep the busy-time
-                # accumulation bit-identical (pending deferred chops
-                # replay first, inside sync).
-                node.sync(now)
 
             rating = node.rating
             est_new = est_work_new / rating
@@ -283,9 +279,7 @@ class LibraRiskPolicy(SchedulingPolicy):
 
     def _assert_refuted(self, node: TimeSharedNode, job: Job, now: float) -> None:
         """``REPRO_VERIFY_CERT``: prove a fired refutation against the
-        exact synced projection (debug/test only — the sync below is what
-        the deferred path would have replayed anyway)."""
-        node.sync(now)
+        exact projection (debug/test only; a pure read)."""
         if self.assess_node(node, job, now).zero_risk:
             raise AssertionError(
                 f"σ>0 refutation contradicted by the exact projection on node "

@@ -4,8 +4,6 @@ All nodes here use ``rating=1.0`` so work units equal seconds and the
 Eq. 1 arithmetic can be checked by hand.
 """
 
-import math
-
 import pytest
 
 from repro.cluster.node import TimeSharedNode
@@ -169,29 +167,6 @@ class TestAdmissionViews:
         node.sync(150.0)  # estimate exhausted at t=100 -> overrun
         assert node.tasks[job.job_id].overrun
         assert node.total_admission_share(150.0) == 0.0
-
-    def test_overrun_task_counted_in_floor_mode(self, sim):
-        node = make_node(sim, overrun_floor_share=0.1)
-        job = make_job(runtime=80.0, estimate=40.0, deadline=100.0)
-        node.add_task(job, work=80.0, est_work=40.0, now=0.0)
-        sim.run(until=150.0)
-        node.sync(150.0)
-        assert node.total_admission_share(
-            150.0, expired_job_share_mode="floor"
-        ) == pytest.approx(0.1)
-
-    def test_overrun_task_poisons_in_infinite_mode(self, sim):
-        node = make_node(sim)
-        job = make_job(runtime=80.0, estimate=40.0, deadline=100.0)
-        node.add_task(job, work=80.0, est_work=40.0, now=0.0)
-        sim.run(until=150.0)
-        node.sync(150.0)
-        assert math.isinf(node.total_admission_share(150.0, expired_job_share_mode="infinite"))
-
-    def test_unknown_mode_rejected(self, sim):
-        node = make_node(sim)
-        with pytest.raises(ValueError):
-            node.total_admission_share(0.0, expired_job_share_mode="bogus")
 
 
 class TestPredictedDelays:

@@ -112,41 +112,8 @@ class TestEstimateBlindness:
         # than its Eq. 1 share and misses its deadline.
         assert not victim.deadline_met
 
-    def test_expired_mode_infinite_blocks_node(self):
-        params = ShareParams(overrun_floor_share=0.25)
-        jobs = [
-            make_job(runtime=1000.0, estimate=10.0, deadline=20.0, submit=0.0, job_id=1),
-            make_job(runtime=90.0, estimate=90.0, deadline=100.0, submit=30.0, job_id=2),
-        ]
-        rms, _, _ = run_jobs(
-            "libra", jobs, num_nodes=1, share_params=params,
-            expired_job_share_mode="infinite",
-        )
-        assert [j.job_id for j in rms.rejected] == [2]
-
-    def test_expired_mode_floor_counts_floor_share(self):
-        params = ShareParams(overrun_floor_share=0.25)
-        jobs = [
-            make_job(runtime=1000.0, estimate=10.0, deadline=20.0, submit=0.0, job_id=1),
-            # needs 0.70; 0.70 + 0.25 floor <= 1 -> accepted even in
-            # floor mode.
-            make_job(runtime=70.0, estimate=70.0, deadline=100.0, submit=30.0, job_id=2),
-            # needs 0.90; 0.90 + 0.25 > 1 -> rejected in floor mode.
-            make_job(runtime=90.0, estimate=90.0, deadline=100.0, submit=31.0, job_id=3),
-        ]
-        rms, _, _ = run_jobs(
-            "libra", jobs, num_nodes=1, share_params=params,
-            expired_job_share_mode="floor",
-        )
-        accepted_ids = {j.job_id for j in rms.accepted}
-        assert 2 in accepted_ids and 3 not in accepted_ids
-
 
 class TestValidation:
-    def test_unknown_expired_mode_rejected(self):
-        with pytest.raises(ValueError):
-            LibraPolicy(expired_job_share_mode="bogus")
-
     def test_requires_time_shared_nodes(self):
         from repro.cluster.cluster import Cluster
         from repro.cluster.rms import ResourceManagementSystem

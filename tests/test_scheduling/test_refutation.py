@@ -1,16 +1,15 @@
 """``TimeSharedNode.refutes_zero_risk``: a one-sided proof of σ_j > 0.
 
-The LibraRisk fast scan refuses a node on the refuter's word alone —
-no sync, no exact projection — so these properties are what stands
-between it and a wrong admission decision:
+The LibraRisk fast scan syncs a node and then refuses it on the
+refuter's word alone — no exact projection — so these properties are
+what stands between it and a wrong admission decision:
 
-* **sound** — ``True`` implies the exact synced projection
+* **sound** — ``True`` implies the exact projection
   (``predicted_delays`` + ``assess_delays``) gives σ > 0;
 * **blind where σ is** — the equal-spread case (identical simultaneous
   jobs, σ = 0 by construction) is never refuted and is still admitted;
 * **stable** — a ``True`` stays true of every node within 1e-9
-  relative of the one it was computed on (the lazy derivation sits
-  within ~1e-12 of the chop-by-chop ledgers);
+  relative of the one it was computed on;
 * **pure** — the call writes nothing;
 * **on the path** — the scan that uses it equals ``_submit_reference``
   in the modes where it must always fall through.
@@ -70,14 +69,14 @@ def scenarios(draw):
         "t0": draw(st.sampled_from([0.0, 1000.0, 123456.789])),
         "residents": residents,
         "elapsed": draw(_UNIT),  # share of the way to the node's next event
-        "chops": draw(st.lists(_UNIT, max_size=6)),  # pending scan instants
+        "syncs": draw(st.lists(_UNIT, max_size=6)),  # earlier scan instants
         "rem_new": rem_new,
         "est_new": est_new,
     }
 
 
 def _build(spec, jitter=None):
-    """Node with restored ledgers and pending chops, ``now``, candidate."""
+    """Node with restored ledgers synced scan by scan to ``now``, candidate."""
     sim = Simulator()
     rating, t0 = spec["rating"], spec["t0"]
     node = TimeSharedNode(0, rating, sim)
@@ -90,12 +89,11 @@ def _build(spec, jitter=None):
         )
         entries.append((job, work * rating * factor, est * rating * factor, t0))
     node.restore_tasks(entries, t0)
-    chops: list[float] = []
-    node.attach_chop_log(chops)
     horizon = node._next_completion_delay() or 100.0
     now = t0 + spec["elapsed"] * horizon
-    chops.extend(sorted(t0 + c * (now - t0) for c in spec["chops"]))
-    chops.append(now)  # the scan's own instant, as _note_scan_chop records it
+    for instant in sorted(t0 + c * (now - t0) for c in spec["syncs"]):
+        node.sync(instant)
+    node.sync(now)  # the scan's own instant
     candidate = Job(
         runtime=spec["est_new"], estimated_runtime=spec["est_new"], numproc=1,
         deadline=spec["rem_new"], submit_time=now, job_id=99,
@@ -104,14 +102,13 @@ def _build(spec, jitter=None):
 
 
 def _exact(node: TimeSharedNode, now: float, candidate: Job, est_new: float) -> RiskAssessment:
-    node.sync(now)
     predicted = node.predicted_delays(now, extra=[(candidate, est_new)])
     return assess_delays([(d, j.remaining_deadline(now)) for j, d in predicted])
 
 
 def _state(node: TimeSharedNode) -> tuple:
     return (
-        node._last_sync, node._chop_idx, node.generation, node.busy_time,
+        node._last_sync, node.generation, node.busy_time,
         tuple(
             (t.remaining_work, t.remaining_est_work, t.rate)
             for t in node.tasks.values()
@@ -169,7 +166,7 @@ def _scan(jobs, fast: bool, num_nodes: int, until=None,
         share_params=ShareParams(redistribute_spare=redistribute),
     )
     policy = LibraRiskPolicy(suitability=suitability)
-    policy.fast_path = fast  # before bind: it decides whether syncs defer
+    policy.fast_path = fast
     rms = ResourceManagementSystem(sim, cluster, policy)
     rms.submit_all(jobs)
     sim.run(until=until)
