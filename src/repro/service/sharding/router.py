@@ -17,11 +17,16 @@ Routing rules
   *every* RPC passes through raw, so a 1-shard router is byte-identical
   on the wire to an unsharded server.
 * ``batch`` frames are split into per-shard sub-frames (preserving the
-  submit-time order within each shard) and forwarded **concurrently**;
-  per-item envelopes are merged back into the original positions.
+  submit-time order within each shard); per-item envelopes are merged
+  back into the original positions.
 * ``stats`` / ``advance`` / ``drain`` fan out to every shard and merge;
   ``checkpoint`` requires a ``path`` and fans out with shard-namespaced
   filenames.
+* Every fan-out (``/healthz`` and ``/metrics`` too) runs on the calling
+  thread: write each shard's request, then read the answers in shard
+  order.  The shards work while the caller blocks in ``recv``, so a
+  frame costs its slowest shard and the router starts no thread.  Only
+  a shard's *first* attempt is written ahead; a retry waits its turn.
 
 Degraded mode
 -------------
@@ -48,7 +53,7 @@ import json
 import threading
 import time
 from time import perf_counter
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.obs.console import parse_prometheus
 from repro.obs.log import get_logger
@@ -61,9 +66,13 @@ from repro.service.sharding.breaker import CLOSED, HALF_OPEN, OPEN, ShardBreaker
 from repro.service.sharding.parking import ParkingLot
 from repro.service.sharding.partition import plan_shards, shard_for_submit
 from repro.service.sharding.paths import shard_path
-from repro.service.transport import Transport, TransportError
+from repro.service.transport import InFlight, Transport, TransportError
 
 log = get_logger("service.sharding.router")
+
+#: The written half of one exchange: the request in flight, or why the
+#: write failed (reported when the answer would have been read).
+_Sent = Union[InFlight, TransportError]
 
 #: Metric keys of a drained ``ScenarioMetrics`` dict that merge by sum.
 _SUM_KEYS = (
@@ -228,10 +237,24 @@ class ShardRouter:
         self.shard_pids: dict[int, int] = {}
 
     # -- low-level forwarding ----------------------------------------------
-    def _forward_once(
-        self, shard: int, body: bytes
-    ) -> tuple[int, dict[str, Any], bool]:
-        """One POST attempt: ``(status, response, shard_fault)``.
+    def _write(
+        self, shard: int, body: Optional[bytes],
+        method: str = "POST", path: str = "/v1/rpc",
+    ) -> _Sent:
+        """Write one request to a shard without waiting for its answer."""
+        try:
+            return self._transports[shard].send(method, path, body)
+        except TransportError as exc:
+            return exc
+
+    def _read(self, shard: int, sent: _Sent) -> tuple[int, bytes]:
+        """The answer to one :meth:`_write`; either half's failure raises."""
+        if isinstance(sent, TransportError):
+            raise sent
+        return self._transports[shard].receive(sent)
+
+    def _forward_once(self, shard: int, sent: _Sent) -> tuple[int, dict[str, Any], bool]:
+        """Finish one POST attempt: ``(status, response, shard_fault)``.
 
         ``shard_fault`` is True for failures that indict the *shard*
         (connection refused/reset/timeout, or a malformed/truncated
@@ -239,7 +262,7 @@ class ShardRouter:
         refusals prove the shard is alive and do not.
         """
         try:
-            status, raw = self._transports[shard].request("POST", "/v1/rpc", body)
+            status, raw = self._read(shard, sent)
         except TransportError as exc:
             self._note_forward_error(shard)
             return 503, protocol.error_response(
@@ -292,15 +315,28 @@ class ShardRouter:
 
     def _post(self, shard: int, body: bytes) -> tuple[int, dict[str, Any]]:
         """POST one raw RPC body to a shard, with breaker + bounded retry."""
+        return self._fan_out({shard: body})[shard]
+
+    def _fan_out(self, bodies: dict[int, bytes]) -> dict[int, tuple[int, dict[str, Any]]]:
+        """POST ``{shard: body}``: write every first attempt (an open
+        breaker fails fast instead), then read one answer per shard."""
+        answers: dict[int, tuple[int, dict[str, Any]]] = {}
+        written: dict[int, _Sent] = {}
+        for shard, body in bodies.items():
+            if self.breakers[shard].allow():
+                written[shard] = self._write(shard, body)
+            else:
+                answers[shard] = self._fail_fast(shard)
+        for shard, sent in written.items():
+            answers[shard] = self._settle(shard, bodies[shard], sent)
+        return answers
+
+    def _settle(self, shard: int, body: bytes, sent: _Sent) -> tuple[int, dict[str, Any]]:
+        """Read a written first attempt; retry whole within the bounds."""
         breaker = self.breakers[shard]
-        if not breaker.allow():
-            return self._fail_fast(shard)
         attempts = self.forward_retries + 1
-        status, response = 503, protocol.error_response(
-            ErrorCode.UNAVAILABLE, f"shard {shard}: unreachable"
-        )
         for attempt in range(attempts):
-            status, response, shard_fault = self._forward_once(shard, body)
+            status, response, shard_fault = self._forward_once(shard, sent)
             if shard_fault:
                 breaker.record_failure()
             else:
@@ -313,12 +349,17 @@ class ShardRouter:
             delay = self._retry_delay(attempt, response)
             if delay > 0:
                 self._sleep(delay)
+            sent = self._write(shard, body)
         return status, response
 
-    def _get(self, shard: int, path: str) -> tuple[int, Optional[dict[str, Any]], str]:
-        """GET a side endpoint from one shard: ``(status, json, text)``."""
+    def _get_all(self, path: str) -> list[tuple[int, Optional[dict[str, Any]], str]]:
+        """GET a side endpoint from every shard: ``(status, json, text)`` each."""
+        written = [self._write(shard, None, "GET", path) for shard in range(self.num_shards)]
+        return [self._get(shard, sent) for shard, sent in enumerate(written)]
+
+    def _get(self, shard: int, sent: _Sent) -> tuple[int, Optional[dict[str, Any]], str]:
         try:
-            status, raw = self._transports[shard].request("GET", path)
+            status, raw = self._read(shard, sent)
         except TransportError:
             return 0, None, ""
         text = raw.decode("utf-8", errors="replace")
@@ -326,34 +367,6 @@ class ShardRouter:
             return status, json.loads(text), text
         except ValueError:
             return status, None, text
-
-    def _fan_out(self, bodies: list[Optional[bytes]]) -> list[Optional[tuple[int, dict[str, Any]]]]:
-        """POST per-shard bodies concurrently; ``None`` body skips a shard."""
-        results: list[Optional[tuple[int, dict[str, Any]]]] = [None] * self.num_shards
-        active = [i for i, body in enumerate(bodies) if body is not None]
-        if len(active) == 1:
-            only = active[0]
-            body = bodies[only]
-            assert body is not None
-            results[only] = self._post(only, body)
-            return results
-
-        def worker(shard: int, body: bytes) -> None:
-            results[shard] = self._post(shard, body)
-
-        threads = []
-        for shard in active:
-            body = bodies[shard]
-            assert body is not None
-            threads.append(threading.Thread(
-                target=worker, args=(shard, body),
-                name=f"repro-router-fanout-{shard}", daemon=True,
-            ))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return results
 
     # -- failover parking ---------------------------------------------------
     @property
@@ -396,7 +409,7 @@ class ShardRouter:
         flushed = 0
         while items:
             status, response, shard_fault = self._forward_once(
-                shard, items[0].body
+                shard, self._write(shard, items[0].body)
             )
             if shard_fault:
                 # Shard died again mid-flush: everything not yet replayed
@@ -493,6 +506,14 @@ class ShardRouter:
             status, response = exc.http_status, protocol.error_response(
                 exc.code, exc.message
             )
+        except Exception as exc:
+            # The handler thread must outlive any bug in the routing
+            # code: a typed 500, never a dead connection.
+            log.exception("unexpected failure routing %s request", rtype)
+            status = protocol.HTTP_STATUS[ErrorCode.INTERNAL]
+            response = protocol.error_response(
+                ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
+            )
         finally:
             self.registry.histogram(
                 "router_request_seconds", "Router request handling latency",
@@ -554,7 +575,7 @@ class ShardRouter:
         )
 
     def _route_batch(self, request: protocol.BatchRequest) -> tuple[int, dict[str, Any]]:
-        """Split a batch frame by shard, forward concurrently, re-merge."""
+        """Split a batch frame by shard, fan out, re-merge."""
         slots: list[list[int]] = [[] for _ in range(self.num_shards)]
         for position, job in enumerate(request.jobs):
             job_id = job.get("id")
@@ -567,7 +588,7 @@ class ShardRouter:
             )
             slots[shard].append(position)
         results: list[Optional[dict[str, Any]]] = [None] * len(request.jobs)
-        bodies: list[Optional[bytes]] = [None] * self.num_shards
+        bodies: dict[int, bytes] = {}
         for shard in range(self.num_shards):
             if not slots[shard]:
                 continue
@@ -585,12 +606,8 @@ class ShardRouter:
                 "jobs": [request.jobs[p] for p in slots[shard]],
             })
         answers = self._fan_out(bodies)
-        for shard in range(self.num_shards):
-            if not slots[shard] or bodies[shard] is None:
-                continue
-            answer = answers[shard]
-            assert answer is not None
-            status, response = answer
+        for shard in bodies:
+            _, response = answers[shard]
             items = response.get("results") if response.get("ok") else None
             failed_code = response.get("error", {}).get("code")
             for offset, position in enumerate(slots[shard]):
@@ -619,15 +636,13 @@ class ShardRouter:
 
     def _route_stats(self, body: bytes) -> tuple[int, dict[str, Any]]:
         self.flush_parking()
-        answers = self._fan_out([body] * self.num_shards)
+        answers = self._fan_out(dict.fromkeys(range(self.num_shards), body))
         shards: dict[str, Any] = {}
         merged = {"submitted": 0, "accepted": 0, "rejected": 0, "completed": 0}
         horizon = 0.0
         reachable = 0
         for shard in range(self.num_shards):
-            answer = answers[shard]
-            assert answer is not None
-            status, response = answer
+            status, response = answers[shard]
             if response.get("ok"):
                 stats = response["stats"]
                 shards[str(shard)] = stats
@@ -648,13 +663,11 @@ class ShardRouter:
         # Parked submits must land before the fleet clock moves past
         # their submit times, or replay order would differ.
         self.flush_parking()
-        answers = self._fan_out([body] * self.num_shards)
+        answers = self._fan_out(dict.fromkeys(range(self.num_shards), body))
         horizon = 0.0
         events = 0
         for shard in range(self.num_shards):
-            answer = answers[shard]
-            assert answer is not None
-            status, response = answer
+            status, response = answers[shard]
             if not response.get("ok"):
                 return status, response
             horizon = max(horizon, float(response["t"]))
@@ -666,14 +679,12 @@ class ShardRouter:
         # backlog first so the drained metrics include every acked
         # submit (byte-identical to an un-killed run once flushed).
         self.flush_parking()
-        answers = self._fan_out([body] * self.num_shards)
+        answers = self._fan_out(dict.fromkeys(range(self.num_shards), body))
         horizon = 0.0
         per_shard: list[dict[str, Any]] = []
         shards: dict[str, Any] = {}
         for shard in range(self.num_shards):
-            answer = answers[shard]
-            assert answer is not None
-            status, response = answer
+            status, response = answers[shard]
             if not response.get("ok"):
                 # A failed drain leaves the fleet half-drained; surface
                 # the first failure rather than inventing merged numbers.
@@ -698,20 +709,18 @@ class ShardRouter:
                 "a sharded checkpoint requires a path (inline snapshots "
                 "do not compose across shards)",
             )
-        bodies: list[Optional[bytes]] = []
+        bodies: dict[int, bytes] = {}
         paths: dict[str, str] = {}
         for shard in range(self.num_shards):
             target = shard_path(request.path, shard, self.num_shards)
             paths[str(shard)] = target
-            bodies.append(protocol.encode({
+            bodies[shard] = protocol.encode({
                 "v": protocol.PROTOCOL_VERSION, "type": "checkpoint",
                 "path": target,
-            }))
+            })
         answers = self._fan_out(bodies)
         for shard in range(self.num_shards):
-            answer = answers[shard]
-            assert answer is not None
-            status, response = answer
+            status, response = answers[shard]
             if not response.get("ok"):
                 return status, response
         return 200, protocol.ok_response("checkpoint", paths=paths)
@@ -733,10 +742,8 @@ class ShardRouter:
         served as 503 so load balancers stop routing); a draining
         router reports ``"draining"``.
         """
-        probes: list[tuple[int, Optional[dict[str, Any]]]] = []
-        for shard in range(self.num_shards):
-            status, payload, _ = self._get(shard, "/healthz")
-            probes.append((status, payload))
+        probes = self._get_all("/healthz")
+        for shard, (status, payload, _) in enumerate(probes):
             # Health probes drive the breaker alongside forwards: a dead
             # probe re-arms the cooldown without waiting for a request
             # to burn a connect timeout; a healthy one closes the
@@ -751,7 +758,7 @@ class ShardRouter:
         down = 0
         worst_ok = True
         parked = 0
-        for shard, (status, payload) in enumerate(probes):
+        for shard, (status, payload, _) in enumerate(probes):
             entry: dict[str, Any] = {"url": self.backends[shard]}
             pid = self.shard_pids.get(shard)
             if pid is not None:
@@ -822,8 +829,7 @@ class ShardRouter:
             % self.num_shards
         ]
         samples: list[tuple[str, tuple[tuple[str, str], ...], float]] = []
-        for shard in range(self.num_shards):
-            status, _, text = self._get(shard, "/metrics")
+        for shard, (status, _, text) in enumerate(self._get_all("/metrics")):
             if status != 200 or not text:
                 continue
             parsed = parse_prometheus(text)

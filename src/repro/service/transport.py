@@ -5,20 +5,26 @@ connections (a socket plus the :mod:`~repro.service.http11` read-ahead
 buffer over it) to **one** peer, so the client,
 the load generator, the supervisor's health wait and the shard router
 stop paying a TCP connect, an accept and a fresh server handler thread
-per request.  :meth:`Transport.request` borrows a connection (dialling
-only when none is idle), runs one exchange and puts the connection
-back; concurrent callers each get their own connection, and at most
-:data:`MAX_IDLE` are kept between calls.
+per request.  An exchange has two halves: :meth:`Transport.send` borrows
+a connection (dialling only when none is idle) and writes the request;
+:meth:`Transport.receive` reads the answer and puts the connection back.
+:meth:`Transport.request` is ``receive(send(...))``; the shard router
+writes to every shard before it reads from any.  Concurrent callers each
+get their own connection, and at most :data:`MAX_IDLE` are kept idle.
 
 Rules the callers rely on
 -------------------------
 * **One failure type.**  Refused/reset/timed-out sockets and broken
   HTTP framing all surface as :class:`TransportError`; the connection
   involved is closed, never pooled.
-* **No automatic resend.**  A request that fails mid-exchange is
-  reported, not retried on a fresh connection: the peer may already
-  have applied it, and only the callers (``RetryingClient``,
-  ``ShardRouter._post``) know whether a resend is idempotent.
+* **No automatic resend.**  A request whose ``send`` or ``receive``
+  fails is reported, not retried on a fresh connection: the peer may
+  already have applied it, and only the callers (``RetryingClient``,
+  ``ShardRouter._fan_out``) know whether a resend is idempotent.
+* **One budget per exchange.**  ``receive`` waits for what is left of
+  ``timeout`` since its own ``send`` began: a caller that wrote to N
+  hung peers gets N failures in about one ``timeout``, not N of them.
+  An answer that has already arrived is read even on a spent budget.
 * **Staleness poll.**  Before an idle connection is reused its socket
   is polled for readability with a zero timeout.  An idle keep-alive
   socket has nothing to read, so "readable" means EOF or RST from a
@@ -40,6 +46,7 @@ from __future__ import annotations
 import re
 import socket
 import threading
+import time
 from typing import Optional
 
 from repro.service import http11
@@ -54,6 +61,10 @@ _URL = re.compile(r"http://(\[[0-9A-Fa-f:.]+\]|[^\s:/\[\]]+)(?::([0-9]{1,5}))?(/
 
 #: One connection: its socket and the read-ahead buffer over it.
 _Connection = tuple[socket.socket, http11.Reader]
+
+#: A written request awaiting its answer: the connection it rode and the
+#: ``time.monotonic`` instant at which its budget runs out.
+InFlight = tuple[socket.socket, http11.Reader, float]
 
 
 class TransportError(Exception):
@@ -110,27 +121,35 @@ class Transport:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock, http11.Reader(sock.recv)
 
-    def request(
+    def send(
         self, method: str, path: str, body: Optional[bytes] = None
-    ) -> tuple[int, bytes]:
-        """One exchange: ``(http_status, response_body)``.
-
-        Raises :class:`TransportError` on any socket or framing failure;
-        HTTP error statuses are returned, not raised.
-        """
+    ) -> InFlight:
+        """Write one request; :meth:`receive` reads its answer."""
         message = http11.encode_request(
             method, self._prefix + path, self._netloc, body
         )
+        due = time.monotonic() + self.timeout
         sock: Optional[socket.socket] = None
         try:
             sock, reader = self._checkout() or self._dial()
             sock.sendall(message)
+        except OSError as exc:
+            if sock is not None:
+                sock.close()
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
+        return sock, reader, due
+
+    def receive(self, sent: InFlight) -> tuple[int, bytes]:
+        """Read the answer to one :meth:`send`: ``(http_status, body)``."""
+        sock, reader, due = sent
+        try:
+            # A spent budget still reads an answer that has arrived.
+            sock.settimeout(max(due - time.monotonic(), 0.001))
             if _QUICKACK is not None:
                 sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
             response = http11.read_response(reader)
         except (OSError, http11.HttpError) as exc:
-            if sock is not None:
-                sock.close()
+            sock.close()
             raise TransportError(f"{type(exc).__name__}: {exc}") from exc
         with self._lock:
             keep = not response.will_close and len(self._idle) < MAX_IDLE
@@ -140,6 +159,16 @@ class Transport:
             sock.close()
         return response.status, response.body
 
+    def request(
+        self, method: str, path: str, body: Optional[bytes] = None
+    ) -> tuple[int, bytes]:
+        """One exchange: ``(http_status, response_body)``.
+
+        Raises :class:`TransportError` on any socket or framing failure;
+        HTTP error statuses are returned, not raised.
+        """
+        return self.receive(self.send(method, path, body))
+
     def close(self) -> None:
         """Close every idle connection; ones in use are not touched."""
         with self._lock:
@@ -148,4 +177,4 @@ class Transport:
             sock.close()
 
 
-__all__ = ["MAX_IDLE", "Transport", "TransportError"]
+__all__ = ["MAX_IDLE", "InFlight", "Transport", "TransportError"]

@@ -6,7 +6,9 @@ in-process servers, so every routing/merging behaviour is exercised over
 the actual wire format.
 """
 
+import contextlib
 import json
+import threading
 
 import pytest
 
@@ -28,7 +30,7 @@ BASE = EngineConfig(policy="librarisk", num_nodes=8, rating=1.0)
 class Fleet:
     """N in-process shard servers behind one router."""
 
-    def __init__(self, num_shards: int, base: EngineConfig = BASE):
+    def __init__(self, num_shards: int, base: EngineConfig = BASE, router=ShardRouter):
         self.configs = plan_shards(base, num_shards)
         self.services = [
             AdmissionService(AdmissionEngine(cfg)) for cfg in self.configs
@@ -36,9 +38,10 @@ class Fleet:
         self.servers = [
             ServiceServer(svc, port=0).start() for svc in self.services
         ]
-        self.router = ShardRouter(base, [srv.url for srv in self.servers])
+        self.router = router(base, [srv.url for srv in self.servers])
 
     def stop(self):
+        self.router.close()
         for server in self.servers:
             server.stop()
 
@@ -307,6 +310,102 @@ class TestMultiShardDeterminism:
         assert len(traces) == 8
 
 
+class SerialRouter(ShardRouter):
+    """Reference fan-out: one whole exchange per shard, one shard after another."""
+
+    def _fan_out(self, bodies):
+        return {
+            shard: ShardRouter._fan_out(self, {shard: body})[shard]
+            for shard, body in bodies.items()
+        }
+
+    def _get_all(self, path):
+        return [
+            self._get(shard, self._write(shard, None, "GET", path))
+            for shard in range(self.num_shards)
+        ]
+
+
+@contextlib.contextmanager
+def no_thread_from_this_thread(monkeypatch):
+    """``Thread.start`` raises when the calling (routing) thread invokes it;
+    the in-process shard servers' own threads are left alone."""
+    real_start, caller = threading.Thread.start, threading.get_ident()
+
+    def start(thread):
+        if threading.get_ident() == caller:
+            raise AssertionError(f"the router started a thread: {thread.name}")
+        real_start(thread)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", start)
+        yield
+
+
+class TestThreadFreeFanOut:
+    """Write-all-then-read-all on the calling thread answers what one
+    exchange per shard, run serially, answers — and starts no thread."""
+
+    def frames(self, checkpoint_path):
+        payloads = [submit_payload(i, submit_time=float(i)) for i in range(1, 25)]
+        batches = [
+            {"v": PROTOCOL_VERSION, "type": "batch", "jobs": payloads[at:at + 8]}
+            for at in range(0, len(payloads), 8)
+        ]
+        return batches + [
+            {"v": PROTOCOL_VERSION, "type": "stats"},
+            {"v": PROTOCOL_VERSION, "type": "advance", "to": 40.0},
+            {"v": PROTOCOL_VERSION, "type": "checkpoint", "path": checkpoint_path},
+            {"v": PROTOCOL_VERSION, "type": "drain"},
+        ]
+
+    def run_stream(self, fleet, directory, monkeypatch):
+        directory.mkdir()
+        with no_thread_from_this_thread(monkeypatch):
+            out = [
+                protocol.encode(fleet.handle(frame)[1]).decode()
+                for frame in self.frames(str(directory / "fleet.json"))
+            ]
+        return [line.replace(str(directory), "<dir>") for line in out]
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_rpc_frames_match_the_serial_reference(self, num_shards, tmp_path, monkeypatch):
+        scattered, serial = Fleet(num_shards), Fleet(num_shards, router=SerialRouter)
+        try:
+            got = self.run_stream(scattered, tmp_path / "scattered", monkeypatch)
+            want = self.run_stream(serial, tmp_path / "serial", monkeypatch)
+            assert got == want
+            assert all('"ok":true' in line for line in got)
+            # One pooled connection per shard carried the whole stream.
+            assert [t.opened for t in scattered.router._transports] == [1] * num_shards
+        finally:
+            scattered.stop()
+            serial.stop()
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_side_endpoints_match_the_serial_reference(self, num_shards, monkeypatch):
+        fleet = Fleet(num_shards)
+        reference = SerialRouter(BASE, fleet.router.backends)
+        try:
+            for job_id in range(1, 9):
+                fleet.handle(submit_frame(submit_payload(job_id, submit_time=float(job_id))))
+            fleet.services[1].draining = True  # a non-trivial merged health
+            want_health = reference.health_response()
+            want_metrics = reference.prometheus_text()
+            with no_thread_from_this_thread(monkeypatch):
+                health = fleet.router.health_response()
+                metrics = fleet.router.prometheus_text()
+            assert health == want_health and health["status"] == "degraded"
+            # The routers' own registries differ (one routed the submits);
+            # the merged shard series are everything before them.
+            own = metrics.index("# TYPE router_")
+            assert metrics[:own] == want_metrics[:want_metrics.index("# TYPE router_")]
+            assert 'shard="%d"' % (num_shards - 1) in metrics[:own]
+        finally:
+            reference.close()
+            fleet.stop()
+
+
 class TestRouterServer:
     def test_http_surface_matches_a_single_server(self):
         f = Fleet(2)
@@ -319,6 +418,7 @@ class TestRouterServer:
             assert response["decision"]["outcome"] == "accepted"
             status, stats = client.stats()
             assert stats["stats"]["submitted"] == 1
+            client.close()
         finally:
             server.stop()
             f.stop()
@@ -339,6 +439,7 @@ class TestRouterServer:
             assert 'shard="0"' in text
             assert 'shard="1"' in text
             assert "router_requests_total" in text
+            client.close()
         finally:
             server.stop()
             f.stop()
@@ -355,6 +456,77 @@ class TestRouterServer:
             assert f.router._transports[0].opened == 1
         finally:
             assert server.stop() is True
+            f.stop()
+
+    def test_concurrent_frames_do_not_cross_talk(self):
+        """4 clients x 40 batch frames share the pooled shard transports:
+        every item comes back at its position with its own job id."""
+        f = Fleet(2)
+        server = RouterServer(f.router, port=0).start()
+        failures: list[str] = []
+
+        def client_loop(index: int) -> None:
+            client = ServiceClient(server.url, timeout=10.0)
+            try:
+                for frame in range(40):
+                    first = 1 + index * 1000 + frame * 6
+                    ids = list(range(first, first + 6))
+                    status, response = client.rpc({
+                        "v": PROTOCOL_VERSION, "type": "batch",
+                        "jobs": [submit_payload(job_id) for job_id in ids],
+                    })
+                    got = [item.get("decision", {}).get("job")
+                           for item in response.get("results", [])]
+                    if status != 200 or got != ids:
+                        failures.append(f"client {index} frame {frame}: {status} {got}")
+            finally:
+                client.close()
+
+        try:
+            threads = [threading.Thread(target=client_loop, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert failures == []
+            assert all(1 <= t.opened <= 4 for t in f.router._transports)
+            assert sum(len(svc.engine._jobs_by_id) for svc in f.services) == 4 * 40 * 6
+        finally:
+            server.stop()
+            f.stop()
+
+    def test_a_bug_while_routing_is_a_typed_500_not_a_dead_connection(self):
+        class Exploding:
+            def send(self, method, path, body=None):
+                raise RuntimeError("scripted bug")
+
+            def close(self):
+                pass
+
+        f = Fleet(2)
+        server = RouterServer(f.router, port=0).start()
+        try:
+            client = ServiceClient(server.url, timeout=5.0)
+            frame = {"v": PROTOCOL_VERSION, "type": "batch",
+                     "jobs": [submit_payload(i) for i in range(1, 7)]}
+            real, f.router._transports[0] = f.router._transports[0], Exploding()
+            status, response = client.rpc(frame)
+            assert status == 500
+            assert response["ok"] is False and response["v"] == PROTOCOL_VERSION
+            assert response["error"]["code"] == "internal"
+            assert response["error"]["message"] == "RuntimeError: scripted bug"
+            f.router._transports[0] = real
+            status, response = client.rpc(frame)
+            assert status == 200
+            assert [item["decision"]["job"] for item in response["results"]] == list(range(1, 7))
+            assert client.transport.opened == 1  # the 500 kept the connection
+            assert 'router_requests_total{outcome="internal",type="batch"} 1' in (
+                f.router.prometheus_text()
+            )
+            client.close()
+        finally:
+            server.stop()
             f.stop()
 
     def test_stop_marks_the_router_draining(self):

@@ -7,14 +7,17 @@ survives, and "recovery" is binding a fresh server on the same port.
 """
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro.service import protocol
 from repro.service.engine import AdmissionEngine, EngineConfig
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.faults import DropRequest
+from repro.service.protocol import PROTOCOL_VERSION, ErrorCode
 from repro.service.server import AdmissionService, ServiceServer
 from repro.service.sharding import ShardRouter, plan_shards, shard_for_job
 from repro.service.sharding.breaker import CLOSED, OPEN
@@ -35,13 +38,32 @@ def submit_frame(payload: dict) -> dict:
     return {"v": PROTOCOL_VERSION, "type": "submit", "job": payload}
 
 
+class ScriptedService(AdmissionService):
+    """Plays ``script`` — ``"drop"`` (hang up, no answer) or ``"shed"``
+    (``overloaded`` with ``Retry-After`` 0.25) — one entry per RPC, then
+    serves for real."""
+
+    script: tuple = ()
+    arrivals = 0
+
+    def handle(self, body):
+        self.arrivals += 1
+        step = self.script[0] if self.script else None
+        self.script = self.script[1:]
+        if step == "drop":
+            raise DropRequest("scripted")
+        if step == "shed":
+            return 503, protocol.error_response(ErrorCode.OVERLOADED, "scripted", retry_after=0.25)
+        return super().handle(body)
+
+
 class DegradedFleet:
     """N in-process shard servers behind a router with degraded-mode knobs."""
 
     def __init__(self, num_shards: int, **router_kwargs):
         self.configs = plan_shards(BASE, num_shards)
         self.services = [
-            AdmissionService(AdmissionEngine(cfg)) for cfg in self.configs
+            ScriptedService(AdmissionEngine(cfg)) for cfg in self.configs
         ]
         self.servers = [
             ServiceServer(svc, port=0).start() for svc in self.services
@@ -68,6 +90,7 @@ class DegradedFleet:
         ).start()
 
     def stop(self):
+        self.router.close()
         for server in self.servers:
             try:
                 server.stop()
@@ -349,3 +372,117 @@ class TestMidBatchDeath:
                 fleet.stop()
 
         assert run(drill=True) == run(drill=False)
+
+
+class TestScatterGatherFaultPath:
+    """The first attempt is written ahead; breaker, retry and error
+    accounting stay attempt for attempt what a whole ``_post`` did."""
+
+    batch = TestMidBatchDeath.batch
+
+    def assert_all_decided(self, frame, response):
+        assert [item["decision"]["job"] for item in response["results"]] == [
+            payload["id"] for payload in frame["jobs"]
+        ]
+
+    def test_dropped_first_sub_frame_is_resent_once(self):
+        naps: list[float] = []
+        fleet = DegradedFleet(2, sleep=naps.append)
+        try:
+            fleet.services[0].script = ("drop",)
+            frame = self.batch()
+            status, response = fleet.handle(frame)
+            assert status == 200
+            self.assert_all_decided(frame, response)
+            assert fleet.services[0].arrivals == 2 and fleet.services[1].arrivals == 1
+            assert naps == [fleet.router.retry_backoff]
+            text = fleet.router.prometheus_text()
+            assert 'router_forward_errors_total{shard="0"} 1' in text
+            assert 'router_forward_errors_total{shard="1"}' not in text
+            for breaker in fleet.router.breakers:
+                assert breaker.snapshot()["consecutive_failures"] == 0
+                assert breaker.state == CLOSED and breaker.trips == 0
+        finally:
+            fleet.stop()
+
+    def test_drop_without_a_retry_counts_one_failure_and_spares_the_sibling(self):
+        fleet = DegradedFleet(2, forward_retries=0)
+        try:
+            fleet.services[0].script = ("drop",)
+            frame = self.batch()
+            _, response = fleet.handle(frame)
+            for payload, item in zip(frame["jobs"], response["results"]):
+                if shard_for_job(payload["id"], 2) == 0:
+                    assert item["error"]["code"] == "unavailable"
+                else:
+                    assert item["decision"]["job"] == payload["id"]
+            assert fleet.router.breakers[0].snapshot()["consecutive_failures"] == 1
+            assert fleet.router.breakers[1].snapshot()["consecutive_failures"] == 0
+        finally:
+            fleet.stop()
+
+    def test_open_breaker_fails_fast_and_writes_nothing(self):
+        fleet = DegradedFleet(2, failure_threshold=1, breaker_reset=60.0)
+        try:
+            fleet.router.breakers[1].record_failure()
+            frame = self.batch()
+            status, response = fleet.handle(frame)
+            assert status == 200
+            for payload, item in zip(frame["jobs"], response["results"]):
+                if shard_for_job(payload["id"], 2) == 1:
+                    assert "circuit open" in item["error"]["message"]
+                    assert item["error"]["retry_after"] > 0
+                else:
+                    assert item["decision"]["job"] == payload["id"]
+            assert fleet.router._transports[1].opened == 0
+            assert fleet.services[1].arrivals == 0
+            assert 'router_breaker_fast_fail_total{shard="1"} 1' in (
+                fleet.router.prometheus_text()
+            )
+        finally:
+            fleet.stop()
+
+    def test_overloaded_is_retried_after_the_shards_hint(self):
+        naps: list[float] = []
+        fleet = DegradedFleet(2, sleep=naps.append)
+        try:
+            fleet.services[1].script = ("shed",)
+            frame = self.batch()
+            status, response = fleet.handle(frame)
+            assert status == 200
+            self.assert_all_decided(frame, response)
+            assert naps == [0.25]  # the shard's Retry-After, not the 0.05 backoff
+            assert fleet.services[1].arrivals == 2 and fleet.services[0].arrivals == 1
+            # Shedding proves the shard alive: no forward error, no failure.
+            assert "router_forward_errors_total" not in fleet.router.prometheus_text()
+            assert fleet.router.breakers[1].snapshot()["consecutive_failures"] == 0
+        finally:
+            fleet.stop()
+
+    @pytest.mark.parametrize("retries, at_least, below", [(0, 0.3, 0.6), (1, 0.6, 1.2)])
+    def test_hung_shards_share_one_timeout_per_first_attempt(self, retries, at_least, below):
+        """Two shards accept and never answer.  Budgets run from each
+        write, so both first attempts fail within one ``timeout``; a
+        retry then runs whole at its shard's turn (0.3 s each), where a
+        serial fan-out would cost 2 x attempts x 0.3 s."""
+        hung = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+        router = ShardRouter(
+            BASE, [f"http://127.0.0.1:{s.getsockname()[1]}" for s in hung],
+            timeout=0.3, forward_retries=retries, sleep=lambda _: None,
+        )
+        try:
+            frame = self.batch()
+            t0 = time.perf_counter()
+            status, response = router.handle(json.dumps(frame).encode())
+            elapsed = time.perf_counter() - t0
+            assert status == 200
+            assert [item["error"]["code"] for item in response["results"]] == (
+                ["unavailable"] * len(frame["jobs"])
+            )
+            assert at_least <= elapsed < below, elapsed
+            for breaker in router.breakers:
+                assert breaker.snapshot()["consecutive_failures"] == retries + 1
+        finally:
+            router.close()
+            for listener in hung:
+                listener.close()

@@ -1,6 +1,7 @@
 """Contract tests for the pooled keep-alive transport and its callers."""
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -78,6 +79,17 @@ class _CloseHandler(_TwoSegmentHandler):
     """An HTTP/1.0 peer: every response ends the connection."""
 
     protocol_version = "HTTP/1.0"
+
+
+class _TruncatingHandler(_TwoSegmentHandler):
+    """Promises 100 body bytes, writes three and hangs up."""
+
+    def _send(self, payload):
+        self.send_response(200)
+        self.send_header("Content-Length", "100")
+        self.end_headers()
+        self.wfile.write(b"abc")
+        self.close_connection = True
 
 
 @pytest.fixture
@@ -177,6 +189,7 @@ class TestFailureContract:
             # replayed behind the caller's back, so job 2 never existed.
             assert faults.stats.requests == 3
             assert client.query(2)[0] == 404
+            client.close()
         finally:
             server.stop()
 
@@ -206,6 +219,7 @@ class TestFailureContract:
             try:
                 assert client.rpc(submit(3))[0] == 200
                 assert client.transport.opened == 2
+                client.close()
             finally:
                 third.stop()
         finally:
@@ -232,6 +246,55 @@ class TestFailureContract:
             server.stop()
 
 
+class TestSendReceive:
+    """``request`` is ``receive(send(...))``; the router calls the halves apart."""
+
+    @pytest.mark.parametrize("peer", [_TwoSegmentHandler, _CloseHandler], indirect=True)
+    def test_request_equals_receive_of_send(self, peer):
+        transport = Transport(peer, timeout=5.0)
+        body = json.dumps(submit(7)).encode()
+        for method, path, payload in (("POST", "/v1/rpc", body), ("GET", "/healthz", None)):
+            whole = transport.request(method, path, payload)
+            halves = transport.receive(transport.send(method, path, payload))
+            assert halves == whole and whole[0] == 200
+        transport.close()
+
+    @pytest.mark.parametrize("peer", [_TwoSegmentHandler], indirect=True)
+    def test_two_sends_ride_two_connections_and_both_are_pooled(self, peer):
+        transport = Transport(peer, timeout=5.0)
+        first = transport.send("POST", "/v1/rpc", json.dumps(submit(1)).encode())
+        second = transport.send("POST", "/v1/rpc", json.dumps(submit(2)).encode())
+        assert transport.opened == 2 and first[0] is not second[0]
+        for job_id, sent in ((1, first), (2, second)):
+            status, raw = transport.receive(sent)
+            assert status == 200 and json.loads(raw)["decision"]["job"] == job_id
+        assert len(transport._idle) == 2
+        assert transport.request("GET", "/healthz")[0] == 200
+        assert transport.opened == 2  # the third exchange dialled nothing
+        transport.close()
+
+    @pytest.mark.parametrize("peer", [_TruncatingHandler], indirect=True)
+    def test_failed_receive_closes_the_socket_and_pools_nothing(self, peer):
+        transport = Transport(peer, timeout=5.0)
+        sent = transport.send("GET", "/healthz")
+        with pytest.raises(TransportError):
+            transport.receive(sent)
+        assert sent[0].fileno() == -1
+        assert transport._idle == []
+
+    def test_receive_on_a_spent_budget_does_not_wait_again(self):
+        # Accepts in the kernel backlog, never answers.
+        with socket.create_server(("127.0.0.1", 0)) as hung:
+            transport = Transport(f"http://127.0.0.1:{hung.getsockname()[1]}", timeout=0.2)
+            sent = transport.send("GET", "/healthz")
+            time.sleep(0.25)
+            t0 = time.perf_counter()
+            with pytest.raises(TransportError, match="timed out"):
+                transport.receive(sent)
+            assert time.perf_counter() - t0 < 0.1
+            assert sent[0].fileno() == -1 and transport._idle == []
+
+
 class TestNoDelayedAckStall:
     @pytest.mark.parametrize("peer", [_TwoSegmentHandler], indirect=True)
     def test_two_segment_peer_answers_without_the_40ms_stall(self, peer):
@@ -242,6 +305,7 @@ class TestNoDelayedAckStall:
             assert client.rpc(submit(job_id))[0] == 200
         elapsed = time.perf_counter() - t0
         assert client.transport.opened == 1
+        client.close()
         # 20 stalled exchanges would take >= 0.8 s.
         assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
 
