@@ -133,7 +133,7 @@ class EngineConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decision:
     """The engine's immediate answer to one submitted job.
 
@@ -146,6 +146,11 @@ class Decision:
       rejected later; :meth:`AdmissionEngine.query` shows the final
       state);
     * ``"rejected"`` — refused at admission, with the policy's reason.
+
+    A slotted record, not a frozen one: ``submit`` builds one per job
+    and a frozen dataclass pays ``object.__setattr__`` per field.
+    Nothing mutates a decision once ``submit`` returns it, and nothing
+    hashes one (equality compares fields; ``hash()`` raises).
     """
 
     job_id: int

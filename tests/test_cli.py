@@ -245,6 +245,49 @@ class TestObservabilityFlags:
         assert code == 0
         assert out.strip() == ""
 
+    def test_inspect_windows_output_is_pinned(self, capsys, tmp_path):
+        """Windowed loss ratio over a two-run, two-policy log."""
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.runner import run_scenario
+        from repro.obs.session import RunSink
+
+        path = tmp_path / "m.jsonl"
+        with RunSink(path=str(path)):
+            for policy in ("edf", "librarisk"):
+                run_scenario(ScenarioConfig(
+                    policy=policy, num_jobs=400, num_nodes=8, seed=3,
+                ))
+        code, out = run_cli(capsys, "inspect", str(path), "--mode", "windows")
+        assert code == 0
+        assert out == (
+            "window: trailing 3600s at t=1.05428e+06s\n"
+            "edf: submitted=7 rejected=3 loss_ratio=0.4286\n"
+            "         3  <other>\n"
+            "librarisk: submitted=0 rejected=0 loss_ratio=0.0000\n"
+        )
+        code, out = run_cli(
+            capsys, "inspect", str(path), "--mode", "windows", "--window", "259200",
+        )
+        assert code == 0
+        zero_risk = "required nodes are zero-risk (σ_j > 0 on"
+        assert out == (
+            "window: trailing 259200s at t=1.05428e+06s\n"
+            "edf: submitted=72 rejected=37 loss_ratio=0.5139\n"
+            "        37  <other>\n"
+            "librarisk: submitted=54 rejected=26 loss_ratio=0.4815\n"
+            f"        10  only 0 of 1 {zero_risk} 8/8 online nodes)\n"
+            f"         3  only 4 of 8 {zero_risk} 4/8 online nodes)\n"
+            f"         2  only 0 of 2 {zero_risk} 8/8 online nodes)\n"
+            f"         2  only 0 of 4 {zero_risk} 8/8 online nodes)\n"
+            f"         2  only 6 of 8 {zero_risk} 2/8 online nodes)\n"
+            f"         2  only 7 of 8 {zero_risk} 1/8 online nodes)\n"
+            f"         1  only 1 of 4 {zero_risk} 7/8 online nodes)\n"
+            f"         1  only 2 of 4 {zero_risk} 6/8 online nodes)\n"
+            f"         1  only 2 of 8 {zero_risk} 6/8 online nodes)\n"
+            f"         1  only 3 of 8 {zero_risk} 5/8 online nodes)\n"
+            f"         1  only 5 of 8 {zero_risk} 3/8 online nodes)\n"
+        )
+
 
 class TestServiceCommands:
     def test_replay_in_process_prints_metrics(self, capsys, tmp_path):
