@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Optional
 
 from repro.cluster.job import Job, UrgencyClass
 
@@ -108,14 +108,18 @@ class ProtocolError(Exception):
 
 # -- typed requests -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubmitRequest:
+class SubmitRequest(NamedTuple):
     """Admit one job (``job`` follows the :func:`job_from_payload` schema).
 
     ``trace`` optionally pins the deterministic trace id for this
     submission.  Live clients normally omit it (the engine mints one);
     WAL recovery sends the id the original run logged so recovered
     traces stay byte-identical.
+
+    A named tuple rather than a frozen dataclass: it is built once per
+    submit on every path (server, shard, replay), and a frozen
+    dataclass pays an ``object.__setattr__`` per field to stay
+    immutable.
     """
 
     job: dict[str, Any]
@@ -187,7 +191,32 @@ _REQUEST_CLASSES = {
     "trace": TraceRequest,
 }
 
-Request = Any  # union of the dataclasses above
+Request = Any  # union of the request classes above
+
+
+# -- JSON decoding ------------------------------------------------------------
+
+#: The decoder ``json.loads`` delegates to, called without the per-call
+#: wrapper (type dispatch, BOM probe, keyword checks) around it.
+_decode = json.JSONDecoder().decode
+
+
+def decode_json(text: str) -> Any:
+    """``json.loads(text)`` for a ``str``: same result, same exceptions.
+
+    The BOM refusal ``json.loads`` makes up front is made here only
+    after the decoder has failed, which it always does on a leading
+    U+FEFF (not JSON whitespace), so a well-formed body never pays for
+    it.  The WAL reader decodes every record through this too.
+    """
+    try:
+        return _decode(text)
+    except json.JSONDecodeError:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            ) from None
+        raise
 
 
 # -- field validation helpers -------------------------------------------------
@@ -221,7 +250,10 @@ def _number(obj: Mapping[str, Any], key: str, what: str, *, required: bool = Tru
             ErrorCode.INVALID_FIELD,
             f"{what}.{key} must be a number, got {type(value).__name__}",
         )
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ProtocolError(ErrorCode.INVALID_FIELD, f"{what}.{key} must be finite") from None
     if not math.isfinite(value):
         raise ProtocolError(ErrorCode.INVALID_FIELD, f"{what}.{key} must be finite")
     if minimum is not None:
@@ -262,6 +294,8 @@ _JOB_FIELDS = frozenset(
      "deadline", "urgency", "user"}
 )
 
+_INF = math.inf
+
 
 def job_from_payload(payload: Any, default_submit_time: Optional[float] = None) -> Job:
     """Build a :class:`~repro.cluster.job.Job` from a validated ``job`` object.
@@ -272,25 +306,45 @@ def job_from_payload(payload: Any, default_submit_time: Optional[float] = None) 
     choice.  ``submit_time`` defaults to ``default_submit_time`` (the
     live server passes its current clock).
     """
-    payload = _require_mapping(payload, "job")
-    _no_unknown_keys(payload, _JOB_FIELDS, "job")
-    est = _number(payload, "estimated_runtime", "job", minimum=0.0, exclusive=True)
-    runtime = _number(payload, "runtime", "job", required=False,
-                      minimum=0.0, exclusive=True)
-    deadline = _number(payload, "deadline", "job", minimum=0.0, exclusive=True)
-    numproc = _integer(payload, "numproc", "job", required=False, minimum=1)
-    submit_time = _number(payload, "submit_time", "job", required=False, minimum=0.0)
+    # Each check first tries an exact fast accept: a value it takes is
+    # one the general helper below it would also take, unchanged.  Any
+    # other value (missing, int-for-float, bool, NaN, ±inf, out of
+    # range) falls through to that helper, which returns or raises
+    # exactly as it always has — checked in the order it always was.
+    if type(payload) is not dict:
+        payload = _require_mapping(payload, "job")
+    if not payload.keys() <= _JOB_FIELDS:
+        _no_unknown_keys(payload, _JOB_FIELDS, "job")
+    get = payload.get
+    est = get("estimated_runtime")
+    if not (type(est) is float and 0.0 < est < _INF):
+        est = _number(payload, "estimated_runtime", "job", minimum=0.0, exclusive=True)
+    runtime = get("runtime")
+    if not (type(runtime) is float and 0.0 < runtime < _INF):
+        runtime = _number(payload, "runtime", "job", required=False,
+                          minimum=0.0, exclusive=True)
+    deadline = get("deadline")
+    if not (type(deadline) is float and 0.0 < deadline < _INF):
+        deadline = _number(payload, "deadline", "job", minimum=0.0, exclusive=True)
+    numproc = get("numproc")
+    if not (type(numproc) is int and numproc >= 1):
+        numproc = _integer(payload, "numproc", "job", required=False, minimum=1)
+    submit_time = get("submit_time")
+    if not (type(submit_time) is float and 0.0 <= submit_time < _INF):
+        submit_time = _number(payload, "submit_time", "job", required=False, minimum=0.0)
     if submit_time is None:
         if default_submit_time is None:
             raise ProtocolError(ErrorCode.INVALID_FIELD, "job.submit_time is required")
         submit_time = default_submit_time
-    job_id = _integer(payload, "id", "job", required=False, minimum=1)
-    urgency = payload.get("urgency", "low")
+    job_id = get("id")
+    if not (type(job_id) is int and job_id >= 1):
+        job_id = _integer(payload, "id", "job", required=False, minimum=1)
+    urgency = get("urgency", "low")
     if urgency not in ("low", "high"):
         raise ProtocolError(
             ErrorCode.INVALID_FIELD, f"job.urgency must be 'low' or 'high', got {urgency!r}"
         )
-    user = payload.get("user")
+    user = get("user")
     if user is not None and not isinstance(user, str):
         raise ProtocolError(ErrorCode.INVALID_FIELD, "job.user must be a string")
     try:
@@ -358,10 +412,12 @@ def parse_request(data: Any) -> Request:
             raise ProtocolError(ErrorCode.BAD_JSON, f"body is not UTF-8: {exc}") from exc
     if isinstance(data, str):
         try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
+            data = decode_json(data)
+        except ValueError as exc:
+            # JSONDecodeError, and the plain ValueError int() raises for
+            # an integer literal past the interpreter's digit limit.
             raise ProtocolError(ErrorCode.BAD_JSON, f"invalid JSON: {exc}") from exc
-    obj = _require_mapping(data, "request")
+    obj = data if type(data) is dict else _require_mapping(data, "request")
 
     version = obj.get("v")
     if version is None:
@@ -380,7 +436,8 @@ def parse_request(data: Any) -> Request:
             f"unknown request type {req_type!r}; expected one of "
             f"{', '.join(REQUEST_TYPES)}",
         )
-    _no_unknown_keys(obj, _TOP_FIELDS[req_type], "request")
+    if not obj.keys() <= _TOP_FIELDS[req_type]:
+        _no_unknown_keys(obj, _TOP_FIELDS[req_type], "request")
 
     if req_type == "submit":
         if "job" not in obj:
@@ -388,8 +445,9 @@ def parse_request(data: Any) -> Request:
         trace = obj.get("trace")
         if trace is not None and not isinstance(trace, str):
             raise ProtocolError(ErrorCode.INVALID_FIELD, "request.trace must be a string")
+        job = obj["job"]
         return SubmitRequest(
-            job=dict(_require_mapping(obj["job"], "job")), trace=trace
+            dict(job if type(job) is dict else _require_mapping(job, "job")), trace
         )
     if req_type == "batch":
         jobs = obj.get("jobs")
@@ -503,6 +561,7 @@ __all__ = [
     "StatsRequest",
     "SubmitRequest",
     "TraceRequest",
+    "decode_json",
     "decode_response",
     "encode",
     "error_response",

@@ -75,7 +75,7 @@ import re
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.cluster.job import reserve_job_ids
 from repro.obs.log import get_logger
@@ -120,27 +120,31 @@ def _frame(payload: dict[str, Any]) -> bytes:
 
 
 def _parse_line(line: bytes) -> dict[str, Any]:
-    """Decode one framed record; raises ``ValueError`` on any defect."""
-    if not line.endswith(b"\n"):
-        raise ValueError("record is not newline-terminated")
-    if len(line) < 10 or line[8:9] != b" ":
+    """Decode one record line (newline already split off).
+
+    Raises ``ValueError`` on any defect.
+    """
+    if len(line) < 9 or line[8:9] != b" ":
         raise ValueError("record frame is too short")
     expected = int(line[:8], 16)
-    body = line[9:-1]
-    actual = zlib.crc32(body) & 0xFFFFFFFF
+    body = line[9:]
+    actual = zlib.crc32(body)
     if actual != expected:
         raise ValueError(
             f"checksum mismatch (stored {expected:08x}, computed {actual:08x})"
         )
-    payload = json.loads(body.decode("utf-8"))
-    if not isinstance(payload, dict):
+    payload = protocol.decode_json(body.decode("utf-8"))
+    if type(payload) is not dict:
         raise ValueError("record payload is not a JSON object")
     return payload
 
 
-@dataclass(frozen=True)
-class WalRecord:
-    """One replayable request as read back from the log."""
+class WalRecord(NamedTuple):
+    """One replayable request as read back from the log.
+
+    A named tuple rather than a frozen dataclass, which would pay an
+    ``object.__setattr__`` per field for every record read.
+    """
 
     lsn: int
     t: float
@@ -218,25 +222,30 @@ def read_wal(path: str) -> WalReadResult:
     lines = raw.split(b"\n")
     # split() leaves a trailing "" when the file ends in \n; anything else
     # in the last slot is an unterminated (torn) final line.
-    trailing = lines.pop()
-    framed = [line + b"\n" for line in lines]
-    if trailing:
-        framed.append(trailing)  # deliberately unterminated
+    if lines[-1]:
+        unterminated = len(lines) - 1
+    else:
+        lines.pop()
+        unterminated = -1
+    final = len(lines) - 1
 
     header: Optional[dict[str, Any]] = None
     records: list[WalRecord] = []
+    append = records.append
     offset = 0
-    base_lsn = 0
+    lsn = 0
     torn: Optional[str] = None
-    for index, line in enumerate(framed):
-        is_last = index == len(framed) - 1
+    for index, line in enumerate(lines):
         try:
+            if index == unterminated:
+                raise ValueError("record is not newline-terminated")
             payload = _parse_line(line)
             if index == 0:
                 header = _check_header(path, payload)
-                base_lsn = int(header.get("base_lsn", 0) or 0)
+                lsn = int(header.get("base_lsn", 0) or 0)
             else:
-                records.append(_record_from(path, payload, records, base_lsn))
+                lsn += 1
+                append(_record_from(path, payload, lsn))
         except WalError:
             # Header defects and LSN sequence breaks survive checksumming,
             # so they cannot be explained by a torn write — always fatal.
@@ -244,14 +253,14 @@ def read_wal(path: str) -> WalReadResult:
         except ValueError as exc:
             if index == 0:
                 raise WalError(f"{path}: unreadable WAL header ({exc})") from exc
-            if not is_last:
+            if index != final:
                 raise WalCorruptionError(
                     f"{path}: record {index} is invalid before the end of the "
                     f"log ({exc}); refusing to replay an untrustworthy log"
                 ) from exc
             torn = f"record {index} ({exc})"
             break
-        offset += len(line)
+        offset += len(line) + 1
     assert header is not None
     return WalReadResult(header=header, records=records, valid_bytes=offset, torn=torn)
 
@@ -270,22 +279,18 @@ def _check_header(path: str, payload: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
-def _record_from(
-    path: str,
-    payload: dict[str, Any],
-    earlier: list[WalRecord],
-    base_lsn: int = 0,
-) -> WalRecord:
+def _record_from(path: str, payload: dict[str, Any], expected: int) -> WalRecord:
+    """The record a decoded line holds, which must carry LSN ``expected``."""
     try:
-        record = WalRecord(
-            lsn=int(payload["lsn"]),
-            t=float(payload["t"]),
-            req=dict(payload["req"]),
-            clamp=bool(payload.get("clamp", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        lsn = int(payload["lsn"])
+        t = float(payload["t"])
+        req = payload["req"]
+        # A freshly decoded object is this record's alone: no copy.
+        if type(req) is not dict:
+            req = dict(req)
+        record = WalRecord(lsn, t, req, bool(payload.get("clamp", False)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed record payload: {exc}") from exc
-    expected = earlier[-1].lsn + 1 if earlier else base_lsn + 1
     if record.lsn != expected:
         raise WalError(
             f"{path}: LSN sequence broken (expected {expected}, got {record.lsn})"
@@ -840,7 +845,7 @@ def apply_record(engine: AdmissionEngine, record: WalRecord) -> Optional[str]:
     """
     # Reproduce the pre-apply clock position (live servers poll() before
     # every request; `t` is the engine clock the original apply saw).
-    if record.t > engine.now:
+    if record.t > engine.sim.now:
         engine.advance(record.t)
     request = protocol.parse_request(record.req)
     if isinstance(request, protocol.SubmitRequest):

@@ -147,6 +147,21 @@ class TestBatchService:
         _, stats = rpc(service, {"v": PROTOCOL_VERSION, "type": "stats"})
         assert stats["stats"]["submitted"] == 2
 
+    def test_an_integer_past_float_range_does_not_void_its_siblings(self):
+        service = make_service()
+        payloads = [
+            submit_payload(1, submit_time=1.0),
+            submit_payload(2, submit_time=2.0, deadline=10 ** 400),
+            submit_payload(3, submit_time=3.0),
+        ]
+        status, response = rpc(service, batch_frame(payloads))
+        assert status == 200
+        results = response["results"]
+        assert results[0]["ok"] and results[2]["ok"]
+        assert results[1] == protocol.error_response(
+            "invalid_field", "job.deadline must be finite"
+        )
+
     def test_duplicate_item_is_answered_from_the_decision_log(self):
         service = make_service()
         payload = submit_payload(1)

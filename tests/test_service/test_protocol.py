@@ -1,6 +1,7 @@
 """Tests for the versioned JSON protocol."""
 
 import json
+import sys
 
 import pytest
 
@@ -146,6 +147,64 @@ class TestJobPayload:
         assert view["state"] == "completed"
         assert view["finish_time"] == 10.0
         assert view["deadline_met"] is True
+
+
+#: 401 digits: valid JSON, but past the largest float.
+HUGE = 10 ** 400
+
+
+def digit_limit():
+    """The interpreter's int-string digit limit, or None where unlimited."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or None
+
+
+class TestOversizedNumbers:
+    """Numbers JSON can carry but no float can hold: typed refusals."""
+
+    def base(self, **overrides):
+        payload = {
+            "submit_time": 5.0, "estimated_runtime": 120.0, "deadline": 400.0,
+        }
+        payload.update(overrides)
+        return payload
+
+    @pytest.mark.parametrize("field", [
+        "estimated_runtime", "runtime", "deadline", "submit_time",
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_past_float_range_is_invalid_field(self, field, sign):
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.job_from_payload(self.base(**{field: sign * HUGE}))
+        assert excinfo.value.code == ErrorCode.INVALID_FIELD
+        assert excinfo.value.message == f"job.{field} must be finite"
+
+    def test_advance_target_past_float_range_is_invalid_field(self):
+        body = json.dumps(req(type="advance", to=HUGE))
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.parse_request(body)
+        assert excinfo.value.code == ErrorCode.INVALID_FIELD
+        assert excinfo.value.message == "request.to must be finite"
+
+    def test_integer_literal_past_the_digit_limit_is_bad_json(self):
+        limit = digit_limit()
+        if limit is None:
+            pytest.skip("this interpreter has no int-string digit limit")
+        body = b'{"v":1,"type":"advance","to":' + b"7" * (limit + 1) + b"}"
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.parse_request(body)
+        assert excinfo.value.code == ErrorCode.BAD_JSON
+        assert excinfo.value.message.startswith("invalid JSON: ")
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_leading_bom_is_refused_as_json_loads_refuses_it(self, as_bytes):
+        body = "\ufeff" + json.dumps(req(type="stats"))
+        with pytest.raises(ProtocolError) as excinfo:
+            protocol.parse_request(body.encode("utf-8") if as_bytes else body)
+        assert excinfo.value.code == ErrorCode.BAD_JSON
+        with pytest.raises(json.JSONDecodeError) as reference:
+            json.loads(body)
+        assert excinfo.value.message == f"invalid JSON: {reference.value}"
 
 
 class TestResponses:

@@ -8,6 +8,7 @@ the actual wire format.
 
 import contextlib
 import json
+import sys
 import threading
 
 import pytest
@@ -171,6 +172,55 @@ class TestRouting:
         )
         assert status == 400
         assert response["error"]["code"] == "invalid_field"
+
+
+@pytest.fixture
+def fleet2():
+    f = Fleet(2)
+    yield f
+    f.stop()
+
+
+class TestHostileNumbers:
+    """Numbers valid JSON can carry but no float or int parse can hold."""
+
+    def test_submit_past_float_range_is_a_typed_400(self, fleet2):
+        status, response = fleet2.handle(submit_frame(
+            submit_payload(1, estimated_runtime=10 ** 400)
+        ))
+        assert status == 400
+        assert response["error"] == {
+            "code": "invalid_field",
+            "message": "job.estimated_runtime must be finite",
+        }
+
+    def test_batch_item_past_float_range_does_not_void_its_siblings(self, fleet2):
+        # Ids 1-8 cover both shards, so the bad item shares its sub-frame.
+        payloads = [submit_payload(i, submit_time=float(i)) for i in range(1, 9)]
+        payloads[2]["runtime"] = -10 ** 400
+        status, response = fleet2.handle(
+            {"v": PROTOCOL_VERSION, "type": "batch", "jobs": payloads}
+        )
+        assert status == 200
+        results = response["results"]
+        assert results[2] == protocol.error_response(
+            "invalid_field", "job.runtime must be finite"
+        )
+        owner = shard_for_job(3, 2)
+        siblings = [i for i in range(1, 9) if i != 3 and shard_for_job(i, 2) == owner]
+        assert siblings
+        for position, item in enumerate(results):
+            if position != 2:
+                assert item["ok"] and item["decision"]["job"] == position + 1
+
+    def test_integer_literal_past_the_digit_limit_is_bad_json(self, fleet2):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string digit limit")
+        body = b'{"v":1,"type":"advance","to":' + b"7" * (limit + 1) + b"}"
+        status, response = fleet2.router.handle(body)
+        assert status == 400
+        assert response["error"]["code"] == "bad_json"
 
 
 class TestDegradation:

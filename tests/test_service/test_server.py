@@ -459,6 +459,31 @@ class TestServiceDirect:
         )
         assert status == 200
 
+    def test_integer_past_float_range_is_a_typed_400(self):
+        service = make_service()
+        payload = dict(submit_payload(1), estimated_runtime=10 ** 400)
+        status, response = service.handle(json.dumps(
+            {"v": PROTOCOL_VERSION, "type": "submit", "job": payload}
+        ).encode())
+        assert status == 400
+        assert response["error"] == {
+            "code": "invalid_field",
+            "message": "job.estimated_runtime must be finite",
+        }
+        status, _ = service.handle(json.dumps(
+            {"v": PROTOCOL_VERSION, "type": "submit", "job": submit_payload(1)}
+        ).encode())
+        assert status == 200
+
+    def test_integer_literal_past_the_digit_limit_is_bad_json(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string digit limit")
+        body = b'{"v":1,"type":"advance","to":' + b"7" * (limit + 1) + b"}"
+        status, response = make_service().handle(body)
+        assert status == 400
+        assert response["error"]["code"] == "bad_json"
+
     def test_validation_limits(self):
         with pytest.raises(ValueError, match="max_request_bytes"):
             make_service(max_request_bytes=0)
