@@ -15,7 +15,10 @@ real CLI surface:
    (``repro trace --wal``) and require it byte-identical to the live
    answer,
 6. run the whole cycle again from scratch and require both the trace
-   and the top snapshot byte-identical to the first pass.
+   and the top snapshot byte-identical to the first pass,
+7. price the instrumentation: best-of-3 interleaved in-process engine
+   passes with telemetry on and off (LibraRisk, 2000 jobs x 64 nodes,
+   after one warm-up pass) must differ by at most 5 %.
 
 Exit status 0 iff every comparison holds.
 
@@ -42,6 +45,12 @@ sys.path.insert(0, SRC)
 POLICY = "librarisk"
 NODES = 16
 TRACE_JOB_ID = 1
+
+#: Stage 7, the instrumentation-overhead gate.
+OVERHEAD_JOBS = 2000
+OVERHEAD_NODES = 64
+OVERHEAD_REPEATS = 3
+MAX_OVERHEAD_PCT = 5.0
 
 
 def server_env() -> dict:
@@ -132,6 +141,39 @@ def check(label: str, ok: bool) -> bool:
     return ok
 
 
+def engine_pass(config, telemetry: bool) -> float:
+    """Wall seconds of one in-process submit + drain pass."""
+    from repro.experiments.runner import build_scenario_jobs
+    from repro.service.engine import engine_for_scenario
+
+    jobs = build_scenario_jobs(config)
+    engine = engine_for_scenario(config, telemetry=telemetry)
+    t0 = time.perf_counter()
+    for job in jobs:
+        engine.submit(job)
+    engine.drain()
+    return time.perf_counter() - t0
+
+
+def overhead_stage() -> bool:
+    """Tracing + windowed telemetry against a ``telemetry=False`` engine."""
+    from repro.experiments.config import ScenarioConfig
+
+    config = ScenarioConfig(num_jobs=OVERHEAD_JOBS, num_nodes=OVERHEAD_NODES,
+                            seed=42, policy=POLICY)
+    engine_pass(config, telemetry=True)  # warm-up: imports, allocator growth
+    best = {True: float("inf"), False: float("inf")}
+    for _ in range(OVERHEAD_REPEATS):  # interleaved, so drift hits both arms
+        for telemetry in (True, False):
+            best[telemetry] = min(best[telemetry], engine_pass(config, telemetry))
+    overhead = (best[True] - best[False]) / best[False] * 100.0
+    print(f"obs smoke: telemetry on {OVERHEAD_JOBS / best[True]:.1f} jobs/s, "
+          f"off {OVERHEAD_JOBS / best[False]:.1f} jobs/s, "
+          f"overhead {overhead:+.2f}%")
+    return check(f"telemetry overhead <= {MAX_OVERHEAD_PCT:g}%",
+                 overhead <= MAX_OVERHEAD_PCT)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--port", type=int, default=8471)
@@ -175,11 +217,16 @@ def main() -> int:
             print(f"second trace: {second['live_trace'][:400]}")
             print(f"first top:    {first['top'][:400]}")
             print(f"second top:   {second['top'][:400]}")
+        print(f"obs smoke: overhead ({POLICY}, {OVERHEAD_JOBS} jobs x "
+              f"{OVERHEAD_NODES} nodes, best of {OVERHEAD_REPEATS})")
+        overhead_ok = overhead_stage()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    print(f"\nobs smoke: {'OK' if not failures else f'{failures} failure(s)'}")
-    return 1 if failures else 0
+    # The timing verdict stands apart: its noise can cross the threshold.
+    print(f"\nobs smoke: determinism {'OK' if not failures else f'{failures} failure(s)'}")
+    print(f"obs smoke: overhead {'OK' if overhead_ok else 'FAIL (timing; rerun once first)'}")
+    return 1 if failures or not overhead_ok else 0
 
 
 if __name__ == "__main__":

@@ -240,46 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of aligned text",
     )
 
-    p = sub.add_parser(
-        "bench",
-        help="run the tracked admission benchmarks (batch + engine submit path)",
-    )
-    _add_common(p)
-    p.add_argument("--policies", nargs="+", default=None,
-                   choices=available_policies(),
-                   help="policies to benchmark (default: edf libra librarisk)")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="repetitions per measurement; best run is kept")
-    p.add_argument("--out", type=str, default=None, metavar="PATH",
-                   help="benchmark file to update (default: BENCH_admission.json "
-                        "in the current directory)")
-    p.add_argument("--label", type=str, default=None,
-                   help="section label in the benchmark file (default: derived "
-                        "from the scale, e.g. 'paper' for 3000x128)")
-    p.add_argument("--record-baseline", action="store_true",
-                   help="store the run as the section's baseline instead of "
-                        "its current entry (do this before optimising)")
-    p.add_argument("--check", action="store_true",
-                   help="do not write the file; compare the fresh run against "
-                        "the committed entry and fail on >--max-regression")
-    p.add_argument("--max-regression", type=float, default=1.5,
-                   help="allowed slowdown factor for --check (default 1.5)")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="benchmark sharded submit throughput at 1..N worker "
-                        "processes (records BENCH_shard.json)")
-    p.add_argument("--min-scaling", type=float, default=2.0,
-                   help="with --shards --check: minimum accepted throughput "
-                        "ratio of the largest shard count over 1 shard "
-                        "(default 2.0)")
-    p.add_argument("--obs", action="store_true",
-                   help="measure observability instrumentation overhead "
-                        "instead (tracing+windows on vs off; tracked in "
-                        "BENCH_obs.json, --check gates the on/off delta)")
-    p.add_argument("--max-overhead", type=float, default=5.0,
-                   help="allowed instrumentation overhead %% for "
-                        "--obs --check (default 5)")
-    p.add_argument("--verbose", action="store_true", help="print progress")
-
     p = sub.add_parser("trace-stats", help="workload statistics (paper §4)")
     _add_common(p)
 
@@ -907,146 +867,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_obs(args: argparse.Namespace) -> int:
-    """``repro bench --obs``: instrumentation overhead, tracked + gated."""
-    from repro.experiments import bench as bench_mod
-
-    label = args.label or bench_mod.bench_label(args.jobs, args.nodes)
-    out_path = args.out or bench_mod.BENCH_OBS_FILENAME
-    policy = args.policies[0] if args.policies else "librarisk"
-    section = bench_mod.run_bench_obs(
-        jobs=args.jobs, nodes=args.nodes, seed=args.seed, policy=policy,
-        repeats=max(args.repeats, 3), progress=_progress_printer(args.verbose),
-    )
-    on, off = section["telemetry_on"], section["telemetry_off"]
-    print(
-        f"{policy}: telemetry on {on['jobs_per_sec']:>9.1f} jobs/s, "
-        f"off {off['jobs_per_sec']:>9.1f} jobs/s "
-        f"-> overhead {section['overhead_pct']:+.2f}%"
-    )
-    if args.check:
-        failures = bench_mod.check_obs_overhead(
-            section, max_overhead_pct=args.max_overhead
-        )
-        if failures:
-            for failure in failures:
-                print(f"repro bench: OVERHEAD: {failure}", file=sys.stderr)
-            return 1
-        print(f"observability overhead check passed "
-              f"(within {args.max_overhead:g}% of the uninstrumented path)")
-        return 0
-    bench_mod.update_bench_file(
-        out_path, label, section, record_baseline=args.record_baseline
-    )
-    print(f"\nwrote {'baseline' if args.record_baseline else 'current'} "
-          f"observability numbers for label {label!r} to {out_path}")
-    return 0
-
-
-def _cmd_bench_shards(args: argparse.Namespace) -> int:
-    """``repro bench --shards N``: fleet ingest scaling, tracked + gated."""
-    from repro.experiments import bench as bench_mod
-
-    if args.shards < 1:
-        print("repro bench: --shards must be >= 1", file=sys.stderr)
-        return 2
-    label = args.label or bench_mod.bench_label(args.jobs, args.nodes)
-    out_path = args.out or bench_mod.BENCH_SHARD_FILENAME
-    policy = args.policies[0] if args.policies else "librarisk"
-    counts = sorted({1, *(
-        c for c in (2, args.shards) if 1 < c <= args.shards
-    )})
-    section = bench_mod.run_bench_shard(
-        jobs=args.jobs, nodes=args.nodes, seed=args.seed, policy=policy,
-        shard_counts=counts, progress=_progress_printer(args.verbose),
-    )
-    for count in counts:
-        record = section["shards"][str(count)]
-        ratio = section["scaling"].get(str(count))
-        suffix = f"  ({ratio:.2f}x vs 1 shard)" if ratio is not None else ""
-        print(
-            f"{policy}: {count} shard(s) {record['jobs_per_sec']:>9.1f} jobs/s "
-            f"({record['errors']} errors){suffix}"
-        )
-    if args.check:
-        failures = bench_mod.check_shard_scaling(
-            section, min_scaling=args.min_scaling
-        )
-        if failures:
-            for failure in failures:
-                print(f"repro bench: SCALING: {failure}", file=sys.stderr)
-            return 1
-        print(f"shard scaling check passed (largest fleet is >= "
-              f"{args.min_scaling:g}x a single shard)")
-        return 0
-    bench_mod.update_bench_file(
-        out_path, label, section, record_baseline=args.record_baseline
-    )
-    print(f"\nwrote {'baseline' if args.record_baseline else 'current'} "
-          f"shard-scaling numbers for label {label!r} to {out_path}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: measure and track admission throughput."""
-    from repro.experiments import bench as bench_mod
-
-    if args.obs and args.shards:
-        print("repro bench: --obs and --shards are separate benchmarks; "
-              "pick one", file=sys.stderr)
-        return 2
-    if args.obs:
-        return _cmd_bench_obs(args)
-    if args.shards:
-        return _cmd_bench_shards(args)
-
-    policies = args.policies if args.policies else list(bench_mod.DEFAULT_POLICIES)
-    label = args.label or bench_mod.bench_label(args.jobs, args.nodes)
-    out_path = args.out or bench_mod.BENCH_FILENAME
-    progress = _progress_printer(args.verbose)
-
-    section = bench_mod.run_bench(
-        jobs=args.jobs, nodes=args.nodes, seed=args.seed,
-        policies=policies, repeats=args.repeats, progress=progress,
-    )
-    for policy in policies:
-        body = section["policies"][policy]
-        eng, scen = body["engine"], body["scenario"]
-        print(
-            f"{policy:<10s} engine {eng['jobs_per_sec']:>9.1f} jobs/s "
-            f"(p99 {eng['latency_us']['p99']:.0f} us)  "
-            f"batch {scen['jobs_per_sec']:>9.1f} jobs/s "
-            f"({scen['events_per_sec']:,} events/s)"
-        )
-
-    if args.check:
-        doc = bench_mod.load_bench_file(out_path)
-        failures = bench_mod.check_regression(
-            doc, label, section, max_regression=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"repro bench: REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"perf check passed (within {args.max_regression:g}x of "
-              f"committed {label!r} numbers)")
-        return 0
-
-    doc = bench_mod.update_bench_file(
-        out_path, label, section, record_baseline=args.record_baseline
-    )
-    slot = doc["benchmarks"][label]
-    print(f"\nwrote {'baseline' if args.record_baseline else 'current'} "
-          f"numbers for label {label!r} to {out_path}")
-    if "baseline" in slot and "current" in slot:
-        for policy, metric, base, cur, ratio in bench_mod.compare(
-            slot["baseline"], slot["current"]
-        ):
-            print(f"  {policy:<10s} {metric:<22s} {base:>9.1f} -> {cur:>9.1f} "
-                  f"({ratio:.2f}x)")
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace``: one job's deterministic lifecycle span tree.
 
@@ -1176,9 +996,6 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
 
     if args.command == "replay":
         return _cmd_replay(args)
-
-    if args.command == "bench":
-        return _cmd_bench(args)
 
     if args.command == "trace":
         return _cmd_trace(args)

@@ -199,8 +199,10 @@ class AdmissionEngine:
         state so a resumed engine continues the same random sequences.
     telemetry:
         When false, skips trace-id minting and windowed telemetry
-        entirely — the arm ``repro bench --obs`` uses to price the
-        instrumentation.  Recovery paths always run with telemetry on
+        entirely; decisions and metrics are identical either way.  It is
+        the arm ``scripts/obs_smoke.py``'s overhead stage and
+        ``bench/run.py``'s ``obs.telemetry_overhead_pct`` use to price
+        the instrumentation.  Recovery paths always run with telemetry on
         so recovered trace state matches the uncrashed run.
     """
 

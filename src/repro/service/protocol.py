@@ -413,9 +413,10 @@ def parse_request(data: Any) -> Request:
     if isinstance(data, str):
         try:
             data = decode_json(data)
-        except ValueError as exc:
-            # JSONDecodeError, and the plain ValueError int() raises for
-            # an integer literal past the interpreter's digit limit.
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, the plain ValueError int() raises for an
+            # integer literal past the interpreter's digit limit, and the
+            # RecursionError of a body nested past the recursion limit.
             raise ProtocolError(ErrorCode.BAD_JSON, f"invalid JSON: {exc}") from exc
     obj = data if type(data) is dict else _require_mapping(data, "request")
 
@@ -430,7 +431,8 @@ def parse_request(data: Any) -> Request:
         )
 
     req_type = obj.get("type")
-    if req_type not in _REQUEST_CLASSES:
+    # An array or object is unhashable; every type name is a str anyway.
+    if type(req_type) is not str or req_type not in _REQUEST_CLASSES:
         raise ProtocolError(
             ErrorCode.UNKNOWN_TYPE,
             f"unknown request type {req_type!r}; expected one of "

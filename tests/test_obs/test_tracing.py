@@ -12,7 +12,9 @@ from repro.obs.tracing import (
     render_trace,
     seed_from_config,
 )
-from repro.service.engine import AdmissionEngine, EngineConfig
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import build_scenario_jobs
+from repro.service.engine import AdmissionEngine, EngineConfig, engine_for_scenario
 from tests.conftest import make_job
 
 
@@ -121,6 +123,24 @@ class TestBuildTrace:
         )
         assert engine.trace_ids[1] == "cafe" * 4
         assert engine.trace(1)["trace_id"] == "cafe" * 4
+
+    @pytest.mark.parametrize("policy", ["edf", "libra", "librarisk"])
+    def test_telemetry_off_decides_identically(self, policy):
+        # The off arm is what the overhead gate prices: it may skip the
+        # trace ids and the window, and nothing else.
+        config = ScenarioConfig(num_jobs=300, num_nodes=32, seed=42, policy=policy)
+        runs = []
+        for telemetry in (True, False):
+            engine = engine_for_scenario(config, telemetry=telemetry)
+            decisions = [engine.submit(job) for job in build_scenario_jobs(config)]
+            engine.drain()
+            runs.append(([d.as_dict() for d in decisions],
+                         engine.metrics().as_dict(), len(engine.trace_ids)))
+        (on_decisions, on_metrics, on_ids), (off_decisions, off_metrics, off_ids) = runs
+        assert off_decisions == on_decisions
+        assert off_metrics == on_metrics
+        assert (on_ids, off_ids) == (300, 0)
+        assert any(d["outcome"] == "rejected" for d in on_decisions)
 
     def test_telemetry_off_mints_nothing(self):
         engine = AdmissionEngine(

@@ -178,6 +178,9 @@ def _run_checkpointed_churn(config: ScenarioConfig) -> list:
 
 _CHURN_RNG = random.Random(20260809)
 
+#: A counter only each policy's fast scan bumps.
+FAST_PATH_COUNTER = {"libra": "inline_share_sums", "librarisk": "fast_fit_hits"}
+
 
 def _churn_configs(policy: str, count: int) -> list[ScenarioConfig]:
     configs = []
@@ -207,9 +210,12 @@ def test_churn_interleavings_match_reference(policy, monkeypatch):
     # poison cache, so this is the invalidation correctness test.
     for config in _churn_configs(policy, count=2):
         monkeypatch.delenv("REPRO_DISABLE_ADMISSION_CACHE", raising=False)
-        fast, fails, repairs, _, states = _run_churn(
+        fast, fails, repairs, fast_policy, states = _run_churn(
             config, mtbf_hours=10.0, repair_hours=1.0
         )
+        # Parity alone would also hold if the fast path never fired.
+        counter = FAST_PATH_COUNTER[policy]
+        assert fast_policy.cache_stats.get(counter, 0) > 0, f"{policy}: no {counter}"
         restored = _run_checkpointed_churn(config)
         monkeypatch.setenv("REPRO_DISABLE_ADMISSION_CACHE", "1")
         ref, ref_fails, _, _, ref_states = _run_churn(

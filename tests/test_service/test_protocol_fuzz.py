@@ -10,11 +10,15 @@ verbatim, and hypothesis-generated payloads aimed at the edges: missing
 and unknown keys, bools, ints for floats, ``-0.0``, ``0``, NaN, ±inf,
 integers past the float range, strings and containers.
 
-Two differences are deliberate, and the property names them: an
-integer past the float range used to escape as ``OverflowError`` and
-is now ``invalid_field``, and an integer literal past the interpreter's
-digit limit used to escape as a plain ``ValueError`` and is now
-``bad_json``.
+Four differences are deliberate, and the property names them:
+- an integer past the float range used to escape as ``OverflowError``
+  and is now ``invalid_field``;
+- an integer literal past the interpreter's digit limit used to escape
+  as a plain ``ValueError`` and is now ``bad_json``;
+- an unhashable ``type`` (an array or an object) used to escape as
+  ``TypeError`` and is now ``unknown_type``;
+- a body nested past the recursion limit used to escape as
+  ``RecursionError`` and is now ``bad_json``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from repro.service.protocol import (
     SubmitRequest,
     TraceRequest,
 )
+from tests.test_service.test_server import DEEP_ARRAY, DEEP_JOB
 
 # -- the reference: the validator before its fast accepts, verbatim ----------
 
@@ -293,6 +298,11 @@ def assert_same(new: tuple, old: tuple) -> None:
         assert new[2].endswith(" must be finite"), new
     elif old[:2] == ("raised", "ValueError") and "digits" in old[2]:
         assert new == ("refused", ErrorCode.BAD_JSON, f"invalid JSON: {old[2]}")
+    elif old[:2] == ("raised", "TypeError") and "unhashable" in old[2]:
+        assert new[:2] == ("refused", ErrorCode.UNKNOWN_TYPE), (new, old)
+        assert new[2].startswith("unknown request type "), new
+    elif old[:2] == ("raised", "RecursionError"):
+        assert new == ("refused", ErrorCode.BAD_JSON, f"invalid JSON: {old[2]}")
     else:
         assert new == old
 
@@ -374,7 +384,7 @@ def submit_envelopes(draw: Any) -> Any:
     frame: dict[str, Any] = {
         "v": draw(st.one_of(st.just(PROTOCOL_VERSION), st.sampled_from([2, "1", True, 1.0]))),
         "type": draw(st.one_of(st.just("submit"), st.sampled_from(REQUEST_TYPES),
-                               st.sampled_from(["Submit", "", "nope"]))),
+                               st.sampled_from(["Submit", "", "nope", [1], {}]))),
         "job": draw(job_payloads()),
     }
     for key in draw(st.sets(st.sampled_from(["v", "type", "job"]), max_size=1)):
@@ -432,6 +442,12 @@ class TestRequestValidator:
     def test_arbitrary_bodies_match_the_reference(self, body):
         check_request(body)
         check_request("\ufeff" + (body if isinstance(body, str) else "{}"))
+
+    @pytest.mark.parametrize("body", [DEEP_ARRAY, DEEP_JOB], ids=["deep-array", "deep-job"])
+    def test_a_body_nested_past_the_recursion_limit_is_now_bad_json(self, body):
+        old = outcome(reference_parse_request, body)
+        assert old[:2] == ("raised", "RecursionError")
+        assert_same(outcome(protocol.parse_request, body), old)
 
     def test_a_literal_past_the_digit_limit_is_now_bad_json(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

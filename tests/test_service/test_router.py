@@ -24,6 +24,7 @@ from repro.service.sharding import (
     plan_shards,
     shard_for_job,
 )
+from tests.test_service.test_server import HOSTILE_BODIES
 
 BASE = EngineConfig(policy="librarisk", num_nodes=8, rating=1.0)
 
@@ -221,6 +222,12 @@ class TestHostileNumbers:
         status, response = fleet2.router.handle(body)
         assert status == 400
         assert response["error"]["code"] == "bad_json"
+
+    @pytest.mark.parametrize("body, code, prefix", HOSTILE_BODIES)
+    def test_hostile_body_gets_the_single_servers_400(self, fleet2, body, code, prefix):
+        single = AdmissionService(AdmissionEngine(BASE)).handle(body)
+        assert single[0] == 400
+        assert fleet2.router.handle(body) == single
 
 
 class TestDegradation:

@@ -43,6 +43,32 @@ def submit_payload(job_id: int, submit_time: float = 0.0) -> dict:
     }
 
 
+#: Nesting past every supported decoder's limit yet inside the 64 KiB
+#: request limit.  3.10 and 3.11 stop at the recursion limit (1000);
+#: from 3.12 the C recursion limit counts instead, 10,000 on Linux.
+DEEP = 30_000
+DEEP_ARRAY = b"[" * DEEP + b"]" * DEEP
+DEEP_JOB = b'{"v":1,"type":"submit","job":' + DEEP_ARRAY + b"}"
+
+#: Bodies inside the size limit that ``parse_request`` must refuse as a
+#: typed 400, not let escape as a 500 ``internal``:
+#: ``(body, code, message prefix)``.
+HOSTILE_BODIES = [
+    pytest.param(b'{"v":1,"type":[1]}', "unknown_type",
+                 "unknown request type [1]; expected one of submit,",
+                 id="type-array"),
+    pytest.param(b'{"v":1,"type":{}}', "unknown_type",
+                 "unknown request type {}; expected one of submit,",
+                 id="type-object"),
+    pytest.param(DEEP_ARRAY, "bad_json",
+                 "invalid JSON: maximum recursion depth exceeded",
+                 id="deep-array"),
+    pytest.param(DEEP_JOB, "bad_json",
+                 "invalid JSON: maximum recursion depth exceeded",
+                 id="deep-job"),
+]
+
+
 def keepalive_burst(server, rounds: int = 20) -> float:
     """``rounds`` POST+GET pairs on ONE raw keep-alive connection.
 
@@ -483,6 +509,17 @@ class TestServiceDirect:
         status, response = make_service().handle(body)
         assert status == 400
         assert response["error"]["code"] == "bad_json"
+
+    @pytest.mark.parametrize("body, code, prefix", HOSTILE_BODIES)
+    def test_hostile_body_is_a_typed_400(self, body, code, prefix):
+        service = make_service()
+        status, response = service.handle(body)
+        assert (status, response["error"]["code"]) == (400, code)
+        assert response["error"]["message"].startswith(prefix)
+        counter = service.registry.get(
+            "service_requests_total", type="invalid", outcome=code
+        )
+        assert counter is not None and counter.value == 1
 
     def test_validation_limits(self):
         with pytest.raises(ValueError, match="max_request_bytes"):

@@ -4,7 +4,6 @@ import zlib
 
 import pytest
 
-from repro.experiments.bench import check_shard_scaling
 from repro.obs.tracing import seed_from_config
 from repro.service.engine import EngineConfig
 from repro.service.sharding import (
@@ -195,36 +194,3 @@ class TestMergeScenarioMetrics:
         with pytest.raises(ValueError):
             merge_scenario_metrics([], [])
 
-
-class TestShardScalingGate:
-    def section(self, rates, errors=0):
-        counts = [1, 2, 4][: len(rates)]
-        shards = {
-            str(c): {"wall_s": 1.0, "jobs_per_sec": r, "ok": 100,
-                     "errors": errors, "frames": 2}
-            for c, r in zip(counts, rates)
-        }
-        base = rates[0]
-        scaling = {
-            str(c): round(r / base, 2)
-            for c, r in zip(counts[1:], rates[1:])
-        }
-        return {"shards": shards, "scaling": scaling}
-
-    def test_passes_on_good_scaling(self):
-        assert check_shard_scaling(self.section([1000, 1900, 2600])) == []
-
-    def test_fails_below_the_floor(self):
-        failures = check_shard_scaling(self.section([1000, 1100, 1500]))
-        assert len(failures) == 1
-        assert "1.50x" in failures[0]
-
-    def test_dropped_submits_fail_regardless_of_speed(self):
-        failures = check_shard_scaling(
-            self.section([1000, 2000, 4000], errors=3)
-        )
-        assert any("failed" in f for f in failures)
-
-    def test_missing_multi_shard_run_is_a_failure(self):
-        failures = check_shard_scaling({"shards": {}, "scaling": {}})
-        assert failures
