@@ -11,7 +11,7 @@ The package implements, from scratch:
 * a workload substrate — SWF trace handling, a synthetic SDSC-SP2-like
   generator, estimate and deadline models (:mod:`repro.workload`);
 * the paper's three admission controls — EDF, Libra and **LibraRisk**
-  — plus extension baselines (:mod:`repro.scheduling`);
+  — plus an FCFS baseline (:mod:`repro.scheduling`);
 * the paper's metrics (:mod:`repro.metrics`) and the experiment
   harness that regenerates every figure (:mod:`repro.experiments`);
 * an observability layer — metrics registry, admission-decision

@@ -15,10 +15,9 @@ The spec below *declares* which call-graph functions realize each
 protocol op; the checker then verifies the orderings over the call
 graph rather than one function at a time.  ``AdmissionEngine.poll`` is
 an exempt op: it chases the live wall clock by design (replay
-reproduces its effects from logged timestamps — the same reasoning
-that exempts it from CONC002), so closures are not computed through
-it.  ``# repro-lint: safe=FLOW004`` on a ``def`` exempts that function
-(e.g. offline tooling operating on a cold WAL).
+reproduces its effects from logged timestamps), so closures are not
+computed through it.  ``# repro-lint: safe=FLOW004`` on a ``def``
+exempts that function (e.g. offline tooling operating on a cold WAL).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Submodules:
 
 * :mod:`~repro.analysis.lint.rules` — the rule catalog (DET001-003,
-  CONC001-002, API001);
+  CONC001, CONC003, API001);
 * :mod:`~repro.analysis.lint.engine` — file walking and rule dispatch;
 * :mod:`~repro.analysis.lint.suppressions` — ``# repro-lint:`` pragmas;
 * :mod:`~repro.analysis.lint.baseline` — grandfathering / ratchet;

@@ -40,7 +40,7 @@ EPILOG = (
 
 DESCRIPTION = (
     "AST-based determinism & concurrency linter for the repro codebase "
-    "(rules DET001-003, CONC001-003, API001)."
+    "(rules DET001-003, CONC001, CONC003, API001)."
 )
 
 

@@ -11,7 +11,6 @@ the full catalog with rationale):
   scheduling/sim code.
 * **CONC001** — engine/WAL attributes only mutated under the lock in
   the service layer.
-* **CONC002** — WAL append must precede the engine mutation it logs.
 * **CONC003** — windowed-metric ring buffers only mutated under the
   metric lock.
 * **API001** — public protocol/policy-base functions must be fully
@@ -38,7 +37,6 @@ DETERMINISTIC_PACKAGES = (
     "repro.sim",
     "repro.scheduling",
     "repro.metrics",
-    "repro.economy",
 )
 
 #: Modules allowed to construct randomness: the one place entropy is
@@ -69,12 +67,6 @@ CONC003_MODULES = ("repro.obs.metrics", "repro.obs.windows")
 
 #: Attribute names that read as "this is a lock" in a ``with`` item.
 _LOCKISH = ("lock", "mutex")
-
-#: Engine methods that mutate engine state and therefore must be
-#: preceded by the WAL append that logs them (CONC002).  ``poll`` is
-#: deliberately absent: it chases the wall clock, which replay
-#: reproduces from each record's logged ``t`` instead.
-_ENGINE_MUTATORS = frozenset({"submit", "advance", "drain"})
 
 #: Identifier vocabulary DET003 treats as float-valued.  A curated,
 #: domain-specific list beats type inference here: these are the names
@@ -161,7 +153,7 @@ class WallClockRule(Rule):
     id = "DET001"
     title = "no wall clock or ambient entropy in deterministic code"
     rationale = (
-        "repro.sim/scheduling/metrics/economy must be pure functions of "
+        "repro.sim/scheduling/metrics must be pure functions of "
         "(config, seed): replay==batch and cached==uncached parity both "
         "rest on it. Simulated time comes from the kernel clock; "
         "randomness comes from the named repro.sim.rng streams."
@@ -561,63 +553,6 @@ class LockedMutationRule(Rule):
         return any(word in lowered for word in _LOCKISH)
 
 
-# -- CONC002: WAL append-before-apply -----------------------------------------
-
-class WalOrderingRule(Rule):
-    id = "CONC002"
-    title = "WAL append must precede the engine mutation it logs"
-    rationale = (
-        "The crash-safety contract is append-before-apply: a decision "
-        "may only be acked once its record is durable. In any handler "
-        "that both appends to the WAL and mutates the engine, an engine "
-        "submit/advance/drain reachable before the first append is a "
-        "window where a crash loses an applied mutation."
-    )
-
-    def applies(self, module: str) -> bool:
-        return _in_packages(module, (SERVICE_PACKAGE,))
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node)
-
-    def _check_function(
-        self, ctx: FileContext, func: ast.FunctionDef
-    ) -> Iterator[Finding]:
-        appends: list[int] = []
-        mutators: list[tuple[int, ast.AST, str]] = []
-        for node in ast.walk(func):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not func:
-                continue  # nested defs are checked on their own
-            chain = None
-            if isinstance(node, ast.Attribute):
-                chain = _attr_chain(node)
-            if chain is None:
-                continue
-            leaf = chain[-1]
-            if leaf == "_wal_append" or (
-                leaf == "append" and "wal" in [seg.lower() for seg in chain[:-1]]
-            ):
-                appends.append(node.lineno)
-            elif leaf in _ENGINE_MUTATORS and any(
-                seg == "engine" for seg in chain[:-1]
-            ):
-                mutators.append((node.lineno, node, ".".join(chain)))
-        if not appends:
-            return  # function does not log; CONC002 has nothing to say
-        first_append = min(appends)
-        for lineno, node, dotted in mutators:
-            if lineno < first_append:
-                yield self.finding(
-                    ctx, node,
-                    f"{dotted} is reachable at line {lineno} before the "
-                    f"first WAL append at line {first_append}; a crash "
-                    f"between them loses an applied mutation "
-                    f"(append-before-apply)",
-                )
-
-
 # -- CONC003: metric ring buffers only mutated under the metric lock -----------
 
 #: Container methods that mutate their receiver in place.
@@ -790,7 +725,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnorderedIterationRule(),
     FloatEqualityRule(),
     LockedMutationRule(),
-    WalOrderingRule(),
     MetricLockRule(),
     PublicAnnotationRule(),
 )
@@ -817,6 +751,5 @@ __all__ = [
     "Rule",
     "SERVICE_PACKAGE",
     "UnorderedIterationRule",
-    "WalOrderingRule",
     "WallClockRule",
 ]

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce Yeo & Buyya (ICPP 2006): EDF vs Libra vs LibraRisk",
         epilog=(
             "Static analysis: `repro lint src/` runs the determinism & "
-            "concurrency linter (rules DET001-003, CONC001-003, API001); "
+            "concurrency linter (rules DET001-003, CONC001, CONC003, API001); "
             "see docs/STATIC_ANALYSIS.md for the catalog."
         ),
     )

@@ -177,11 +177,6 @@ class Node:
             return 0.0
         return self.busy_time / (self.rating * horizon)
 
-    @property
-    def available_for_work(self) -> bool:
-        """Online and idle — the placement predicate for space sharing."""
-        return self.online and self.idle
-
     # -- failure/repair (overridden per discipline for bookkeeping) ---------
     def fail(self, now: float) -> list[Job]:
         """Take the node offline; returns the jobs whose task was killed."""

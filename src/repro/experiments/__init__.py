@@ -28,7 +28,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.reporting import metrics_table, render_table, series_table, to_csv
 from repro.experiments.ablations import AblationResult, all_ablations
-from repro.experiments.extended import extended_comparison
 from repro.experiments.replication import ReplicatedResult, replicate, replicate_policies
 from repro.experiments.sensitivity import advantage_sensitivity, sensitivity
 from repro.experiments.validation import ValidationReport, validate_all, validate_figure
@@ -44,7 +43,6 @@ __all__ = [
     "advantage_sensitivity",
     "all_ablations",
     "experiments_markdown",
-    "extended_comparison",
     "metrics_table",
     "replicate",
     "replicate_policies",

@@ -16,16 +16,9 @@ from repro.metrics.summary import (
     ScenarioMetrics,
     compute_metrics,
 )
-from repro.metrics.car import CaRReport, car_by_policy, computation_at_risk
-from repro.metrics.timeseries import SimulationMonitor, TimeSeries
 
 __all__ = [
-    "CaRReport",
     "ClassBreakdown",
     "ScenarioMetrics",
-    "SimulationMonitor",
-    "TimeSeries",
-    "car_by_policy",
     "compute_metrics",
-    "computation_at_risk",
 ]

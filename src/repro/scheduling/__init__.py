@@ -12,12 +12,13 @@ The three policies compared in the paper:
   contribution: admission by the *risk of deadline delay* σ_j
   (Eq. 4–6, Algorithm 1).
 
-Extension baselines beyond the paper:
+One baseline beyond the paper:
 
 * :class:`~repro.scheduling.fcfs.FCFSPolicy` — first-come
-  first-served on space-shared nodes;
-* :class:`~repro.scheduling.backfill.EasyBackfillPolicy` — EASY
-  (aggressive) backfilling with a deadline-ordered queue.
+  first-served on space-shared nodes.
+
+:func:`~repro.scheduling.registry.register_policy` plugs further
+policies in by name.
 """
 
 from repro.scheduling.base import SchedulingPolicy
@@ -25,31 +26,19 @@ from repro.scheduling.edf import EDFPolicy
 from repro.scheduling.fcfs import FCFSPolicy
 from repro.scheduling.libra import LibraPolicy
 from repro.scheduling.librarisk import LibraRiskPolicy
-from repro.scheduling.backfill import EasyBackfillPolicy
-from repro.scheduling.conservative import ConservativePolicy
-from repro.scheduling.profile import CapacityProfile
-from repro.scheduling.slack import SlackAdmissionPolicy
-from repro.scheduling.diagnostics import cluster_risk_profile, explain_admission, node_snapshot
 from repro.scheduling.registry import available_policies, make_policy, register_policy
 from repro.scheduling.risk import RiskAssessment, assess_delays, deadline_delay
 
 __all__ = [
-    "CapacityProfile",
-    "ConservativePolicy",
     "EDFPolicy",
-    "EasyBackfillPolicy",
     "FCFSPolicy",
     "LibraPolicy",
     "LibraRiskPolicy",
     "RiskAssessment",
-    "SlackAdmissionPolicy",
     "SchedulingPolicy",
     "assess_delays",
     "available_policies",
-    "cluster_risk_profile",
     "deadline_delay",
-    "explain_admission",
     "make_policy",
-    "node_snapshot",
     "register_policy",
 ]

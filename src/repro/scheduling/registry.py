@@ -4,38 +4,22 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
-from repro.scheduling.backfill import EasyBackfillPolicy
-from repro.scheduling.conservative import ConservativePolicy
 from repro.scheduling.base import SchedulingPolicy
 from repro.scheduling.edf import EDFPolicy
 from repro.scheduling.fcfs import FCFSPolicy
 from repro.scheduling.libra import LibraPolicy
 from repro.scheduling.librarisk import LibraRiskPolicy
-from repro.scheduling.slack import SlackAdmissionPolicy
 
 _REGISTRY: Dict[str, Callable[..., SchedulingPolicy]] = {
     EDFPolicy.name: EDFPolicy,
     FCFSPolicy.name: FCFSPolicy,
     LibraPolicy.name: LibraPolicy,
     LibraRiskPolicy.name: LibraRiskPolicy,
-    EasyBackfillPolicy.name: EasyBackfillPolicy,
-    ConservativePolicy.name: ConservativePolicy,
-    SlackAdmissionPolicy.name: SlackAdmissionPolicy,
 }
-
-
-def _economy_policies() -> None:
-    """Register the economy extension lazily (avoids an import cycle)."""
-    if "libra-budget" in _REGISTRY:
-        return
-    from repro.economy.budget import LibraBudgetPolicy
-
-    _REGISTRY[LibraBudgetPolicy.name] = LibraBudgetPolicy
 
 
 def available_policies() -> list[str]:
     """Names of all registered admission-control policies."""
-    _economy_policies()
     return sorted(_REGISTRY)
 
 
@@ -45,7 +29,6 @@ def make_policy(name: str, **kwargs: Any) -> SchedulingPolicy:
     >>> make_policy("librarisk").name
     'librarisk'
     """
-    _economy_policies()
     try:
         factory = _REGISTRY[name]
     except KeyError:
@@ -71,7 +54,6 @@ def register_policy(factory: Callable[..., SchedulingPolicy]) -> None:
 
 def policy_discipline(name: str) -> str:
     """Node discipline ('space_shared'/'time_shared') a policy requires."""
-    _economy_policies()
     try:
         return _REGISTRY[name].discipline  # type: ignore[union-attr]
     except KeyError:

@@ -195,9 +195,13 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
         for name in sorted(rng.get("streams", {})):
             streams.get(name).bit_generator.state = rng["streams"][name]
 
-    engine = AdmissionEngine(
-        EngineConfig.from_dict(snap["config"]), clock=clock, obs=obs, streams=streams,
-    )
+    try:
+        engine = AdmissionEngine(
+            EngineConfig.from_dict(snap["config"]), clock=clock, obs=obs, streams=streams,
+        )
+    except (TypeError, ValueError) as exc:
+        # An unknown policy or key, or a geometry this build refuses.
+        raise CheckpointError(f"checkpoint config cannot build an engine: {exc}") from exc
     sim_state = snap["sim"]
     now = float(sim_state["now"])
     engine.sim.restore_clock(

@@ -906,7 +906,12 @@ def recover(  # repro-lint: safe=CONC001  replays into a private engine before a
                 f"{wal_path}: WAL header carries no engine config and no "
                 f"checkpoint was given; cannot rebuild an engine"
             )
-        engine = AdmissionEngine(EngineConfig.from_dict(config), clock=clock, obs=obs)
+        try:
+            engine = AdmissionEngine(EngineConfig.from_dict(config), clock=clock, obs=obs)
+        except (TypeError, ValueError) as exc:
+            raise WalError(
+                f"{wal_path}: WAL header config cannot build an engine: {exc}"
+            ) from exc
 
     if engine.wal_lsn < result.base_lsn:
         raise WalError(

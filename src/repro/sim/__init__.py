@@ -8,14 +8,11 @@ paper: a minimal but complete event-driven simulator with
 * typed, cancellable events (:mod:`repro.sim.events`),
 * named, deterministic random-number streams so that every experiment
   is a pure function of ``(config, seed)`` (:mod:`repro.sim.rng`),
-* an event trace recorder for observability (:mod:`repro.sim.trace`),
-* an optional generator-based process layer in the style of SimPy
-  (:mod:`repro.sim.process`).
+* an event trace recorder for observability (:mod:`repro.sim.trace`).
 """
 
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator, SimulationError
-from repro.sim.process import Process, Timeout, Waiter
 from repro.sim.rng import RngStreams
 from repro.sim.trace import EventTrace, TraceRecord
 
@@ -23,11 +20,8 @@ __all__ = [
     "Event",
     "EventPriority",
     "EventTrace",
-    "Process",
     "RngStreams",
     "SimulationError",
     "Simulator",
-    "Timeout",
     "TraceRecord",
-    "Waiter",
 ]

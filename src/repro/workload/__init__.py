@@ -27,8 +27,6 @@ from repro.workload.estimates import (
     accurate_estimates,
     interpolate_inaccuracy,
 )
-from repro.workload.archive import KNOWN_TRACES, TraceInfo, locate
-from repro.workload.composer import ProcessorModel, WorkloadComposition, compose_records
 from repro.workload.deadlines import DeadlineModel
 from repro.workload.traces import (
     WorkloadSpec,
@@ -41,12 +39,6 @@ from repro.workload.traces import (
 
 __all__ = [
     "DeadlineModel",
-    "KNOWN_TRACES",
-    "ProcessorModel",
-    "TraceInfo",
-    "WorkloadComposition",
-    "compose_records",
-    "locate",
     "ModalOverestimateModel",
     "SDSCSP2Model",
     "SWFHeader",

@@ -1,26 +1,49 @@
-"""Fast import-hygiene guard, independent of the `repro lint` engine.
+"""Fast import-hygiene guards, independent of the `repro lint` engine.
 
 `repro.sim` and `repro.scheduling` must never import the `time` or
 `random` modules: wall clocks and the global random stream are exactly
 the ambient state that breaks replay==batch parity. This walks the
 module ASTs directly so the guard holds even if the linter's scoping
 rules are ever loosened.
+
+Every module under `src/repro` must be reachable by imports from an
+entry point (the CLI, `repro.analysis`'s `__main__`, `scripts/*.py`,
+`bench/*.py`); tests and examples are not entry points, so a module only
+they use is dead code (`PENDING_DELETION` names the few still waiting
+to go). The examples must still import: every name they
+take from `repro` has to resolve.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Set
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src"
 
 FORBIDDEN = {"time", "random"}
 
 #: The sanctioned entropy source is allowed to construct numpy
 #: generators; even it has no business with the stdlib modules above.
 PACKAGES = ("repro/sim", "repro/scheduling")
+
+ENTRY_MODULES = ("repro.cli", "repro.__main__", "repro.analysis.__main__")
+
+#: Unreached modules still awaiting deletion (ROADMAP item 8). The list
+#: only shrinks: an entry here that something reaches, or that is gone,
+#: fails the test too.
+PENDING_DELETION = frozenset(
+    {
+        "repro.workload.composer",
+        "repro.workload.models",
+        "repro.workload.perturbations",
+        "repro.workload.users",
+    }
+)
 
 
 def _module_files():
@@ -45,4 +68,160 @@ def test_no_wall_clock_or_global_random_imports(path):
         f"{path} imports {offenders}: deterministic code must take the "
         f"simulated clock as an argument and draw randomness from "
         f"repro.sim.rng streams"
+    )
+
+
+class _ImportGraph:
+    """Module-level import edges of `src/repro`, resolved statically.
+
+    Imports anywhere in a module count, including inside functions. A
+    package `__init__` is reached when any of its modules is, but its
+    own re-exports are not edges: `from pkg import name` follows the
+    re-export of ``name`` to the module that defines it.
+    """
+
+    def __init__(self) -> None:
+        self.files: Dict[str, Path] = {}
+        self.packages: Set[str] = set()
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+                self.packages.add(".".join(parts))
+            self.files[".".join(parts)] = path
+        self._trees: Dict[Path, ast.Module] = {}
+
+    def tree(self, path: Path) -> ast.Module:
+        if path not in self._trees:
+            self._trees[path] = ast.parse(path.read_text(), filename=str(path))
+        return self._trees[path]
+
+    @staticmethod
+    def _base(node: ast.ImportFrom, package: str) -> str:
+        if not node.level:
+            return node.module or ""
+        parent = package.rsplit(".", node.level - 1)[0]
+        return f"{parent}.{node.module}" if node.module else parent
+
+    def _package_of(self, module: str) -> str:
+        return module if module in self.packages else module.rpartition(".")[0]
+
+    def _with_parents(self, module: str) -> Iterator[str]:
+        parts = module.split(".")
+        for i in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:i])
+            if prefix in self.files:
+                yield prefix
+
+    def _name_source(self, package: str, name: str, seen: Set[str]) -> Optional[str]:
+        """The module a package `__init__` re-exports ``name`` from."""
+        if package in seen:
+            return None
+        seen.add(package)
+        for node in self.tree(self.files[package]).body:
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = self._base(node, package)
+            for alias in node.names:
+                if (alias.asname or alias.name) != name:
+                    continue
+                return self._resolve_from(base, alias.name, seen)
+        return None
+
+    def _resolve_from(self, base: str, name: str, seen: Set[str]) -> str:
+        """The module ``from base import name`` takes ``name`` from."""
+        if f"{base}.{name}" in self.files:
+            return f"{base}.{name}"
+        if base in self.packages:
+            return self._name_source(base, name, seen) or base
+        return base
+
+    def imports(self, tree: ast.Module, package: str) -> Iterator[str]:
+        """Every `repro` module that ``tree``'s imports reach directly."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = self._base(node, package)
+                targets = [base] + [
+                    self._resolve_from(base, alias.name, set()) for alias in node.names
+                ]
+            else:
+                continue
+            for target in targets:
+                while target and target not in self.files:
+                    target = target.rpartition(".")[0]
+                if target:
+                    yield from self._with_parents(target)
+
+    def reachable(self, roots: List[Path]) -> Set[str]:
+        seen: Set[str] = set()
+        stack: List[str] = []
+        for module in ENTRY_MODULES:
+            stack.extend(self._with_parents(module))
+        for path in roots:
+            stack.extend(self.imports(self.tree(path), ""))
+        while stack:
+            module = stack.pop()
+            if module in seen:
+                continue
+            seen.add(module)
+            if module in self.packages:
+                continue
+            stack.extend(self.imports(self.tree(self.files[module]), self._package_of(module)))
+        return seen
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return _ImportGraph()
+
+
+def test_every_src_module_is_reachable_from_an_entry_point(graph):
+    roots = sorted(REPO.glob("scripts/*.py")) + sorted(REPO.glob("bench/*.py"))
+    assert roots, "no scripts/ or bench/ entry points found"
+    unreached = set(graph.files) - graph.reachable(roots)
+    assert not sorted(unreached - PENDING_DELETION), (
+        f"modules no entry point imports: {sorted(unreached - PENDING_DELETION)}. "
+        f"Delete them with their tests, or import them from the CLI, a script or bench/"
+    )
+    assert not sorted(PENDING_DELETION - unreached), (
+        f"PENDING_DELETION names modules that are reached or gone: "
+        f"{sorted(PENDING_DELETION - unreached)}; take them off the list"
+    )
+
+
+def _example_imports() -> Iterator[tuple]:
+    """(example, module, name) per `repro` import; name is None for `import m`."""
+    for path in sorted(REPO.glob("examples/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        yield path.name, alias.name, None
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def _top_level_names(tree: ast.Module) -> Set[str]:
+    names: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("example,module,name", list(_example_imports()))
+def test_example_imports_resolve(graph, example, module, name):
+    assert module in graph.files, f"{example}: no module {module}"
+    if name is None or f"{module}.{name}" in graph.files:
+        return
+    assert name in _top_level_names(graph.tree(graph.files[module])), (
+        f"{example}: `from {module} import {name}` does not resolve"
     )

@@ -145,8 +145,9 @@ def test_list_rules_catalog():
     out = io.StringIO()
     assert lint_main(["--list-rules"], out=out) == 0
     text = out.getvalue()
-    for rule_id in ("DET001", "DET002", "DET003", "CONC001", "CONC002", "API001"):
+    for rule_id in ("DET001", "DET002", "DET003", "CONC001", "CONC003", "API001"):
         assert rule_id in text
+    assert "CONC002" not in text
 
 
 def test_repro_lint_subcommand(tmp_path, capsys):

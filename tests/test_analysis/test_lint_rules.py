@@ -261,41 +261,6 @@ def test_conc001_not_applied_to_engine_module_itself(tmp_path):
     assert findings == []
 
 
-# -- CONC002 ------------------------------------------------------------------
-
-def test_conc002_flags_apply_before_append(tmp_path):
-    findings = _lint(tmp_path, "repro.service.fake", """
-        class Service:
-            def handle(self, req) -> None:
-                self.engine.submit(req.job)
-                self._wal_append(req)
-    """)
-    assert _rules(findings) == ["CONC002"]
-
-
-def test_conc002_append_then_apply_is_clean(tmp_path):
-    findings = _lint(tmp_path, "repro.service.fake", """
-        class Service:
-            def handle(self, req) -> None:
-                self._wal_append(req)
-                self.engine.submit(req.job)
-
-            def advance(self, req) -> None:
-                self.wal.append(req)
-                self.engine.advance(req.to)
-    """)
-    assert findings == []
-
-
-def test_conc002_ignores_functions_without_append(tmp_path):
-    # Replay/recovery applies records that are already durable.
-    findings = _lint(tmp_path, "repro.service.fake", """
-        def apply_record(engine, record) -> None:
-            engine.submit(record.job)
-    """)
-    assert findings == []
-
-
 # -- API001 -------------------------------------------------------------------
 
 def test_api001_flags_missing_annotations(tmp_path):

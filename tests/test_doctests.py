@@ -7,13 +7,11 @@ import doctest
 
 import pytest
 
-import repro.core
 import repro.scheduling.registry
 import repro.sim.kernel
 import repro.sim.rng
 
 MODULES = [
-    repro.core,
     repro.sim.kernel,
     repro.sim.rng,
     repro.scheduling.registry,

@@ -13,9 +13,8 @@ from repro.scheduling.registry import (
 
 class TestRegistry:
     def test_paper_policies_present(self):
-        names = available_policies()
-        for expected in ("edf", "libra", "librarisk"):
-            assert expected in names
+        # The paper's three plus the FCFS baseline, and nothing else.
+        assert available_policies() == ["edf", "fcfs", "libra", "librarisk"]
 
     def test_make_policy_builds_named_policy(self):
         assert make_policy("edf").name == "edf"
@@ -32,7 +31,6 @@ class TestRegistry:
     def test_disciplines(self):
         assert policy_discipline("edf") == "space_shared"
         assert policy_discipline("fcfs") == "space_shared"
-        assert policy_discipline("edf-easy") == "space_shared"
         assert policy_discipline("libra") == "time_shared"
         assert policy_discipline("librarisk") == "time_shared"
 

@@ -21,7 +21,7 @@ from repro.scheduling.registry import make_policy
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 
-SPACE_SHARED = ("edf", "fcfs", "edf-easy", "conservative", "qops-slack")
+SPACE_SHARED = ("edf", "fcfs")
 
 
 def per_task_events(policy):

@@ -192,6 +192,18 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="custom:tick"):
             checkpoint.snapshot(engine)
 
+    @pytest.mark.parametrize("patch, cause", [
+        ({"policy": "libra-budget"}, ValueError),  # a policy this build lacks
+        ({"bogus": 1}, TypeError),
+        ({"num_nodes": 0}, ValueError),
+    ], ids=["unknown-policy", "unknown-key", "zero-nodes"])
+    def test_config_this_build_cannot_construct_is_typed(self, patch, cause):
+        snap = checkpoint.snapshot(AdmissionEngine(EngineConfig(num_nodes=2, rating=1.0)))
+        snap["config"].update(patch)
+        with pytest.raises(CheckpointError, match="cannot build an engine") as info:
+            checkpoint.restore(snap)
+        assert isinstance(info.value.__cause__, cause)
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{truncated", encoding="utf-8")

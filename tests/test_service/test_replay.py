@@ -60,7 +60,7 @@ class TestParityWithBatch:
         assert canonical_records(replay_session) == canonical_records(batch_session)
 
 
-    @pytest.mark.parametrize("policy", ("edf", "fcfs", "edf-easy", "conservative"))
+    @pytest.mark.parametrize("policy", ("edf", "fcfs"))
     def test_space_shared_policies_at_paper_scale(self, policy):
         # One completion event per started job: batch and replay must
         # still fire the same events and reach the same per-job outcomes.

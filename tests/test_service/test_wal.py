@@ -371,6 +371,30 @@ class TestRecovery:
         with pytest.raises(WalError, match="no engine config"):
             recover(str(path))
 
+    @pytest.mark.parametrize("patch, cause", [
+        ({"policy": "libra-budget"}, ValueError),  # a policy this build lacks
+        ({"bogus": 1}, TypeError),
+        ({"num_nodes": 0}, ValueError),
+    ], ids=["unknown-policy", "unknown-key", "zero-nodes"])
+    def test_config_this_build_cannot_construct_is_typed(
+        self, tmp_path, capsys, patch, cause
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog.open(str(path), config={**CONFIG, **patch})
+        wal.append(1.0, submit_req(1, 1.0))
+        wal.close()
+        with pytest.raises(WalError, match="cannot build an engine") as info:
+            recover(str(path))
+        assert isinstance(info.value.__cause__, cause)
+
+        capsys.readouterr()
+        assert main(["recover", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro recover: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_recovered_service_assigns_fresh_auto_ids(self, tmp_path):
         # Recovery rebuilds jobs under their original explicit ids; a
         # later submit *without* an id must draw a fresh one, not
