@@ -30,7 +30,7 @@ risk metric detects and Libra's Eq. 2 capacity test cannot.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cluster.job import Job
 from repro.cluster.share import (
@@ -40,7 +40,6 @@ from repro.cluster.share import (
     ShareParams,
     admission_share,
     effective_rates,
-    nominal_share,
 )
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
@@ -419,8 +418,10 @@ class TimeSharedNode(Node):
                     s = 1.0
                 shares.append(s)
         rates = effective_rates(shares, self.share_params)
-        # Rate assignment fused with the next-completion scan
-        # (:meth:`_next_completion_delay` semantics, one pass).
+        # Rate assignment fused with the next-completion scan: the
+        # earliest of a task finishing its *actual* work and a running
+        # task exhausting its *estimated* work, the moment its Eq. 1
+        # share becomes undefined and it must drop to the overrun floor.
         horizon: Optional[float] = None
         for task, rate in zip(tasks, rates):
             task.rate = rate
@@ -445,28 +446,6 @@ class TimeSharedNode(Node):
                 priority=EventPriority.COMPLETION,
                 name=self._completion_name,
             )
-
-    def _next_completion_delay(self) -> Optional[float]:
-        """Time to the next state change on this node.
-
-        That is the earliest of (a) a task finishing its *actual* work
-        and (b) a running task exhausting its *estimated* work — the
-        moment its Eq. 1 share becomes undefined and it must be demoted
-        to the overrun floor.  Without (b) an overrunning job would keep
-        its stale (higher) share until some unrelated event happened to
-        trigger a recompute.
-        """
-        best: Optional[float] = None
-        for task in self.tasks.values():
-            if task.rate <= SHARE_EPSILON:
-                continue
-            speed = task.rate * self.rating
-            dt = task.remaining_work / speed
-            if not task.overrun:
-                dt = min(dt, task.remaining_est_work / speed)
-            if best is None or dt < best:
-                best = dt
-        return best
 
     def _on_completion_event(self, event: Event) -> None:
         now = self.sim.now
@@ -555,13 +534,6 @@ class TimeSharedNode(Node):
             )
             self._min_deadline_gen = self.generation
         return self._min_deadline
-
-    def iter_share_terms(self, now: float) -> Iterable[tuple[NodeTask, float]]:
-        """Yield ``(task, unclamped Eq. 1 share)`` for every resident task."""
-        for task in self.tasks.values():
-            yield task, admission_share(
-                task.remaining_est_time(self.rating), task.job.remaining_deadline(now)
-            )
 
     def total_admission_share(
         self,

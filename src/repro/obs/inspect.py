@@ -178,7 +178,7 @@ def _render_cache(records: Sequence[dict], json_output: bool = False) -> str:
     for i, block in enumerate(blocks):
         prefix = f"run {i + 1}: " if len(blocks) > 1 else ""
         if not block:
-            lines.append(f"{prefix}no cache counters (fast path disabled or unused)")
+            lines.append(f"{prefix}no cache counters (the policy records none)")
             continue
         for key in sorted(block):
             lines.append(f"{prefix}{key:<24s} {block[key]}")

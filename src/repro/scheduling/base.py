@@ -25,6 +25,7 @@ import os
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.cluster.job import Job
+from repro.cluster.node import SpaceSharedNode, TimeSharedNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -32,11 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.rms import ResourceManagementSystem
     from repro.obs.hooks import PolicyObserver
     from repro.sim.kernel import Simulator
-
-#: Escape hatch: set to ``1`` to run every policy on its pre-cache
-#: reference admission path (production debugging; the fast paths are
-#: exact memoization, so both paths produce byte-identical output).
-DISABLE_CACHE_ENV = "REPRO_DISABLE_ADMISSION_CACHE"
 
 #: Debug: re-prove every node LibraRisk's σ>0 refutation refuses
 #: against the exact projection, and assert on disagreement.  Slows
@@ -67,12 +63,10 @@ class SchedulingPolicy(abc.ABC):
         #: passive: they may not mutate jobs or scheduling state.
         self.observer: Optional["PolicyObserver"] = None
         self._pending_tasks: dict[int, int] = {}  # job_id -> nodes still running it
-        #: Admission fast-path switches, read once at construction so a
-        #: policy's behaviour is fixed for its lifetime (tests override
-        #: the attributes directly).
-        self.fast_path = not _env_flag(DISABLE_CACHE_ENV)
+        #: Read once at construction so a policy's behaviour is fixed
+        #: for its lifetime (tests override the attribute directly).
         self.verify_cert = _env_flag(VERIFY_CERT_ENV)
-        #: Monotone counters describing fast-path effectiveness
+        #: Monotone counters describing admission-scan effectiveness
         #: (suitability cache hits/misses, projections avoided, ...).
         #: Surfaced by the profiler's ``cache`` block and the service
         #: ``stats`` endpoint; never part of deterministic exports.
@@ -97,15 +91,18 @@ class SchedulingPolicy(abc.ABC):
         self.validate_cluster(cluster)
 
     def validate_cluster(self, cluster: "Cluster") -> None:
-        """Hook: subclasses verify the node discipline matches."""
+        """Refuse a cluster whose nodes do not run :attr:`discipline`."""
+        required = SpaceSharedNode if self.discipline == "space_shared" else TimeSharedNode
+        for node in cluster:
+            if not isinstance(node, required):
+                raise TypeError(
+                    f"{self.name} requires {self.discipline.replace('_', '-')} nodes; "
+                    f"node {node.node_id} is {type(node).__name__}"
+                )
 
     def _bump_cache_stats(self, **counts: int) -> None:
-        """Add per-scan counts to :attr:`cache_stats` in one place.
-
-        Replaces the ``stats.get(key, 0) + n`` pattern that the fast
-        paths used to repeat per counter; keyword names become counter
-        keys verbatim.
-        """
+        """Add per-scan counts to :attr:`cache_stats` in one place;
+        keyword names become counter keys verbatim."""
         stats = self.cache_stats
         get = stats.get
         for key, n in counts.items():

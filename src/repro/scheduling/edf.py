@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job
 from repro.cluster.node import SpaceSharedNode, start_job_tasks
 from repro.scheduling.base import SchedulingPolicy
@@ -39,18 +38,9 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
 
     discipline = "space_shared"
 
-    def __init__(self, admission_check: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.admission_check = admission_check
         self.queue: list[Job] = []
-
-    def validate_cluster(self, cluster: Cluster) -> None:
-        for node in cluster:
-            if not isinstance(node, SpaceSharedNode):
-                raise TypeError(
-                    f"{self.name} requires space-shared nodes; node {node.node_id} "
-                    f"is {type(node).__name__}"
-                )
 
     # -- selection hook -----------------------------------------------------
     def select_next(self, now: float) -> Optional[Job]:
@@ -80,7 +70,7 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
             job = self.select_next(now)
             if job is None:
                 return
-            if self.admission_check and not self._feasible(job, now):
+            if not self._feasible(job, now):
                 # "Prior to execution": a job that cannot meet its deadline
                 # even if started right now will only get worse by waiting,
                 # so reject it at selection rather than letting a doomed

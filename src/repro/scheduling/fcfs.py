@@ -15,11 +15,7 @@ from repro.scheduling.edf import QueuedSpaceSharedPolicy
 
 
 class FCFSPolicy(QueuedSpaceSharedPolicy):
-    """Dispatch queued jobs in submission order.
-
-    ``admission_check=False`` turns off even the dispatch-time deadline
-    test, giving a classical FCFS run-to-completion scheduler.
-    """
+    """Dispatch queued jobs in submission order."""
 
     name = "fcfs"
 

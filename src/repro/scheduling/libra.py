@@ -22,7 +22,6 @@ estimates").
 
 from __future__ import annotations
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job
 from repro.cluster.node import TimeSharedNode
 from repro.cluster.share import WORK_EPSILON
@@ -38,51 +37,17 @@ class LibraPolicy(SchedulingPolicy):
     name = "libra"
     discipline = "time_shared"
 
-    def validate_cluster(self, cluster: Cluster) -> None:
-        for node in cluster:
-            if not isinstance(node, TimeSharedNode):
-                raise TypeError(
-                    f"{self.name} requires time-shared nodes; node {node.node_id} "
-                    f"is {type(node).__name__}"
-                )
-
     # -- admission ----------------------------------------------------------
     def on_job_submitted(self, job: Job, now: float) -> None:
-        if self.fast_path:
-            self._submit_fast(job, now)
-        else:
-            self._submit_reference(job, now)
-
-    def _submit_reference(self, job: Job, now: float) -> None:
-        """Pre-cache admission scan, kept verbatim as the escape hatch
-        (``REPRO_DISABLE_ADMISSION_CACHE=1``).  The fast path must stay
-        byte-identical to this — see ``tests/test_scheduling/
-        test_cache_parity.py``."""
-        assert self.cluster is not None and self.rms is not None
-        suitable: list[tuple[float, TimeSharedNode]] = []
-        for node in self.cluster:
-            assert isinstance(node, TimeSharedNode)
-            if not node.online:
-                continue
-            node.sync(now)  # bring work ledgers to `now` before reading shares
-            est_time = self.cluster.est_time_on(node, job.estimated_runtime)
-            total = node.total_admission_share(
-                now, extra=[(est_time, job.remaining_deadline(now))]
-            )
-            if total <= 1.0 + CAPACITY_EPSILON:
-                suitable.append((total, node))
-
-        online = sum(1 for n in self.cluster if n.online)
-        self._finish(job, suitable, online, now)
-
-    def _submit_fast(self, job: Job, now: float) -> None:
-        """:meth:`_submit_reference` with ``total_admission_share``
-        inlined: same sync instants, same skip rule, same summation
-        order, bit-identical totals — but no per-node method dispatch,
-        no extra-pair list, and no sync calls on idle nodes (an empty
-        node's sync only moves its clock).  A job whose deadline already
-        passed gets an infinite Eq. 1 share on every node, so its scan
-        only syncs and counts."""
+        """Eq. 2 on every online node, with
+        :meth:`~repro.cluster.node.TimeSharedNode.total_admission_share`
+        inlined: its skip rule and summation order, bit-identical
+        totals, but no per-node method dispatch, no extra-pair list,
+        and no sync calls on idle nodes (an empty node's sync only
+        moves its clock).  A job whose deadline already passed gets an
+        infinite Eq. 1 share on every node, so its scan only syncs and
+        counts.  ``tests/test_scheduling/reference_scans.py`` keeps the
+        plain per-node scan this must equal byte for byte."""
         cluster = self.cluster
         assert cluster is not None and self.rms is not None
         suitable: list[tuple[float, TimeSharedNode]] = []

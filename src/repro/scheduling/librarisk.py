@@ -12,10 +12,12 @@ changes the two admission decisions:
    produces a positive (predicted) delay and disqualifies the node.
 2. **Placement** — the job goes only to zero-risk nodes ("LibraRisk
    only selects nodes that have zero risk of deadline delay", §3.3).
-   Among those, this implementation keeps Libra's best-fit order by
-   default — the paper redefines the candidate set, not the ordering —
-   and under accurate estimates LibraRisk then tracks Libra closely,
-   as the paper's panels (a)/(c) show.  (Not *identically*: σ measures
+   Among those, the default is best fit by each node's *pre*-acceptance
+   Eq. 2 load (residents only), not Libra's post-acceptance total: the
+   two agree on a homogeneous cluster up to float ties, but a
+   heterogeneous one can split them (``docs/ALGORITHMS.md``).  Under
+   accurate estimates LibraRisk tracks Libra closely, as the paper's
+   panels (a)/(c) show.  (Not *identically*: σ measures
    spread, so a placement that delays every resident by the same
    proportion — e.g. two identical simultaneous jobs sharing a node —
    is still σ = 0 and can be admitted past its deadline, a degenerate
@@ -37,18 +39,17 @@ Algorithm 1 in pseudo-code form::
 
 from __future__ import annotations
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job
 from repro.cluster.node import TimeSharedNode
 from repro.cluster.share import SHARE_EPSILON, WORK_EPSILON
-from repro.scheduling.base import SchedulingPolicy
+from repro.scheduling.libra import LibraPolicy
 from repro.scheduling.risk import RiskAssessment, assess_delays
 
 _NODE_ORDERS = ("worst_fit", "best_fit", "index")
 _SUITABILITIES = ("sigma", "no-delay")
 
 
-class LibraRiskPolicy(SchedulingPolicy):
+class LibraRiskPolicy(LibraPolicy):
     """The paper's contribution: risk-managed proportional-share admission.
 
     ``suitability`` selects the node-suitability test:
@@ -62,13 +63,12 @@ class LibraRiskPolicy(SchedulingPolicy):
       have no predicted delay for any job.
 
     ``node_order`` orders the zero-risk nodes for placement.  The paper
-    only redefines *which* nodes are candidates, so the default keeps
-    Libra's best-fit saturation; ``"worst_fit"`` and ``"index"`` are
-    ablations (see :mod:`repro.experiments.ablations`).
+    only redefines *which* nodes are candidates; the default saturates
+    best fit by pre-acceptance load, and ``"worst_fit"`` and
+    ``"index"`` are ablations (see :mod:`repro.experiments.ablations`).
     """
 
     name = "librarisk"
-    discipline = "time_shared"
 
     def __init__(self, node_order: str = "best_fit", suitability: str = "sigma") -> None:
         super().__init__()
@@ -81,14 +81,6 @@ class LibraRiskPolicy(SchedulingPolicy):
         self.node_order = node_order
         self.suitability = suitability
 
-    def validate_cluster(self, cluster: Cluster) -> None:
-        for node in cluster:
-            if not isinstance(node, TimeSharedNode):
-                raise TypeError(
-                    f"{self.name} requires time-shared nodes; node {node.node_id} "
-                    f"is {type(node).__name__}"
-                )
-
     # -- Algorithm 1 -----------------------------------------------------------
     def assess_node(self, node: TimeSharedNode, job: Job, now: float) -> RiskAssessment:
         """Risk of deadline delay on ``node`` if ``job`` were placed there."""
@@ -99,49 +91,12 @@ class LibraRiskPolicy(SchedulingPolicy):
         return assess_delays(pairs)
 
     def on_job_submitted(self, job: Job, now: float) -> None:
-        if self.fast_path:
-            self._submit_fast(job, now)
-        else:
-            self._submit_reference(job, now)
-
-    def _submit_reference(self, job: Job, now: float) -> None:
-        """Pre-cache admission scan, kept verbatim as the escape hatch
-        (``REPRO_DISABLE_ADMISSION_CACHE=1``).  The fast path must stay
-        byte-identical to this — see ``tests/test_scheduling/
-        test_cache_parity.py``."""
-        assert self.cluster is not None and self.rms is not None
-        zero_risk: list[TimeSharedNode] = []
-        online = 0
-        sigma_mode = self.suitability == "sigma"
-        for node in self.cluster:
-            assert isinstance(node, TimeSharedNode)
-            if not node.online:
-                continue
-            online += 1
-            node.sync(now)
-            if sigma_mode and not node.tasks:
-                # Exact shortcut: the new job alone yields a single
-                # deadline-delay value, so σ = 0 by definition — the
-                # empty-node gamble needs no projection.
-                zero_risk.append(node)
-                continue
-            assessment = self.assess_node(node, job, now)
-            suitable = assessment.zero_risk if sigma_mode else assessment.strictly_safe
-            if suitable:
-                zero_risk.append(node)
-
-        if len(zero_risk) < job.numproc:
-            self._reject_unsuitable(job, zero_risk, online, sigma_mode)
-            return
-
-        chosen = self._order(zero_risk, now)[: job.numproc]
-        self._allocate(job, chosen, now)
-
-    def _submit_fast(self, job: Job, now: float) -> None:
-        """One fused pass per node, equal to :meth:`_submit_reference`
-        decision-for-decision and bit-for-bit.  Every occupied node is
-        synced first, at the instants the reference scan syncs, so the
-        ledgers carry the same history on either path.
+        """Algorithm 1 in one fused pass per node, equal decision for
+        decision and bit for bit to the plain scan (sync every online
+        node, project every occupied one) that
+        ``tests/test_scheduling/reference_scans.py`` keeps as the
+        witness.  Every occupied node is synced first, at the instants
+        the plain scan syncs, so the ledgers carry the same history.
 
         Exact shortcuts, in test order per node:
 
@@ -164,8 +119,7 @@ class LibraRiskPolicy(SchedulingPolicy):
           same loop accumulates the resident-only Eq. 2 sum with
           ``total_admission_share``'s skip rule and summation order, so
           best-fit ordering can reuse it instead of re-walking the node;
-        * **projection** — whatever is left gets the reference scan's
-          own :meth:`assess_node`.
+        * **projection** — whatever is left gets :meth:`assess_node`.
         """
         cluster = self.cluster
         assert cluster is not None and self.rms is not None
@@ -196,8 +150,8 @@ class LibraRiskPolicy(SchedulingPolicy):
                     loads[node.node_id] = 0.0
                     continue
             else:
-                # Advance the ledgers exactly as the reference scan does
-                # — identical sync instants keep the busy-time
+                # Advance the ledgers exactly as the plain scan does —
+                # identical sync instants keep the busy-time
                 # accumulation bit-identical.
                 node.sync(now)
                 if node._min_deadline_gen != node.generation:
@@ -274,7 +228,7 @@ class LibraRiskPolicy(SchedulingPolicy):
             self._reject_unsuitable(job, zero_risk, online, sigma_mode)
             return
 
-        chosen = self._order_with_loads(zero_risk, loads, now)[: job.numproc]
+        chosen = self._order(zero_risk, loads, now)[: job.numproc]
         self._allocate(job, chosen, now)
 
     def _assert_refuted(self, node: TimeSharedNode, job: Job, now: float) -> None:
@@ -305,27 +259,19 @@ class LibraRiskPolicy(SchedulingPolicy):
             suitability=self.suitability,
         )
 
-    def _order(self, nodes: list[TimeSharedNode], now: float) -> list[TimeSharedNode]:
-        if self.node_order == "index":
-            return sorted(nodes, key=lambda n: n.node_id)
-        loads = {n.node_id: n.total_admission_share(now) for n in nodes}
-        reverse = self.node_order == "best_fit"
-        return sorted(
-            nodes,
-            key=lambda n: (-loads[n.node_id] if reverse else loads[n.node_id], n.node_id),
-        )
-
-    def _order_with_loads(
+    def _order(
         self,
         nodes: list[TimeSharedNode],
         loads: dict[int, float],
         now: float,
     ) -> list[TimeSharedNode]:
-        """:meth:`_order`, reusing the Eq. 2 sums the scan already built.
+        """Order zero-risk ``nodes`` for placement by ``node_order``.
 
-        Only nodes that went through the projection are missing from
-        ``loads``; they get the on-demand ``total_admission_share`` walk
-        the old code paid for *every* zero-risk node.
+        The key is each node's *pre*-acceptance Eq. 2 load
+        (``total_admission_share(now)``, residents only), where Libra
+        ranks by the post-acceptance total; see ``docs/ALGORITHMS.md``.
+        ``loads`` holds the sums the scan already built; only nodes that
+        went through the projection are missing and get the walk here.
         """
         if self.node_order == "index":
             return sorted(nodes, key=lambda n: n.node_id)
@@ -335,23 +281,11 @@ class LibraRiskPolicy(SchedulingPolicy):
                 loads[n.node_id] = n.total_admission_share(now)
             else:
                 reused += 1
-        stats = self.cache_stats
-        stats["order_loads_reused"] = stats.get("order_loads_reused", 0) + reused
-        stats["order_loads_computed"] = (
-            stats.get("order_loads_computed", 0) + len(nodes) - reused
+        self._bump_cache_stats(
+            order_loads_reused=reused, order_loads_computed=len(nodes) - reused
         )
         reverse = self.node_order == "best_fit"
         return sorted(
             nodes,
             key=lambda n: (-loads[n.node_id] if reverse else loads[n.node_id], n.node_id),
         )
-
-    def _allocate(self, job: Job, nodes: list[TimeSharedNode], now: float) -> None:
-        assert self.cluster is not None and self.rms is not None
-        work = self.cluster.work_of(job.runtime)
-        est_work = self.cluster.work_of(job.estimated_runtime)
-        job.mark_running(now, [n.node_id for n in nodes])
-        self._track(job)
-        self.rms.notify_accepted(job)
-        for node in nodes:
-            node.add_task(job, work=work, est_work=est_work, now=now)

@@ -11,12 +11,14 @@ entry point (the CLI, `repro.analysis`'s `__main__`, `scripts/*.py`,
 `bench/*.py`); tests and examples are not entry points, so a module only
 they use is dead code (`PENDING_DELETION` names the few still waiting
 to go). The examples must still import: every name they
-take from `repro` has to resolve.
+take from `repro` has to resolve. No `REPRO_*` environment flag beyond
+the shrink-only `ENV_FLAGS` may appear in `src/repro`.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set
 
@@ -36,14 +38,11 @@ ENTRY_MODULES = ("repro.cli", "repro.__main__", "repro.analysis.__main__")
 #: Unreached modules still awaiting deletion (ROADMAP item 8). The list
 #: only shrinks: an entry here that something reaches, or that is gone,
 #: fails the test too.
-PENDING_DELETION = frozenset(
-    {
-        "repro.workload.composer",
-        "repro.workload.models",
-        "repro.workload.perturbations",
-        "repro.workload.users",
-    }
-)
+PENDING_DELETION: frozenset = frozenset()
+
+#: The `REPRO_*` environment flags the program may read. The set only
+#: shrinks: a behaviour worth having is the default, not a flag.
+ENV_FLAGS = frozenset({"REPRO_SANITIZE", "REPRO_VERIFY_CERT"})
 
 
 def _module_files():
@@ -188,6 +187,23 @@ def test_every_src_module_is_reachable_from_an_entry_point(graph):
     assert not sorted(PENDING_DELETION - unreached), (
         f"PENDING_DELETION names modules that are reached or gone: "
         f"{sorted(PENDING_DELETION - unreached)}; take them off the list"
+    )
+
+
+def test_no_new_repro_environment_flags():
+    # Flags are read through named constants (`os.environ.get(ENV_FLAG)`),
+    # so scan the text, not the call sites: every mention must be a
+    # sanctioned flag, in code and docstrings alike.
+    found = {
+        name: path.relative_to(SRC)
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())
+    }
+    extra = {name: str(path) for name, path in found.items() if name not in ENV_FLAGS}
+    assert not extra, f"environment flags outside {sorted(ENV_FLAGS)}: {extra}"
+    assert ENV_FLAGS <= set(found), (
+        f"ENV_FLAGS names flags that are gone: {sorted(ENV_FLAGS - set(found))}; "
+        f"take them off the list"
     )
 
 

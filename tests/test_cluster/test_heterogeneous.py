@@ -93,3 +93,26 @@ class TestTranslation:
         rms, _, _ = run_hetero("librarisk", jobs, ratings=[100.0, 300.0, 100.0])
         assert len(rms.completed) == 1
         assert rms.completed[0].deadline_met
+
+
+class TestPlacementOrder:
+    """Libra ranks candidates by the *post*-acceptance Eq. 2 total (§3.3
+    best fit), LibraRisk by the *pre*-acceptance load.  On a homogeneous
+    cluster the new job adds the same share everywhere, so the two keys
+    agree; here it adds twice as much on the slow node and they split."""
+
+    @pytest.mark.parametrize("policy_name,node", [("libra", 0), ("librarisk", 1)])
+    def test_same_job_lands_on_different_nodes(self, policy_name, node):
+        sim = Simulator()
+        cluster = Cluster.heterogeneous(sim, [1.0, 2.0])
+        rms = ResourceManagementSystem(sim, cluster, make_policy(policy_name))
+        rms.submit_all([
+            make_job(runtime=50.0, deadline=100.0, job_id=1),   # node 0: 0.5
+            make_job(runtime=110.0, deadline=100.0, job_id=2),  # node 1: 0.55
+            # Share 0.3 on node 0 and 0.15 on node 1: post-acceptance
+            # totals 0.8 > 0.7, pre-acceptance loads 0.5 < 0.55.
+            make_job(runtime=30.0, deadline=100.0, job_id=3),
+        ])
+        sim.run(until=0.0)
+        placed = {job.job_id: job.assigned_nodes for job in rms.jobs}
+        assert placed == {1: [0], 2: [1], 3: [node]}

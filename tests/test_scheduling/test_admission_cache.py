@@ -1,6 +1,6 @@
-"""Cache-invalidation semantics of the admission fast path.
+"""Cache-invalidation semantics of the admission scans.
 
-The fast path memoizes per-node suitability facts keyed on
+The LibraRisk scan memoizes per-node suitability facts keyed on
 :attr:`TimeSharedNode.generation`; every mutation of a node's task set
 must bump the generation or a stale verdict could leak into an
 admission decision.  These tests pin each invalidation edge, plus the
@@ -17,9 +17,9 @@ import pytest
 from repro.cluster.job import Job
 from repro.cluster.node import TimeSharedNode
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import build_scenario_jobs, run_scenario
-from repro.scheduling.librarisk import LibraRiskPolicy
+from repro.experiments.runner import build_scenario_jobs
 from repro.sim.kernel import Simulator
+from tests.test_scheduling.reference_scans import ReferenceLibraRiskPolicy
 
 
 def _node(sim: Simulator, rating: float = 100.0) -> TimeSharedNode:
@@ -137,29 +137,14 @@ class TestMinResidentDeadline:
         assert node.tasks[7].deadline == job.absolute_deadline == 127.0
 
 
-def _run_metrics(policy: str, seed: int, monkeypatch, disable_cache: bool,
-                 num_jobs: int = 150) -> str:
-    if disable_cache:
-        monkeypatch.setenv("REPRO_DISABLE_ADMISSION_CACHE", "1")
-    else:
-        monkeypatch.delenv("REPRO_DISABLE_ADMISSION_CACHE", raising=False)
-    config = ScenarioConfig(num_jobs=num_jobs, num_nodes=24, seed=seed, policy=policy)
-    result = run_scenario(config, jobs=build_scenario_jobs(config))
-    return json.dumps(dataclasses.asdict(result.metrics), sort_keys=True)
-
-
 class TestDecisionParityAcrossInvalidation:
     @pytest.mark.parametrize("policy", ["libra", "librarisk"])
-    def test_parity_under_node_failures(self, policy, monkeypatch):
-        # Failures + repairs churn node state mid-run; the cached run
-        # must make byte-identical decisions to the reference scan.
+    def test_parity_under_node_failures(self, policy, reference_scans):
+        # Failures + repairs churn node state mid-run; the production
+        # scan must make byte-identical decisions to the reference scan.
         from repro.experiments.robustness import run_with_failures
 
-        def cell(disable: bool) -> str:
-            if disable:
-                monkeypatch.setenv("REPRO_DISABLE_ADMISSION_CACHE", "1")
-            else:
-                monkeypatch.delenv("REPRO_DISABLE_ADMISSION_CACHE", raising=False)
+        def cell() -> str:
             config = ScenarioConfig(
                 num_jobs=150, num_nodes=24, seed=11, policy=policy
             )
@@ -170,20 +155,18 @@ class TestDecisionParityAcrossInvalidation:
                 sort_keys=True,
             )
 
-        assert cell(False) == cell(True)
+        production = cell()
+        with reference_scans():
+            assert production == cell()
 
-    def test_librarisk_parity_with_restored_state(self, monkeypatch):
+    def test_librarisk_parity_with_restored_state(self, reference_scans):
         # Checkpoint mid-run, restore into a fresh engine, finish the
         # workload: the restored engine's decisions must not depend on
-        # whether the fast path is enabled.
+        # which scan it runs.
         from repro.service.checkpoint import restore, snapshot
         from repro.service.engine import engine_for_scenario
 
-        def drive(disable: bool) -> str:
-            if disable:
-                monkeypatch.setenv("REPRO_DISABLE_ADMISSION_CACHE", "1")
-            else:
-                monkeypatch.delenv("REPRO_DISABLE_ADMISSION_CACHE", raising=False)
+        def drive() -> str:
             config = ScenarioConfig(
                 num_jobs=120, num_nodes=16, seed=3, policy="librarisk"
             )
@@ -202,7 +185,9 @@ class TestDecisionParityAcrossInvalidation:
                 {"outcomes": outcomes, "stats_t": restored.sim.now}, sort_keys=True
             )
 
-        assert drive(False) == drive(True)
+        production = drive()
+        with reference_scans():
+            assert production == drive()
 
 
 class TestCacheStatsCounters:
@@ -226,13 +211,17 @@ class TestCacheStatsCounters:
         assert served["cache"]["online_scans"] == stats["online_scans"]
         assert "events_tombstoned" in served
 
-    def test_reference_path_records_no_counters(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_ADMISSION_CACHE", "1")
-        policy = LibraRiskPolicy()
-        assert policy.fast_path is False
+    def test_reference_path_records_no_counters(self, reference_scans):
+        from repro.service.engine import engine_for_scenario
+
         config = ScenarioConfig(num_jobs=40, num_nodes=8, seed=5, policy="librarisk")
-        result = run_scenario(config, jobs=build_scenario_jobs(config))
-        assert result.metrics.total_submitted == 40
+        with reference_scans():
+            engine = engine_for_scenario(config)
+        assert type(engine.policy) is ReferenceLibraRiskPolicy
+        for job in build_scenario_jobs(config):
+            engine.submit(job)
+        assert len(engine.decisions) == 40
+        assert engine.policy.cache_stats == {}
 
 
 class TestKernelTombstones:

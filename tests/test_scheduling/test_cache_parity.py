@@ -1,13 +1,15 @@
-"""Property-style exactness check: fast path == reference, byte for byte.
+"""Property-style exactness check: production scan == reference, byte for byte.
 
-The admission fast path (``repro.scheduling.libra`` / ``librarisk``)
-claims to be *exact memoization*: not statistically close, but
-bit-identical on every decision, metric and exported record.  These
-tests hold it to that claim over randomized workloads — random scale,
-seed, estimate mode and policy knobs — by running each scenario twice,
-once cached and once with ``REPRO_DISABLE_ADMISSION_CACHE=1`` (which
-routes through the pre-optimization reference scan), and comparing the
-complete JSON-lines metrics export byte for byte.
+The admission scans of ``repro.scheduling.libra`` / ``librarisk``
+claim to be *exact memoization* of the plain scans kept in
+``reference_scans.py``: not statistically close, but bit-identical on
+every decision, metric and exported record.  These tests hold them to
+that claim over randomized workloads — random scale, seed, estimate
+mode and policy knobs — by running each scenario twice, once as
+shipped and once inside the ``reference_scans`` fixture (which makes
+the registry build the witnesses), and comparing the complete
+JSON-lines metrics export byte for byte.  EDF has no witness; its row
+checks that two runs of one scenario export identically.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.service.checkpoint import restore, snapshot
 from repro.service.engine import engine_for_scenario
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
+from tests.test_scheduling.reference_scans import WITNESSES
 
 POLICIES = ("edf", "libra", "librarisk")
 
@@ -64,12 +67,11 @@ def _export_bytes(config: ScenarioConfig, tmp_path, tag: str) -> bytes:
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_randomized_workloads_export_identically(policy, tmp_path, monkeypatch):
+def test_randomized_workloads_export_identically(policy, tmp_path, reference_scans):
     for i, config in enumerate(_random_configs(policy, count=3)):
-        monkeypatch.delenv("REPRO_DISABLE_ADMISSION_CACHE", raising=False)
         fast = _export_bytes(config, tmp_path, f"{policy}-{i}-fast")
-        monkeypatch.setenv("REPRO_DISABLE_ADMISSION_CACHE", "1")
-        reference = _export_bytes(config, tmp_path, f"{policy}-{i}-ref")
+        with reference_scans():
+            reference = _export_bytes(config, tmp_path, f"{policy}-{i}-ref")
         assert fast == reference, (
             f"{policy} export diverged for {config.label()} "
             f"(seed={config.seed}, kwargs={config.policy_kwargs})"
@@ -110,8 +112,8 @@ def _run_churn(
     admission state, repairs bring empty nodes back — interleaved with
     ordinary completions.  The digest captures every job's terminal
     state and exact timestamps (``repr`` keeps full float precision),
-    so any admission decision that diverges between the cached and the
-    reference scan shows up byte-for-byte; ``states`` holds the raw node
+    so any admission decision that diverges between the production and
+    the reference scan shows up byte-for-byte; ``states`` holds the raw node
     ledgers after every submit.
     """
     jobs = build_scenario_jobs(config)
@@ -178,7 +180,7 @@ def _run_checkpointed_churn(config: ScenarioConfig) -> list:
 
 _CHURN_RNG = random.Random(20260809)
 
-#: A counter only each policy's fast scan bumps.
+#: A counter only each policy's production scan bumps.
 FAST_PATH_COUNTER = {"libra": "inline_share_sums", "librarisk": "fast_fit_hits"}
 
 
@@ -203,25 +205,25 @@ def _churn_configs(policy: str, count: int) -> list[ScenarioConfig]:
 
 
 @pytest.mark.parametrize("policy", ("libra", "librarisk"))
-def test_churn_interleavings_match_reference(policy, monkeypatch):
+def test_churn_interleavings_match_reference(policy, reference_scans):
     # Fail/repair/overrun-demote/complete interleavings must leave the
-    # cached scan's decisions byte-identical to the reference scan's —
-    # generation bumps from fail() and repair() are what invalidate the
-    # poison cache, so this is the invalidation correctness test.
+    # production scan's decisions byte-identical to the reference scan's
+    # — generation bumps from fail() and repair() are what invalidate
+    # the poison cache, so this is the invalidation correctness test.
     for config in _churn_configs(policy, count=2):
-        monkeypatch.delenv("REPRO_DISABLE_ADMISSION_CACHE", raising=False)
         fast, fails, repairs, fast_policy, states = _run_churn(
             config, mtbf_hours=10.0, repair_hours=1.0
         )
-        # Parity alone would also hold if the fast path never fired.
+        # Parity alone would also hold if the shortcuts never fired.
         counter = FAST_PATH_COUNTER[policy]
         assert fast_policy.cache_stats.get(counter, 0) > 0, f"{policy}: no {counter}"
         restored = _run_checkpointed_churn(config)
-        monkeypatch.setenv("REPRO_DISABLE_ADMISSION_CACHE", "1")
-        ref, ref_fails, _, _, ref_states = _run_churn(
-            config, mtbf_hours=10.0, repair_hours=1.0
-        )
-        ref_restored = _run_checkpointed_churn(config)
+        with reference_scans():
+            ref, ref_fails, _, ref_policy, ref_states = _run_churn(
+                config, mtbf_hours=10.0, repair_hours=1.0
+            )
+            ref_restored = _run_checkpointed_churn(config)
+        assert type(ref_policy) is WITNESSES[policy]
         assert fails == ref_fails
         assert fails > 0, "churn scenario injected no failures; raise intensity"
         assert repairs > 0, "churn scenario saw no repairs; raise intensity"
@@ -241,7 +243,6 @@ def test_churn_certificates_hold_under_verification(monkeypatch):
     # exact projection; an unsound one raises AssertionError inside the
     # run.  The audit is a pure read: the ledgers end up bit-identical
     # to an unverified run's.
-    monkeypatch.delenv("REPRO_DISABLE_ADMISSION_CACHE", raising=False)
     monkeypatch.setenv("REPRO_VERIFY_CERT", "1")
     config = ScenarioConfig(
         num_jobs=150, num_nodes=16, seed=4242, policy="librarisk",

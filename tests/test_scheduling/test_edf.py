@@ -112,12 +112,6 @@ class TestAdmissionControl:
         # Job 3 starts on the free node at its arrival, not after job 1.
         assert by_id[3].start_time == pytest.approx(2.0)
 
-    def test_admission_check_disabled_runs_everything(self):
-        jobs = [make_job(runtime=10.0, estimate=500.0, deadline=100.0)]
-        rms, _, _ = run_jobs("edf", jobs, admission_check=False)
-        assert len(rms.completed) == 1
-        assert rms.completed[0].deadline_met  # actual runtime was fine
-
     def test_non_preemptive_head_of_line_blocking(self):
         # EDF does NOT backfill: an urgent wide job blocks a later
         # narrow job even though a node is idle.

@@ -39,11 +39,6 @@ class TestAdmission:
         rms, _, _ = run_jobs("fcfs", jobs)
         assert len(rms.rejected) == 1
 
-    def test_check_disabled(self):
-        jobs = [make_job(runtime=10.0, estimate=500.0, deadline=100.0)]
-        rms, _, _ = run_jobs("fcfs", jobs, admission_check=False)
-        assert len(rms.completed) == 1
-
     def test_queued_jobs_property(self):
         jobs = [
             make_job(runtime=100.0, deadline=10000.0, submit=0.0, job_id=1),

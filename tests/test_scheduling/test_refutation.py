@@ -11,8 +11,9 @@ what stands between it and a wrong admission decision:
 * **stable** — a ``True`` stays true of every node within 1e-9
   relative of the one it was computed on;
 * **pure** — the call writes nothing;
-* **on the path** — the scan that uses it equals ``_submit_reference``
-  in the modes where it must always fall through.
+* **on the path** — the scan that uses it equals the reference scan
+  (``reference_scans.py``) in the modes where it must always fall
+  through.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.scheduling.librarisk import LibraRiskPolicy
 from repro.scheduling.risk import RiskAssessment, assess_delays
 from repro.sim.kernel import Simulator
 from tests.test_properties_engine import build_jobs, job_strategy
+from tests.test_scheduling.reference_scans import ReferenceLibraRiskPolicy
 
 #: Seconds, a minute to a day; the integer grid invites exact ties.
 _TIMES = st.one_of(
@@ -89,7 +91,8 @@ def _build(spec, jitter=None):
         )
         entries.append((job, work * rating * factor, est * rating * factor, t0))
     node.restore_tasks(entries, t0)
-    horizon = node._next_completion_delay() or 100.0
+    event = node._completion_event  # scheduled by restore_tasks, from sim time 0
+    horizon = (event.time if event is not None else 0.0) or 100.0
     now = t0 + spec["elapsed"] * horizon
     for instant in sorted(t0 + c * (now - t0) for c in spec["syncs"]):
         node.sync(instant)
@@ -159,14 +162,14 @@ class TestRefuter:
 
 def _scan(jobs, fast: bool, num_nodes: int, until=None,
           suitability: str = "sigma", redistribute: bool = False):
-    """Run ``jobs`` through a LibraRisk cluster on the chosen scan."""
+    """Run ``jobs`` through a LibraRisk cluster on the production scan
+    (``fast``) or the reference witness."""
     sim = Simulator()
     cluster = Cluster.homogeneous(
         sim, num_nodes, rating=1.0, discipline="time_shared",
         share_params=ShareParams(redistribute_spare=redistribute),
     )
-    policy = LibraRiskPolicy(suitability=suitability)
-    policy.fast_path = fast
+    policy = (LibraRiskPolicy if fast else ReferenceLibraRiskPolicy)(suitability=suitability)
     rms = ResourceManagementSystem(sim, cluster, policy)
     rms.submit_all(jobs)
     sim.run(until=until)
