@@ -1,40 +1,14 @@
-"""Whole-program determinism flow analysis (``repro flowcheck``).
+"""The whole-program half of ``repro lint``.
 
-The per-function rules of :mod:`repro.analysis.lint` stop at function
-boundaries; this package checks the *transitive* versions of the same
-invariants over a deterministic call graph of ``src/repro``:
-
-* **FLOW001** — interprocedural nondeterminism taint: a decision-path
-  root (policy admission, engine submit/advance/drain, WAL append,
-  checkpoint/trace serialization) must not reach a wall-clock read,
-  ambient entropy, env read, unordered iteration or thread-timing call
-  through any chain of calls.
-* **FLOW002** — cycles in the interprocedural lock-order graph
-  (potential deadlock between service/obs/sharding locks).
-* **FLOW003** — a ``# repro-lint: locked`` function (one whose body
-  mutates shared engine/WAL/metric state relying on the caller's lock)
-  reachable through a call site where no lock is held.
-* **FLOW004** — WAL protocol violations against the declared spec:
-  append-before-apply, recover-before-serve, compact-under-lock.
+:mod:`~repro.analysis.flow.callgraph` is the one walk: it parses each
+file once into a deterministic call graph of ``src/repro``.  The other
+modules check the invariants that cross function boundaries over it —
+:mod:`~repro.analysis.flow.taint` (FLOW001),
+:mod:`~repro.analysis.flow.locks` (CONC001, FLOW002) and
+:mod:`~repro.analysis.flow.walproto` (FLOW004); the rule catalog in
+:mod:`repro.analysis.lint.rules` lists them beside the per-file rules.
 
 Static findings are cross-validated at runtime by
 :mod:`repro.analysis.sanitizer` (``REPRO_SANITIZE=1``), which patches
 the banned sources to raise inside active decision-path spans.
 """
-
-from repro.analysis.flow.callgraph import CallGraph, build_callgraph
-from repro.analysis.flow.engine import (
-    FLOW_RULE_IDS,
-    FLOW_RULES,
-    FlowResult,
-    run_flow,
-)
-
-__all__ = [
-    "CallGraph",
-    "FLOW_RULES",
-    "FLOW_RULE_IDS",
-    "FlowResult",
-    "build_callgraph",
-    "run_flow",
-]

@@ -1,4 +1,9 @@
-"""A deterministic module/call-graph builder over ``src/repro``.
+"""The one walk of ``repro lint``: every file parsed once into a call graph.
+
+:func:`build_callgraph` expands the paths, then reads, parses and
+pragma-scans each file exactly once into a :class:`ModuleInfo`.  The
+per-file rules read those trees (``CallGraph.files``); the
+whole-program rules read the graph built over them.
 
 The graph is intentionally *lightweight*: it resolves the call idioms
 this codebase actually uses (module functions, imported names, ``self``
@@ -7,20 +12,23 @@ falls back to by-name candidate matching only for receivers it cannot
 type — capped and filtered so generic container methods never alias
 into domain calls.  Everything is walked and emitted in sorted order,
 so two builds of the same tree are identical object-for-object; the
-flow rules layered on top inherit byte-identical output from that.
+rules layered on top inherit byte-identical output from that.
 
-The builder reuses the lint engine's file walker, module naming and
-pragma parser, so ``# repro-lint: module=`` fixtures and ``locked`` /
-``safe=`` / ``boundary=`` markers mean the same thing in both passes.
+Module-level (and class-body) code is walked as one pseudo-function,
+``<module>``, so a wall-clock read at import time is a source like any
+other.  This module also holds the one classifier of nondeterminism
+sources and of shared-state writes that the rules consult.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from repro.analysis.lint.engine import iter_python_files, module_for_path
+from repro.analysis.lint.findings import LintError
 from repro.analysis.lint.suppressions import (
     Suppressions,
     marker_for_def,
@@ -29,9 +37,22 @@ from repro.analysis.lint.suppressions import (
 
 FunctionDefNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Attribute names that read as "this is a lock" in a ``with`` item
-#: (mirrors the lint rules' heuristic).
+#: Attribute names that read as "this is a lock" in a ``with`` item.
 _LOCKISH = ("lock", "mutex")
+
+#: The threaded service layer: engine/WAL attributes written here are
+#: shared between handler threads (the CONC001 lock rule).
+SERVICE_PACKAGE = "repro.service"
+
+#: Windowed-metric modules: every ``self`` attribute is shared between
+#: the engine thread and HTTP scrape threads (the CONC001 lock rule).
+METRIC_MODULES = ("repro.obs.metrics", "repro.obs.windows")
+
+#: Container methods that mutate their receiver in place.
+_MUTATING_METHODS = frozenset({
+    "append", "appendleft", "popleft", "pop", "clear", "extend",
+    "extendleft", "update", "setdefault", "insert", "remove", "rotate",
+})
 
 #: Method names too generic for by-name fallback resolution: a call to
 #: ``x.append(...)`` on an untyped receiver must never alias into
@@ -48,6 +69,146 @@ _GENERIC_METHODS = frozenset({
 #: By-name fallback gives up beyond this many candidates — an attribute
 #: shared by more classes than this is a generic verb, not a call edge.
 _FALLBACK_CAP = 8
+
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+#: Nodes with nothing a rule looks for below them: walks skip them.
+_LEAVES = (
+    ast.Name, ast.Constant, ast.expr_context, ast.operator, ast.cmpop,
+    ast.unaryop, ast.boolop, ast.alias,
+)
+#: Nodes that hold statements; expressions never do.
+_BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
+def in_packages(module: str, packages: Sequence[str]) -> bool:
+    """True when ``module`` is one of ``packages`` or inside one."""
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
+def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
+    """Expand ``paths`` into a sorted stream of ``.py`` file paths."""
+    seen: set[str] = set()
+    collected: list[str] = []
+    for path in paths:
+        if os.path.isdir(path):
+            for dirpath, dirnames, filenames in os.walk(path):
+                dirnames[:] = sorted(
+                    d for d in dirnames
+                    if d not in ("__pycache__", ".git") and not d.endswith(".egg-info")
+                )
+                for name in sorted(filenames):
+                    if name.endswith(".py"):
+                        collected.append(os.path.join(dirpath, name))
+        else:
+            collected.append(path)
+    for path in sorted(collected):
+        norm = os.path.normpath(path)
+        if norm not in seen:
+            seen.add(norm)
+            yield norm
+
+
+def module_for_path(path: str) -> str:
+    """Dotted module name for ``path``, anchored at the ``repro`` package.
+
+    ``src/repro/sim/kernel.py`` -> ``repro.sim.kernel``; files outside a
+    ``repro`` package root map to ``""`` (no rule applies to them unless
+    a ``module=`` pragma says otherwise).
+    """
+    parts = os.path.normpath(path).split(os.sep)
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    try:
+        anchor = len(parts) - 1 - parts[::-1].index("repro")
+    except ValueError:
+        return ""
+    return ".".join(parts[anchor:])
+
+
+def scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` below ``scope`` that does not enter nested function scopes.
+
+    Nested ``def``/``lambda`` nodes are yielded, their bodies are not;
+    names, constants and operators are skipped.
+    """
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _LEAVES):
+            continue
+        yield node
+        if not isinstance(node, _SCOPE_NODES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _statements(node: ast.AST, into_defs: bool = True) -> Iterator[ast.AST]:
+    """The statements below ``node``, in ``ast.walk`` (breadth-first) order.
+
+    Expressions never hold statements, so they are not entered; with
+    ``into_defs=False`` nested ``def`` bodies are not entered either.
+    """
+    queue = deque(ast.iter_child_nodes(node))
+    while queue:
+        child = queue.popleft()
+        if isinstance(child, _BLOCKS):
+            yield child
+            if into_defs or not isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                queue.extend(ast.iter_child_nodes(child))
+
+
+def _attr_chain(node: ast.AST) -> Optional[list[str]]:
+    """``a.b.c`` as ``["a", "b", "c"]``; ``None`` for non-name chains."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        parts.reverse()
+        return parts
+    return None
+
+
+def _is_lockish_name(name: str) -> bool:
+    lowered = name.lower()
+    return any(word in lowered for word in _LOCKISH)
+
+
+def unordered_reason(
+    node: ast.expr, scopes: Sequence[dict[str, bool]] = ()
+) -> Optional[str]:
+    """Why iterating ``node`` has a run-dependent order, or ``None``.
+
+    ``scopes`` is the chain of enclosing name -> "every binding is a
+    set" maps, innermost last, that DET002 tracks; the call graph
+    passes none and sees only the syntactic forms.
+    """
+    if isinstance(node, ast.Set):
+        return "a set literal"
+    if isinstance(node, ast.SetComp):
+        return "a set comprehension"
+    if isinstance(node, ast.Name):
+        for scope in reversed(scopes):  # innermost binding wins
+            if node.id in scope:
+                if scope[node.id]:
+                    return f"'{node.id}', a name bound to a set/frozenset value"
+                return None
+        return None
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
+            return f"{node.func.id}(...)"
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "keys":
+            return ".keys() (iterate the mapping itself, or sorted(...))"
+        return None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
+        if unordered_reason(node.left) or unordered_reason(node.right):
+            return "set algebra"
+    return None
 
 
 @dataclass(frozen=True)
@@ -83,8 +244,6 @@ class CallSite:
 
     line: int
     col: int
-    #: Rendered call target, e.g. ``self.wal.append``.
-    raw: str
     #: Resolved callee qualnames (empty when unresolvable).
     callees: tuple[str, ...]
     #: Normalized ids of locks held lexically at this site.
@@ -93,14 +252,18 @@ class CallSite:
 
 @dataclass(frozen=True)
 class MutationSite:
-    """One engine/WAL shared-state attribute write."""
+    """One write to shared state (see ``_FunctionWalker._is_shared``)."""
 
     line: int
     col: int
-    #: Rendered assignment target, e.g. ``self.engine.wal_lsn``.
+    #: Rendered target, e.g. ``self.engine.wal_lsn`` or
+    #: ``self._values.append(...)``.
     target: str
     #: True when a lock is held lexically at the write.
     locked: bool
+    #: True for a metric object's own state, which only its own lock
+    #: guards: a caller holding some other lock does not cover it.
+    self_state: bool = False
 
 
 @dataclass
@@ -117,16 +280,12 @@ class FunctionInfo:
     acquires: list[LockSite] = field(default_factory=list)
     sources: list[SourceSite] = field(default_factory=list)
     mutations: list[MutationSite] = field(default_factory=list)
-    #: ``# repro-lint: locked`` — body relies on the caller's lock.
+    #: The ``locked`` pragma marker: the body relies on the caller's lock.
     locked_marker: bool = False
-    #: Rules from ``# repro-lint: safe=...``.
+    #: Rules named by the ``safe=`` pragma marker.
     safe_rules: frozenset[str] = frozenset()
-    #: Rules from ``# repro-lint: boundary=...``.
+    #: Rules named by the ``boundary=`` pragma marker.
     boundary_rules: frozenset[str] = frozenset()
-
-    def display(self) -> str:
-        """Short human form used in finding chains."""
-        return self.qualname
 
 
 @dataclass
@@ -164,22 +323,17 @@ class ModuleInfo:
     global_names: set[str] = field(default_factory=set)
 
 
-@dataclass
-class CallGraphError:
-    """A file the builder could not parse."""
-
-    path: str
-    message: str
-
-
 class CallGraph:
     """The whole-program index the flow rules run over."""
 
     def __init__(self) -> None:
+        #: Every parsed file, in path order (two files may share a name).
+        self.files: list[ModuleInfo] = []
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.errors: list[CallGraphError] = []
+        self.errors: list[LintError] = []
+        #: Paths visited, whether or not they could be read and parsed.
         self.files_checked: int = 0
         #: method/function simple name -> sorted list of qualnames.
         self._by_name: dict[str, list[str]] = {}
@@ -195,14 +349,20 @@ class CallGraph:
     def callers(self, qualname: str) -> tuple[str, ...]:
         return self._redges.get(qualname, ())
 
-    def functions_by_name(self, name: str) -> list[str]:
-        return list(self._by_name.get(name, []))
-
     def sorted_functions(self) -> list[FunctionInfo]:
         return [self.functions[q] for q in sorted(self.functions)]
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self._edges.values())
+
+    def shape(self) -> dict[str, int]:
+        """Graph shape counters: stable across runs, safe to serialize."""
+        return {
+            "modules": len(self.modules),
+            "functions": len(self.functions),
+            "call_edges": self.edge_count(),
+            "lock_sites": sum(len(f.acquires) for f in self.functions.values()),
+        }
 
     def class_for(self, dotted: str, module: ModuleInfo) -> Optional[ClassInfo]:
         """Resolve a dotted class spelling inside ``module``."""
@@ -249,19 +409,6 @@ class CallGraph:
         return None
 
 
-def _attr_chain(node: ast.AST) -> Optional[list[str]]:
-    """``a.b.c`` as ``["a", "b", "c"]``; ``None`` for non-name chains."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
 def _annotation_class(node: Optional[ast.expr]) -> Optional[str]:
     """The dotted class spelling named by an annotation, if any.
 
@@ -302,15 +449,6 @@ def _annotation_class(node: Optional[ast.expr]) -> Optional[str]:
     return None
 
 
-def _is_lockish_name(name: str) -> bool:
-    lowered = name.lower()
-    return any(word in lowered for word in _LOCKISH)
-
-
-def _render_chain(chain: Sequence[str]) -> str:
-    return ".".join(chain)
-
-
 # -- nondeterminism source detection ------------------------------------------
 
 _WALL_CLOCK_ATTRS = frozenset({
@@ -331,26 +469,25 @@ class _FunctionWalker:
         module: ModuleInfo,
         cls: Optional[ClassInfo],
         info: FunctionInfo,
-        node: FunctionDefNode,
+        node: Union[FunctionDefNode, ast.Module],
     ) -> None:
         self.graph = graph
         self.module = module
         self.cls = cls
         self.info = info
         self.node = node
+        self.at_module = isinstance(node, ast.Module)
+        self.in_service = in_packages(module.name, (SERVICE_PACKAGE,))
+        self.in_metrics = module.name in METRIC_MODULES
         #: Local name -> dotted class spelling (annotated params,
         #: constructor assignments).
         self.env: dict[str, str] = {}
-        #: Local name -> bound to a set-valued expression (every binding
-        #: seen so far set-ish / any binding non-set-ish poisons it).
-        self._seed_env(node)
-
-    def _seed_env(self, node: FunctionDefNode) -> None:
-        args = node.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            cls_name = _annotation_class(arg.annotation)
-            if cls_name is not None:
-                self.env[arg.arg] = cls_name
+        if not isinstance(node, ast.Module):
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+                cls_name = _annotation_class(arg.annotation)
+                if cls_name is not None:
+                    self.env[arg.arg] = cls_name
 
     # -- main walk ---------------------------------------------------------
     def walk(self) -> None:
@@ -358,9 +495,9 @@ class _FunctionWalker:
 
     def _walk_body(self, node: ast.AST, locks: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, *_LEAVES)):
                 continue  # nested defs are their own graph nodes
-            if isinstance(child, ast.ClassDef):
+            if isinstance(child, ast.ClassDef) and not self.at_module:
                 continue  # nested classes handled at registration time
             child_locks = locks
             if isinstance(child, ast.With):
@@ -445,27 +582,49 @@ class _FunctionWalker:
     def _note_mutation_target(
         self, target: ast.expr, node: ast.AST, locks: tuple[str, ...]
     ) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                self._note_mutation_target(elt, node, locks)
+            return
         while isinstance(target, ast.Subscript):
             target = target.value
         chain = _attr_chain(target)
-        if chain is None or len(chain) < 2:
-            return
-        # Same shape CONC001 checks per-function: a write whose target
-        # path passes *through* an engine/wal segment is shared-state
-        # mutation; rebinding the reference itself is construction.
-        if any(seg in ("engine", "wal") for seg in chain[:-1]):
-            self.info.mutations.append(MutationSite(
-                line=getattr(node, "lineno", target.lineno),
-                col=getattr(node, "col_offset", target.col_offset),
-                target=_render_chain(chain),
-                locked=bool(locks),
-            ))
+        if chain is not None and self._is_shared(chain, method=False):
+            self._mutation(node, ".".join(chain), locks)
+
+    def _is_shared(self, chain: list[str], method: bool) -> bool:
+        """Does writing through ``chain`` touch state other threads share?
+
+        In the service layer: an attribute reached *through* an
+        ``engine``/``wal`` reference (rebinding the reference itself is
+        construction).  In the metric modules: any ``self`` attribute,
+        or an in-place ``method`` call on one, outside ``__init__``,
+        which runs before the object is published.
+        """
+        if self.in_metrics:
+            return (
+                chain[0] == "self" and (method or len(chain) > 1)
+                and self.info.name != "__init__"
+            )
+        return (
+            self.in_service and not method and len(chain) > 1
+            and any(seg in ("engine", "wal") for seg in chain[:-1])
+        )
+
+    def _mutation(self, node: ast.AST, target: str, locks: tuple[str, ...]) -> None:
+        self.info.mutations.append(MutationSite(
+            line=getattr(node, "lineno", self.info.lineno),
+            col=getattr(node, "col_offset", 0),
+            target=target,
+            locked=bool(locks),
+            self_state=self.in_metrics,
+        ))
 
     def _value_class(self, value: ast.expr) -> Optional[str]:
         if isinstance(value, ast.Call):
             chain = _attr_chain(value.func)
             if chain is not None:
-                dotted = _render_chain(chain)
+                dotted = ".".join(chain)
                 if self.graph.graph.class_for(dotted, self.module) is not None:
                     return dotted
             return None
@@ -481,14 +640,20 @@ class _FunctionWalker:
     # -- calls -------------------------------------------------------------
     def _note_call(self, node: ast.Call, locks: tuple[str, ...]) -> None:
         chain = _attr_chain(node.func)
-        raw = _render_chain(chain) if chain else "<dynamic>"
         self._note_source_call(node, chain)
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
+            receiver = func.value
+            while isinstance(receiver, ast.Subscript):
+                receiver = receiver.value
+            recv = _attr_chain(receiver)
+            if recv is not None and self._is_shared(recv, method=True):
+                self._mutation(node, f"{'.'.join(recv)}.{func.attr}(...)", locks)
         callees = self.graph.resolve_call(self, node)
         if callees or chain:
             self.info.calls.append(CallSite(
                 line=node.lineno,
                 col=node.col_offset,
-                raw=raw,
                 callees=tuple(sorted(set(callees))),
                 locks_held=locks,
             ))
@@ -499,24 +664,12 @@ class _FunctionWalker:
     ) -> None:
         if chain is None:
             return
-        root, leaf = chain[0], chain[-1]
-        dotted = _render_chain(chain)
-        # `from time import monotonic` style: the bare name still reads
-        # the wall clock; resolve through the module's import table.
-        origin = self.module.from_imports.get(root)
+        origin = self.module.from_imports.get(chain[0])
         if origin is not None and len(chain) == 1:
-            root_module, attr = origin
-            if root_module == "time" and attr in _WALL_CLOCK_ATTRS:
-                self._source(node, "wall-clock", f"time.{attr}()")
-                return
-            if root_module == "os" and attr == "urandom":
-                self._source(node, "entropy", "os.urandom()")
-                return
-            if root_module == "os" and attr == "getenv":
-                self._source(node, "env-read", "os.getenv()")
-                return
-        alias_target = self.module.imports.get(root)
-        effective_root = alias_target if alias_target is not None else root
+            # `from time import monotonic`: the bare name is `time.monotonic`.
+            chain = [*origin[0].split("."), origin[1]]
+        dotted, leaf = ".".join(chain), chain[-1]
+        effective_root = self.module.imports.get(chain[0], chain[0])
         if effective_root == "time" and len(chain) > 1 and leaf in _WALL_CLOCK_ATTRS:
             self._source(node, "wall-clock", dotted + "()")
         elif effective_root == "time" and leaf == "sleep":
@@ -547,27 +700,9 @@ class _FunctionWalker:
             self._source(node, "thread-timing", dotted + "()")
 
     def _note_iteration(self, it: ast.expr) -> None:
-        reason = self._unordered_reason(it)
+        reason = unordered_reason(it)
         if reason is not None:
-            self._source(it, "unordered-iteration", reason)
-
-    def _unordered_reason(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Set):
-            return "iteration over a set literal"
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name):
-                if node.func.id in ("set", "frozenset"):
-                    return f"iteration over {node.func.id}(...)"
-                return None
-            return None
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            left = self._unordered_reason(node.left)
-            right = self._unordered_reason(node.right)
-            if left is not None or right is not None:
-                return "iteration over set algebra"
-        return None
+            self._source(it, "unordered-iteration", f"iteration over {reason}")
 
     def _source(self, node: ast.AST, kind: str, detail: str) -> None:
         self.info.sources.append(SourceSite(
@@ -585,37 +720,42 @@ class _Builder:
         self.graph = CallGraph()
         #: (module, cls, info, ast node) for the resolution pass.
         self._pending: list[tuple[
-            ModuleInfo, Optional[ClassInfo], FunctionInfo, FunctionDefNode
+            ModuleInfo, Optional[ClassInfo], FunctionInfo,
+            Union[FunctionDefNode, ast.Module],
         ]] = []
 
     # -- pass 1: registration ----------------------------------------------
     def add_file(self, path: str) -> None:
+        """Read, parse and pragma-scan ``path`` once; register its defs."""
+        self.graph.files_checked += 1
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 source = handle.read()
-        except OSError as exc:
-            self.graph.errors.append(
-                CallGraphError(path=path, message=f"cannot read: {exc}")
-            )
-            return
-        try:
             tree = ast.parse(source, filename=path)
+        except OSError as exc:
+            self.graph.errors.append(LintError(path, f"cannot read: {exc}"))
+            return
         except SyntaxError as exc:
-            self.graph.errors.append(CallGraphError(
-                path=path,
-                message=f"syntax error on line {exc.lineno}: {exc.msg}",
+            self.graph.errors.append(LintError(
+                path, f"syntax error on line {exc.lineno}: {exc.msg}"
             ))
             return
-        self.graph.files_checked += 1
         suppressions = parse_suppressions(source)
         module_name = suppressions.module_override or module_for_path(path)
-        if not module_name:
-            return
         module = ModuleInfo(
             name=module_name, path=path, tree=tree, suppressions=suppressions
         )
+        self.graph.files.append(module)
+        if not module_name:
+            return
         self.graph.modules[module_name] = module
         self._collect_imports(module)
+        top = FunctionInfo(
+            qualname=f"{module_name}.<module>", module=module_name, cls=None,
+            name="<module>", path=path, lineno=1,
+        )
+        self.graph.functions[top.qualname] = top
+        self._pending.append((module, None, top, tree))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._register_function(module, None, node, prefix=module_name)
@@ -630,7 +770,7 @@ class _Builder:
                     module.global_names.add(node.target.id)
 
     def _collect_imports(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
+        for node in _statements(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
@@ -658,7 +798,7 @@ class _Builder:
         for base in node.bases:
             chain = _attr_chain(base)
             if chain is not None:
-                info.bases.append(_render_chain(chain))
+                info.bases.append(".".join(chain))
         module.classes[node.name] = info
         self.graph.classes[qualname] = info
         for child in node.body:
@@ -686,7 +826,7 @@ class _Builder:
                 cls_name = _annotation_class(arg.annotation)
                 if cls_name is not None:
                     params[arg.arg] = cls_name
-            for stmt in ast.walk(method):
+            for stmt in _statements(method):
                 targets: list[ast.expr] = []
                 value: Optional[ast.expr] = None
                 if isinstance(stmt, ast.Assign):
@@ -707,7 +847,7 @@ class _Builder:
                     if inferred is None and isinstance(value, ast.Call):
                         call_chain = _attr_chain(value.func)
                         if call_chain is not None:
-                            dotted = _render_chain(call_chain)
+                            dotted = ".".join(call_chain)
                             if self._names_a_class(module, dotted):
                                 inferred = dotted
                     if inferred is not None and attr not in info.attr_types:
@@ -752,27 +892,11 @@ class _Builder:
             module.functions[node.name] = qualname
         self._pending.append((module, cls, info, node))
         # Nested defs become their own nodes under `<locals>`.
-        for child in ast.walk(node):
-            if child is node:
-                continue
+        for child in _statements(node, into_defs=False):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if self._direct_parent_function(node, child):
-                    self._register_function(
-                        module, cls, child, prefix=f"{qualname}.<locals>"
-                    )
-
-    def _direct_parent_function(
-        self, parent: FunctionDefNode, child: FunctionDefNode
-    ) -> bool:
-        """True when no other def nests between ``parent`` and ``child``."""
-        for mid in ast.walk(parent):
-            if mid in (parent, child):
-                continue
-            if isinstance(mid, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for sub in ast.walk(mid):
-                    if sub is child:
-                        return False
-        return True
+                self._register_function(
+                    module, cls, child, prefix=f"{qualname}.<locals>"
+                )
 
     # -- pass 2: body walks + resolution -----------------------------------
     def finish(self) -> CallGraph:
@@ -959,7 +1083,7 @@ class _Builder:
 
 
 def build_callgraph(paths: Sequence[str]) -> CallGraph:
-    """Parse every Python file under ``paths`` into one :class:`CallGraph`."""
+    """Parse every Python file under ``paths`` once into one :class:`CallGraph`."""
     builder = _Builder()
     for path in iter_python_files(paths):
         builder.add_file(path)
@@ -968,7 +1092,6 @@ def build_callgraph(paths: Sequence[str]) -> CallGraph:
 
 __all__ = [
     "CallGraph",
-    "CallGraphError",
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
@@ -977,4 +1100,9 @@ __all__ = [
     "MutationSite",
     "SourceSite",
     "build_callgraph",
+    "in_packages",
+    "iter_python_files",
+    "module_for_path",
+    "scope_walk",
+    "unordered_reason",
 ]

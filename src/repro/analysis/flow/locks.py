@@ -1,4 +1,4 @@
-"""FLOW002/FLOW003 — the interprocedural lock-order and coverage graph.
+"""FLOW002 and CONC001 — the interprocedural lock-order and lock-coverage rules.
 
 **FLOW002** assembles a lock-*order* digraph: an edge ``A -> B`` means
 some execution path acquires ``B`` while holding ``A`` — either
@@ -8,26 +8,32 @@ that graph is a potential deadlock between threads taking the locks in
 opposite orders; every edge of the reported cycle carries a concrete
 ``function:line`` witness.
 
-**FLOW003** closes the loop on the ``# repro-lint: locked`` contract.
-The per-function CONC001 rule trusts the marker ("my caller holds the
-lock"); this pass *verifies* it at every resolved call site: the site
-must hold a lock lexically, or sit in a function that is itself
-``locked``/``safe=CONC001``-marked or provably only entered under a
-lock.  An uncovered site is a path that mutates engine/WAL/metric
-state with no lock held.
+**CONC001** is "a shared attribute is mutated only under its lock".
+It reads the shared-state writes the call graph records (engine/WAL
+attributes in the service layer, ``self`` state of the metric modules),
+each with a lexical ``locked`` flag.  An unlocked write is fine only in
+a function marked ``# repro-lint: locked`` or ``safe=CONC001``, or in
+the single-threaded engine module.  An engine/WAL write is also fine in
+a function *entered under a lock* on every resolved path: each caller
+holds a lock at the call or is itself entered under one.  A metric
+object's own state is not: a caller's lock is not the object's lock.
+The ``locked`` marker is trusted there and verified here: every
+resolved call into a ``locked`` function must be entered under a lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.flow.callgraph import CallGraph, FunctionInfo
 from repro.analysis.lint.findings import Finding
-from repro.analysis.lint.rules import CONC001_EXEMPT_MODULES
 
 ORDER_RULE_ID = "FLOW002"
-COVERAGE_RULE_ID = "FLOW003"
+LOCK_RULE_ID = "CONC001"
+
+#: Service modules that *implement* the engine/WAL themselves; their
+#: self-mutations are single-threaded by contract (callers lock).
+CONC001_EXEMPT_MODULES = ("repro.service.engine",)
 
 
 @dataclass(frozen=True)
@@ -153,9 +159,8 @@ def check_lock_order(graph: CallGraph) -> list[Finding]:
         )
         anchor = cycle[0].witness
         anchor_fn = anchor.rsplit(":", 1)[0]
-        info = graph.functions.get(anchor_fn)
         findings.append(Finding(
-            path=info.path if info is not None else "<unknown>",
+            path=graph.functions[anchor_fn].path,
             line=int(anchor.rsplit(":", 1)[1]),
             col=0,
             rule=ORDER_RULE_ID,
@@ -167,85 +172,100 @@ def check_lock_order(graph: CallGraph) -> list[Finding]:
     return findings
 
 
-def _entered_under_lock(
-    graph: CallGraph, qualname: str, visiting: frozenset[str]
-) -> bool:
-    """True when every resolved path into ``qualname`` holds a lock."""
-    if qualname in visiting:
-        return True  # a cycle back into the chain adds no new entry path
-    info = graph.functions.get(qualname)
-    if info is None:
-        return False
-    if info.locked_marker or "CONC001" in info.safe_rules:
-        return True
-    if info.module in CONC001_EXEMPT_MODULES:
-        return True
-    callers = graph.callers(qualname)
-    if not callers:
-        return False
-    scope = visiting | {qualname}
-    for caller in callers:
-        caller_info = graph.functions.get(caller)
-        if caller_info is None:
+def _marked(info: FunctionInfo) -> bool:
+    """``locked``/``safe=CONC001``-marked, or single-threaded by contract."""
+    return (
+        info.locked_marker or LOCK_RULE_ID in info.safe_rules
+        or info.module in CONC001_EXEMPT_MODULES
+    )
+
+
+def _entered_under_lock(graph: CallGraph, qualname: str) -> bool:
+    """True when every resolved path into ``qualname`` holds a lock.
+
+    Walks up the callers through unlocked call sites; a function with
+    no caller is an unlocked entry.  At least one entry must hold a
+    lock (a locked call site or a marked function): a cycle nothing
+    resolved enters is reached some other way, with no lock proven.
+    """
+    seen = {qualname}
+    stack = [qualname]
+    locked_entry = False
+    while stack:
+        info = graph.functions[stack.pop()]
+        if _marked(info):
+            locked_entry = True
+            continue
+        callers = graph.callers(info.qualname)
+        if not callers:
             return False
-        for call in caller_info.calls:
-            if qualname not in call.callees:
-                continue
-            if call.locks_held:
-                continue
-            if not _entered_under_lock(graph, caller, scope):
-                return False
-    return True
-
-
-def check_lock_coverage(graph: CallGraph) -> list[Finding]:
-    """FLOW003: every call into a ``locked``-marked function holds a lock."""
-    findings: list[Finding] = []
-    locked = [
-        info for info in graph.sorted_functions()
-        if info.locked_marker and info.module not in CONC001_EXEMPT_MODULES
-    ]
-    for target in locked:
-        mutated = sorted({m.target for m in target.mutations})
-        evidence = (
-            f" (it mutates {', '.join(mutated)})" if mutated else ""
-        )
-        for caller_name in graph.callers(target.qualname):
-            caller = graph.functions.get(caller_name)
-            if caller is None:
-                continue
-            for call in caller.calls:
-                if target.qualname not in call.callees:
+        for caller in callers:
+            for call in graph.functions[caller].calls:
+                if info.qualname not in call.callees:
                     continue
                 if call.locks_held:
-                    continue
-                if _entered_under_lock(graph, caller_name, frozenset()):
-                    continue
-                findings.append(Finding(
-                    path=caller.path,
-                    line=call.line,
-                    col=call.col,
-                    rule=COVERAGE_RULE_ID,
-                    message=(
-                        f"call into locked-marked {target.qualname} from "
-                        f"{caller_name} with no lock held on any entry "
-                        f"path{evidence}; take the owning lock or mark "
-                        "the caller '# repro-lint: locked'"
-                    ),
-                ))
+                    locked_entry = True
+                elif caller not in seen:
+                    seen.add(caller)
+                    stack.append(caller)
+    return locked_entry
+
+
+def check_lock_discipline(graph: CallGraph) -> list[Finding]:
+    """CONC001: shared state is written, and ``locked`` scopes entered, under a lock."""
+    findings: list[Finding] = []
+    for info in graph.sorted_functions():
+        unlocked = [site for site in info.mutations if not site.locked]
+        if unlocked and not _marked(info):
+            entered = _entered_under_lock(graph, info.qualname)
+            findings.extend(Finding(
+                path=info.path,
+                line=site.line,
+                col=site.col,
+                rule=LOCK_RULE_ID,
+                message=(
+                    f"mutation of {site.target} in {info.qualname} outside "
+                    "a lock-held scope; wrap it in `with <lock>:` or mark "
+                    "the function `# repro-lint: locked`/`safe=CONC001` "
+                    "with a justification"
+                ),
+            ) for site in unlocked if site.self_state or not entered)
+        if info.locked_marker and info.module not in CONC001_EXEMPT_MODULES:
+            findings.extend(_unlocked_calls_into(graph, info))
     return findings
 
 
-def lock_stats(graph: CallGraph) -> tuple[int, int]:
-    """(acquisition sites, order edges) for the flow stats block."""
-    sites = sum(len(info.acquires) for info in graph.functions.values())
-    return sites, len(_order_edges(graph))
+def _unlocked_calls_into(graph: CallGraph, target: FunctionInfo) -> list[Finding]:
+    """Call sites into a ``locked``-marked ``target`` that hold no lock."""
+    findings: list[Finding] = []
+    mutated = sorted({m.target for m in target.mutations})
+    evidence = f" (it mutates {', '.join(mutated)})" if mutated else ""
+    for caller_name in graph.callers(target.qualname):
+        caller = graph.functions[caller_name]
+        for call in caller.calls:
+            if target.qualname not in call.callees or call.locks_held:
+                continue
+            if _entered_under_lock(graph, caller_name):
+                continue
+            findings.append(Finding(
+                path=caller.path,
+                line=call.line,
+                col=call.col,
+                rule=LOCK_RULE_ID,
+                message=(
+                    f"call into locked-marked {target.qualname} from "
+                    f"{caller_name} with no lock held on any entry "
+                    f"path{evidence}; take the owning lock or mark "
+                    "the caller '# repro-lint: locked'"
+                ),
+            ))
+    return findings
 
 
 __all__ = [
-    "COVERAGE_RULE_ID",
+    "CONC001_EXEMPT_MODULES",
+    "LOCK_RULE_ID",
     "ORDER_RULE_ID",
-    "check_lock_coverage",
+    "check_lock_discipline",
     "check_lock_order",
-    "lock_stats",
 ]

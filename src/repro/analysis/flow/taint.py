@@ -1,4 +1,4 @@
-"""FLOW001 — interprocedural nondeterminism taint.
+"""FLOW001 — nondeterminism sources in or reachable from deterministic code.
 
 A *decision-path root* (policy admission, engine submit/advance/drain,
 WAL append, checkpoint/trace serialization) must never reach a
@@ -6,6 +6,9 @@ nondeterminism source — wall clock, ambient entropy, env read,
 unordered iteration, thread timing — through any chain of calls:
 whatever those sources return would flow into decisions, WAL payloads
 or exports that the repo promises are byte-identical across runs.
+Every function of :data:`DETERMINISTIC_PACKAGES` (module-level code
+included) is a root too, for the wall-clock and entropy kinds: those
+packages must be pure functions of (config, seed) whoever calls them.
 
 The check walks *backward* from every source site over the reverse
 call graph looking for the nearest reachable root; the finding is
@@ -23,10 +26,24 @@ from __future__ import annotations
 from fnmatch import fnmatchcase
 from typing import Optional
 
-from repro.analysis.flow.callgraph import CallGraph, FunctionInfo
+from repro.analysis.flow.callgraph import CallGraph, FunctionInfo, in_packages
 from repro.analysis.lint.findings import Finding
 
 RULE_ID = "FLOW001"
+
+#: Packages whose output must be a pure function of (config, seed).
+DETERMINISTIC_PACKAGES = (
+    "repro.sim",
+    "repro.scheduling",
+    "repro.metrics",
+)
+
+#: The one module allowed to construct randomness: it turns entropy
+#: into named, seeded streams.
+ENTROPY_SOURCE_MODULES = ("repro.sim.rng",)
+
+#: Source kinds for which every deterministic-package function is a root.
+_PACKAGE_ROOT_KINDS = frozenset({"wall-clock", "entropy"})
 
 #: Decision-path roots: functions whose transitive closure must be
 #: deterministic.  ``fnmatch`` patterns over function qualnames.
@@ -42,15 +59,12 @@ SINK_PATTERNS: tuple[tuple[str, str], ...] = (
     ("trace serialization", "repro.obs.tracing.build_trace"),
 )
 
-#: Modules whose "entropy" calls are the sanctioned seeded streams —
-#: the one place ``random`` may legitimately appear.
-SOURCE_EXEMPT_MODULES: tuple[str, ...] = ("repro.sim.rng",)
-
-
-def _sink_label(qualname: str) -> Optional[str]:
+def _root_label(info: FunctionInfo, kind: str) -> Optional[str]:
     for label, pattern in SINK_PATTERNS:
-        if fnmatchcase(qualname, pattern):
+        if fnmatchcase(info.qualname, pattern):
             return label
+    if kind in _PACKAGE_ROOT_KINDS and in_packages(info.module, DETERMINISTIC_PACKAGES):
+        return "deterministic package"
     return None
 
 
@@ -59,16 +73,16 @@ def _is_boundary(info: FunctionInfo) -> bool:
 
 
 def _nearest_root(
-    graph: CallGraph, start: str
+    graph: CallGraph, start: str, kind: str
 ) -> Optional[tuple[str, list[str]]]:
-    """Shortest caller chain from ``start`` up to a decision-path root.
+    """Shortest caller chain from ``start`` up to a root for ``kind``.
 
-    Returns ``(sink_label, [root, ..., start])`` or ``None``.  BFS over
+    Returns ``(root_label, [root, ..., start])`` or ``None``.  BFS over
     sorted reverse edges with lexicographic parent assignment, so the
     reported chain is deterministic; boundary-marked functions stop the
     walk (their call edges are declared clean).
     """
-    label = _sink_label(start)
+    label = _root_label(graph.functions[start], kind)
     if label is not None:
         return label, [start]
     parents: dict[str, str] = {}
@@ -81,13 +95,12 @@ def _nearest_root(
             for caller in graph.callers(node):
                 if caller in seen:
                     continue
-                info = graph.functions.get(caller)
-                if info is not None and _is_boundary(info):
+                info = graph.functions[caller]
+                if _is_boundary(info):
                     continue
                 seen.add(caller)
                 parents[caller] = node
-                hit_label = _sink_label(caller)
-                if hit_label is not None:
+                if _root_label(info, kind) is not None:
                     hits.append(caller)
                 else:
                     next_frontier.append(caller)
@@ -96,27 +109,28 @@ def _nearest_root(
             chain = [root]
             while chain[-1] != start:
                 chain.append(parents[chain[-1]])
-            return _sink_label(root) or "", chain
+            return _root_label(graph.functions[root], kind) or "", chain
         frontier = sorted(next_frontier)
     return None
 
 
 def check_taint(graph: CallGraph) -> list[Finding]:
-    """Every nondeterminism source reachable from a decision-path root."""
+    """Every nondeterminism source a root for its kind reaches."""
     findings: list[Finding] = []
     for info in graph.sorted_functions():
-        if not info.sources:
+        if not info.sources or _is_boundary(info):
             continue
-        if info.module in SOURCE_EXEMPT_MODULES:
+        if info.module in ENTROPY_SOURCE_MODULES:
             continue
-        if _is_boundary(info):
-            continue
-        reached = _nearest_root(graph, info.qualname)
-        if reached is None:
-            continue
-        label, chain = reached
-        rendered = " -> ".join(chain)
+        reached: dict[str, Optional[tuple[str, list[str]]]] = {}
         for source in info.sources:
+            if source.kind not in reached:
+                reached[source.kind] = _nearest_root(graph, info.qualname, source.kind)
+            hit = reached[source.kind]
+            if hit is None:
+                continue
+            label, chain = hit
+            rendered = " -> ".join(chain)
             findings.append(Finding(
                 path=info.path,
                 line=source.line,
@@ -133,4 +147,10 @@ def check_taint(graph: CallGraph) -> list[Finding]:
     return findings
 
 
-__all__ = ["RULE_ID", "SINK_PATTERNS", "SOURCE_EXEMPT_MODULES", "check_taint"]
+__all__ = [
+    "DETERMINISTIC_PACKAGES",
+    "ENTROPY_SOURCE_MODULES",
+    "RULE_ID",
+    "SINK_PATTERNS",
+    "check_taint",
+]

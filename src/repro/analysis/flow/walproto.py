@@ -11,7 +11,7 @@ The durability contract (PR 3/6) is a small protocol:
 * **compact-under-lock** — segment compaction rewrites the live WAL
   and may only run while the engine lock is held.
 
-The spec below *declares* which call-graph functions realize each
+:data:`OPS` *declares* which call-graph functions realize each
 protocol op; the checker then verifies the orderings over the call
 graph rather than one function at a time.  ``AdmissionEngine.poll`` is
 an exempt op: it chases the live wall clock by design (replay
@@ -22,72 +22,34 @@ exempts that function (e.g. offline tooling operating on a cold WAL).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from repro.analysis.flow.callgraph import CallGraph, FunctionInfo
 from repro.analysis.lint.findings import Finding
 
 RULE_ID = "FLOW004"
 
+#: The call-graph functions that realize each WAL protocol operation.
+OPS: dict[str, str] = {
+    "repro.service.wal.WriteAheadLog.append": "append",
+    "repro.service.engine.AdmissionEngine.submit": "apply",
+    "repro.service.engine.AdmissionEngine.advance": "apply",
+    "repro.service.engine.AdmissionEngine.drain": "apply",
+    "repro.service.wal.recover": "recover",
+    "repro.service.checkpoint.restore": "recover",
+    "repro.service.server.ServiceServer.start": "serve",
+    "repro.service.server.ServiceServer.serve_forever": "serve",
+    "repro.service.wal.WriteAheadLog.compact": "compact",
+    "repro.service.wal.WriteAheadLog.open": "open_wal",
+}
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """Which functions realize each WAL protocol operation."""
-
-    append: tuple[str, ...] = (
-        "repro.service.wal.WriteAheadLog.append",
-    )
-    apply: tuple[str, ...] = (
-        "repro.service.engine.AdmissionEngine.submit",
-        "repro.service.engine.AdmissionEngine.advance",
-        "repro.service.engine.AdmissionEngine.drain",
-    )
-    recover: tuple[str, ...] = (
-        "repro.service.wal.recover",
-        "repro.service.checkpoint.restore",
-    )
-    serve: tuple[str, ...] = (
-        "repro.service.server.ServiceServer.start",
-        "repro.service.server.ServiceServer.serve_forever",
-    )
-    compact: tuple[str, ...] = (
-        "repro.service.wal.WriteAheadLog.compact",
-    )
-    open_wal: tuple[str, ...] = (
-        "repro.service.wal.WriteAheadLog.open",
-    )
-    #: Ops whose closure is intentionally opaque to the checker.
-    exempt: tuple[str, ...] = (
-        "repro.service.engine.AdmissionEngine.poll",
-    )
-
-    def op_of(self, qualname: str) -> Optional[str]:
-        for op in ("append", "apply", "recover", "serve", "compact",
-                   "open_wal"):
-            if qualname in getattr(self, op):
-                return op
-        return None
-
-    def all_ops(self) -> frozenset[str]:
-        return frozenset(
-            q
-            for op in ("append", "apply", "recover", "serve", "compact",
-                       "open_wal")
-            for q in getattr(self, op)
-        )
-
-
-DEFAULT_SPEC = ProtocolSpec()
+#: Ops whose closure is intentionally opaque to the checker.
+EXEMPT_OPS = ("repro.service.engine.AdmissionEngine.poll",)
 
 
 def _is_exempt(info: FunctionInfo) -> bool:
     return RULE_ID in info.safe_rules or RULE_ID in info.boundary_rules
 
 
-def _transitive_ops(
-    graph: CallGraph, spec: ProtocolSpec
-) -> dict[str, frozenset[str]]:
+def _transitive_ops(graph: CallGraph) -> dict[str, frozenset[str]]:
     """Protocol ops each function reaches (op names, not qualnames).
 
     The closure does not descend through exempt op functions, through
@@ -97,7 +59,7 @@ def _transitive_ops(
     ops: dict[str, set[str]] = {q: set() for q in graph.functions}
     for qualname in sorted(graph.functions):
         for callee in graph.callees(qualname):
-            op = spec.op_of(callee)
+            op = OPS.get(callee)
             if op is not None:
                 ops[qualname].add(op)
     changed = True
@@ -110,7 +72,7 @@ def _transitive_ops(
             bucket = ops[qualname]
             before = len(bucket)
             for callee in graph.callees(qualname):
-                if callee in spec.exempt or spec.op_of(callee) is not None:
+                if callee in EXEMPT_OPS or OPS.get(callee) is not None:
                     continue
                 callee_info = graph.functions.get(callee)
                 if callee_info is not None and _is_exempt(callee_info):
@@ -123,18 +85,17 @@ def _transitive_ops(
 
 def _site_ops(
     graph: CallGraph,
-    spec: ProtocolSpec,
     trans: dict[str, frozenset[str]],
     callees: tuple[str, ...],
 ) -> frozenset[str]:
     """Ops one call site reaches (the callee's op plus its closure)."""
     reached: set[str] = set()
     for callee in callees:
-        op = spec.op_of(callee)
+        op = OPS.get(callee)
         if op is not None:
             reached.add(op)
             continue
-        if callee in spec.exempt:
+        if callee in EXEMPT_OPS:
             continue
         info = graph.functions.get(callee)
         if info is not None and _is_exempt(info):
@@ -143,15 +104,12 @@ def _site_ops(
     return frozenset(reached)
 
 
-def check_wal_protocol(
-    graph: CallGraph, spec: ProtocolSpec = DEFAULT_SPEC
-) -> list[Finding]:
+def check_wal_protocol(graph: CallGraph) -> list[Finding]:
     """FLOW004: verify the three protocol orderings over the call graph."""
     findings: list[Finding] = []
-    trans = _transitive_ops(graph, spec)
-    op_functions = spec.all_ops()
+    trans = _transitive_ops(graph)
     for info in graph.sorted_functions():
-        if info.qualname in op_functions or info.qualname in spec.exempt:
+        if info.qualname in OPS or info.qualname in EXEMPT_OPS:
             continue
         if _is_exempt(info):
             continue
@@ -162,7 +120,7 @@ def check_wal_protocol(
         first_line: dict[str, int] = {}
         per_site: list[tuple[int, frozenset[str]]] = []
         for call in info.calls:
-            site_ops = _site_ops(graph, spec, trans, call.callees)
+            site_ops = _site_ops(graph, trans, call.callees)
             if site_ops:
                 per_site.append((call.line, site_ops))
             for op in site_ops:
@@ -215,7 +173,7 @@ def check_wal_protocol(
         if _is_exempt(info) or info.locked_marker:
             continue
         for call in info.calls:
-            if not any(c in spec.compact for c in call.callees):
+            if not any(OPS.get(c) == "compact" for c in call.callees):
                 continue
             if call.locks_held:
                 continue
@@ -234,4 +192,4 @@ def check_wal_protocol(
     return findings
 
 
-__all__ = ["DEFAULT_SPEC", "ProtocolSpec", "RULE_ID", "check_wal_protocol"]
+__all__ = ["EXEMPT_OPS", "OPS", "RULE_ID", "check_wal_protocol"]

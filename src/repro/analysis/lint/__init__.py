@@ -1,27 +1,14 @@
-"""``repro lint``: AST-based determinism & concurrency linter.
+"""``repro lint``: the one static determinism & concurrency analyzer.
 
 Submodules:
 
-* :mod:`~repro.analysis.lint.rules` — the rule catalog (DET001-003,
-  CONC001, CONC003, API001);
-* :mod:`~repro.analysis.lint.engine` — file walking and rule dispatch;
+* :mod:`~repro.analysis.lint.rules` — the one rule catalog, per-file
+  and whole-program rules alike;
+* :mod:`~repro.analysis.lint.engine` — one walk, every rule, one result;
 * :mod:`~repro.analysis.lint.suppressions` — ``# repro-lint:`` pragmas;
-* :mod:`~repro.analysis.lint.baseline` — grandfathering / ratchet;
+* :mod:`~repro.analysis.lint.findings` — findings and file errors;
 * :mod:`~repro.analysis.lint.cli` — the command-line front end.
+
+The call graph and the whole-program checks live in
+:mod:`repro.analysis.flow`.
 """
-
-from __future__ import annotations
-
-from repro.analysis.lint.engine import LintError, LintResult, run_lint
-from repro.analysis.lint.findings import Finding
-from repro.analysis.lint.rules import ALL_RULES, RULES_BY_ID, Rule
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "LintError",
-    "LintResult",
-    "RULES_BY_ID",
-    "Rule",
-    "run_lint",
-]

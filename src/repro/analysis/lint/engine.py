@@ -1,41 +1,30 @@
-"""The ``repro lint`` engine: walk files, run rules, filter suppressions.
+"""The ``repro lint`` engine: one walk, every rule, one result.
 
-The engine turns a list of paths into a :class:`LintResult`:
+:func:`run_lint` turns a list of paths into a :class:`LintResult`:
 
-1. expand directories into ``*.py`` files (sorted, so output order is
-   itself deterministic),
-2. derive each file's dotted module name from its path (anchored at the
-   ``repro`` package directory), honoring ``# repro-lint: module=``
-   overrides for test fixtures,
-3. parse, run every rule whose :meth:`Rule.applies` accepts the module,
-4. drop findings suppressed by pragmas, and
-5. tally per-rule statistics.
+1. :func:`~repro.analysis.flow.callgraph.build_callgraph` expands the
+   paths (sorted, so output order is itself deterministic), and reads,
+   parses and pragma-scans each file exactly once, deriving its dotted
+   module name from the path or a ``# repro-lint: module=`` override;
+2. every rule of the catalog runs over that one parse — per-file rules
+   over each module's tree, whole-program rules over the call graph;
+3. findings suppressed by pragmas are dropped, and a pragma naming an
+   unknown directive or rule becomes a file error.
 
-Unparseable files become ``parse-error`` entries rather than crashes:
-a broken file in the tree should fail the lint run, not the linter.
+Unreadable and unparseable files become file errors rather than
+crashes: a broken file in the tree should fail the lint run, not the
+linter.  The result holds no timing or environment data, so two runs
+over the same tree serialize byte-identically.
 """
 
 from __future__ import annotations
 
-import ast
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
-from repro.analysis.lint.findings import Finding
-from repro.analysis.lint.rules import ALL_RULES, FileContext, Rule
-from repro.analysis.lint.suppressions import parse_suppressions
-
-
-@dataclass
-class LintError:
-    """A file the engine could not lint (I/O or syntax error)."""
-
-    path: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}: error: {self.message}"
+from repro.analysis.flow.callgraph import ModuleInfo, build_callgraph
+from repro.analysis.lint.findings import Finding, LintError
+from repro.analysis.lint.rules import ALL_RULES, RULES_BY_ID
 
 
 @dataclass
@@ -44,7 +33,10 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     errors: list[LintError] = field(default_factory=list)
+    #: Paths visited, whether or not they could be read and parsed.
     files_checked: int = 0
+    #: Call-graph shape counters (see ``CallGraph.shape``).
+    graph: dict[str, int] = field(default_factory=dict)
 
     def counts_by_rule(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -53,96 +45,36 @@ class LintResult:
         return dict(sorted(counts.items()))
 
 
-def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
-    """Expand ``paths`` into a sorted stream of ``.py`` file paths."""
-    seen: set[str] = set()
-    collected: list[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    d for d in dirnames
-                    if d not in ("__pycache__", ".git") and not d.endswith(".egg-info")
-                )
-                for name in sorted(filenames):
-                    if name.endswith(".py"):
-                        collected.append(os.path.join(dirpath, name))
-        else:
-            collected.append(path)
-    for path in sorted(collected):
-        norm = os.path.normpath(path)
-        if norm not in seen:
-            seen.add(norm)
-            yield norm
-
-
-def module_for_path(path: str) -> str:
-    """Dotted module name for ``path``, anchored at the ``repro`` package.
-
-    ``src/repro/sim/kernel.py`` -> ``repro.sim.kernel``; files outside a
-    ``repro`` package root map to ``""`` (no rule applies to them unless
-    a ``module=`` pragma says otherwise).
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    try:
-        anchor = len(parts) - 1 - parts[::-1].index("repro")
-    except ValueError:
-        return ""
-    return ".".join(parts[anchor:])
-
-
-def lint_file(
-    path: str, rules: Sequence[Rule] = ALL_RULES
-) -> tuple[list[Finding], Optional[LintError]]:
-    """Lint one file; returns (kept findings, error or None)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        return [], LintError(path=path, message=f"cannot read: {exc}")
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [], LintError(
-            path=path, message=f"syntax error on line {exc.lineno}: {exc.msg}"
-        )
-    suppressions = parse_suppressions(source)
-    module = suppressions.module_override or module_for_path(path)
-    ctx = FileContext(path=path, module=module, tree=tree, suppressions=suppressions)
-    kept: list[Finding] = []
-    for rule in rules:
-        if not rule.applies(module):
+def _pragma_errors(module: ModuleInfo) -> list[LintError]:
+    """A pragma that would silently do nothing is an error."""
+    sup = module.suppressions
+    messages = list(sup.errors)
+    for line, directive, rule in sup.rule_refs:
+        if rule in RULES_BY_ID or (rule == "all" and directive.startswith("disable")):
             continue
-        for finding in rule.check(ctx):
-            if not suppressions.is_suppressed(finding.line, finding.rule):
-                kept.append(finding)
-    return kept, None
+        messages.append(f"line {line}: {directive}= names unknown rule {rule!r}")
+    return [LintError(module.path, message) for message in messages]
 
 
-def run_lint(
-    paths: Sequence[str], rules: Sequence[Rule] = ALL_RULES
-) -> LintResult:
-    """Lint every Python file under ``paths``."""
-    result = LintResult()
-    for path in iter_python_files(paths):
-        findings, error = lint_file(path, rules)
-        result.files_checked += 1
-        result.findings.extend(findings)
-        if error is not None:
-            result.errors.append(error)
-    result.findings.sort()
-    return result
+def run_lint(paths: Sequence[str]) -> LintResult:
+    """Run every rule over one parse of the Python files under ``paths``."""
+    graph = build_callgraph(paths)
+    errors = list(graph.errors)
+    for module in graph.files:
+        errors.extend(_pragma_errors(module))
+    suppressions = {module.path: module.suppressions for module in graph.files}
+    findings = [
+        finding
+        for rule in ALL_RULES
+        for finding in rule.check(graph)
+        if not suppressions[finding.path].is_suppressed(finding.line, finding.rule)
+    ]
+    return LintResult(
+        findings=sorted(findings),
+        errors=sorted(errors),
+        files_checked=graph.files_checked,
+        graph=graph.shape(),
+    )
 
 
-__all__ = [
-    "LintError",
-    "LintResult",
-    "iter_python_files",
-    "lint_file",
-    "module_for_path",
-    "run_lint",
-]
+__all__ = ["LintResult", "run_lint"]

@@ -1,10 +1,4 @@
-"""Finding records emitted by the ``repro lint`` rule engine.
-
-A :class:`Finding` pins one rule violation to a file and line.  Its
-identity for baseline purposes is ``(path, rule, message)`` — line
-numbers drift with every unrelated edit, so the baseline matches on
-content, not position (see :mod:`repro.analysis.lint.baseline`).
-"""
+"""The records one ``repro lint`` run reports: findings and file errors."""
 
 from __future__ import annotations
 
@@ -22,14 +16,10 @@ class Finding:
     line: int
     #: 0-based column of the offending node.
     col: int
-    #: Rule id, e.g. ``"DET001"``.
+    #: Rule id, e.g. ``"FLOW001"``.
     rule: str
     #: Human-readable description of the violation.
     message: str
-
-    def key(self) -> tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching."""
-        return (self.path, self.rule, self.message)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -45,4 +35,15 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
-__all__ = ["Finding"]
+@dataclass(frozen=True, order=True)
+class LintError:
+    """A file the analyzer could not check (I/O, syntax or pragma error)."""
+
+    path: str
+    message: str
+
+    def render(self) -> str:
+        return f"{self.path}: error: {self.message}"
+
+
+__all__ = ["Finding", "LintError"]

@@ -29,7 +29,10 @@ work anywhere Python allows a comment) with this grammar::
 
 Every suppression should carry a short justification after the pragma
 (``# repro-lint: disable=DET003  exact tie-break, not a tolerance``);
-the parser ignores trailing prose, humans should not.
+the parser ignores trailing prose, humans should not.  A directive
+outside this grammar is recorded in :attr:`Suppressions.errors`, and
+every rule id a directive names in :attr:`Suppressions.rule_refs`, so
+the engine can fail the run on a pragma that would silently do nothing.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ class Suppressions:
     module_override: Optional[str] = None
     #: line -> scope marker (looked up by the ``def`` statement's line).
     scope_markers: dict[int, ScopeMarker] = field(default_factory=dict)
+    #: (line, directive, rule id) for every rule a directive names.
+    rule_refs: list[tuple[int, str, str]] = field(default_factory=list)
+    #: Malformed or unknown directives, one message each.
+    errors: list[str] = field(default_factory=list)
 
     def is_line_suppressed(self, line: int, rule: str) -> bool:
         rules = self.line_disables.get(line)
@@ -84,9 +91,6 @@ class Suppressions:
 
     def is_suppressed(self, line: int, rule: str) -> bool:
         return self.is_file_suppressed(rule) or self.is_line_suppressed(line, rule)
-
-    def marker_at(self, line: int) -> Optional[ScopeMarker]:
-        return self.scope_markers.get(line)
 
 
 def marker_for_def(
@@ -133,6 +137,8 @@ def parse_suppressions(source: str) -> Suppressions:
     engine error anyway, and pragmas in a broken file are moot.
     """
     sup = Suppressions()
+    if "repro-lint" not in source:
+        return sup
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, SyntaxError, IndentationError):
@@ -148,21 +154,26 @@ def parse_suppressions(source: str) -> Suppressions:
         # The directive is the first whitespace-delimited word; trailing
         # prose is the human justification and is ignored.
         directive = body.split()[0] if body.split() else ""
+        key, _, value = directive.partition("=")
         if directive == "locked":
             _marker_for(sup, line).locked = True
-            continue
-        key, _, value = directive.partition("=")
-        if key == "module" and value:
+        elif key == "module" and value:
             sup.module_override = value
-        elif key == "disable" and value:
-            sup.line_disables.setdefault(line, set()).update(_parse_rules(value))
-        elif key == "disable-file" and value:
-            sup.file_disables.update(_parse_rules(value))
-        elif key == "safe" and value:
-            _marker_for(sup, line).safe.update(_parse_rules(value))
-        elif key == "boundary" and value:
-            _marker_for(sup, line).boundary.update(_parse_rules(value))
-        # Unknown directives are ignored (forward compatibility).
+        elif key in _RULE_LIST_DIRECTIVES and value:
+            rules = _parse_rules(value)
+            sup.rule_refs.extend((line, key, rule) for rule in sorted(rules))
+            if key == "disable":
+                sup.line_disables.setdefault(line, set()).update(rules)
+            elif key == "disable-file":
+                sup.file_disables.update(rules)
+            elif key == "safe":
+                _marker_for(sup, line).safe.update(rules)
+            else:
+                _marker_for(sup, line).boundary.update(rules)
+        else:
+            sup.errors.append(
+                f"line {line}: unknown repro-lint directive {directive!r}"
+            )
     return sup
 
 

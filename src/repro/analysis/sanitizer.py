@@ -1,6 +1,6 @@
 """Runtime determinism sanitizer (``REPRO_SANITIZE=1``).
 
-The static flow pass (:mod:`repro.analysis.flow`) proves that no
+The whole-program rule FLOW001 of ``repro lint`` proves that no
 *resolvable* call chain leads from a decision-path root to a
 nondeterminism source; this module enforces the same ban dynamically,
 catching what static resolution cannot see (callbacks, monkeypatched
@@ -22,7 +22,7 @@ Seeded generators (``random.Random(seed)`` instances,
 ``numpy`` ``Generator`` streams from :mod:`repro.sim.rng`) are
 untouched — determinism comes from the seed, not from avoiding the
 module.  ``datetime.datetime.now`` cannot be patched (immutable C
-type); the static DET001 rule covers it instead.
+type); FLOW001 covers it statically instead.
 
 Enable with ``REPRO_SANITIZE=1`` (the test suite's ``conftest``
 installs it session-wide; CI runs one tier-1 shard that way).

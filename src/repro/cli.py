@@ -150,12 +150,14 @@ def _report_sink(args: argparse.Namespace, sink) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.lint import cli as lint_cli
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce Yeo & Buyya (ICPP 2006): EDF vs Libra vs LibraRisk",
         epilog=(
             "Static analysis: `repro lint src/` runs the determinism & "
-            "concurrency linter (rules DET001-003, CONC001, CONC003, API001); "
+            f"concurrency analyzer (rules {lint_cli.RULE_IDS}); "
             "see docs/STATIC_ANALYSIS.md for the catalog."
         ),
     )
@@ -441,25 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("policies", help="list available admission controls")
 
-    from repro.analysis.lint import cli as lint_cli
-
     p = sub.add_parser(
         "lint",
-        help="determinism & concurrency static analysis (AST rules)",
+        help="determinism & concurrency static analysis (per-file and "
+             "whole-program rules)",
         description=lint_cli.DESCRIPTION,
         epilog=lint_cli.EPILOG,
     )
     lint_cli.add_arguments(p)
-
-    from repro.analysis.flow import cli as flow_cli
-
-    p = sub.add_parser(
-        "flowcheck",
-        help="whole-program determinism flow analysis (FLOW001-004)",
-        description=flow_cli.DESCRIPTION,
-        epilog=flow_cli.EPILOG,
-    )
-    flow_cli.add_arguments(p)
     return parser
 
 
@@ -961,11 +952,6 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         from repro.analysis.lint import cli as lint_cli
 
         return lint_cli.run(args, parser)
-
-    if args.command == "flowcheck":
-        from repro.analysis.flow import cli as flow_cli
-
-        return flow_cli.run(args, parser)
 
     if args.command == "inspect":
         from repro.obs.inspect import inspect_log

@@ -1,10 +1,11 @@
 """Deterministic end-to-end tracing for the admission service.
 
 Distributed tracers mint ids from wall clocks and host randomness; both
-are banned here (DET001) because a trace must be *evidence*: the same
-workload replayed — or recovered from the write-ahead log after a crash
-— must reconstruct byte-identical traces, or a diff between a live run
-and its replay would drown in id churn.
+are banned here (FLOW001: ``build_trace`` is a decision-path root)
+because a trace must be *evidence*: the same workload replayed — or
+recovered from the write-ahead log after a crash — must reconstruct
+byte-identical traces, or a diff between a live run and its replay
+would drown in id churn.
 
 Ids are therefore minted from three deterministic inputs only:
 

@@ -32,7 +32,7 @@ Concurrency
 The aggregator is shared between service handler threads and the
 ``GET /metrics`` renderer.  One lock guards all of it: a note takes it
 once and a snapshot takes it once, so a snapshot is atomic — its loss
-ratio is always its own ``rejected / submitted`` (lint rule CONC003,
+ratio is always its own ``rejected / submitted`` (lint rule CONC001,
 docs/STATIC_ANALYSIS.md).
 """
 

@@ -1,4 +1,4 @@
-"""Whole-program flow rules (FLOW001-004): fire + stay-silent fixtures.
+"""Whole-program rules (FLOW001, FLOW002, CONC001, FLOW004): fire + stay-silent.
 
 Each fixture directory is a tiny multi-file program written to
 tmp_path; ``# repro-lint: module=...`` pragmas give the files the
@@ -10,11 +10,11 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis.flow import run_flow
 from repro.analysis.flow.callgraph import build_callgraph
-from repro.analysis.flow.locks import check_lock_coverage, check_lock_order
+from repro.analysis.flow.locks import check_lock_discipline, check_lock_order
 from repro.analysis.flow.taint import check_taint
 from repro.analysis.flow.walproto import check_wal_protocol
+from repro.analysis.lint.engine import run_lint
 
 
 def _write(tmp_path: Path, name: str, module: str, body: str) -> str:
@@ -33,7 +33,9 @@ def _graph(tmp_path: Path, files: dict[str, tuple[str, str]]):
 
 # -- FLOW001: interprocedural nondeterminism taint ----------------------------
 
-POLICY_WITH_DEEP_CLOCK = ("repro.scheduling.fakepol", """
+# Outside the deterministic packages, so only the decision-path root
+# (engine submit) reaches the clock, through two calls.
+ENGINE_WITH_DEEP_CLOCK = ("repro.service.engine", """
     import time
 
 
@@ -42,34 +44,45 @@ POLICY_WITH_DEEP_CLOCK = ("repro.scheduling.fakepol", """
             return time.time()
 
 
-    class FakePolicy:
+    class AdmissionEngine:
         def __init__(self) -> None:
             self.helper = Helper()
 
         def mid(self) -> float:
             return self.helper.deep()
 
-        def on_job_submitted(self, job, now):
+        def submit(self, job):
             return self.mid()
 """)
 
 
 def test_flow001_reports_full_source_to_sink_chain(tmp_path):
-    graph = _graph(tmp_path, {"pol.py": POLICY_WITH_DEEP_CLOCK})
+    graph = _graph(tmp_path, {"pol.py": ENGINE_WITH_DEEP_CLOCK})
     findings = check_taint(graph)
     assert [f.rule for f in findings] == ["FLOW001"]
     message = findings[0].message
     assert "wall-clock source time.time()" in message
-    assert "'policy admission'" in message
+    assert "'engine submit'" in message
     assert (
-        "repro.scheduling.fakepol.FakePolicy.on_job_submitted -> "
-        "repro.scheduling.fakepol.FakePolicy.mid -> "
-        "repro.scheduling.fakepol.Helper.deep"
+        "repro.service.engine.AdmissionEngine.submit -> "
+        "repro.service.engine.AdmissionEngine.mid -> "
+        "repro.service.engine.Helper.deep"
     ) in message
 
 
+def test_flow001_deterministic_package_function_is_its_own_root(tmp_path):
+    module, body = ENGINE_WITH_DEEP_CLOCK
+    graph = _graph(tmp_path, {"pol.py": ("repro.metrics.fake", body)})
+    findings = check_taint(graph)
+    assert [f.rule for f in findings] == ["FLOW001"]
+    assert (
+        "root 'deterministic package' via repro.metrics.fake.Helper.deep;"
+        in findings[0].message
+    )
+
+
 def test_flow001_boundary_on_source_function_sanctions_it(tmp_path):
-    module, body = POLICY_WITH_DEEP_CLOCK
+    module, body = ENGINE_WITH_DEEP_CLOCK
     body = body.replace(
         "def deep(self) -> float:",
         "def deep(self) -> float:"
@@ -80,7 +93,7 @@ def test_flow001_boundary_on_source_function_sanctions_it(tmp_path):
 
 
 def test_flow001_boundary_mid_chain_stops_propagation(tmp_path):
-    module, body = POLICY_WITH_DEEP_CLOCK
+    module, body = ENGINE_WITH_DEEP_CLOCK
     body = body.replace(
         "def mid(self) -> float:",
         "def mid(self) -> float:"
@@ -181,7 +194,7 @@ def test_flow002_sees_interprocedural_acquisition(tmp_path):
     assert check_lock_order(graph2) == []
 
 
-# -- FLOW003: unlocked calls into locked scopes -------------------------------
+# -- CONC001 (was FLOW003): unlocked calls into locked scopes -----------------
 
 LOCKED_SCOPE = ("repro.service.fakecov", """
     import threading
@@ -205,8 +218,8 @@ LOCKED_SCOPE = ("repro.service.fakecov", """
 
 def test_flow003_flags_unlocked_call_into_locked_scope(tmp_path):
     graph = _graph(tmp_path, {"cov.py": LOCKED_SCOPE})
-    findings = check_lock_coverage(graph)
-    assert [f.rule for f in findings] == ["FLOW003"]
+    findings = check_lock_discipline(graph)
+    assert [f.rule for f in findings] == ["CONC001"]
     assert "Keeper.bad" in findings[0].message
     assert "Keeper.mutate" in findings[0].message
 
@@ -218,7 +231,45 @@ def test_flow003_accepts_lexical_lock_and_locked_caller(tmp_path):
         "def bad(self) -> None:  # repro-lint: locked  entered via good",
     )
     graph = _graph(tmp_path, {"cov.py": (module, body)})
-    assert check_lock_coverage(graph) == []
+    assert check_lock_discipline(graph) == []
+
+
+# -- CONC001: shared-state writes, checked over every entry path --------------
+
+SHARED_WRITE = ("repro.service.fakeconc", """
+    import threading
+
+
+    class Service:
+        def __init__(self, engine) -> None:
+            self.engine = engine
+            self._engine_lock = threading.Lock()
+
+        def _bump(self, lsn: int) -> None:
+            self.engine.wal_lsn = lsn
+
+        def handle(self, lsn: int) -> None:
+            with self._engine_lock:
+                self._bump(lsn)
+""")
+
+
+def test_conc001_accepts_a_write_every_caller_enters_under_the_lock(tmp_path):
+    graph = _graph(tmp_path, {"conc.py": SHARED_WRITE})
+    assert check_lock_discipline(graph) == []
+
+
+def test_conc001_flags_a_write_one_caller_enters_unlocked(tmp_path):
+    module, body = SHARED_WRITE
+    body += textwrap.dedent("""
+        def replay(self, lsn: int) -> None:
+            self._bump(lsn)
+    """).replace("\n", "\n        ")
+    graph = _graph(tmp_path, {"conc.py": (module, body)})
+    findings = check_lock_discipline(graph)
+    assert [(f.rule, f.line) for f in findings] == [("CONC001", 12)]
+    assert "self.engine.wal_lsn" in findings[0].message
+    assert "Service._bump" in findings[0].message
 
 
 # -- FLOW004: WAL protocol ----------------------------------------------------
@@ -336,31 +387,31 @@ def test_flow004_compact_under_lock_is_clean(tmp_path):
     assert "compact" not in messages
 
 
-# -- run_flow: suppression + ordering -----------------------------------------
+# -- run_lint: suppression + ordering -----------------------------------------
 
 def test_run_flow_honors_line_disable_pragma(tmp_path):
-    module, body = POLICY_WITH_DEEP_CLOCK
+    module, body = ENGINE_WITH_DEEP_CLOCK
     body = body.replace(
         "return time.time()",
         "return time.time()  # repro-lint: disable=FLOW001  test seam",
     )
     path = _write(tmp_path, "pol.py", module, body)
-    result = run_flow([path])
+    result = run_lint([path])
     assert result.findings == []
     assert result.errors == []
 
 
 def test_run_flow_merges_and_sorts_all_rules(tmp_path):
     paths = [
-        _write(tmp_path, "pol.py", *POLICY_WITH_DEEP_CLOCK),
+        _write(tmp_path, "pol.py", *ENGINE_WITH_DEEP_CLOCK),
         _write(tmp_path, "locks.py", *LOCK_CYCLE),
         _write(tmp_path, "cov.py", *LOCKED_SCOPE),
     ]
-    result = run_flow(paths)
+    result = run_lint(paths)
     rules = [f.rule for f in result.findings]
-    assert sorted(rules) == ["FLOW001", "FLOW002", "FLOW003"]
+    assert sorted(rules) == ["CONC001", "FLOW001", "FLOW002"]
     assert result.findings == sorted(result.findings)
     assert result.counts_by_rule() == {
-        "FLOW001": 1, "FLOW002": 1, "FLOW003": 1,
+        "CONC001": 1, "FLOW001": 1, "FLOW002": 1,
     }
-    assert result.stats["modules"] == 3
+    assert result.graph["modules"] == 3

@@ -7,8 +7,7 @@ module ASTs directly so the guard holds even if the linter's scoping
 rules are ever loosened.
 
 Every module under `src/repro` must be reachable by imports from an
-entry point (the CLI, `repro.analysis`'s `__main__`, `scripts/*.py`,
-`bench/*.py`); tests and examples are not entry points, so a module only
+entry point (the CLI, `scripts/*.py`, `bench/*.py`); tests and examples are not entry points, so a module only
 they use is dead code (`PENDING_DELETION` names the few still waiting
 to go). The examples must still import: every name they
 take from `repro` has to resolve. No `REPRO_*` environment flag beyond
@@ -33,7 +32,7 @@ FORBIDDEN = {"time", "random"}
 #: generators; even it has no business with the stdlib modules above.
 PACKAGES = ("repro/sim", "repro/scheduling")
 
-ENTRY_MODULES = ("repro.cli", "repro.__main__", "repro.analysis.__main__")
+ENTRY_MODULES = ("repro.cli", "repro.__main__")
 
 #: Unreached modules still awaiting deletion (ROADMAP item 8). The list
 #: only shrinks: an entry here that something reaches, or that is gone,

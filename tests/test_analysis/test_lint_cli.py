@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import io
 import json
-import subprocess
-import sys
+import re
 import textwrap
 from pathlib import Path
 
@@ -51,7 +50,7 @@ def test_exit_zero_on_clean_tree(tmp_path):
 def test_exit_nonzero_on_violations(tmp_path):
     out = io.StringIO()
     assert lint_main([_violation_file(tmp_path)], out=out) == 1
-    assert "DET001" in out.getvalue()
+    assert "FLOW001" in out.getvalue()
 
 
 def test_exit_nonzero_on_unparseable_file(tmp_path):
@@ -70,42 +69,31 @@ def test_json_output_schema(tmp_path):
     assert code == 1
     payload = json.loads(out.getvalue())
     assert set(payload) == {
-        "files_checked", "findings", "baselined", "errors", "counts_by_rule",
+        "files_checked", "findings", "errors", "counts_by_rule", "graph",
     }
     assert payload["files_checked"] == 1
-    assert payload["counts_by_rule"].keys() >= {"DET001"}
+    assert payload["counts_by_rule"].keys() >= {"FLOW001"}
     for finding in payload["findings"]:
         assert set(finding) == {"path", "line", "col", "rule", "message"}
         assert isinstance(finding["line"], int)
 
 
-# -- baseline workflow --------------------------------------------------------
+# -- file errors --------------------------------------------------------------
 
-def test_baseline_write_then_ratchet(tmp_path):
-    bad = _violation_file(tmp_path)
-    baseline = str(tmp_path / "baseline.json")
+def test_each_bad_path_is_one_error_in_one_walk(tmp_path):
+    """A broken file and a missing path: one error each, counted once."""
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    missing = str(tmp_path / "missing.py")
+    out = io.StringIO()
+    assert lint_main([str(broken), missing, "--format", "json"], out=out) == 1
+    payload = json.loads(out.getvalue())
+    assert sorted(e["path"] for e in payload["errors"]) == sorted([str(broken), missing])
+    assert payload["files_checked"] == 2
 
     out = io.StringIO()
-    assert lint_main([bad, "--baseline", baseline, "--write-baseline"], out=out) == 0
-
-    # Same findings, baselined: clean exit.
-    out = io.StringIO()
-    assert lint_main([bad, "--baseline", baseline], out=out) == 0
-    assert "baselined" in out.getvalue()
-
-    # A NEW violation alongside the baselined ones still fails.
-    extra = tmp_path / "worse.py"
-    extra.write_text(
-        "# repro-lint: module=repro.sim.fake\nimport random\n"
-    )
-    out = io.StringIO()
-    assert lint_main([bad, str(extra), "--baseline", baseline], out=out) == 1
-
-
-def test_write_baseline_requires_baseline_path(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        lint_main([_clean_file(tmp_path), "--write-baseline"], out=io.StringIO())
-    assert exc.value.code == 2
+    assert lint_main([str(broken), missing], out=out) == 1
+    assert out.getvalue().endswith("0 finding(s) in 2 file(s), 2 file error(s)\n")
 
 
 # -- stats / observability ----------------------------------------------------
@@ -114,9 +102,11 @@ def test_stats_prints_per_rule_counts(tmp_path):
     out = io.StringIO()
     lint_main([_violation_file(tmp_path), "--stats"], out=out)
     text = out.getvalue()
-    assert "lint_findings_total{rule=DET001} 2" in text  # import + call
+    assert "lint_findings_total{rule=FLOW001} 1" in text
+    assert "lint_findings_total{rule=DET003} 1" in text
     assert "lint_findings_total{rule=CONC001} 0" in text
     assert "lint_files_checked" in text
+    assert "lint_graph_modules 1" in text
 
 
 def test_stats_metrics_out_feeds_repro_inspect(tmp_path, capsys):
@@ -127,7 +117,7 @@ def test_stats_metrics_out_feeds_repro_inspect(tmp_path, capsys):
     # The log is a valid metrics log: `repro inspect --mode prom` reads it.
     assert repro_main(["inspect", log, "--mode", "prom"]) == 0
     prom = capsys.readouterr().out
-    assert 'lint_findings_total{rule="DET001"} 2' in prom
+    assert 'lint_findings_total{rule="FLOW001"} 1' in prom
 
 
 def test_metrics_out_requires_stats(tmp_path):
@@ -145,24 +135,24 @@ def test_list_rules_catalog():
     out = io.StringIO()
     assert lint_main(["--list-rules"], out=out) == 0
     text = out.getvalue()
-    for rule_id in ("DET001", "DET002", "DET003", "CONC001", "CONC003", "API001"):
-        assert rule_id in text
-    assert "CONC002" not in text
+    listed = [line.split(":")[0] for line in text.splitlines()
+              if not line.startswith(" ")]
+    assert listed == ["DET002", "DET003", "CONC001", "API001",
+                      "FLOW001", "FLOW002", "FLOW004"]
 
 
 def test_repro_lint_subcommand(tmp_path, capsys):
     assert repro_main(["lint", _violation_file(tmp_path)]) == 1
-    assert "DET001" in capsys.readouterr().out
+    assert "FLOW001" in capsys.readouterr().out
 
 
-def test_python_dash_m_repro_analysis(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", _violation_file(tmp_path)],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 1
-    assert "DET001" in proc.stdout
+def test_help_lists_the_catalog_and_five_flags(capsys):
+    with pytest.raises(SystemExit):
+        repro_main(["lint", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "DET002, DET003, CONC001, API001, FLOW001, FLOW002, FLOW004" in text
+    flags = sorted(set(re.findall(r"--[a-z][a-z-]+", text)))
+    assert flags == ["--format", "--help", "--list-rules", "--metrics-out", "--stats"]
 
 
 # -- the gate itself ----------------------------------------------------------
@@ -172,30 +162,3 @@ def test_src_tree_is_lint_clean_with_no_baseline():
     out = io.StringIO()
     code = lint_main([str(SRC)], out=out)
     assert code == 0, out.getvalue()
-
-
-def test_write_baseline_output_is_independent_of_finding_order(tmp_path):
-    """The baseline file is a pure function of the finding *set*.
-
-    Discovery order varies with traversal (shell glob vs os.walk vs
-    explicit paths); a reordered rewrite must never show up as a diff.
-    """
-    import random
-
-    from repro.analysis.lint.baseline import write_baseline
-    from repro.analysis.lint.findings import Finding
-
-    findings = [
-        Finding(path=f"src/m{i % 3}.py", line=10 - i, col=i % 5,
-                rule=f"DET00{1 + i % 3}", message=f"violation {i}")
-        for i in range(12)
-    ]
-    reference = tmp_path / "a.json"
-    write_baseline(str(reference), findings)
-
-    shuffled = list(findings)
-    random.Random(7).shuffle(shuffled)
-    rewritten = tmp_path / "b.json"
-    write_baseline(str(rewritten), shuffled)
-
-    assert reference.read_bytes() == rewritten.read_bytes()

@@ -1,9 +1,11 @@
-"""Positive and negative fixtures for every `repro lint` rule.
+"""Positive and negative single-file fixtures for the `repro lint` rules.
 
 Each fixture is a small source file written to tmp_path carrying a
 ``# repro-lint: module=...`` pragma so the engine scopes it like real
 package code. Every rule gets at least one fixture that must fire and
-one that must stay silent.
+one that must stay silent.  The DET001 and CONC003 fixtures are kept
+as inputs to the rules that report them now: FLOW001 (every function
+of a deterministic package is a root) and the whole-program CONC001.
 """
 
 from __future__ import annotations
@@ -11,23 +13,28 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lint.engine import lint_file
+import pytest
+
+from repro.analysis.lint.engine import run_lint
+from repro.analysis.lint.rules import FULLY_ANNOTATED_MODULES
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _lint(tmp_path: Path, module: str, body: str, name: str = "fixture.py"):
     source = f"# repro-lint: module={module}\n" + textwrap.dedent(body)
     path = tmp_path / name
     path.write_text(source)
-    findings, error = lint_file(str(path))
-    assert error is None, error
-    return findings
+    result = run_lint([str(path)])
+    assert result.errors == [], result.errors
+    return result.findings
 
 
 def _rules(findings):
     return sorted({f.rule for f in findings})
 
 
-# -- DET001 -------------------------------------------------------------------
+# -- DET001, now FLOW001 with every deterministic function a root -------------
 
 def test_det001_flags_time_time(tmp_path):
     findings = _lint(tmp_path, "repro.sim.fake", """
@@ -36,23 +43,36 @@ def test_det001_flags_time_time(tmp_path):
         def now():
             return time.time()
     """)
-    assert _rules(findings) == ["DET001"]
-    assert len(findings) == 2  # the import and the call
+    assert _rules(findings) == ["FLOW001"]
+    assert len(findings) == 1  # the call; an unused import reads nothing
+    assert "'deterministic package' via repro.sim.fake.now" in findings[0].message
+
+
+def test_det001_flags_module_level_clock_read(tmp_path):
+    findings = _lint(tmp_path, "repro.metrics.fake", """
+        import time
+
+        LOADED_AT = time.time()
+    """)
+    assert _rules(findings) == ["FLOW001"]
+    assert "repro.metrics.fake.<module>" in findings[0].message
 
 
 def test_det001_flags_datetime_now_and_bare_random(tmp_path):
     findings = _lint(tmp_path, "repro.scheduling.fake", """
         import datetime
         import random
+        from random import shuffle
 
-        def stamp():
-            return datetime.datetime.now(), random.random()
+        def stamp(xs):
+            return datetime.datetime.now(), random.random(), shuffle(xs)
     """)
     rules = [f.rule for f in findings]
-    assert set(rules) == {"DET001"}
+    assert set(rules) == {"FLOW001"}
     messages = " ".join(f.message for f in findings)
     assert "datetime.datetime.now" in messages
     assert "random.random" in messages
+    assert "random.shuffle" in messages
 
 
 def test_det001_flags_os_urandom_and_np_random(tmp_path):
@@ -75,7 +95,7 @@ def test_det001_silent_outside_deterministic_packages(tmp_path):
         def now():
             return time.time()
     """)
-    assert "DET001" not in _rules(findings)
+    assert "FLOW001" not in _rules(findings)
 
 
 def test_det001_whitelists_the_rng_module(tmp_path):
@@ -86,7 +106,7 @@ def test_det001_whitelists_the_rng_module(tmp_path):
         def make(seed):
             return np.random.default_rng(seed)
     """)
-    assert "DET001" not in _rules(findings)
+    assert "FLOW001" not in _rules(findings)
 
 
 def test_det001_allows_injected_clock_idiom(tmp_path):
@@ -118,9 +138,10 @@ def test_det002_flags_dict_keys_and_set_literal_comprehension(tmp_path):
         def emit(d: dict) -> list:
             a = [k for k in d.keys()]
             b = [x for x in {1, 2, 3}]
-            return a + b
+            c = [x for x in {k for k in d}]
+            return a + b + c
     """)
-    assert [f.rule for f in findings] == ["DET002", "DET002"]
+    assert [f.rule for f in findings] == ["DET002", "DET002", "DET002"]
 
 
 def test_det002_flags_set_algebra(tmp_path):
@@ -185,7 +206,9 @@ def test_det003_not_applied_outside_sim_scheduling(tmp_path):
 
 
 def test_det003_numerics_module_is_exempt(tmp_path):
+    # The exemption is the file's own visible, justified pragma.
     findings = _lint(tmp_path, "repro.sim.numerics", """
+        # repro-lint: disable-file=DET003  exact comparison lives here
         def exact_zero(x: float) -> bool:
             return x == 0.0
     """)
@@ -305,7 +328,36 @@ def test_api001_only_applies_to_contract_modules(tmp_path):
     assert "API001" not in _rules(findings)
 
 
-# -- CONC003 ------------------------------------------------------------------
+def test_api001_modules_are_in_mypy_strict_overrides():
+    # mypy does not run in every environment the suite does, so API001
+    # is the local gate for these contracts; its scope must stay inside
+    # pyproject's strict override list or the two gates drift apart.
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((REPO / "pyproject.toml").read_text())
+    strict = [
+        pattern
+        for override in config["tool"]["mypy"]["overrides"]
+        if override.get("disallow_untyped_defs")
+        and override.get("disallow_incomplete_defs")
+        for pattern in (
+            [override["module"]] if isinstance(override["module"], str)
+            else override["module"]
+        )
+    ]
+
+    def covered(prefix: str) -> bool:
+        return any(
+            pattern == prefix
+            or (pattern.endswith(".*")
+                and (prefix == pattern[:-2] or prefix.startswith(pattern[:-1])))
+            for pattern in strict
+        )
+
+    assert FULLY_ANNOTATED_MODULES
+    assert [m for m in FULLY_ANNOTATED_MODULES if not covered(m)] == []
+
+
+# -- CONC003, now the metric-module half of CONC001 ---------------------------
 
 def test_conc003_flags_unlocked_ring_mutation(tmp_path):
     findings = _lint(tmp_path, "repro.obs.windows", """
@@ -314,7 +366,7 @@ def test_conc003_flags_unlocked_ring_mutation(tmp_path):
                 self._counts[0] += 1.0
                 self.cursor = t
     """)
-    assert _rules(findings) == ["CONC003"]
+    assert _rules(findings) == ["CONC001"]
     assert len(findings) == 2
     # The subscript write is attributed to the ring, not ignored.
     assert "self._counts" in findings[0].message
@@ -326,7 +378,7 @@ def test_conc003_flags_unlocked_container_method(tmp_path):
             def observe(self, value):
                 self._values.append(value)
     """)
-    assert _rules(findings) == ["CONC003"]
+    assert _rules(findings) == ["CONC001"]
     assert "append" in findings[0].message
 
 
@@ -390,7 +442,7 @@ def test_conc003_nested_def_does_not_inherit_lock(tmp_path):
                         self.cursor = 1.0
                     return worker
     """)
-    assert _rules(findings) == ["CONC003"]
+    assert _rules(findings) == ["CONC001"]
 
 
 # -- DET002: name-binding tracking --------------------------------------------
@@ -493,7 +545,7 @@ def test_conc003_safe_marker_on_decorator_line(tmp_path):
             return fn
 
         class Counter:
-            @traced  # repro-lint: safe=CONC003  single-threaded rebuild
+            @traced  # repro-lint: safe=CONC001  single-threaded rebuild
             def rebuild(self):
                 self._counts[0] = 0.0
     """)
