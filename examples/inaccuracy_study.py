@@ -4,7 +4,7 @@
 Sweeps the percentage of inaccuracy from 0 % (estimates equal
 runtimes) to 100 % (the trace's actual user estimates) and reports,
 besides the raw series, the analysis the paper's §5.5 narrates:
-per-point improvement of LibraRisk over Libra, the trend of each
+per-point gain of LibraRisk over Libra, the trend of each
 series, and any crossover points.
 
 Usage::
@@ -14,7 +14,7 @@ Usage::
 
 import sys
 
-from repro.analysis.compare import crossover_points, improvement_pct, trend
+from repro.experiments.compare import crossover_points, trend
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.reporting import series_table
 from repro.experiments.sweeps import sweep
@@ -36,10 +36,9 @@ def main() -> None:
     print("\n=== average slowdown (fulfilled jobs) ===")
     print(series_table("% inaccuracy", pcts, slowdown))
 
-    gains = improvement_pct(fulfilled["librarisk"], fulfilled["libra"])
-    print("\nLibraRisk improvement over Libra (deadlines fulfilled):")
-    for pct, gain in zip(pcts, gains):
-        print(f"  at {pct:5.1f}% inaccuracy: {gain:+6.1f}%")
+    print("\nLibraRisk gain over Libra (deadlines fulfilled):")
+    for pct, risk, libra in zip(pcts, fulfilled["librarisk"], fulfilled["libra"]):
+        print(f"  at {pct:5.1f}% inaccuracy: {risk - libra:+6.1f} pp")
 
     print("\nSeries trends as inaccuracy grows:")
     for name, series in fulfilled.items():

@@ -1,31 +1,11 @@
-"""Series analysis helpers: wins, crossovers, improvement factors.
+"""Static and runtime analysis of the code itself.
 
-Used by EXPERIMENTS.md's paper-versus-measured checks and by the test
-suite to assert the qualitative *shape* of each figure (who wins, by
-roughly what factor, where the curves cross) without pinning absolute
-numbers to a particular synthetic-trace seed.
+* :mod:`repro.analysis.lint` — ``repro lint``, the determinism and
+  concurrency analyzer (one parse per file, every rule in one pass);
+* :mod:`repro.analysis.flow` — the whole-program passes it runs;
+* :mod:`repro.analysis.sanitizer` — the ``REPRO_SANITIZE=1`` runtime
+  cross-check of the static determinism rules.
+
+The series helpers the paper's claims use live in
+:mod:`repro.experiments` (``compare``, ``stats``, ``asciichart``).
 """
-
-from repro.analysis.asciichart import ascii_chart, panel_chart
-from repro.analysis.stats import Summary, paired_difference, significantly_greater, summarize
-from repro.analysis.compare import (
-    crossover_points,
-    dominance_fraction,
-    improvement_pct,
-    mean_improvement_pct,
-    trend,
-)
-
-__all__ = [
-    "Summary",
-    "ascii_chart",
-    "crossover_points",
-    "dominance_fraction",
-    "improvement_pct",
-    "mean_improvement_pct",
-    "paired_difference",
-    "panel_chart",
-    "significantly_greater",
-    "summarize",
-    "trend",
-]

@@ -2,13 +2,19 @@
 
 Examples
 --------
-Regenerate Figure 1 at paper scale (3000 jobs)::
+Every figure at paper scale (3000 jobs), with the verdict of each §5
+claim; the exit status is 1 iff a claim fails::
 
-    python -m repro figure1
+    python -m repro figures --processes 2
 
-Quick pass of every figure with a smaller workload::
+Figure 1 only, with a smaller workload, as ASCII charts::
 
-    python -m repro figures --jobs 600
+    python -m repro figures --only 1 --jobs 600 --format chart
+
+EXPERIMENTS.md, and the same run saved as a JSON record::
+
+    python -m repro figures --processes 2 --format markdown > EXPERIMENTS.md
+    python -m repro figures --processes 2 --format json > record.json
 
 Single scenario, trace estimates, CSV of the headline metrics::
 
@@ -26,20 +32,12 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.experiments.ablations import all_ablations
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.figures import PAPER_POLICIES, all_figures, figure1, figure2, figure3, figure4
-from repro.experiments.reporting import metrics_table, render_table, to_csv
-from repro.experiments.runner import run_policies, run_scenario
+from repro.experiments.reporting import metrics_table, render_table
+from repro.experiments.runner import load_base_records, run_policies, run_scenario
 from repro.obs.log import LOG_LEVELS, configure_logging
 from repro.obs.session import ObsSession, RunSink
 from repro.scheduling.registry import available_policies
-from repro.sim.rng import RngStreams
-from repro.workload.swf import read_swf_file
-from repro.workload.synthetic import SDSCSP2Model, generate_sdsc_like_records
-from repro.workload.traces import describe_records, tail_subset
-
-_FIGURE_FNS = {"figure1": figure1, "figure2": figure2, "figure3": figure3, "figure4": figure4}
 
 
 def _package_version() -> str:
@@ -130,10 +128,10 @@ def _obs_sink(args: argparse.Namespace) -> RunSink:
     return RunSink(path=metrics_out, profile=profile)
 
 
-def _report_sink(args: argparse.Namespace, sink) -> None:
+def _report_sink(args: argparse.Namespace, sink, file=None) -> None:
     """Tell the user what a multi-run sink captured (if anything)."""
     if getattr(args, "metrics_out", None) and sink.runs:
-        print(f"\nwrote metrics for {sink.runs} runs to {args.metrics_out}")
+        print(f"\nwrote metrics for {sink.runs} runs to {args.metrics_out}", file=file)
     if getattr(args, "profile", False) and getattr(sink, "sessions", None):
         wall = sum(
             s.profiler.phase_wall.get("run", 0.0)
@@ -145,7 +143,8 @@ def _report_sink(args: argparse.Namespace, sink) -> None:
         rate = events / wall if wall > 0 else 0.0
         print(
             f"profile: {sink.runs} runs, {events} kernel events in "
-            f"{wall:.2f}s simulation wall time ({rate:,.0f} events/s)"
+            f"{wall:.2f}s simulation wall time ({rate:,.0f} events/s)",
+            file=file,
         )
 
 
@@ -170,25 +169,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    for fid in ("figure1", "figure2", "figure3", "figure4"):
-        p = sub.add_parser(fid, help=f"regenerate paper {fid}")
-        _add_common(p)
-        _add_obs(p)
-        p.add_argument("--csv", action="store_true", help="emit CSV instead of tables")
-        p.add_argument("--chart", action="store_true",
-                       help="render panels as ASCII charts instead of tables")
-        p.add_argument("--verbose", action="store_true", help="print per-run progress")
-        p.add_argument("--processes", type=int, default=1,
-                       help="worker processes for the sweep (1 = sequential)")
-        p.add_argument(
-            "--policies", nargs="+", default=list(PAPER_POLICIES),
-            choices=available_policies(), help="policies to compare",
-        )
-
-    p = sub.add_parser("figures", help="regenerate all four figures")
+    p = sub.add_parser(
+        "figures",
+        help="regenerate the paper's figures and check its §5 claims "
+             "(exit 1 iff a claim fails)",
+    )
     _add_common(p)
     _add_obs(p)
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--only", nargs="+", default=["1", "2", "3", "4"],
+                   choices=["1", "2", "3", "4"], help="figures to regenerate")
+    p.add_argument("--format", default="table",
+                   choices=("table", "csv", "chart", "json", "markdown"),
+                   help="table: series tables (default); csv; chart: ASCII "
+                        "charts; json: the canonical record; markdown: "
+                        "EXPERIMENTS.md")
+    p.add_argument("--verbose", action="store_true", help="print per-run progress")
+    p.add_argument("--processes", type=int, default=1,
+                   help="worker processes for the sweeps (1 = sequential)")
 
     p = sub.add_parser("run", help="run a single scenario")
     _add_common(p)
@@ -247,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablations", help="run the design-choice ablations")
     _add_common(p)
-
-    p = sub.add_parser("validate", help="check the paper's §5 claims on regenerated figures")
-    _add_common(p)
-    p.add_argument("--figures", nargs="+", default=["1", "2", "3", "4"],
-                   choices=["1", "2", "3", "4"], help="figures to regenerate and validate")
-    p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("replicate", help="multi-seed comparison with confidence intervals")
     _add_common(p)
@@ -989,37 +980,19 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     if args.command == "top":
         return _cmd_top(args)
 
-    if args.command in _FIGURE_FNS:
-        base = _base_config(args)
+    if args.command == "figures":
+        from repro.experiments.record import FORMATS, build_record, claims_hold
+
         with _obs_sink(args) as sink:
-            fig = _FIGURE_FNS[args.command](
-                base=base, policies=args.policies,
+            record = build_record(
+                _base_config(args), only=args.only,
                 progress=_progress_printer(args.verbose), processes=args.processes,
             )
-        if args.csv:
-            for panel in fig.panels:
-                print(f"# panel ({panel.label}) {panel.title}")
-                print(to_csv(panel.x_label, panel.x_values, panel.series))
-        elif args.chart:
-            from repro.analysis.asciichart import panel_chart
-
-            print(f"=== Figure {fig.figure_id}: {fig.title} ===")
-            for panel in fig.panels:
-                print()
-                print(panel_chart(panel))
-        else:
-            print(fig.render())
-        _report_sink(args, sink)
-        return 0
-
-    if args.command == "figures":
-        base = _base_config(args)
-        with _obs_sink(args) as sink:
-            for fig in all_figures(base=base, progress=_progress_printer(args.verbose)).values():
-                print(fig.render())
-                print()
-        _report_sink(args, sink)
-        return 0
+        sys.stdout.write(FORMATS[args.format](record))
+        # Capture notes go to stderr unless the output is the table, so
+        # json, csv and markdown piped to a file stay clean.
+        _report_sink(args, sink, file=sys.stdout if args.format == "table" else sys.stderr)
+        return 0 if claims_hold(record) else 1
 
     if args.command == "run":
         config = _base_config(args).replace(
@@ -1065,40 +1038,21 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         return 0
 
     if args.command == "trace-stats":
-        if args.trace is not None:
-            _, records = read_swf_file(args.trace)
-            records = tail_subset(records, args.jobs)
-            source = args.trace
-        else:
-            records = generate_sdsc_like_records(
-                SDSCSP2Model(num_jobs=args.jobs), RngStreams(seed=args.seed)
-            )
-            source = f"synthetic SDSC-SP2-like (seed={args.seed})"
-        stats = describe_records(records)
+        from repro.experiments.record import stats_table
+        from repro.workload.traces import describe_records
+
+        source = args.trace or f"synthetic SDSC-SP2-like (seed={args.seed})"
         print(f"workload: {source}")
-        print(render_table(["statistic", "value"], sorted(stats.items()), float_fmt="{:.3f}"))
+        print(stats_table(describe_records(load_base_records(_base_config(args)))))
         return 0
 
     if args.command == "ablations":
-        base = _base_config(args)
-        for ab in all_ablations(base).values():
+        from repro.experiments.ablations import all_ablations
+
+        for ab in all_ablations(_base_config(args)).values():
             print(ab.render())
             print()
         return 0
-
-    if args.command == "validate":
-        from repro.experiments.validation import validate_figure
-
-        base = _base_config(args)
-        progress = _progress_printer(args.verbose)
-        all_ok = True
-        for fid in args.figures:
-            fig = _FIGURE_FNS[f"figure{fid}"](base=base, progress=progress)
-            report = validate_figure(fig)
-            print(report.render())
-            print()
-            all_ok = all_ok and report.all_passed
-        return 0 if all_ok else 1
 
     if args.command == "replicate":
         from repro.experiments.replication import compare_replicated, replicate_policies

@@ -1,7 +1,7 @@
 """ASCII line charts for figure panels.
 
-The benchmark harness prints series tables; for a quick visual check
-of *shape* (who wins, where curves cross) an ASCII plot in the
+`repro figures` prints series tables; for a quick visual check of
+*shape* (who wins, where curves cross) an ASCII plot in the
 terminal beats scanning numbers.  Pure string output, no plotting
 dependencies, deterministic layout — so charts are testable.
 """
@@ -93,14 +93,14 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def panel_chart(panel: Any, width: int = 64, height: int = 14) -> str:
-    """Chart a figure :class:`~repro.experiments.figures.Panel`."""
-    head = f"({panel.label}) {panel.title}"
+def panel_chart(panel: Mapping[str, Any], width: int = 64, height: int = 14) -> str:
+    """Chart one panel of a paper record (:mod:`repro.experiments.record`)."""
+    head = f"({panel['label']}) {panel['title']}"
     body = ascii_chart(
-        list(panel.x_values),
-        panel.series,
+        list(panel["x_values"]),
+        panel["series"],
         width=width,
         height=height,
-        x_label=panel.x_label,
+        x_label=panel["x_label"],
     )
     return head + "\n" + body

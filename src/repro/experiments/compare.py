@@ -12,30 +12,6 @@ def _check(a: Sequence[float], b: Sequence[float]) -> None:
         raise ValueError("series must be non-empty")
 
 
-def improvement_pct(candidate: Sequence[float], baseline: Sequence[float]) -> list[float]:
-    """Point-wise relative improvement of ``candidate`` over ``baseline`` (%).
-
-    Positive means the candidate is higher.  A zero baseline point maps
-    to 0 % when the candidate is also zero, else ``inf``.
-    """
-    _check(candidate, baseline)
-    out = []
-    for c, b in zip(candidate, baseline):
-        if b == 0.0:
-            out.append(0.0 if c == 0.0 else float("inf"))
-        else:
-            out.append(100.0 * (c - b) / b)
-    return out
-
-
-def mean_improvement_pct(candidate: Sequence[float], baseline: Sequence[float]) -> float:
-    """Mean of the finite point-wise improvements."""
-    vals = [v for v in improvement_pct(candidate, baseline) if v != float("inf")]
-    if not vals:
-        return 0.0
-    return sum(vals) / len(vals)
-
-
 def dominance_fraction(
     candidate: Sequence[float],
     baseline: Sequence[float],

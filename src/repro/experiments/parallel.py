@@ -53,15 +53,3 @@ def run_scenarios(
     with ctx.Pool(processes=min(processes, len(configs))) as pool:
         return pool.map(run_scenario, configs)
 
-
-def run_matrix(
-    base: ScenarioConfig,
-    policies: Sequence[str],
-    processes: Optional[int] = None,
-) -> dict[str, ScenarioResult]:
-    """Parallel equivalent of :func:`repro.experiments.runner.run_policies`
-    (plain policy names only — kwargs variants need picklable configs,
-    which they are, but the key naming of run_policies is preserved)."""
-    configs = [base.replace(policy=name) for name in policies]
-    results = run_scenarios(configs, processes=processes)
-    return dict(zip(policies, results))

@@ -3,7 +3,7 @@
 ``replicate`` runs one scenario config under several seeds;
 ``replicate_policies`` does so for several policies with **matched
 seeds** (every policy sees the identical workload per seed), enabling
-paired statistical comparison via :mod:`repro.analysis.stats`.
+paired statistical comparison via :mod:`repro.experiments.stats`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.stats import Summary, paired_difference, summarize
+from repro.experiments.stats import Summary, paired_difference, summarize
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import ScenarioResult, run_scenario
 

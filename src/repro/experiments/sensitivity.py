@@ -94,26 +94,3 @@ def sensitivity(
     results.sort(key=lambda k: -k.swing)
     return SensitivityResult(policy=policy, metric=metric, knobs=tuple(results))
 
-
-def advantage_sensitivity(
-    base: Optional[ScenarioConfig] = None,
-    knobs: Sequence[tuple[str, Any, Any]] = DEFAULT_KNOBS,
-) -> dict[str, float]:
-    """LibraRisk-minus-Libra advantage (pp fulfilled) per knob setting.
-
-    The reproduction's conclusion is robust iff the advantage stays
-    positive across every nudge; the returned mapping records the
-    advantage at each (knob, setting) pair plus the base.
-    """
-    base = base or ScenarioConfig()
-
-    def gap(cfg: ScenarioConfig) -> float:
-        risk = run_scenario(cfg.replace(policy="librarisk")).metrics
-        libra = run_scenario(cfg.replace(policy="libra")).metrics
-        return risk.pct_deadlines_fulfilled - libra.pct_deadlines_fulfilled
-
-    out = {"base": gap(base)}
-    for knob, low, high in knobs:
-        out[f"{knob}={low}"] = gap(base.replace(**{knob: low}))
-        out[f"{knob}={high}"] = gap(base.replace(**{knob: high}))
-    return out

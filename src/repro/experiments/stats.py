@@ -41,10 +41,6 @@ class Summary:
     def high(self) -> float:
         return self.mean + self.ci95
 
-    def overlaps(self, other: "Summary") -> bool:
-        """True iff the two 95 % intervals overlap."""
-        return self.low <= other.high and other.low <= self.high
-
     def __str__(self) -> str:
         return f"{self.mean:.2f} ± {self.ci95:.2f} (n={self.n})"
 
@@ -74,9 +70,3 @@ def paired_difference(a: Sequence[float], b: Sequence[float]) -> Summary:
     if len(a) != len(b):
         raise ValueError(f"paired samples must align: {len(a)} vs {len(b)}")
     return summarize([x - y for x, y in zip(a, b)])
-
-
-def significantly_greater(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True iff the paired difference a−b is positive at 95 % confidence."""
-    diff = paired_difference(a, b)
-    return diff.low > 0.0

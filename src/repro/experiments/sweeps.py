@@ -29,12 +29,6 @@ class SweepResult:
             out[policy] = [run.metrics.as_dict()[metric] for run in runs]
         return out
 
-    def best_policy_at(self, metric: str, idx: int, higher_is_better: bool = True) -> str:
-        """Which policy wins ``metric`` at sweep point ``idx``."""
-        series = self.series(metric)
-        chooser = max if higher_is_better else min
-        return chooser(series, key=lambda p: series[p][idx])
-
 
 def sweep(
     base: ScenarioConfig,

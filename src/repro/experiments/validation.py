@@ -9,122 +9,96 @@ Claims check *shape*, not absolute values: who wins, whether a series
 rises or falls, where crossovers land — the things that should survive
 the substitution of a calibrated synthetic trace for the original SDSC
 SP2 file.
+
+A figure here is one entry of the paper record
+(:mod:`repro.experiments.record`): a dict whose ``panels`` list holds
+``label``, ``x_values`` and per-policy ``series``.  Each claim comes
+back as a JSON-safe dict ``{id, source, description, passed, detail}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Mapping, Sequence
 
-from repro.analysis.compare import crossover_points, dominance_fraction, trend
-from repro.experiments.figures import FigureResult
+from repro.experiments.compare import crossover_points, dominance_fraction, trend
 
+Claim = dict[str, Any]
+Series = Mapping[str, Sequence[float]]
 
-@dataclass(frozen=True)
-class ClaimResult:
-    """Outcome of checking one paper claim."""
-
-    claim_id: str
-    source: str          # where the paper states it, e.g. "§5.1"
-    description: str
-    passed: bool
-    detail: str
-
-    def render(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] {self.claim_id} ({self.source}): {self.description}\n" \
-               f"       measured: {self.detail}"
+#: The three policies of the paper, in its plotting order.
+PAPER_POLICIES: tuple[str, ...] = ("edf", "libra", "librarisk")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """All claim results for one or more figures."""
-
-    claims: tuple[ClaimResult, ...]
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.claims if c.passed)
-
-    @property
-    def failed(self) -> int:
-        return len(self.claims) - self.passed
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
-    def render(self) -> str:
-        lines = [c.render() for c in self.claims]
-        lines.append(f"--- {self.passed}/{len(self.claims)} paper claims hold ---")
-        return "\n".join(lines)
+def panel(fig: Mapping[str, Any], label: str) -> Mapping[str, Any]:
+    """The panel of ``fig`` labelled ``label`` ("a" … "d")."""
+    for p in fig["panels"]:
+        if p["label"] == label:
+            return p
+    raise KeyError(f"figure has no panel {label!r}")
 
 
-def _fulfilled(fig: FigureResult, panel: str) -> dict[str, list[float]]:
-    return fig.panel(panel).series
+def _series(fig: Mapping[str, Any], label: str) -> Series:
+    return panel(fig, label)["series"]
 
 
-def _claim(cid, source, description, passed, detail) -> ClaimResult:
-    return ClaimResult(cid, source, description, bool(passed), detail)
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _claim(cid: str, source: str, description: str, passed: Any, detail: str) -> Claim:
+    return {"id": cid, "source": source, "description": description,
+            "passed": bool(passed), "detail": detail}
 
 
 # -- §5.1 overview claims (checked on any two-mode figure) --------------------
-def overview_claims(fig: FigureResult) -> list[ClaimResult]:
+def overview_claims(fid: str, fig: Mapping[str, Any]) -> list[Claim]:
     """The claims §5.1 makes about every figure's four panels."""
-    a, b = _fulfilled(fig, "a"), _fulfilled(fig, "b")
-    c, d = fig.panel("c").series, fig.panel("d").series
-    claims = [
+    a, b, c, d = (_series(fig, label) for label in "abcd")
+    return [
         _claim(
-            f"F{fig.figure_id}.accurate-beats-trace", "§5.1",
+            f"F{fid}.accurate-beats-trace", "§5.1",
             "every policy fulfils more deadlines with accurate estimates",
-            all(
-                sum(a[p]) >= sum(b[p])
-                for p in ("edf", "libra", "librarisk")
-            ),
-            ", ".join(f"{p}: {sum(a[p])/len(a[p]):.1f}% vs {sum(b[p])/len(b[p]):.1f}%"
-                      for p in ("edf", "libra", "librarisk")),
+            all(sum(a[p]) >= sum(b[p]) for p in PAPER_POLICIES),
+            ", ".join(f"{p}: {_mean(a[p]):.1f}% vs {_mean(b[p]):.1f}%" for p in PAPER_POLICIES),
         ),
         _claim(
-            f"F{fig.figure_id}.librarisk-matches-libra-accurate", "§5.1",
+            f"F{fid}.librarisk-matches-libra-accurate", "§5.1",
             "accurate estimates: LibraRisk fulfils as many jobs as Libra",
             dominance_fraction(a["librarisk"], a["libra"], tolerance=2.0) >= 0.8
             and dominance_fraction(a["libra"], a["librarisk"], tolerance=2.0) >= 0.8,
             f"max gap {max(abs(x - y) for x, y in zip(a['librarisk'], a['libra'])):.2f} pp",
         ),
         _claim(
-            f"F{fig.figure_id}.librarisk-beats-libra-trace", "§5.1",
+            f"F{fid}.librarisk-beats-libra-trace", "§5.1",
             "trace estimates: LibraRisk fulfils many more jobs than Libra",
             dominance_fraction(b["librarisk"], b["libra"]) == 1.0
             and (sum(b["librarisk"]) - sum(b["libra"])) / len(b["libra"]) > 5.0,
             f"mean gain {(sum(b['librarisk']) - sum(b['libra'])) / len(b['libra']):.1f} pp",
         ),
         _claim(
-            f"F{fig.figure_id}.libra-edge-over-edf-shrinks-with-trace", "§5.1",
+            f"F{fid}.libra-edge-over-edf-shrinks-with-trace", "§5.1",
             "trace estimates: Libra is only barely better than EDF "
             "(its edge is far smaller than LibraRisk's edge over Libra)",
-            (sum(b["libra"]) - sum(b["edf"]))
-            < (sum(b["librarisk"]) - sum(b["libra"])),
-            f"libra-edf {sum(b['libra'])/len(b['libra']) - sum(b['edf'])/len(b['edf']):.1f} pp "
-            f"vs librarisk-libra "
-            f"{sum(b['librarisk'])/len(b['libra']) - sum(b['libra'])/len(b['libra']):.1f} pp",
+            (sum(b["libra"]) - sum(b["edf"])) < (sum(b["librarisk"]) - sum(b["libra"])),
+            f"libra-edf {_mean(b['libra']) - _mean(b['edf']):.1f} pp "
+            f"vs librarisk-libra {_mean(b['librarisk']) - _mean(b['libra']):.1f} pp",
         ),
         _claim(
-            f"F{fig.figure_id}.same-slowdown-accurate", "§5.1",
+            f"F{fid}.same-slowdown-accurate", "§5.1",
             "accurate estimates: Libra and LibraRisk have the same slowdown",
-            all(abs(x - y) <= 0.05 * max(x, 1.0)
-                for x, y in zip(c["libra"], c["librarisk"])),
-            f"max rel gap {max(abs(x - y) / max(x, 1.0) for x, y in zip(c['libra'], c['librarisk'])):.3f}",
+            all(abs(x - y) <= 0.05 * max(x, 1.0) for x, y in zip(c["libra"], c["librarisk"])),
+            f"max rel gap "
+            f"{max(abs(x - y) / max(x, 1.0) for x, y in zip(c['libra'], c['librarisk'])):.3f}",
         ),
         _claim(
-            f"F{fig.figure_id}.librarisk-slowdown-below-libra-trace", "§5.1",
+            f"F{fid}.librarisk-slowdown-below-libra-trace", "§5.1",
             "trace estimates: LibraRisk achieves lower slowdown than Libra",
             dominance_fraction(d["librarisk"], d["libra"], higher_is_better=False,
                                tolerance=0.05) >= 0.8,
-            f"means {sum(d['librarisk'])/len(d['librarisk']):.2f} vs "
-            f"{sum(d['libra'])/len(d['libra']):.2f}",
+            f"means {_mean(d['librarisk']):.2f} vs {_mean(d['libra']):.2f}",
         ),
         _claim(
-            f"F{fig.figure_id}.edf-lowest-slowdown", "§5.1",
+            f"F{fid}.edf-lowest-slowdown", "§5.1",
             "EDF has the lowest average slowdown in every panel",
             all(
                 dominance_fraction(series["edf"], series[p], higher_is_better=False,
@@ -132,20 +106,17 @@ def overview_claims(fig: FigureResult) -> list[ClaimResult]:
                 for series in (c, d)
                 for p in ("libra", "librarisk")
             ),
-            f"edf {sum(c['edf'])/len(c['edf']):.2f} (accurate), "
-            f"{sum(d['edf'])/len(d['edf']):.2f} (trace)",
+            f"edf {_mean(c['edf']):.2f} (accurate), {_mean(d['edf']):.2f} (trace)",
         ),
     ]
-    return claims
 
 
 # -- figure-specific claims -----------------------------------------------------
-def figure1_claims(fig: FigureResult) -> list[ClaimResult]:
+def figure1_claims(fig: Mapping[str, Any]) -> list[Claim]:
     """§5.2: varying workload."""
-    a, b = _fulfilled(fig, "a"), _fulfilled(fig, "b")
-    x = list(fig.panel("a").x_values)
-    crossings = crossover_points(x, a["edf"], a["libra"])
-    claims = [
+    a, b = _series(fig, "a"), _series(fig, "b")
+    crossings = crossover_points(list(panel(fig, "a")["x_values"]), a["edf"], a["libra"])
+    return [
         _claim(
             "F1.fulfilment-rises-as-load-drops", "§5.2",
             "Libra and LibraRisk fulfil more jobs as the arrival delay factor grows",
@@ -169,14 +140,12 @@ def figure1_claims(fig: FigureResult) -> list[ClaimResult]:
             f"crossover(s) at {', '.join(f'{c:.2f}' for c in crossings) or 'none'}",
         ),
     ]
-    return claims
 
 
-def figure2_claims(fig: FigureResult) -> list[ClaimResult]:
+def figure2_claims(fig: Mapping[str, Any]) -> list[Claim]:
     """§5.3: varying deadline high:low ratio."""
-    a, b = _fulfilled(fig, "a"), _fulfilled(fig, "b")
-    d = fig.panel("d").series
-    x = list(fig.panel("b").x_values)
+    a, b, d = _series(fig, "a"), _series(fig, "b"), _series(fig, "d")
+    x = list(panel(fig, "b")["x_values"])
     lows = [i for i, v in enumerate(x) if v < 4.0] or [0]
     highs = [i for i, v in enumerate(x) if v >= 4.0] or [len(x) - 1]
     gain = [r - l for r, l in zip(b["librarisk"], b["libra"])]
@@ -200,15 +169,14 @@ def figure2_claims(fig: FigureResult) -> list[ClaimResult]:
             "LibraRisk keeps a slowdown advantage over Libra as deadlines grow",
             dominance_fraction(d["librarisk"], d["libra"], higher_is_better=False,
                                tolerance=0.05) >= 0.8,
-            f"means {sum(d['librarisk'])/len(d['librarisk']):.2f} vs "
-            f"{sum(d['libra'])/len(d['libra']):.2f}",
+            f"means {_mean(d['librarisk']):.2f} vs {_mean(d['libra']):.2f}",
         ),
     ]
 
 
-def figure3_claims(fig: FigureResult) -> list[ClaimResult]:
+def figure3_claims(fig: Mapping[str, Any]) -> list[Claim]:
     """§5.4: varying the percentage of high urgency jobs."""
-    b = _fulfilled(fig, "b")
+    b = _series(fig, "b")
     gain_first = b["librarisk"][0] - b["libra"][0]
     gain_last = b["librarisk"][-1] - b["libra"][-1]
     return [
@@ -236,9 +204,9 @@ def figure3_claims(fig: FigureResult) -> list[ClaimResult]:
     ]
 
 
-def figure4_claims(fig: FigureResult) -> list[ClaimResult]:
+def figure4_claims(fig: Mapping[str, Any]) -> list[Claim]:
     """§5.5: varying estimate inaccuracy (panels split by urgency %)."""
-    a, b = _fulfilled(fig, "a"), _fulfilled(fig, "b")
+    a, b = _series(fig, "a"), _series(fig, "b")
     claims = []
     for label, series in (("a", a), ("b", b)):
         claims.append(_claim(
@@ -266,26 +234,9 @@ def figure4_claims(fig: FigureResult) -> list[ClaimResult]:
     return claims
 
 
-_FIGURE_CLAIMS: dict[str, Callable[[FigureResult], list[ClaimResult]]] = {
-    "1": figure1_claims,
-    "2": figure2_claims,
-    "3": figure3_claims,
-    "4": figure4_claims,
-}
-
-
-def validate_figure(fig: FigureResult) -> ValidationReport:
-    """Check every claim the paper makes about one figure."""
-    claims: list[ClaimResult] = []
-    if fig.figure_id in ("1", "2", "3"):
-        claims.extend(overview_claims(fig))
-    claims.extend(_FIGURE_CLAIMS[fig.figure_id](fig))
-    return ValidationReport(claims=tuple(claims))
-
-
-def validate_all(figures: dict[str, FigureResult]) -> ValidationReport:
-    """Concatenate claim checks over all regenerated figures."""
-    claims: list[ClaimResult] = []
-    for fid in sorted(figures):
-        claims.extend(validate_figure(figures[fid]).claims)
-    return ValidationReport(claims=tuple(claims))
+def validate_figure(fid: str, fig: Mapping[str, Any]) -> list[Claim]:
+    """Check every claim the paper makes about figure ``fid``."""
+    own = {"1": figure1_claims, "2": figure2_claims,
+           "3": figure3_claims, "4": figure4_claims}[fid]
+    overview = overview_claims(fid, fig) if fid != "4" else []
+    return overview + own(fig)

@@ -21,7 +21,7 @@ then creates a session per run automatically and streams each run's
 records to the sink's JSON-lines file::
 
     with RunSink(path="figure1.jsonl") as sink:
-        figure1(base=cfg)           # every scenario inside is observed
+        build_record(cfg, only=["1"])   # every scenario inside is observed
     print(sink.runs, "runs captured")
 """
 

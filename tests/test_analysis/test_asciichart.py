@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.asciichart import MARKERS, ascii_chart, panel_chart
+from repro.experiments.asciichart import MARKERS, ascii_chart, panel_chart
 
 
 class TestAsciiChart:
@@ -60,11 +60,9 @@ class TestAsciiChart:
 
 class TestPanelChart:
     def test_charts_a_real_panel(self):
-        from repro.experiments.figures import FULFILLED, Panel
-
-        panel = Panel("b", "fulfilled — trace", "factor", FULFILLED,
-                      (0.1, 0.5, 1.0),
-                      {"edf": [50.0, 55.0, 60.0], "librarisk": [60.0, 75.0, 85.0]})
+        panel = {"label": "b", "title": "fulfilled — trace", "x_label": "factor",
+                 "metric": "pct_deadlines_fulfilled", "x_values": [0.1, 0.5, 1.0],
+                 "series": {"edf": [50.0, 55.0, 60.0], "librarisk": [60.0, 75.0, 85.0]}}
         out = panel_chart(panel)
         assert "(b) fulfilled — trace" in out
         assert "*=edf" in out and "o=librarisk" in out

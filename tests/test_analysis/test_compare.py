@@ -1,42 +1,8 @@
 """Tests for series comparison helpers."""
 
-import math
-
 import pytest
 
-from repro.analysis.compare import (
-    crossover_points,
-    dominance_fraction,
-    improvement_pct,
-    mean_improvement_pct,
-    trend,
-)
-
-
-class TestImprovement:
-    def test_pointwise(self):
-        assert improvement_pct([110.0, 90.0], [100.0, 100.0]) == [
-            pytest.approx(10.0), pytest.approx(-10.0)
-        ]
-
-    def test_zero_baseline(self):
-        vals = improvement_pct([0.0, 5.0], [0.0, 0.0])
-        assert vals[0] == 0.0
-        assert math.isinf(vals[1])
-
-    def test_mean_skips_infinite(self):
-        assert mean_improvement_pct([5.0, 110.0], [0.0, 100.0]) == pytest.approx(10.0)
-
-    def test_mean_all_infinite_is_zero(self):
-        assert mean_improvement_pct([5.0], [0.0]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            improvement_pct([1.0], [1.0, 2.0])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            improvement_pct([], [])
+from repro.experiments.compare import crossover_points, dominance_fraction, trend
 
 
 class TestDominance:

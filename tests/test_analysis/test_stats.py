@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.stats import (
-    Summary,
-    paired_difference,
-    significantly_greater,
-    summarize,
-)
+from repro.experiments.stats import Summary, paired_difference, summarize
 
 
 class TestSummarize:
@@ -50,8 +45,7 @@ class TestSummarize:
         b = Summary(mean=13.0, stddev=1.0, ci95=2.0, n=5)
         c = Summary(mean=20.0, stddev=1.0, ci95=2.0, n=5)
         assert a.low == 8.0 and a.high == 12.0
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
+        assert a.high < c.low and b.low < a.high
 
     def test_str(self):
         assert "±" in str(summarize([1.0, 2.0]))
@@ -77,11 +71,13 @@ class TestPairedDifference:
 
 
 class TestSignificance:
+    """`repro replicate` calls a paired gap significant iff its 95 % CI excludes 0."""
+
     def test_clear_winner(self):
-        assert significantly_greater([10.0, 11.0, 12.0], [1.0, 2.0, 3.0])
+        assert paired_difference([10.0, 11.0, 12.0], [1.0, 2.0, 3.0]).low > 0.0
 
     def test_noise_not_significant(self):
-        assert not significantly_greater([1.0, 5.0, 2.0], [4.0, 1.0, 3.0])
+        assert not paired_difference([1.0, 5.0, 2.0], [4.0, 1.0, 3.0]).low > 0.0
 
     def test_direction_matters(self):
-        assert not significantly_greater([1.0, 2.0, 3.0], [10.0, 11.0, 12.0])
+        assert not paired_difference([1.0, 2.0, 3.0], [10.0, 11.0, 12.0]).low > 0.0

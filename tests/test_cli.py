@@ -24,6 +24,19 @@ class TestBasicCommands:
         assert "mean_runtime_h" in out
         assert "synthetic" in out
 
+    def test_trace_stats_describes_the_scenario_it_names(self, capsys):
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.reporting import render_table
+        from repro.experiments.runner import load_base_records
+        from repro.workload.traces import describe_records
+
+        code, out = run_cli(capsys, "trace-stats", "--jobs", "300", "--nodes", "16")
+        assert code == 0
+        stats = describe_records(load_base_records(ScenarioConfig(num_jobs=300, num_nodes=16)))
+        assert stats["max_procs"] <= 16.0
+        table = render_table(["statistic", "value"], sorted(stats.items()), float_fmt="{:.3f}")
+        assert out == f"workload: synthetic SDSC-SP2-like (seed=42)\n{table}\n"
+
     def test_run_single_scenario(self, capsys):
         code, out = run_cli(
             capsys, "run", "--policy", "libra", "--jobs", "60", "--nodes", "16"
@@ -40,35 +53,36 @@ class TestBasicCommands:
 
 class TestFigureCommands:
     def test_figure1_table(self, capsys):
-        code, out = run_cli(
-            capsys, "figure1", "--jobs", "60", "--nodes", "16",
-            "--policies", "libra", "librarisk",
-        )
-        assert code == 0
-        assert "Figure 1" in out
+        code, out = run_cli(capsys, "figures", "--only", "1", "--jobs", "60", "--nodes", "16")
+        assert "Figure 1" in out and "Figure 2" not in out
         assert "(a)" in out and "(d)" in out
+        # At this scale two Figure 1 claims fail, and the exit says so.
+        assert "[FAIL] F1.edf-lowest-slowdown" in out
+        assert code == 1
 
     def test_figure_chart_mode(self, capsys):
         code, out = run_cli(
-            capsys, "figure3", "--jobs", "60", "--nodes", "16",
-            "--policies", "libra", "librarisk", "--chart",
+            capsys, "figures", "--only", "3", "--jobs", "60", "--nodes", "16",
+            "--format", "chart",
         )
-        assert code == 0
-        assert "*=libra" in out and "o=librarisk" in out
+        assert code == (1 if "[FAIL]" in out else 0)
+        assert "*=edf" in out and "o=libra" in out and "+=librarisk" in out
         assert "+-" in out  # an axis was drawn
 
     def test_figure4_csv(self, capsys):
         code, out = run_cli(
-            capsys, "figure4", "--jobs", "50", "--nodes", "16",
-            "--policies", "libra", "--csv",
+            capsys, "figures", "--only", "4", "--jobs", "50", "--nodes", "16",
+            "--format", "csv",
         )
-        assert code == 0
+        assert code == (1 if "[FAIL]" in out else 0)
         assert "# panel (a)" in out
-        assert "% of inaccuracy,libra" in out
+        assert "% of inaccuracy,edf,libra,librarisk" in out
 
     def test_unknown_policy_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["figure1", "--policies", "quantum"])
+            main(["run", "--policy", "quantum"])
+        with pytest.raises(SystemExit):
+            main(["figures", "--only", "5"])
 
     def test_run_with_inaccuracy_mode(self, capsys):
         code, out = run_cli(
@@ -94,11 +108,20 @@ class TestFigureCommands:
 class TestValidateCommand:
     def test_validate_prints_claim_report(self, capsys):
         code, out = run_cli(
-            capsys, "validate", "--jobs", "150", "--nodes", "64", "--figures", "4"
+            capsys, "figures", "--jobs", "150", "--nodes", "64", "--only", "4"
         )
         assert "paper claims hold" in out
         assert "F4." in out
-        assert code in (0, 1)  # tiny scale may legitimately fail a claim
+        assert code == (1 if "[FAIL]" in out else 0)
+
+    def test_json_record_is_the_checked_in_golden(self, capsys):
+        from tests.test_experiments.test_paper_record import GOLDEN
+
+        code, out = run_cli(
+            capsys, "figures", "--jobs", "60", "--nodes", "16", "--format", "json"
+        )
+        assert out == GOLDEN.read_text(encoding="utf-8")
+        assert code == 1  # 4 of the 35 claims fail at this scale
 
 
 class TestReplicateCommand:
@@ -195,16 +218,16 @@ class TestObservabilityFlags:
     def test_figure_metrics_out_captures_every_run(self, capsys, tmp_path):
         path = tmp_path / "fig.jsonl"
         code, out = run_cli(
-            capsys, "figure1", "--jobs", "40", "--nodes", "8",
-            "--policies", "libra", "--metrics-out", str(path),
+            capsys, "figures", "--only", "1", "--jobs", "40", "--nodes", "8",
+            "--metrics-out", str(path),
         )
-        assert code == 0
+        assert code == (1 if "[FAIL]" in out else 0)
         from repro.obs.exporters import read_jsonl
 
         metas = [r for r in read_jsonl(str(path)) if r["type"] == "meta"]
-        # Two estimate modes × 10 arrival delay factors × 1 policy.
-        assert len(metas) == 20
-        assert "wrote metrics for 20 runs" in out
+        # Two estimate modes × 10 arrival delay factors × 3 policies.
+        assert len(metas) == 60
+        assert "wrote metrics for 60 runs" in out
 
     def test_inspect_report(self, capsys, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -2,7 +2,7 @@
 
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.parallel import default_processes, run_matrix, run_scenarios
+from repro.experiments.parallel import default_processes, run_scenarios
 from repro.experiments.sweeps import sweep
 
 SMALL = ScenarioConfig(num_jobs=80, num_nodes=16, seed=3)
@@ -29,13 +29,6 @@ class TestRunScenarios:
 
     def test_default_processes_positive(self):
         assert default_processes() >= 1
-
-
-class TestRunMatrix:
-    def test_policy_keys(self):
-        results = run_matrix(SMALL, ["edf", "libra"], processes=2)
-        assert set(results) == {"edf", "libra"}
-        assert results["edf"].config.policy == "edf"
 
 
 class TestParallelSweep:

@@ -1,13 +1,13 @@
-"""Tests for the EXPERIMENTS.md generator."""
+"""Tests for the EXPERIMENTS.md renderer of the paper record."""
 
 
-from repro.experiments.report import experiments_markdown, figure_section
-from tests.test_experiments.test_validation import paper_like_figure
+from repro.experiments.record import as_markdown
+from tests.test_experiments.test_validation import paper_like_record
 
 
 class TestFigureSection:
     def test_contains_claims_table_and_panels(self):
-        text = figure_section(paper_like_figure("3"))
+        text = as_markdown(paper_like_record("3"))
         assert "## Figure 3" in text
         assert "| Claim | Paper source | Holds? |" in text
         assert "### Panel (a)" in text
@@ -15,25 +15,15 @@ class TestFigureSection:
         assert "claims hold." in text
 
     def test_passing_claims_marked(self):
-        text = figure_section(paper_like_figure("3"))
+        text = as_markdown(paper_like_record("3"))
         assert "✅" in text
 
 
 class TestExperimentsMarkdown:
     def test_full_document(self):
-        figures = {"3": paper_like_figure("3")}
-        stats = {"num_jobs": 3000.0, "mean_runtime_h": 2.7}
-        text = experiments_markdown(figures, trace_stats=stats)
+        text = as_markdown(paper_like_record("3"))
         assert text.startswith("# EXPERIMENTS")
         assert "Workload statistics" in text
         assert "| mean_runtime_h | 2.700 |" in text
         assert "## Figure 3" in text
         assert "3000 jobs on 128 nodes" in text
-
-    def test_custom_preamble(self):
-        text = experiments_markdown({}, preamble="CUSTOM TEXT")
-        assert "CUSTOM TEXT" in text
-
-    def test_no_stats_section_when_absent(self):
-        text = experiments_markdown({"3": paper_like_figure("3")})
-        assert "Workload statistics" not in text

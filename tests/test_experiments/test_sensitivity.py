@@ -3,11 +3,7 @@
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.sensitivity import (
-    KnobSensitivity,
-    advantage_sensitivity,
-    sensitivity,
-)
+from repro.experiments.sensitivity import KnobSensitivity, sensitivity
 
 SMALL = ScenarioConfig(num_jobs=120, num_nodes=32, seed=17)
 
@@ -46,15 +42,3 @@ class TestSensitivity:
                             low_metric=40.0, high_metric=70.0)
         assert k.swing == pytest.approx(30.0)
 
-
-class TestAdvantageSensitivity:
-    def test_advantage_positive_across_nudges(self):
-        gaps = advantage_sensitivity(SMALL, knobs=KNOBS)
-        assert set(gaps) == {
-            "base",
-            "deadline_ratio=2.0", "deadline_ratio=8.0",
-            "overrun_floor_share=0.01", "overrun_floor_share=0.25",
-        }
-        # The reproduction's conclusion is robust: LibraRisk never
-        # falls behind Libra on any nudge.
-        assert all(v >= 0.0 for v in gaps.values()), gaps

@@ -1,59 +1,50 @@
-"""Tests for experiment artefact serialisation."""
+"""Tests for saving experiment results: the paper record as JSON."""
 
+import json
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.serialize import (
-    config_from_dict,
-    config_to_dict,
-    figure_from_dict,
-    figure_to_dict,
-    load_figure,
-    load_figures,
-    save_figure,
-    save_figures,
-)
-from tests.test_experiments.test_validation import paper_like_figure
+from repro.experiments.record import FORMATS, as_markdown, dumps
+from repro.experiments.validation import validate_figure
+from tests.test_experiments.test_paper_record import GOLDEN
+from tests.test_experiments.test_validation import paper_like_record
 
 
 class TestConfigRoundTrip:
     def test_round_trip_preserves_all_fields(self):
-        cfg = ScenarioConfig(policy="libra", num_jobs=77, seed=9,
-                             estimate_mode="inaccuracy", inaccuracy_pct=30.0)
-        back = config_from_dict(config_to_dict(cfg))
-        assert back == cfg
+        saved = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert ScenarioConfig(**saved["base"]) == ScenarioConfig(num_jobs=60, num_nodes=16)
 
     def test_dict_is_json_safe(self):
-        import json
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
 
-        json.dumps(config_to_dict(ScenarioConfig()))
+        record = paper_like_record("1", "2", "3", "4")
+        assert json.loads(dumps(record), parse_constant=refuse) == record
 
 
 class TestFigureRoundTrip:
     def test_dict_round_trip(self):
-        fig = paper_like_figure("3")
-        back = figure_from_dict(figure_to_dict(fig))
-        assert back.figure_id == fig.figure_id
-        assert back.panel("b").series == fig.panel("b").series
-        assert back.panel("a").x_values == fig.panel("a").x_values
+        record = paper_like_record("3")
+        back = json.loads(dumps(record))
+        assert back["figures"]["3"]["panels"] == record["figures"]["3"]["panels"]
+        assert dumps(back) == dumps(record)
 
     def test_file_round_trip(self, tmp_path):
-        fig = paper_like_figure("2")
-        path = save_figure(fig, tmp_path / "fig2.json")
-        assert path.exists()
-        back = load_figure(path)
-        assert back.panel("d").series == fig.panel("d").series
+        record = paper_like_record("2")
+        path = tmp_path / "record.json"
+        path.write_text(dumps(record), encoding="utf-8")
+        back = json.loads(path.read_text(encoding="utf-8"))
+        for render in FORMATS.values():
+            assert render(back) == render(record)
 
     def test_save_and_load_figure_set(self, tmp_path):
-        figures = {"2": paper_like_figure("2"), "3": paper_like_figure("3")}
-        paths = save_figures(figures, tmp_path / "out")
-        assert len(paths) == 2
-        back = load_figures(tmp_path / "out")
-        assert set(back) == {"2", "3"}
+        path = tmp_path / "record.json"
+        path.write_text(dumps(paper_like_record("3", "2")), encoding="utf-8")
+        back = json.loads(path.read_text(encoding="utf-8"))
+        assert set(back["figures"]) == {"2", "3"}
+        text = as_markdown(back)
+        assert text.index("## Figure 2") < text.index("## Figure 3")
 
-    def test_validation_runs_on_deserialized_figure(self, tmp_path):
-        from repro.experiments.validation import validate_figure
-
-        fig = paper_like_figure("3")
-        save_figure(fig, tmp_path / "f.json")
-        report = validate_figure(load_figure(tmp_path / "f.json"))
-        assert report.all_passed
+    def test_validation_runs_on_deserialized_figure(self):
+        fig = json.loads(dumps(paper_like_record("3")))["figures"]["3"]
+        assert all(c["passed"] for c in validate_figure("3", fig))

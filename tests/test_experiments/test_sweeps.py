@@ -40,13 +40,6 @@ class TestSweep:
         )
         assert list(result.results) == ["librarisk:node_order=index"]
 
-    def test_best_policy_at(self):
-        result = sweep(SMALL, "arrival_delay_factor", [1.0], ["edf", "librarisk"])
-        best = result.best_policy_at("pct_deadlines_fulfilled", 0)
-        assert best in ("edf", "librarisk")
-        worst = result.best_policy_at("avg_slowdown", 0, higher_is_better=False)
-        assert worst in ("edf", "librarisk")
-
     def test_progress_callback_called(self):
         seen = []
         sweep(SMALL, "arrival_delay_factor", [0.5, 1.0], ["libra"],

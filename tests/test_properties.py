@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.compare import crossover_points, dominance_fraction, trend
+from repro.experiments.compare import crossover_points, dominance_fraction, trend
 from repro.cluster.share import ShareParams, admission_share, effective_rates, nominal_share
 from repro.scheduling.risk import assess_delays, deadline_delay
 from repro.sim.kernel import Simulator
