@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
 from repro.analysis.lint.engine import LintResult, run_lint
 from repro.analysis.lint.rules import ALL_RULES
@@ -62,12 +62,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     return parser
-
-
-def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
-    return add_arguments(argparse.ArgumentParser(
-        prog=prog, description=DESCRIPTION, epilog=EPILOG,
-    ))
 
 
 def _list_rules(out: TextIO) -> None:
@@ -162,8 +156,3 @@ def run(
             out.write(f"stats written to {args.metrics_out}\n")
 
     return 1 if (result.findings or result.errors) else 0
-
-
-def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
-    parser = build_parser()
-    return run(parser.parse_args(argv), parser, out=out)

@@ -135,10 +135,6 @@ def exempt() -> _Exempt:
     return _EXEMPT
 
 
-def in_span() -> bool:
-    return _state.span_depth > 0 and _state.exempt_depth == 0
-
-
 def _guard(
     name: str, original: Callable[..., Any]
 ) -> Callable[..., Any]:
@@ -210,7 +206,6 @@ __all__ = [
     "decision_span",
     "enabled_by_env",
     "exempt",
-    "in_span",
     "install",
     "install_from_env",
     "installed",

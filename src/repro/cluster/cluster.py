@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from repro.cluster.job import Job
 from repro.cluster.node import Node, SpaceSharedNode, TimeSharedNode
 from repro.cluster.share import DEFAULT_SHARE_PARAMS, ShareParams
 from repro.sim.kernel import Simulator
@@ -67,38 +66,6 @@ class Cluster:
             raise ValueError(f"unknown discipline {discipline!r}")
         return cls(nodes, reference_rating=reference_rating or rating)
 
-    @classmethod
-    def heterogeneous(
-        cls,
-        sim: Simulator,
-        ratings: Sequence[float],
-        discipline: str = "time_shared",
-        share_params: ShareParams = DEFAULT_SHARE_PARAMS,
-        reference_rating: Optional[float] = None,
-    ) -> "Cluster":
-        """Build a cluster with per-node SPEC ratings.
-
-        Job runtimes are expressed at ``reference_rating`` (defaults to
-        the *minimum* node rating, so every node is at least as fast as
-        the reference and estimated times shrink on faster nodes —
-        exactly the translation the paper's §3 requires).
-        """
-        if not ratings:
-            raise ValueError("need at least one rating")
-        if any(r <= 0 for r in ratings):
-            raise ValueError("ratings must be > 0")
-        nodes: list[Node]
-        if discipline == "time_shared":
-            nodes = [
-                TimeSharedNode(i, r, sim, share_params=share_params)
-                for i, r in enumerate(ratings)
-            ]
-        elif discipline == "space_shared":
-            nodes = [SpaceSharedNode(i, r, sim) for i, r in enumerate(ratings)]
-        else:
-            raise ValueError(f"unknown discipline {discipline!r}")
-        return cls(nodes, reference_rating=reference_rating or min(ratings))
-
     # -- lookup ---------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.nodes)
@@ -123,22 +90,9 @@ class Cluster:
     def total_rating(self) -> float:
         return sum(n.rating for n in self.nodes)
 
-    def idle_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.idle]
-
-    def running_jobs(self) -> set[int]:
-        """Distinct job ids with at least one resident task."""
-        out: set[int] = set()
-        for n in self.nodes:
-            out.update(n.tasks.keys())
-        return out
-
     def utilisation(self, horizon: float) -> float:
         """Cluster-wide fraction of capacity used over ``[0, horizon]``."""
         if horizon <= 0:
             return 0.0
         used = sum(n.busy_time for n in self.nodes)
         return used / (self.total_rating * horizon)
-
-    def tasks_of(self, job: Job) -> list:
-        return [n.tasks[job.job_id] for n in self.nodes if job.job_id in n.tasks]

@@ -251,11 +251,6 @@ class Job:
             return None
         return rt / self.runtime
 
-    @property
-    def overestimation_factor(self) -> float:
-        """``estimate / runtime`` — > 1 when the user over-estimated."""
-        return self.estimated_runtime / self.runtime
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Job {self.job_id} {self.state.value} run={self.runtime:.6g} "

@@ -155,14 +155,6 @@ class Node:
         self.failures = 0
 
     # -- common helpers ----------------------------------------------------
-    @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def idle(self) -> bool:
-        return not self.tasks
-
     def has_job(self, job_id: int) -> bool:
         return job_id in self.tasks
 
@@ -196,15 +188,6 @@ class SpaceSharedNode(Node):
     no timer: :func:`start_job_tasks` schedules one completion event
     for all of a job's nodes that finish together.
     """
-
-    @property
-    def available(self) -> bool:
-        return not self.tasks
-
-    def start_task(self, job: Job, work: float, now: float) -> NodeTask:
-        """Begin executing ``work`` rating-seconds of ``job`` exclusively."""
-        start_job_tasks(job, [self], work, now)
-        return self.tasks[job.job_id]
 
     def fail(self, now: float) -> list[Job]:
         """Kill the resident task (if any) and go offline.
@@ -240,9 +223,8 @@ def start_job_tasks(
     """Run ``work`` rating-seconds of ``job`` on each of ``nodes`` from ``start``.
 
     The single start path of the space-shared discipline: policies call
-    it once per dispatched job, :meth:`SpaceSharedNode.start_task` is
-    its one-node case, and checkpoint restore calls it with the stored
-    ``added_at`` as ``start`` (the work ledger is only zeroed at
+    it once per dispatched job, and checkpoint restore calls it with the
+    stored ``added_at`` as ``start`` (the work ledger is only zeroed at
     completion, so ``start + work / rating`` is the original instant).
 
     Nodes are grouped by completion instant ``start + work / rating``

@@ -124,10 +124,6 @@ class ResourceManagementSystem:
             return None
         return len(self.accepted) / len(self.jobs)
 
-    def unfinished_accepted(self) -> list[Job]:
-        """Accepted jobs still running at the horizon (not completed or failed)."""
-        return [j for j in self.accepted if not j.completed and j.state is not JobState.FAILED]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<RMS jobs={len(self.jobs)} accepted={len(self.accepted)} "

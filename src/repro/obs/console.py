@@ -31,7 +31,6 @@ _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 _CLEAR = "\x1b[2J\x1b[H"
 _BOLD = "\x1b[1m"
-_DIM = "\x1b[2m"
 _RED = "\x1b[31m"
 _YELLOW = "\x1b[33m"
 _GREEN = "\x1b[32m"
@@ -283,19 +282,15 @@ def render_dashboard(
                     )
             lines.append(line)
 
-    burn = slo.get("burn_rate", 0.0)
-    code = _GREEN if burn <= 0.5 else (_YELLOW if burn <= 1.0 else _RED)
-    lines.append(
-        f"slo: deadline_miss={slo.get('deadline_miss_ratio', 0.0):.4f} "
-        f"objective={slo.get('deadline_miss_objective', 0.0):.4f} "
-        f"burn_rate={paint(f'{burn:.3f}', code)}"
-    )
-
-    dropped = metric_value(metrics, "engine_trace_events_dropped", default=-1.0)
-    if dropped >= 0:
+    if slo:  # a fleet's merged health carries no SLO block
+        burn = slo.get("burn_rate", 0.0)
+        code = _GREEN if burn <= 0.5 else (_YELLOW if burn <= 1.0 else _RED)
         lines.append(
-            paint(f"event trace: dropped={dropped:.0f}", _DIM if not dropped else _YELLOW)
+            f"slo: deadline_miss={slo.get('deadline_miss_ratio', 0.0):.4f} "
+            f"objective={slo.get('deadline_miss_objective', 0.0):.4f} "
+            f"burn_rate={paint(f'{burn:.3f}', code)}"
         )
+
     body = "\n".join(lines)
     return (_CLEAR + body) if (clear and color) else body
 

@@ -10,7 +10,6 @@ jobs rejected, what did the counters end at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.obs.exporters import (
@@ -22,47 +21,6 @@ from repro.obs.exporters import (
 from repro.obs.windows import DEFAULT_WINDOW, WindowAggregator
 
 INSPECT_MODES = ("report", "prom", "decisions", "transitions", "cache", "windows")
-
-
-@dataclass
-class LogSummary:
-    """Aggregate view of one metrics log (possibly many runs)."""
-
-    runs: int = 0
-    records: int = 0
-    decisions: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    transitions: int = 0
-    has_profile: bool = False
-    #: ``reason -> count`` over every rejection in the log.
-    reject_reasons: dict[str, int] = field(default_factory=dict)
-
-
-def summarize(records: Sequence[dict]) -> LogSummary:
-    """Single-pass aggregation of a record stream."""
-    summary = LogSummary(records=len(records))
-    for record in records:
-        kind = record.get("type")
-        if kind == "meta":
-            summary.runs += 1
-        elif kind == "decision":
-            summary.decisions += 1
-            if record.get("outcome") == "accepted":
-                summary.accepted += 1
-            else:
-                summary.rejected += 1
-                reason = record.get("reason", "<unspecified>")
-                summary.reject_reasons[reason] = (
-                    summary.reject_reasons.get(reason, 0) + 1
-                )
-        elif kind == "transition":
-            summary.transitions += 1
-        elif kind == "profile":
-            summary.has_profile = True
-    if summary.runs == 0 and summary.records:
-        summary.runs = 1  # headerless fragment still describes one run
-    return summary
 
 
 def render_inspection(

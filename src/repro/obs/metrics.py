@@ -61,13 +61,6 @@ class Metric:
         self.labels = dict(sorted((str(k), str(v)) for k, v in labels.items()))
         self._lock = threading.RLock()
 
-    def label_suffix(self) -> str:
-        """Prometheus-style ``{k="v",...}`` rendering (empty when unlabelled)."""
-        if not self.labels:
-            return ""
-        inner = ",".join(f'{k}="{v}"' for k, v in self.labels.items())
-        return "{" + inner + "}"
-
     def as_dict(self) -> dict:
         raise NotImplementedError
 

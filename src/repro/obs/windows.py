@@ -160,15 +160,6 @@ class WindowAggregator:
                 }
         return {"t": float(t), "window_s": self.window, "policies": policies}
 
-    def memory_items(self) -> int:
-        """Retained state cells (for the O(window) soak assertion)."""
-        with self._lock:
-            return sum(
-                2 + len(counts[2])
-                for slices in self._slices.values()
-                for _, counts in slices
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<WindowAggregator window={self.window:g}s "

@@ -123,10 +123,6 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
         self.rms.notify_accepted(job)
         start_job_tasks(job, nodes, work, now)
 
-    @property
-    def queued_jobs(self) -> int:
-        return len(self.queue)
-
 
 class EDFPolicy(QueuedSpaceSharedPolicy):
     """Earliest Deadline First: select the queued job with the earliest

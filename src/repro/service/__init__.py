@@ -22,8 +22,7 @@ kernel, cluster and policies behind an incremental API:
 * :mod:`~repro.service.faults` — deterministic, seeded fault injection
   (drops, 5xx, delays, crash points, torn WAL tails) for chaos tests;
 * :mod:`~repro.service.client` — retrying client with exponential
-  backoff + jitter, Retry-After awareness, idempotent submits and a
-  circuit breaker;
+  backoff + jitter, Retry-After awareness and idempotent submits;
 * :mod:`~repro.service.replay` / :mod:`~repro.service.loadgen` —
   deterministic in-process trace replay and an open-loop HTTP load
   generator (``repro replay``);
@@ -43,7 +42,7 @@ from repro.service.checkpoint import (
     save,
     snapshot,
 )
-from repro.service.client import CircuitBreaker, RetryPolicy, RetryingClient
+from repro.service.client import RetryPolicy, RetryingClient
 from repro.service.clock import VirtualClock, WallClock
 from repro.service.engine import (
     AdmissionEngine,
@@ -91,7 +90,6 @@ __all__ = [
     "AdmissionEngine",
     "AdmissionService",
     "CheckpointError",
-    "CircuitBreaker",
     "CrashPoint",
     "Decision",
     "DropRequest",

@@ -1,4 +1,4 @@
-"""A retrying admission-service client: backoff, jitter, circuit breaker.
+"""A retrying admission-service client: exponential backoff with jitter.
 
 :class:`RetryingClient` wraps the plain
 :class:`~repro.service.loadgen.ServiceClient` with production client
@@ -18,13 +18,13 @@ behaviour:
   never double-admit.  Submits are therefore only retried when the job
   payload carries an explicit ``id``; without one each send would be a
   new job.
-* **Circuit breaker** — after ``failure_threshold`` consecutive
-  transport/5xx failures the circuit opens and calls fail fast with a
-  synthetic ``unavailable`` response until ``recovery_time`` has
-  passed; one half-open probe then decides whether to close it.
+
+The fleet's one circuit breaker is the router's per-shard
+:class:`~repro.service.sharding.breaker.ShardBreaker`; this client only
+retries.
 
 Everything time- and randomness-dependent is injectable (``sleep``,
-``clock``, ``seed``), so retry schedules are deterministic under test.
+``seed``), so retry schedules are deterministic under test.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Any, Callable, Optional
 from repro.obs.log import get_logger
 from repro.service import protocol
 from repro.service.loadgen import ServiceClient
-from repro.service.protocol import ErrorCode
 
 log = get_logger("service.client")
 
@@ -74,62 +73,8 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter * rng.random())
 
 
-class CircuitBreaker:
-    """Classic closed → open → half-open breaker over consecutive failures."""
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        recovery_time: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if recovery_time <= 0:
-            raise ValueError(f"recovery_time must be > 0, got {recovery_time}")
-        self.failure_threshold = int(failure_threshold)
-        self.recovery_time = float(recovery_time)
-        self._clock = clock
-        self.state = self.CLOSED
-        self.failures = 0
-        self.opened_at: Optional[float] = None
-
-    def allow(self) -> bool:
-        """May a request be sent right now?
-
-        An open circuit lets exactly one probe through once
-        ``recovery_time`` has elapsed (half-open); its outcome closes
-        or re-opens the circuit.
-        """
-        if self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN:
-            assert self.opened_at is not None
-            if self._clock() - self.opened_at >= self.recovery_time:
-                self.state = self.HALF_OPEN
-                return True
-            return False
-        # Half-open: a probe is already in flight; hold everything else.
-        return False
-
-    def record_success(self) -> None:
-        self.state = self.CLOSED
-        self.failures = 0
-        self.opened_at = None
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if self.state == self.HALF_OPEN or self.failures >= self.failure_threshold:
-            self.state = self.OPEN
-            self.opened_at = self._clock()
-
-
 class RetryingClient(ServiceClient):
-    """Drop-in :class:`ServiceClient` with retries and a circuit breaker.
+    """Drop-in :class:`ServiceClient` with retries.
 
     Parameters
     ----------
@@ -137,8 +82,6 @@ class RetryingClient(ServiceClient):
         As for :class:`ServiceClient`.
     policy:
         The backoff schedule.
-    breaker:
-        Optional circuit breaker; ``None`` disables fast-fail.
     seed:
         Seeds the jitter RNG (deterministic retry schedules in tests).
     sleep:
@@ -150,18 +93,15 @@ class RetryingClient(ServiceClient):
         url: str,
         timeout: float = 10.0,
         policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         super().__init__(url, timeout=timeout)
         self.policy = policy if policy is not None else RetryPolicy()
-        self.breaker = breaker
         self._rng = random.Random(seed)
         self._sleep = sleep
         self.attempts = 0
         self.retries = 0
-        self.fast_failures = 0
 
     # -- retry core ----------------------------------------------------------
     def rpc(
@@ -175,35 +115,15 @@ class RetryingClient(ServiceClient):
         """
         if retryable is None:
             retryable = self._is_retryable(request)
-        last: tuple[int, dict[str, Any]] = (0, protocol.error_response(
-            ErrorCode.UNAVAILABLE, "no attempt was made"
-        ))
         attempts = self.policy.max_attempts if retryable else 1
         for attempt in range(attempts):
-            if self.breaker is not None and not self.breaker.allow():
-                self.fast_failures += 1
-                last = (0, protocol.error_response(
-                    ErrorCode.UNAVAILABLE,
-                    "circuit breaker is open; failing fast",
-                ))
-                # An open circuit still honours the backoff schedule, so
-                # a long outage costs sleeps, not a request storm.
-                if attempt + 1 < attempts:
-                    self._sleep(self.policy.delay(attempt, self._rng))
-                continue
             self.attempts += 1
             status, response = super().rpc(request)
-            last = (status, response)
-            if not self._failed(status, response):
-                if self.breaker is not None:
-                    self.breaker.record_success()
-                return status, response
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            if attempt + 1 < attempts:
-                self.retries += 1
-                self._sleep(self._retry_delay(attempt, response))
-        return last
+            if attempt + 1 == attempts or not self._failed(status, response):
+                break
+            self.retries += 1
+            self._sleep(self._retry_delay(attempt, response))
+        return status, response
 
     @staticmethod
     def _is_retryable(request: dict[str, Any]) -> bool:
@@ -237,15 +157,7 @@ class RetryingClient(ServiceClient):
     @property
     def client_stats(self) -> dict[str, Any]:
         """Deterministic counters for tests and reports."""
-        out: dict[str, Any] = {
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "fast_failures": self.fast_failures,
-        }
-        if self.breaker is not None:
-            out["breaker_state"] = self.breaker.state
-            out["breaker_failures"] = self.breaker.failures
-        return out
+        return {"attempts": self.attempts, "retries": self.retries}
 
 
-__all__ = ["CircuitBreaker", "RetryPolicy", "RetryingClient"]
+__all__ = ["RetryPolicy", "RetryingClient"]

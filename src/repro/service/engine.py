@@ -460,8 +460,6 @@ class AdmissionEngine:
             out["acceptance_ratio"] = ratio
         if self.window is not None:
             out["window"] = self.window.snapshot(self.sim.now)
-        if self.sim.trace is not None:
-            out["trace_events_dropped"] = self.sim.trace.dropped
         return out
 
     # -- internals ----------------------------------------------------------

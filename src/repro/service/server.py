@@ -606,17 +606,6 @@ class AdmissionService:
                      engine.wal_lsn),
                 ):
                     self.registry.gauge(name, help_text).set(value)
-            trace = engine.sim.trace
-            if trace is not None:
-                self.registry.gauge(
-                    "engine_trace_events_recorded",
-                    "Events ever recorded by the kernel EventTrace",
-                ).set(trace.total_recorded)
-                self.registry.gauge(
-                    "engine_trace_events_dropped",
-                    "EventTrace records evicted at capacity (non-zero means "
-                    "the retained window is truncated)",
-                ).set(trace.dropped)
             for key, value in sorted(engine.policy.cache_stats.items()):
                 self.registry.gauge(
                     "engine_cache_stat",
@@ -888,12 +877,6 @@ class HttpFrontend:
         """Refuse new work, stop accepting, join the handlers (bounded)."""
         self._httpd.service.draining = True  # type: ignore[attr-defined]
         return self._httpd.stop(self._thread)
-
-    def __enter__(self: _F) -> _F:
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
 
 class ServiceServer(HttpFrontend):

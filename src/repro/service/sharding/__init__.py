@@ -42,12 +42,7 @@ from repro.service.sharding.partition import (
     shard_for_user,
     shard_node_counts,
 )
-from repro.service.sharding.paths import (
-    shard_checkpoint_path,
-    shard_path,
-    shard_port,
-    shard_wal_path,
-)
+from repro.service.sharding.paths import shard_path, shard_port
 from repro.service.sharding.router import (
     RouterServer,
     ShardRouter,
@@ -71,12 +66,10 @@ __all__ = [
     "free_ports",
     "merge_scenario_metrics",
     "plan_shards",
-    "shard_checkpoint_path",
     "shard_for_job",
     "shard_for_submit",
     "shard_for_user",
     "shard_node_counts",
     "shard_path",
     "shard_port",
-    "shard_wal_path",
 ]

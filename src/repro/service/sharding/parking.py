@@ -59,10 +59,6 @@ class ParkingLot:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
     def park(self, job_id: Optional[int], body: bytes) -> bool:
         """Append one submit; returns ``False`` when the lot is full.
 

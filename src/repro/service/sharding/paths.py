@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["shard_path", "shard_wal_path", "shard_checkpoint_path", "shard_port"]
+__all__ = ["shard_path", "shard_port"]
 
 
 def shard_path(base: str, shard_id: int, shard_count: int) -> str:
@@ -25,16 +25,6 @@ def shard_path(base: str, shard_id: int, shard_count: int) -> str:
         raise ValueError("shard_id must be in [0, shard_count)")
     root, ext = os.path.splitext(base)
     return f"{root}.shard{shard_id}of{shard_count}{ext}"
-
-
-def shard_wal_path(base: str, shard_id: int, shard_count: int) -> str:
-    """Per-shard WAL filename derived from the shared ``--wal`` base."""
-    return shard_path(base, shard_id, shard_count)
-
-
-def shard_checkpoint_path(base: str, shard_id: int, shard_count: int) -> str:
-    """Per-shard checkpoint filename derived from the shared base."""
-    return shard_path(base, shard_id, shard_count)
 
 
 def shard_port(base_port: int, shard_id: int) -> int:

@@ -81,6 +81,12 @@ _SUM_KEYS = (
     "high_submitted", "high_fulfilled", "low_submitted", "low_fulfilled",
 )
 
+#: Job counts of a shard's ``/v1/stats`` that merge by sum.
+_SUMMED_STATS = (
+    "submitted", "accepted", "rejected", "completed", "failed", "running",
+    "queued",
+)
+
 
 def merge_scenario_metrics(
     per_shard: list[dict[str, Any]], node_counts: list[int]
@@ -638,7 +644,7 @@ class ShardRouter:
         self.flush_parking()
         answers = self._fan_out(dict.fromkeys(range(self.num_shards), body))
         shards: dict[str, Any] = {}
-        merged = {"submitted": 0, "accepted": 0, "rejected": 0, "completed": 0}
+        merged = dict.fromkeys(_SUMMED_STATS, 0)
         horizon = 0.0
         reachable = 0
         for shard in range(self.num_shards):
@@ -647,13 +653,14 @@ class ShardRouter:
                 stats = response["stats"]
                 shards[str(shard)] = stats
                 reachable += 1
-                for key in ("submitted", "accepted", "rejected", "completed"):
+                for key in _SUMMED_STATS:
                     merged[key] += int(stats.get(key, 0))
                 horizon = max(horizon, float(stats.get("t", 0.0)))
             else:
                 shards[str(shard)] = {"error": response.get("error", {})}
-        payload = dict(merged)
+        payload: dict[str, Any] = dict(merged)
         payload["t"] = horizon
+        payload["policy"] = self.config.policy
         payload["shard_count"] = self.num_shards
         payload["shards_reachable"] = reachable
         payload["shards"] = shards

@@ -284,34 +284,6 @@ class ShardSupervisor:
         with self._lock:
             return {s.spec.shard_id: s.restarts for s in self.workers}
 
-    def supervision_snapshot(self) -> dict[int, dict[str, Any]]:
-        """Per-shard restart-policy view (for /healthz and the console)."""
-        now = monotonic()
-        out: dict[int, dict[str, Any]] = {}
-        with self._lock:
-            for state in self.workers:
-                proc = state.proc
-                entry: dict[str, Any] = {
-                    "alive": proc is not None and proc.poll() is None,
-                    "failed": state.failed,
-                    "restarts": state.restarts,
-                    "budget_used": round(state.budget_used, 4),
-                    "budget": self.max_restarts,
-                }
-                if state.respawn_at:
-                    entry["respawn_in"] = round(
-                        max(0.0, state.respawn_at - now), 4
-                    )
-                out[state.spec.shard_id] = entry
-        return out
-
-    def all_alive(self) -> bool:
-        with self._lock:
-            return all(
-                s.proc is not None and s.proc.poll() is None
-                for s in self.workers
-            )
-
     # -- shutdown -----------------------------------------------------------
     def stop(self, timeout: float = 10.0) -> None:
         """Terminate every worker (SIGTERM, then SIGKILL stragglers)."""

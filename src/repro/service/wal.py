@@ -500,11 +500,6 @@ class WriteAheadLog:
             self._sync()
         return lsn
 
-    def sync(self) -> None:
-        """Force everything appended so far onto disk."""
-        if self._fp is not None:
-            self._sync()
-
     # -- compaction ---------------------------------------------------------
     def compact(
         self,
@@ -712,12 +707,6 @@ class WriteAheadLog:
             self.syncs += 1
             self._unsynced = 0
 
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<WriteAheadLog path={self.path!r} fsync={self.fsync} "
@@ -739,20 +728,6 @@ class CompactionReport:
     bytes_before: int
     bytes_after: int
     segment: Optional[str] = None
-
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "first_lsn": self.first_lsn,
-            "last_lsn": self.last_lsn,
-            "archived": self.archived,
-            "retained": self.retained,
-            "checkpoint": self.checkpoint,
-            "bytes_before": self.bytes_before,
-            "bytes_after": self.bytes_after,
-        }
-        if self.segment is not None:
-            out["segment"] = self.segment
-        return out
 
 
 def resolve_checkpoint_ref(wal_path: str, header: dict[str, Any]) -> Optional[str]:
@@ -806,22 +781,6 @@ class RecoveryReport:
     checkpoint: Optional[str] = None
     horizon: float = 0.0
     outcomes: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "wal_records": self.wal_records,
-            "replayed": self.replayed,
-            "skipped": self.skipped,
-            "failed": self.failed,
-            "last_lsn": self.last_lsn,
-            "horizon": self.horizon,
-            "outcomes": dict(self.outcomes),
-        }
-        if self.torn is not None:
-            out["torn"] = self.torn
-        if self.checkpoint is not None:
-            out["checkpoint"] = self.checkpoint
-        return out
 
     def __str__(self) -> str:
         base = (

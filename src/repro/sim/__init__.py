@@ -7,21 +7,19 @@ paper: a minimal but complete event-driven simulator with
   (:mod:`repro.sim.kernel`),
 * typed, cancellable events (:mod:`repro.sim.events`),
 * named, deterministic random-number streams so that every experiment
-  is a pure function of ``(config, seed)`` (:mod:`repro.sim.rng`),
-* an event trace recorder for observability (:mod:`repro.sim.trace`).
+  is a pure function of ``(config, seed)`` (:mod:`repro.sim.rng`).
+
+``Simulator(on_event=...)`` is the one per-event observer hook.
 """
 
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator, SimulationError
 from repro.sim.rng import RngStreams
-from repro.sim.trace import EventTrace, TraceRecord
 
 __all__ = [
     "Event",
     "EventPriority",
-    "EventTrace",
     "RngStreams",
     "SimulationError",
     "Simulator",
-    "TraceRecord",
 ]

@@ -71,15 +71,6 @@ class Event:
         self.payload = payload
         self._cancelled = False
 
-    # -- ordering ---------------------------------------------------------
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Not on any kernel path: the heap orders (time, priority, seq,
-        # event) tuples and seq is unique, so the event is never reached.
-        return self.sort_key() < other.sort_key()
-
     # -- cancellation -----------------------------------------------------
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped.

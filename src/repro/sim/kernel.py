@@ -13,7 +13,7 @@ Design notes
 * **Heap entries are tuples** — the queue holds ``(time, priority,
   seq, event)``, so ``heapq`` orders it with the C tuple comparator;
   ``seq`` is unique, hence the :class:`Event` in the last slot is never
-  compared and ``Event.__lt__`` is not on any kernel path.
+  compared (events define no ordering of their own).
 * **No time-stepping** — the clock jumps from event to event, which is
   what keeps the 3000-job × 128-node experiments of the paper well
   under a second each.
@@ -29,7 +29,6 @@ import math
 from typing import Any, Callable, Iterable, Optional
 
 from repro.sim.events import Event, EventPriority
-from repro.sim.trace import EventTrace
 
 
 class SimulationError(RuntimeError):
@@ -43,15 +42,12 @@ class Simulator:
     ----------
     start_time:
         Initial value of the simulated clock (seconds).
-    trace:
-        Optional :class:`~repro.sim.trace.EventTrace` that records every
-        fired event for post-hoc inspection.
     max_events:
         Safety valve: :meth:`run` raises :class:`SimulationError` after
         this many events, catching accidental infinite event loops.
     on_event:
-        Optional observer called as ``on_event(event)`` after each event
-        fires (after any trace recording, before the next event pops).
+        Optional observer called as ``on_event(event)`` as each event
+        fires, before its callback runs and the next event pops.
         Observers must be passive — they see the event but must not
         schedule, cancel or mutate simulation state — so instrumented
         and uninstrumented runs execute identical event sequences.
@@ -72,7 +68,6 @@ class Simulator:
     def __init__(
         self,
         start_time: float = 0.0,
-        trace: Optional[EventTrace] = None,
         max_events: int = 50_000_000,
         on_event: Optional[Callable[[Event], None]] = None,
     ) -> None:
@@ -81,9 +76,6 @@ class Simulator:
         self._seq = 0
         self._events_fired = 0
         self._tombstones_dropped = 0
-        self._running = False
-        self._stopped = False
-        self.trace = trace
         self.max_events = int(max_events)
         self.on_event = on_event
 
@@ -108,7 +100,7 @@ class Simulator:
         """Cancelled events discarded lazily instead of re-heapified.
 
         ``cancel()`` is O(1): it only flags the event, and the heap drops
-        the tombstone when it surfaces (or in :meth:`drain_cancelled`).
+        the tombstone when it surfaces.
         This counter sizes how much churn that laziness absorbed —
         LibraRisk's per-completion reschedules cancel one timer per
         resident task, so it grows with cluster occupancy.
@@ -144,18 +136,8 @@ class Simulator:
         """
         return self._push(Event(time, priority, callback, name=name, payload=payload))
 
-    def schedule_event(self, event: Event) -> Event:
-        """Schedule a pre-built :class:`Event` (assigns its sequence number).
-
-        Raises
-        ------
-        SimulationError
-            If ``event.time`` lies in the past or is not finite.
-        """
-        return self._push(event)
-
     def _push(self, event: Event) -> Event:
-        """The one validated heap push behind every ``schedule*`` call."""
+        """The one validated heap push behind both ``schedule*`` calls."""
         time = event.time
         # `not (now <= time < inf)` is also true for NaN, which a plain
         # `time < now` lets through to corrupt the heap order.
@@ -171,33 +153,6 @@ class Simulator:
         return event
 
     # -- execution --------------------------------------------------------
-    def peek(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is drained."""
-        self._drop_cancelled_head()
-        return self._heap[0][0] if self._heap else None
-
-    def step(self) -> bool:
-        """Execute the single earliest live event.
-
-        Returns
-        -------
-        bool
-            ``True`` if an event ran, ``False`` if the queue was empty.
-        """
-        self._drop_cancelled_head()
-        if not self._heap:
-            return False
-        time, _, _, event = heapq.heappop(self._heap)
-        self._now = time
-        self._events_fired += 1
-        if self.trace is not None:
-            self.trace.record(event)
-        if self.on_event is not None:
-            self.on_event(event)
-        if event.callback is not None:
-            event.callback(event)
-        return True
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock would pass ``until``.
 
@@ -209,44 +164,30 @@ class Simulator:
             raise SimulationError(
                 f"run(until={until:.6g}) is in the past (now={self._now:.6g})"
             )
-        self._running = True
-        self._stopped = False
         pop = heapq.heappop
-        try:
-            # peek() + step() fused: one tombstone sweep per event instead
-            # of two, no per-event method dispatch.  `self._heap` is
-            # re-read each iteration because drain_cancelled() rebinds it.
-            while not self._stopped:
-                heap = self._heap
-                while heap and heap[0][3]._cancelled:
-                    pop(heap)
-                    self._tombstones_dropped += 1
-                if not heap:
-                    break
-                time, _, _, event = heap[0]
-                if until is not None and time > until:
-                    break
-                if self._events_fired >= self.max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={self.max_events}: possible event loop"
-                    )
+        heap = self._heap  # never rebound: callbacks push onto this list
+        while True:
+            while heap and heap[0][3]._cancelled:
                 pop(heap)
-                self._now = time
-                self._events_fired += 1
-                if self.trace is not None:
-                    self.trace.record(event)
-                if self.on_event is not None:
-                    self.on_event(event)
-                if event.callback is not None:
-                    event.callback(event)
-        finally:
-            self._running = False
+                self._tombstones_dropped += 1
+            if not heap:
+                break
+            time, _, _, event = heap[0]
+            if until is not None and time > until:
+                break
+            if self._events_fired >= self.max_events:
+                raise SimulationError(
+                    f"exceeded max_events={self.max_events}: possible event loop"
+                )
+            pop(heap)
+            self._now = time
+            self._events_fired += 1
+            if self.on_event is not None:
+                self.on_event(event)
+            if event.callback is not None:
+                event.callback(event)
         if until is not None and self._now < until:
             self._now = float(until)
-
-    def stop(self) -> None:
-        """Request :meth:`run` to return after the current event."""
-        self._stopped = True
 
     # -- checkpoint support ------------------------------------------------
     def clock_state(self) -> dict:
@@ -273,26 +214,7 @@ class Simulator:
         self._seq = int(seq)
         self._events_fired = int(events_fired)
 
-    # -- internals --------------------------------------------------------
-    def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0][3]._cancelled:
-            heapq.heappop(self._heap)
-            self._tombstones_dropped += 1
-
-    def drain_cancelled(self) -> int:
-        """Remove every cancelled event from the heap; return the count.
-
-        Useful for long simulations that cancel many timers — the heap
-        otherwise retains tombstones until their scheduled times.
-        """
-        live = [entry for entry in self._heap if not entry[3]._cancelled]
-        removed = len(self._heap) - len(live)
-        if removed:
-            heapq.heapify(live)
-            self._heap = live
-            self._tombstones_dropped += removed
-        return removed
-
+    # -- inspection -----------------------------------------------------
     def iter_pending(self) -> Iterable[Event]:
         """Yield pending live events in an unspecified order (inspection only)."""
         return (entry[3] for entry in self._heap if not entry[3]._cancelled)

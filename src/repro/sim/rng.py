@@ -68,10 +68,6 @@ class RngStreams:
         """
         return RngStreams(seed=(self.seed * 1_000_003 + _name_key(name)) & 0x7FFFFFFFFFFFFFFF)
 
-    def reset(self) -> None:
-        """Forget all derived streams; next :meth:`get` re-creates them."""
-        self._streams.clear()
-
     def stream_names(self) -> list[str]:
         """Names of the streams created so far (sorted)."""
         return sorted(self._streams)

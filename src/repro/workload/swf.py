@@ -69,11 +69,6 @@ class SWFRecord:
         return self.requested_procs
 
     @property
-    def estimate(self) -> float:
-        """The user's runtime estimate (SWF ``requested_time``)."""
-        return self.requested_time
-
-    @property
     def usable(self) -> bool:
         """True if the record can drive a simulation job."""
         return (

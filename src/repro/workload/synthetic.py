@@ -71,12 +71,6 @@ class SDSCSP2Model:
         if not 0.0 <= self.odd_proc_fraction < 1.0:
             raise ValueError("odd_proc_fraction must be in [0, 1)")
 
-    @property
-    def expected_mean_procs(self) -> float:
-        w = np.asarray(self.proc_weights, dtype=float)
-        c = np.asarray(self.proc_choices, dtype=float)
-        return float((w / w.sum()) @ c)
-
 
 def _draw_interarrivals(model: SDSCSP2Model, rng: np.random.Generator) -> np.ndarray:
     shape = model.interarrival_shape

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis import sanitizer
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job, UrgencyClass
+from repro.cluster.node import Node, SpaceSharedNode, TimeSharedNode
 from repro.cluster.rms import ResourceManagementSystem
 from repro.cluster.share import ShareParams
 from repro.scheduling.registry import make_policy, policy_discipline
@@ -51,6 +52,22 @@ def make_job(
         urgency=urgency,
         job_id=job_id,
     )
+
+
+def heterogeneous_cluster(
+    sim: Simulator,
+    ratings: list[float],
+    discipline: str = "time_shared",
+    reference_rating: float | None = None,
+) -> Cluster:
+    """A cluster with per-node SPEC ratings (node ``i`` has ``ratings[i]``).
+
+    Runtimes are expressed at ``reference_rating``, by default the
+    slowest node's, so estimates shrink on faster nodes (paper §3).
+    """
+    node_cls = TimeSharedNode if discipline == "time_shared" else SpaceSharedNode
+    nodes: list[Node] = [node_cls(i, r, sim) for i, r in enumerate(ratings)]
+    return Cluster(nodes, reference_rating=reference_rating or min(ratings))
 
 
 def run_jobs(

@@ -31,9 +31,9 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
      "    horizon = time.time() if horizon is None else horizon\n"
      "    utilisation = 0.0\n"),
     # A wall-clock read at import time, outside any function.
-    ("DET001", "sim/trace.py",
-     "from collections import deque\n",
-     "import time\nfrom collections import deque\n\n_LOADED_AT = time.time()\n"),
+    ("DET001", "sim/events.py",
+     "import enum\n",
+     "import enum\nimport time\n\n_LOADED_AT = time.time()\n"),
     # Nodes shuffled through a from-imported `random.shuffle`: the bare
     # call resolves through the module's import table.
     ("DET001", "scheduling/edf.py",

@@ -11,7 +11,7 @@ import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lint.cli import main as lint_main
+from tests.test_analysis.test_lint_cli import lint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import re
@@ -10,11 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint.cli import main as lint_main
 from repro.cli import main as repro_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
+
+
+def lint_main(argv, out):
+    """``repro lint ARGV`` with its standard output captured in ``out``."""
+    with contextlib.redirect_stdout(out):
+        return repro_main(["lint", *argv])
 
 
 def _violation_file(tmp_path) -> str:

@@ -375,3 +375,23 @@ class TestServiceCommands:
             assert "pct_deadlines_fulfilled" in out
         finally:
             server.stop()
+
+    def test_replay_with_retries_reports_client_counters(self, capsys):
+        # `--retries N` swaps in the retrying client; its counters are the
+        # `client:` line, and there is no client-side breaker to report.
+        from repro.service import AdmissionEngine, AdmissionService, EngineConfig
+        from repro.service.server import ServiceServer
+
+        engine = AdmissionEngine(EngineConfig(policy="librarisk", num_nodes=8))
+        server = ServiceServer(AdmissionService(engine), port=0).start()
+        try:
+            code, out = run_cli(
+                capsys, "replay", "--url", server.url, "--jobs", "10",
+                "--nodes", "8", "--retries", "3",
+            )
+        finally:
+            server.stop()
+        assert code == 0
+        client = [line for line in out.splitlines() if line.startswith("client:")]
+        assert client == ["client: attempts=10, retries=0"]
+        assert "fast_failures" not in out

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.node import SpaceSharedNode, TimeSharedNode
+from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
 from tests.conftest import make_job
 
 
@@ -70,21 +70,9 @@ class TestAggregates:
         cluster = Cluster.homogeneous(sim, 4, rating=100.0)
         assert cluster.total_rating == 400.0
 
-    def test_idle_nodes(self, sim):
-        cluster = Cluster.homogeneous(sim, 3, rating=1.0, discipline="space_shared")
-        cluster.node(0).start_task(make_job(), work=10.0, now=0.0)
-        assert {n.node_id for n in cluster.idle_nodes()} == {1, 2}
-
-    def test_running_jobs_dedupes_multi_node_jobs(self, sim):
-        cluster = Cluster.homogeneous(sim, 3, rating=1.0, discipline="time_shared")
-        job = make_job(numproc=2, job_id=5)
-        for nid in (0, 1):
-            cluster.node(nid).add_task(job, work=10.0, est_work=10.0, now=0.0)
-        assert cluster.running_jobs() == {5}
-
     def test_utilisation_aggregates_nodes(self, sim):
         cluster = Cluster.homogeneous(sim, 2, rating=1.0, discipline="space_shared")
-        cluster.node(0).start_task(make_job(), work=50.0, now=0.0)
+        start_job_tasks(make_job(), [cluster.node(0)], 50.0, 0.0)
         sim.run()
         # 50 work over 2 nodes * 1 rating * 100 s horizon.
         assert cluster.utilisation(100.0) == pytest.approx(0.25)
@@ -92,12 +80,3 @@ class TestAggregates:
     def test_utilisation_zero_horizon(self, sim):
         cluster = Cluster.homogeneous(sim, 2)
         assert cluster.utilisation(0.0) == 0.0
-
-    def test_tasks_of(self, sim):
-        cluster = Cluster.homogeneous(sim, 3, rating=1.0, discipline="time_shared")
-        job = make_job(numproc=2, job_id=5)
-        for nid in (0, 2):
-            cluster.node(nid).add_task(job, work=10.0, est_work=10.0, now=0.0)
-        tasks = cluster.tasks_of(job)
-        assert len(tasks) == 2
-        assert tasks == [cluster.node(0).tasks[5], cluster.node(2).tasks[5]]

@@ -67,7 +67,7 @@ class TestManualFailure:
         rms.submit_all([make_job(runtime=10.0, deadline=10_000.0, numproc=2, submit=1.0)])
         sim.run(until=500.0)
         # Needs 2 nodes, only 1 online: still queued.
-        assert policy.queued_jobs == 1
+        assert len(policy.queue) == 1
 
     def test_repair_restores_capacity(self):
         sim, cluster, policy, rms = setup("edf", num_nodes=2)

@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.rms import ResourceManagementSystem
 from repro.scheduling.registry import make_policy
 from repro.sim.kernel import Simulator
-from tests.conftest import make_job
+from tests.conftest import heterogeneous_cluster, make_job
 
 
 def run_hetero(policy_name, jobs, ratings, discipline=None):
     sim = Simulator()
     from repro.scheduling.registry import policy_discipline
 
-    cluster = Cluster.heterogeneous(
+    cluster = heterogeneous_cluster(
         sim, ratings, discipline=discipline or policy_discipline(policy_name)
     )
     rms = ResourceManagementSystem(sim, cluster, make_policy(policy_name))
@@ -22,31 +21,9 @@ def run_hetero(policy_name, jobs, ratings, discipline=None):
     return rms, sim, cluster
 
 
-class TestFactory:
-    def test_per_node_ratings(self, sim):
-        cluster = Cluster.heterogeneous(sim, [100.0, 200.0, 400.0])
-        assert [n.rating for n in cluster] == [100.0, 200.0, 400.0]
-
-    def test_reference_defaults_to_minimum(self, sim):
-        cluster = Cluster.heterogeneous(sim, [100.0, 200.0])
-        assert cluster.reference_rating == 100.0
-
-    def test_explicit_reference(self, sim):
-        cluster = Cluster.heterogeneous(sim, [100.0, 200.0], reference_rating=150.0)
-        assert cluster.reference_rating == 150.0
-
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            Cluster.heterogeneous(sim, [])
-        with pytest.raises(ValueError):
-            Cluster.heterogeneous(sim, [100.0, 0.0])
-        with pytest.raises(ValueError):
-            Cluster.heterogeneous(sim, [1.0], discipline="warp")
-
-
 class TestTranslation:
     def test_est_time_shrinks_on_fast_node(self, sim):
-        cluster = Cluster.heterogeneous(sim, [100.0, 400.0])
+        cluster = heterogeneous_cluster(sim, [100.0, 400.0])
         slow, fast = cluster.node(0), cluster.node(1)
         assert cluster.est_time_on(slow, 100.0) == pytest.approx(100.0)
         assert cluster.est_time_on(fast, 100.0) == pytest.approx(25.0)
@@ -56,7 +33,7 @@ class TestTranslation:
         results = {}
         for rating in (100.0, 200.0):
             sim = Simulator()
-            cluster = Cluster.heterogeneous(
+            cluster = heterogeneous_cluster(
                 sim, [rating], discipline="space_shared", reference_rating=100.0
             )
             rms = ResourceManagementSystem(sim, cluster, make_policy("edf"))
@@ -77,7 +54,7 @@ class TestTranslation:
         # reference = 200 here (single node) -> est share 0.6 each, one
         # rejected; with an explicit slower reference both fit:
         sim = Simulator()
-        cluster = Cluster.heterogeneous(sim, [200.0], reference_rating=100.0)
+        cluster = heterogeneous_cluster(sim, [200.0], reference_rating=100.0)
         rms2 = ResourceManagementSystem(sim, cluster, make_policy("libra"))
         rms2.submit_all([
             make_job(runtime=60.0, deadline=100.0, submit=0.0, job_id=1),
@@ -104,7 +81,7 @@ class TestPlacementOrder:
     @pytest.mark.parametrize("policy_name,node", [("libra", 0), ("librarisk", 1)])
     def test_same_job_lands_on_different_nodes(self, policy_name, node):
         sim = Simulator()
-        cluster = Cluster.heterogeneous(sim, [1.0, 2.0])
+        cluster = heterogeneous_cluster(sim, [1.0, 2.0])
         rms = ResourceManagementSystem(sim, cluster, make_policy(policy_name))
         rms.submit_all([
             make_job(runtime=50.0, deadline=100.0, job_id=1),   # node 0: 0.5

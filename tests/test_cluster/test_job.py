@@ -152,9 +152,5 @@ class TestDerivedMetrics:
         job.mark_submitted(); job.mark_running(0.0, [0]); job.mark_completed(60.0)
         assert job.slowdown == pytest.approx(3.0)
 
-    def test_overestimation_factor(self):
-        job = make_job(runtime=10.0, estimate=35.0)
-        assert job.overestimation_factor == pytest.approx(3.5)
-
     def test_urgency_default_low(self):
         assert make_job().urgency is UrgencyClass.LOW

@@ -3,14 +3,13 @@
 import pytest
 
 import repro.cluster.node as node_mod
-from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeTask, SpaceSharedNode, start_job_tasks
 from repro.cluster.rms import ResourceManagementSystem
 from repro.scheduling.registry import make_policy
 from repro.service import checkpoint
 from repro.service.engine import AdmissionEngine, EngineConfig
 from repro.sim.kernel import Simulator
-from tests.conftest import make_job, run_jobs
+from tests.conftest import heterogeneous_cluster, make_job, run_jobs
 
 
 def make_node(sim, rating=1.0, listener=None):
@@ -22,42 +21,41 @@ class TestExecution:
         done = []
         node = make_node(sim, rating=2.0, listener=lambda n, t, now, k: done.append((now, k)))
         job = make_job(runtime=100.0)
-        node.start_task(job, work=100.0, now=0.0)  # 100 work / rating 2 = 50 s
+        start_job_tasks(job, [node], 100.0, 0.0)  # 100 work / rating 2 = 50 s
         sim.run()
         assert done == [(50.0, 1)]
-        assert node.idle
+        assert not node.tasks
 
     def test_node_busy_while_running(self, sim):
         node = make_node(sim)
-        node.start_task(make_job(), work=10.0, now=0.0)
-        assert not node.available
-        assert node.num_tasks == 1
+        start_job_tasks(make_job(), [node], 10.0, 0.0)
+        assert len(node.tasks) == 1
 
     def test_second_task_rejected_while_busy(self, sim):
         node = make_node(sim)
-        node.start_task(make_job(), work=10.0, now=0.0)
+        start_job_tasks(make_job(), [node], 10.0, 0.0)
         with pytest.raises(RuntimeError, match="already busy"):
-            node.start_task(make_job(), work=10.0, now=0.0)
+            start_job_tasks(make_job(), [node], 10.0, 0.0)
 
     def test_sequential_tasks_after_completion(self, sim):
         done = []
         node = make_node(sim, listener=lambda n, t, now, k: done.append((t.job.job_id, now)))
         a, b = make_job(job_id=1), make_job(job_id=2)
-        node.start_task(a, work=10.0, now=0.0)
+        start_job_tasks(a, [node], 10.0, 0.0)
         sim.run()
-        node.start_task(b, work=5.0, now=sim.now)
+        start_job_tasks(b, [node], 5.0, sim.now)
         sim.run()
         assert done == [(1, 10.0), (2, 15.0)]
 
     def test_busy_time_accumulates_work(self, sim):
         node = make_node(sim, rating=4.0)
-        node.start_task(make_job(), work=100.0, now=0.0)
+        start_job_tasks(make_job(), [node], 100.0, 0.0)
         sim.run()
         assert node.busy_time == pytest.approx(100.0)
 
     def test_utilisation(self, sim):
         node = make_node(sim, rating=2.0)
-        node.start_task(make_job(), work=100.0, now=0.0)  # busy 50 s
+        start_job_tasks(make_job(), [node], 100.0, 0.0)  # busy 50 s
         sim.run()
         # over a 100 s horizon: 100 work / (2 rating * 100 s) = 0.5
         assert node.utilisation(100.0) == pytest.approx(0.5)
@@ -69,8 +67,8 @@ class TestExecution:
     def test_listener_sees_empty_node(self, sim):
         states = []
         node = make_node(sim)
-        node.listener = lambda n, t, now, k: states.append(n.idle)
-        node.start_task(make_job(), work=1.0, now=0.0)
+        node.listener = lambda n, t, now, k: states.append(not n.tasks)
+        start_job_tasks(make_job(), [node], 1.0, 0.0)
         sim.run()
         assert states == [True]  # task removed before notification
 
@@ -83,7 +81,7 @@ class TestValidation:
     def test_has_job(self, sim):
         node = make_node(sim)
         job = make_job(job_id=9)
-        node.start_task(job, work=10.0, now=0.0)
+        start_job_tasks(job, [node], 10.0, 0.0)
         assert node.has_job(9)
         assert not node.has_job(10)
 
@@ -99,7 +97,7 @@ def make_nodes(sim, ratings, log=None):
 def run_edf_on(ratings, job, until):
     """Submit ``job`` to EDF over a heterogeneous cluster; run to ``until``."""
     sim = Simulator()
-    cluster = Cluster.heterogeneous(
+    cluster = heterogeneous_cluster(
         sim, ratings, discipline="space_shared", reference_rating=1.0
     )
     rms = ResourceManagementSystem(sim, cluster, make_policy("edf"))
@@ -126,7 +124,7 @@ class TestJobStart:
         sim.run()
         assert sim.events_fired == 1
         assert log == [(0, 10.0, 3)]  # one call, for all three members
-        assert all(n.idle for n in nodes)
+        assert all(not n.tasks for n in nodes)
 
     def test_homogeneous_job_is_one_record(self, sim):
         nodes = make_nodes(sim, (1.0, 1.0, 1.0))
@@ -145,7 +143,7 @@ class TestJobStart:
         sim.run(until=50.0)
         # The fast pair frees first, together; the slow pair still runs.
         assert log == [(0, 50.0, 2)]
-        assert [n.idle for n in nodes] == [True, True, False, False]
+        assert [not n.tasks for n in nodes] == [True, True, False, False]
         sim.run()
         assert log == [(0, 50.0, 2), (2, 100.0, 2)]
         assert sim.events_fired == 2
@@ -173,7 +171,7 @@ class TestJobStart:
     def test_listener_hears_after_every_member_is_free(self, sim):
         nodes = make_nodes(sim, (1.0, 1.0, 1.0))
         seen = []
-        nodes[0].listener = lambda n, t, now, k: seen.append([m.idle for m in nodes])
+        nodes[0].listener = lambda n, t, now, k: seen.append([not m.tasks for m in nodes])
         start_job_tasks(make_job(numproc=3), nodes, work=10.0, start=0.0)
         sim.run()
         assert seen == [[True, True, True]]
@@ -185,14 +183,14 @@ class TestJobStart:
         single = make_nodes(sim, ratings)
         job = make_job(numproc=4)
         for node in single:
-            node.start_task(job, work=100.0, now=0.0)
+            start_job_tasks(job, [node], 100.0, 0.0)
         sim.run()
         assert [n.busy_time for n in grouped] == [n.busy_time for n in single]
         assert all(n.busy_time == 100.0 for n in grouped)
 
     def test_busy_node_is_refused(self, sim):
         nodes = make_nodes(sim, (1.0, 1.0))
-        nodes[1].start_task(make_job(), work=5.0, now=0.0)
+        start_job_tasks(make_job(), [nodes[1]], 5.0, 0.0)
         with pytest.raises(RuntimeError, match="already busy"):
             start_job_tasks(make_job(numproc=2), nodes, work=5.0, start=0.0)
 
@@ -200,7 +198,7 @@ class TestJobStart:
     def test_refused_start_leaves_nodes_and_heap_untouched(self, sim, obstacle):
         nodes = make_nodes(sim, (1.0, 2.0, 1.0))
         if obstacle == "busy":
-            nodes[2].start_task(make_job(job_id=1), work=5.0, now=0.0)
+            start_job_tasks(make_job(job_id=1), [nodes[2]], 5.0, 0.0)
         else:
             nodes[2].fail(0.0)
         before = [(dict(n.tasks), n.busy_time, n.online) for n in nodes]
@@ -209,7 +207,7 @@ class TestJobStart:
             start_job_tasks(make_job(numproc=3, job_id=2), nodes, work=5.0, start=0.0)
         assert [(dict(n.tasks), n.busy_time, n.online) for n in nodes] == before
         assert [(e.time, e.name) for e in sim.iter_pending()] == heap
-        assert nodes[0].idle and nodes[1].idle
+        assert not nodes[0].tasks and not nodes[1].tasks
 
     def test_one_record_per_started_edf_job_on_a_homogeneous_cluster(self, monkeypatch):
         built = []
@@ -240,7 +238,7 @@ class TestKilledMembers:
         rms.policy.handle_node_failure(cluster.node(3), sim.now)
         job = rms.jobs[0]
         assert rms.failed == [job]
-        assert all(n.idle for n in cluster)
+        assert all(not n.tasks for n in cluster)
         busy = [n.busy_time for n in cluster]
         assert busy == [20.0, 20.0, 10.0, 10.0]  # elapsed 10 s x rating
         sim.run()  # both group events fire on an empty job
@@ -258,7 +256,7 @@ class TestKilledMembers:
         sim.run()
         assert log == [(1, 10.0, 2)]
         assert [n.busy_time for n in nodes] == [4.0, 10.0, 4.0, 10.0]
-        assert all(n.idle for n in nodes)
+        assert all(not n.tasks for n in nodes)
 
     def test_all_killed_group_makes_no_call(self, sim):
         log = []
@@ -281,7 +279,8 @@ class TestKilledMembers:
         sim.run(until=4.0)
         assert nodes[1].remove_task(1, sim.now) is not None
         new = make_job(job_id=2)
-        task = nodes[1].start_task(new, work=20.0, now=sim.now)
+        start_job_tasks(new, [nodes[1]], 20.0, sim.now)
+        task = nodes[1].tasks[2]
         sim.run(until=10.0)  # the old job's event: node 0 completes, node 1 is skipped
         assert log == [(0, 10.0, 1)]
         assert nodes[1].tasks == {2: task}
@@ -294,10 +293,10 @@ class TestKilledMembers:
         log = []
         (node,) = make_nodes(sim, (1.0,), log)
         job = make_job(job_id=1)
-        node.start_task(job, work=10.0, now=0.0)
+        start_job_tasks(job, [node], 10.0, 0.0)
         sim.run(until=4.0)
         node.remove_task(1, sim.now)
-        node.start_task(job, work=10.0, now=sim.now)  # same job id, new task
+        start_job_tasks(job, [node], 10.0, sim.now)  # same job id, new task
         sim.run(until=10.0)
         assert log == [] and node.has_job(1)
         sim.run()

@@ -27,7 +27,7 @@ class TestSingleTask:
         assert task.rate == pytest.approx(0.5)
         sim.run()
         assert done == [pytest.approx(100.0)]
-        assert node.idle
+        assert not node.tasks
 
     def test_overestimated_job_finishes_early(self, sim):
         done = []

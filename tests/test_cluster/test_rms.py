@@ -97,8 +97,3 @@ class TestBookkeeping:
         cluster = Cluster.homogeneous(sim, 2, discipline="time_shared")
         rms = ResourceManagementSystem(sim, cluster, make_policy("libra"))
         assert rms.acceptance_ratio is None
-
-    def test_unfinished_accepted_empty_when_all_done(self):
-        jobs = [make_job(runtime=10.0, deadline=100.0)]
-        rms, _, _ = run_jobs("libra", jobs, num_nodes=1)
-        assert rms.unfinished_accepted() == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.job import UrgencyClass
+from repro.cluster.node import start_job_tasks
 from repro.metrics.summary import compute_metrics
 from tests.conftest import make_job
 
@@ -107,7 +108,7 @@ class TestAsDict:
         from repro.cluster.cluster import Cluster
 
         cluster = Cluster.homogeneous(sim, 2, rating=1.0, discipline="space_shared")
-        cluster.node(0).start_task(make_job(), work=50.0, now=0.0)
+        start_job_tasks(make_job(), [cluster.node(0)], 50.0, 0.0)
         sim.run()
         m = compute_metrics([], cluster=cluster, horizon=100.0)
         assert m.utilisation == pytest.approx(0.25)

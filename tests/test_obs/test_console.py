@@ -20,7 +20,6 @@ service_request_seconds_count 42
 service_request_seconds_sum 0.84
 service_requests_shed_total 3
 service_wal_fsyncs 17
-engine_trace_events_dropped 0
 engine_window_loss_ratio{policy="librarisk"} 0.25
 engine_window_submitted{policy="librarisk"} 8
 engine_cache_stat{stat="suitability_hits"} 10
@@ -137,6 +136,15 @@ class TestRenderDashboard:
         text = render_dashboard(sample_snapshot(), color=True, clear=True)
         assert text.startswith("\x1b[2J\x1b[H")
         assert "\x1b[32m" in text  # green status
+
+    def test_health_without_slo_renders_no_slo_line(self):
+        # A fleet router's merged /healthz carries no SLO block; the
+        # dashboard must not print zeros it was never given.
+        snapshot = sample_snapshot()
+        del snapshot["health"]["slo"]
+        text = render_dashboard(snapshot, color=False)
+        assert "slo:" not in text
+        assert "slo:" in render_dashboard(sample_snapshot(), color=False)
 
     def test_degraded_status_is_not_green(self):
         snapshot = sample_snapshot()

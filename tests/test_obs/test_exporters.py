@@ -11,7 +11,7 @@ from repro.obs.exporters import (
     run_report,
     write_jsonl,
 )
-from repro.obs.inspect import render_inspection, summarize
+from repro.obs.inspect import render_inspection
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -110,13 +110,6 @@ class TestRunReport:
 
 
 class TestInspect:
-    def test_summarize(self):
-        s = summarize(_fake_run(with_profile=True))
-        assert s.runs == 1
-        assert s.decisions == 2 and s.accepted == 1 and s.rejected == 1
-        assert s.reject_reasons == {"no capacity": 1}
-        assert s.has_profile
-
     def test_render_prom_mode_uses_last_registry(self):
         text = render_inspection(_fake_run(), mode="prom")
         assert "sim_events_total 9" in text

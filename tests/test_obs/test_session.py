@@ -11,13 +11,17 @@ from repro.obs.exporters import jsonl_line
 from repro.obs.session import ObsSession, RunSink, active_sink
 from repro.scheduling.registry import make_policy, policy_discipline
 from repro.sim.kernel import Simulator
-from repro.sim.trace import EventTrace
 from tests.conftest import make_job
 
 
-def run_observed(policy_name, jobs, num_nodes=4, profile=False, trace=None):
+def recorder(fired: list):
+    """An ``on_event`` hook recording ``(time, priority, name)`` per event."""
+    return lambda event: fired.append((event.time, event.priority, event.name))
+
+
+def run_observed(policy_name, jobs, num_nodes=4, profile=False, on_event=None):
     """Tiny end-to-end observed simulation; returns (session, rms)."""
-    sim = Simulator(trace=trace)
+    sim = Simulator(on_event=on_event)
     cluster = Cluster.homogeneous(
         sim, num_nodes, rating=1.0,
         discipline=policy_discipline(policy_name),
@@ -158,8 +162,8 @@ class TestZeroOverhead:
         ]
 
     def test_observed_run_fires_same_event_sequence(self):
-        bare_trace = EventTrace()
-        sim = Simulator(trace=bare_trace)
+        bare_events: list = []
+        sim = Simulator(on_event=recorder(bare_events))
         cluster = Cluster.homogeneous(
             sim, 2, rating=1.0, discipline=policy_discipline("libra"),
             share_params=ShareParams(),
@@ -168,11 +172,10 @@ class TestZeroOverhead:
         rms.submit_all(self._jobs())
         sim.run()
 
-        obs_trace = EventTrace()
+        obs_events: list = []
         session, _ = run_observed("libra", self._jobs(), num_nodes=2,
-                                  trace=obs_trace)
-        assert [(r.time, r.priority, r.name) for r in obs_trace] == \
-               [(r.time, r.priority, r.name) for r in bare_trace]
+                                  on_event=recorder(obs_events))
+        assert obs_events and obs_events == bare_events
 
     def test_disabled_obs_attaches_nothing(self):
         config = ScenarioConfig(policy="libra", num_jobs=30, num_nodes=8)

@@ -227,11 +227,21 @@ class TestWindowAggregator:
             agg.note_decision(float(i), "librarisk", outcome,
                               f"reason-{i % 5}" if outcome == "rejected" else "")
             if i in (1_000, 50_000, 99_999):
-                probes.append(agg.memory_items())
+                probes.append(retained_cells(agg))
         # One policy, <= 5 distinct reasons: (2 + 5) * 60 cells max.
         assert max(probes) <= (2 + 5) * 60
         # Memory stopped growing long before the soak ended.
         assert probes[-1] == probes[-2]
+
+
+def retained_cells(agg):
+    """State cells the aggregator retains: per slice, two counts and
+    one entry per reject reason."""
+    return sum(
+        2 + len(counts[2])
+        for slices in agg._slices.values()
+        for _, counts in slices
+    )
 
 
 # -- oracle: a naive fold that keeps every note ------------------------------

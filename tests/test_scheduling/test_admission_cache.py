@@ -235,13 +235,3 @@ class TestKernelTombstones:
         sim.run()
         assert sim.tombstones_dropped == 1
         assert kept.cancelled is False
-
-    def test_drain_cancelled_counts(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda ev: None) for i in range(10)]
-        for ev in events[::2]:
-            ev.cancel()
-        removed = sim.drain_cancelled()
-        assert removed == 5
-        assert sim.tombstones_dropped == 5
-        assert sim.pending == 5

@@ -46,5 +46,5 @@ class TestAdmission:
         ]
         rms, sim, _ = run_jobs("fcfs", jobs, num_nodes=1)
         # After the run everything drained.
-        assert rms.policy.queued_jobs == 0
+        assert len(rms.policy.queue) == 0
         assert len(rms.completed) == 2

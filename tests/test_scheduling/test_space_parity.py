@@ -3,7 +3,7 @@
 ``start_job_tasks`` groups a job's tasks that finish at the same instant
 under one kernel event.  The reference here is the event structure the
 group replaces — every queue-based space-shared policy with ``_start``
-overridden to call ``start_task`` once per node — run over the same
+overridden to call ``start_job_tasks`` once per node — run over the same
 paper-scale stream, and over a heterogeneous cluster with node failures.
 Outcomes, per-job times, node ledgers and metrics must match exactly;
 only the kernel's event count may differ.
@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import NodeFailureInjector
+from repro.cluster.node import start_job_tasks
 from repro.cluster.rms import ResourceManagementSystem
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario_jobs
@@ -20,6 +21,7 @@ from repro.metrics.summary import compute_metrics
 from repro.scheduling.registry import make_policy
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
+from tests.conftest import heterogeneous_cluster
 
 SPACE_SHARED = ("edf", "fcfs")
 
@@ -32,7 +34,7 @@ def per_task_events(policy):
         policy._track(job)
         policy.rms.notify_accepted(job)
         for node in nodes:
-            node.start_task(job, work, now)
+            start_job_tasks(job, [node], work, now)
 
     policy._start = _start
     return policy
@@ -45,7 +47,7 @@ def simulate(config, per_task, ratings=None, mtbf=None):
             sim, config.num_nodes, rating=config.rating, discipline="space_shared"
         )
     else:
-        cluster = Cluster.heterogeneous(
+        cluster = heterogeneous_cluster(
             sim, ratings, discipline="space_shared", reference_rating=config.rating
         )
     policy = make_policy(config.policy)

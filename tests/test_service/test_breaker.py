@@ -141,8 +141,8 @@ class TestParkingLot:
 
     def test_zero_capacity_lot_is_disabled(self):
         lot = ParkingLot(0, capacity=0)
-        assert not lot.enabled
         assert not lot.park(1, b"a")
+        assert len(lot) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
-"""Retrying-client tests: backoff schedules, Retry-After, circuit breaker.
+"""Retrying-client tests: backoff schedules, Retry-After, idempotency.
 
-Everything here is deterministic: the jitter RNG is seeded, sleeps are
-recorded instead of slept, and the breaker runs on a fake clock.
+Everything here is deterministic: the jitter RNG is seeded and sleeps
+are recorded instead of slept.
 """
 
 import random
@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro.service import protocol
-from repro.service.client import CircuitBreaker, RetryPolicy, RetryingClient
+from repro.service.client import RetryPolicy, RetryingClient
 from repro.service.loadgen import ServiceClient
 from repro.service.protocol import ErrorCode
 
@@ -150,6 +150,10 @@ class TestRetryingClient:
         client_b.rpc({"v": 1, "type": "stats"})
         assert slept_a == slept_b and len(slept_a) == 4
 
+    def test_client_stats_shape(self):
+        client, _ = make_client()
+        assert client.client_stats == {"attempts": 0, "retries": 0}
+
     def test_transport_errors_against_dead_port_are_typed(self):
         # No server behind this port: the plain client must map the
         # refused connection to a status-0 unavailable result.
@@ -157,73 +161,3 @@ class TestRetryingClient:
         status, response = client.rpc({"v": 1, "type": "stats"})
         assert status == 0
         assert response["error"]["code"] == "unavailable"
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_fails_fast(self):
-        t = [0.0]
-        breaker = CircuitBreaker(failure_threshold=2, recovery_time=10.0,
-                                 clock=lambda: t[0])
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-
-    def test_half_open_probe_closes_on_success(self):
-        t = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time=5.0,
-                                 clock=lambda: t[0])
-        breaker.record_failure()
-        assert not breaker.allow()
-        t[0] = 5.0
-        assert breaker.allow()  # the single half-open probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert not breaker.allow()  # everyone else keeps waiting
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-
-    def test_half_open_probe_reopens_on_failure(self):
-        t = [0.0]
-        breaker = CircuitBreaker(failure_threshold=3, recovery_time=5.0,
-                                 clock=lambda: t[0])
-        for _ in range(3):
-            breaker.record_failure()
-        t[0] = 6.0
-        assert breaker.allow()
-        breaker.record_failure()  # probe failed: re-open immediately
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        assert breaker.opened_at == 6.0
-
-    def test_client_fast_fails_while_open(self, monkeypatch):
-        t = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time=1000.0,
-                                 clock=lambda: t[0])
-        transport = ScriptedTransport(monkeypatch, [err(ErrorCode.INTERNAL,
-                                                        status=500)])
-        policy = RetryPolicy(max_attempts=4, base_delay=0.01)
-        client, _ = make_client(policy=policy, breaker=breaker)
-        status, response = client.rpc({"v": 1, "type": "stats"})
-        # First attempt hits the wire and opens the circuit; the other
-        # three fail fast without touching the transport.
-        assert transport.calls == 1
-        assert client.fast_failures == 3
-        assert status == 0 and response["error"]["code"] == "unavailable"
-        assert "circuit breaker" in response["error"]["message"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(recovery_time=0.0)
-
-    def test_client_stats_shape(self):
-        client, _ = make_client(breaker=CircuitBreaker())
-        stats = client.client_stats
-        assert stats == {
-            "attempts": 0, "retries": 0, "fast_failures": 0,
-            "breaker_state": "closed", "breaker_failures": 0,
-        }

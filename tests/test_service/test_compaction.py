@@ -364,4 +364,10 @@ class TestScrub:
         with open(seg_path, "wb") as fp:
             fp.write(blob)
         assert main(["scrub", path]) == 1
+        capsys.readouterr()
+        assert main(["scrub", path, "--json"]) == 1
+        view = json.loads(capsys.readouterr().out)
+        assert view["clean"] is False
+        assert view["findings"]
+        assert all(set(f) == {"path", "kind", "detail"} for f in view["findings"])
         assert main(["scrub", str(tmp_path / "nope.wal")]) == 2

@@ -141,6 +141,24 @@ class TestRouting:
             s["submitted"] for s in stats["shards"].values()
         ) == 8
 
+    def test_stats_merge_every_job_count_and_name_the_policy(self, fleet):
+        # Long jobs on one-node shards: some run, the rest are refused or
+        # never finish, so running/failed/queued are not all trivially 0.
+        for job_id in range(1, 13):
+            fleet.handle(submit_frame(submit_payload(
+                job_id, submit_time=float(job_id), runtime=500.0,
+                estimated_runtime=500.0, deadline=5000.0,
+            )))
+        fleet.handle({"v": PROTOCOL_VERSION, "type": "advance", "to": 20.0})
+        _, response = fleet.handle({"v": PROTOCOL_VERSION, "type": "stats"})
+        stats = response["stats"]
+        assert stats["policy"] == "librarisk"
+        per_shard = list(stats["shards"].values())
+        for key in ("submitted", "accepted", "rejected", "completed",
+                    "failed", "running", "queued"):
+            assert stats[key] == sum(s[key] for s in per_shard), key
+        assert stats["running"] > 0
+
     def test_drain_merges_scenario_metrics(self, fleet):
         for job_id in range(1, 9):
             fleet.handle(submit_frame(

@@ -99,6 +99,11 @@ def submit_via(router: ShardRouter, job_id: int, submit_time: float,
         time.sleep(0.2)
 
 
+def all_alive(supervisor):
+    """Every shard has a live worker process."""
+    return len(supervisor.pids()) == len(supervisor.workers)
+
+
 class TestFreePorts:
     def test_ports_are_distinct_and_bindable(self):
         ports = free_ports(4)
@@ -111,14 +116,14 @@ class TestSupervisorLifecycle:
         supervisor, router = make_fleet(2, tmp_path)
         with supervisor:
             supervisor.start(wait_healthy=True, timeout=30.0)
-            assert supervisor.all_alive()
+            assert all_alive(supervisor)
             pids = supervisor.pids()
             assert set(pids) == {0, 1}
             # The router's pid mirror is what chaos kills aim at.
             assert router.shard_pids == pids
             for spec in supervisor.specs:
                 assert ServiceClient(spec.url, timeout=2.0).healthy()
-        assert not supervisor.all_alive()
+        assert not all_alive(supervisor)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -181,7 +186,7 @@ class TestRestartPolicy:
             kills = 4  # > max_restarts: would be fatal under a hard cap
             for round_no in range(kills):
                 end = time.monotonic() + 10.0
-                while not supervisor.all_alive():
+                while not all_alive(supervisor):
                     assert time.monotonic() < end, "respawn never happened"
                     time.sleep(0.02)
                 time.sleep(0.5)  # healthy uptime: refills > 1 credit
@@ -189,36 +194,14 @@ class TestRestartPolicy:
                 os.kill(pid, signal.SIGKILL)
                 end = time.monotonic() + 10.0
                 while supervisor.restart_counts()[0] < round_no + 1 or \
-                        not supervisor.all_alive():
+                        not all_alive(supervisor):
                     assert time.monotonic() < end, "budget should have refilled"
                     time.sleep(0.02)
             state = supervisor.workers[0]
             assert not state.failed
             assert state.restarts == kills
-            snap = supervisor.supervision_snapshot()[0]
-            assert snap["alive"] is True
-            assert snap["restarts"] == kills
-            assert snap["budget_used"] <= supervisor.max_restarts
-
-    def test_supervision_snapshot_reports_a_failed_worker(self, tmp_path):
-        specs = make_specs(1, tmp_path)
-        specs[0].cmd = [sys.executable, "-c", "import sys; sys.exit(3)"]
-        supervisor = ShardSupervisor(
-            specs, max_restarts=1, poll_interval=0.02,
-            backoff_base=0.02,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        with supervisor:
-            with pytest.raises(RuntimeError):
-                supervisor.start(wait_healthy=True, timeout=10.0)
-            end = time.monotonic() + 10.0
-            while not supervisor.workers[0].failed:
-                assert time.monotonic() < end
-                time.sleep(0.02)
-            snap = supervisor.supervision_snapshot()[0]
-            assert snap["failed"] is True
-            assert snap["alive"] is False
-            assert snap["budget"] == 1
+            assert all_alive(supervisor)
+            assert state.budget_used <= supervisor.max_restarts
 
 
 class TestKillAndRecover:
@@ -238,7 +221,7 @@ class TestKillAndRecover:
             # worker recovers from its own shard WAL on the same port.
             end = time.monotonic() + 20.0
             while supervisor.restart_counts()[victim] < 1 or \
-                    not supervisor.all_alive():
+                    not all_alive(supervisor):
                 assert time.monotonic() < end, "worker was not respawned"
                 time.sleep(0.1)
 
@@ -304,6 +287,17 @@ class TestServeShardedCli:
             })
             assert status == 200, response
             assert response["decision"]["outcome"] == "accepted"
+            # The merged /v1/stats carries every per-shard job count.
+            status, response = client.stats()
+            assert status == 200, response
+            stats = response["stats"]
+            assert stats["policy"] == POLICY
+            shards = list(stats["shards"].values())
+            assert len(shards) == 2
+            for key in ("submitted", "accepted", "rejected", "completed",
+                        "failed", "running", "queued"):
+                assert stats[key] == sum(s[key] for s in shards), key
+            assert stats["running"] == 1
             # Worker WALs are shard-namespaced next to the --wal base.
             assert (tmp_path / "cli.shard0of2.wal").exists()
             assert (tmp_path / "cli.shard1of2.wal").exists()

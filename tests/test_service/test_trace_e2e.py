@@ -22,7 +22,6 @@ from repro.service.loadgen import ServiceClient, job_request_payload
 from repro.service.server import AdmissionService, ServiceServer
 from repro.service.wal import WriteAheadLog, recover
 from repro.obs.tracing import canonical_json
-from repro.sim.trace import EventTrace
 
 CRASH_POINTS = ("wal.before_append", "wal.after_append", "wal.after_apply")
 
@@ -174,11 +173,16 @@ class TestCheckpointParity:
 
 class TestServiceEndpoints:
     @pytest.fixture
-    def server(self):
+    def fired(self):
+        return []
+
+    @pytest.fixture
+    def server(self, fired):
         engine = AdmissionEngine(
             EngineConfig(policy="librarisk", num_nodes=8, rating=1.0)
         )
-        engine.sim.trace = EventTrace(capacity=4096)
+        # A passive kernel observer must not change what the server says.
+        engine.sim.on_event = lambda ev: fired.append((ev.time, ev.priority, ev.name))
         srv = ServiceServer(AdmissionService(engine), port=0).start()
         yield srv
         srv.stop()
@@ -234,18 +238,18 @@ class TestServiceEndpoints:
         assert back["draining"] is False
         assert back["shed_total"] == 0
 
-    def test_metrics_surface_windows_cache_and_trace_gauges(self, server, client):
+    def test_metrics_surface_windows_cache_and_trace_gauges(self, server, client, fired):
         jobs = build_scenario_jobs(scenario())[:10]
         for job in jobs:
             self.submit(client, job)
+        assert fired, "the kernel observer saw no event"
         import urllib.request
 
         with urllib.request.urlopen(f"{server.url}/metrics", timeout=5.0) as resp:
             text = resp.read().decode()
         assert 'engine_window_submitted{policy="librarisk"}' in text
         assert 'engine_window_loss_ratio{policy="librarisk"}' in text
-        assert "engine_trace_events_recorded" in text
-        assert "engine_trace_events_dropped" in text
+        assert "engine_trace_events" not in text
         assert 'engine_cache_stat{stat="' in text
 
     def test_wal_latency_metrics_surface(self, tmp_path):

@@ -1,33 +1,7 @@
-"""Tests for Event objects and their ordering semantics."""
+"""Tests for Event objects and their priority classes."""
 
 
 from repro.sim.events import Event, EventPriority
-
-
-class TestEventOrdering:
-    def test_earlier_time_sorts_first(self):
-        a = Event(1.0, EventPriority.NORMAL, None)
-        b = Event(2.0, EventPriority.NORMAL, None)
-        a.seq, b.seq = 0, 1
-        assert a < b
-        assert not b < a
-
-    def test_priority_breaks_ties(self):
-        completion = Event(1.0, EventPriority.COMPLETION, None)
-        arrival = Event(1.0, EventPriority.ARRIVAL, None)
-        completion.seq, arrival.seq = 5, 1  # seq would favour the arrival
-        assert completion < arrival
-
-    def test_seq_breaks_full_ties(self):
-        a = Event(1.0, EventPriority.NORMAL, None)
-        b = Event(1.0, EventPriority.NORMAL, None)
-        a.seq, b.seq = 0, 1
-        assert a < b
-
-    def test_sort_key_shape(self):
-        ev = Event(3.5, EventPriority.ARRIVAL, None)
-        ev.seq = 42
-        assert ev.sort_key() == (3.5, int(EventPriority.ARRIVAL), 42)
 
 
 class TestEventBasics:

@@ -51,25 +51,12 @@ class TestScheduling:
         sim.run()
         assert fired == ["x"]
 
-    def test_schedule_event_object(self, sim):
-        fired = []
-        ev = Event(4.0, EventPriority.NORMAL, lambda e: fired.append(e.name), name="obj")
-        sim.schedule_event(ev)
-        sim.run()
-        assert fired == ["obj"]
-
-    def test_schedule_event_in_past_raises(self, sim):
-        sim.schedule_at(1.0, lambda ev: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_event(Event(0.5, EventPriority.NORMAL, None))
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_schedule_event_non_finite_raises(self, sim, bad):
+    def test_schedule_non_finite_raises(self, sim, bad):
         # `nan < now` is False, so a past-only check lets NaN into the
         # heap, where it compares false against everything.
         with pytest.raises(SimulationError, match="finite"):
-            sim.schedule_event(Event(bad, EventPriority.NORMAL, None))
+            sim.schedule_at(bad, lambda ev: None)
         assert sim.pending == 0
 
 
@@ -144,20 +131,6 @@ class TestRun:
         sim.run()
         assert fired == [10.0]
 
-    def test_stop_aborts_run(self, sim):
-        fired = []
-
-        def stopper(ev):
-            fired.append("stop")
-            sim.stop()
-
-        sim.schedule_at(1.0, stopper)
-        sim.schedule_at(2.0, lambda ev: fired.append("after"))
-        sim.run()
-        assert fired == ["stop"]
-        sim.run()
-        assert fired == ["stop", "after"]
-
     def test_max_events_guard(self):
         sim = Simulator(max_events=10)
 
@@ -201,22 +174,6 @@ class TestCancellation:
         sim.run()
         assert fired == []
 
-    def test_peek_skips_cancelled(self, sim):
-        ev = sim.schedule_at(1.0, lambda e: None)
-        sim.schedule_at(2.0, lambda e: None)
-        ev.cancel()
-        assert sim.peek() == 2.0
-
-    def test_drain_cancelled(self, sim):
-        events = [sim.schedule_at(float(i + 1), lambda e: None) for i in range(10)]
-        for ev in events[:7]:
-            ev.cancel()
-        removed = sim.drain_cancelled()
-        assert removed == 7
-        assert sim.pending == 3
-        sim.run()
-        assert sim.events_fired == 3
-
     def test_iter_pending_excludes_cancelled(self, sim):
         keep = sim.schedule_at(1.0, lambda e: None, name="keep")
         drop = sim.schedule_at(2.0, lambda e: None, name="drop")
@@ -224,19 +181,6 @@ class TestCancellation:
         names = [e.name for e in sim.iter_pending()]
         assert names == ["keep"]
         keep.cancel()  # silence unused warnings
-
-
-class TestStep:
-    def test_step_executes_single_event(self, sim):
-        fired = []
-        sim.schedule_at(1.0, lambda e: fired.append(1))
-        sim.schedule_at(2.0, lambda e: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.now == 1.0
-
-    def test_step_on_empty_queue(self, sim):
-        assert sim.step() is False
 
 
 class TestDeterminism:
@@ -295,13 +239,16 @@ _OPS = st.one_of(
         st.booleans(),                                       # reschedule at now when fired
     ),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
-    st.tuples(st.just("drain")),
-    st.tuples(st.just("step")),
+    st.tuples(st.just("advance"), st.integers(0, 3)),    # run(until=now + k)
 )
 
 
+def _key(event: Event) -> tuple[float, int, int]:
+    return (event.time, event.priority, event.seq)
+
+
 class TestHeapModel:
-    """The tuple heap against a plain list sorted by ``Event.sort_key()``."""
+    """The tuple heap against a plain list sorted by ``(time, priority, seq)``."""
 
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(_OPS, max_size=60))
@@ -309,7 +256,6 @@ class TestHeapModel:
         sim = Simulator()
         model: list[Event] = []   # every event still in the heap, tombstones included
         fired: list[Event] = []
-        expected: list[Event] = []
         dropped = 0
 
         def callback(event):
@@ -320,7 +266,7 @@ class TestHeapModel:
                 )
 
         def live():
-            return sorted((e for e in model if not e.cancelled), key=Event.sort_key)
+            return sorted((e for e in model if not e.cancelled), key=_key)
 
         for op in ops:
             if op[0] == "schedule":
@@ -330,38 +276,41 @@ class TestHeapModel:
                 )
             elif op[0] == "cancel" and model:
                 model[op[1] % len(model)].cancel()
-            elif op[0] == "drain":
-                removed = sim.drain_cancelled()
-                assert removed == sum(e.cancelled for e in model)
-                dropped += removed
-                model = [e for e in model if not e.cancelled]
-            elif op[0] == "step":
+            elif op[0] == "advance":
+                until = sim.now + op[1]
+                due = [e for e in live() if e.time <= until]
+                mark = len(fired)
+                sim.run(until=until)
+                ran = fired[mark:]
+                # Everything live and due fired, in key order, and so did
+                # what the callbacks scheduled at their own instant.
+                assert [_key(e) for e in ran] == sorted(_key(e) for e in ran)
+                assert {id(e) for e in ran} >= {id(e) for e in due}
+                assert all(e.time <= until for e in ran)
+                assert sim.now == until
+                ran_ids = {id(e) for e in ran}
+                model = [e for e in model if id(e) not in ran_ids]
+                # The heap pops in key order, so it discarded exactly the
+                # tombstones ahead of the first live event it kept.
                 order = live()
-                assert sim.peek() == (order[0].time if order else None)
-                # peek/step discard the tombstones ahead of the first live event.
-                head = order[0].sort_key() if order else None
+                head = _key(order[0]) if order else None
                 stale = [
                     e for e in model
-                    if e.cancelled and (head is None or e.sort_key() < head)
+                    if e.cancelled and (head is None or _key(e) < head)
                 ]
                 dropped += len(stale)
                 model = [e for e in model if e not in stale]
-                assert sim.step() is bool(order)
-                if order:
-                    expected.append(order[0])
-                    model.remove(order[0])
             assert sim.pending == len(model)
             assert sim.tombstones_dropped == dropped
-            assert sorted(sim.iter_pending(), key=Event.sort_key) == live()
+            assert sorted(sim.iter_pending(), key=_key) == live()
 
         # run() fires what is left — including same-instant events the
-        # callbacks add while it runs — in sort_key order.
+        # callbacks add while it runs — in key order.
         mark = len(fired)
         sim.run()
         tail = fired[mark:]
-        assert [e.sort_key() for e in tail] == sorted(e.sort_key() for e in tail)
+        assert [_key(e) for e in tail] == sorted(_key(e) for e in tail)
         assert {id(e) for e in tail} >= {id(e) for e in model if not e.cancelled}
         assert all(not e.cancelled for e in fired)
-        assert fired[:mark] == expected
         assert sim.pending == 0
         assert sim.events_fired == len(fired)

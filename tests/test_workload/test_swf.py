@@ -79,10 +79,6 @@ class TestRecordViews:
         assert records[0].procs == 8
         assert records[1].procs == 16  # allocated missing -> requested
 
-    def test_estimate_is_requested_time(self):
-        _, records = parse_swf(SAMPLE)
-        assert records[0].estimate == 120.0
-
     def test_usable(self):
         _, records = parse_swf(SAMPLE)
         assert records[0].usable

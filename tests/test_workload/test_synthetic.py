@@ -78,10 +78,6 @@ class TestCalibration:
     def test_all_records_usable(self, records):
         assert all(r.usable for r in records)
 
-    def test_expected_mean_procs_helper(self):
-        model = SDSCSP2Model()
-        assert 10.0 <= model.expected_mean_procs <= 25.0
-
 
 class TestValidation:
     def test_bad_num_jobs(self):
