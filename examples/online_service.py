@@ -2,7 +2,7 @@
 """Driving the online admission engine in-process.
 
 The batch harness answers "what would LibraRisk have done over this
-trace"; the :class:`~repro.service.AdmissionEngine` answers the
+trace"; the :class:`~repro.service.engine.AdmissionEngine` answers the
 production question one job at a time.  This example builds the
 paper's synthetic SDSC-SP2-like workload, feeds 50 jobs to an engine
 exactly as a stream of RPC clients would, prints each decision as it
@@ -20,7 +20,7 @@ import sys
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario_jobs
-from repro.service import engine_for_scenario
+from repro.service.engine import engine_for_scenario
 
 NUM_JOBS = 50
 

@@ -16,7 +16,7 @@ One scripted crash is exercised at every WAL crash point::
 
 A fourth scenario exercises the sharded fleet: a 4-worker
 ``repro serve --shards``-style deployment is driven through a
-:class:`~repro.service.sharding.ShardRouter`, one worker is killed with
+:class:`~repro.service.sharding.router.ShardRouter`, one worker is killed with
 a real ``SIGKILL`` mid-stream, the supervisor respawns it, it recovers
 from its own shard WAL, and the merged drained metrics must be
 byte-identical to an un-killed run of the same fleet — while the
@@ -229,13 +229,10 @@ def run_sharded_fleet(jobs, base_port: int, workdir: str, kill: bool,
     import signal
 
     from repro.service.engine import EngineConfig
-    from repro.service.sharding import (
-        ShardRouter,
-        ShardSupervisor,
-        WorkerSpec,
-        shard_for_submit,
-        shard_path,
-    )
+    from repro.service.sharding.partition import shard_for_submit
+    from repro.service.sharding.paths import shard_path
+    from repro.service.sharding.router import ShardRouter
+    from repro.service.sharding.supervisor import ShardSupervisor, WorkerSpec
 
     wal_base = os.path.join(workdir, "fleet.wal")
     specs = []

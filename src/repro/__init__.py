@@ -29,37 +29,3 @@ True
 """
 
 __version__ = "1.0.0"
-
-from repro.cluster import Cluster, Job, JobState, ResourceManagementSystem, UrgencyClass
-from repro.obs import MetricsRegistry, ObsSession, RunSink
-from repro.scheduling import (
-    EDFPolicy,
-    LibraPolicy,
-    LibraRiskPolicy,
-    available_policies,
-    make_policy,
-)
-from repro.service import AdmissionEngine, Decision, EngineConfig
-from repro.sim import RngStreams, Simulator
-
-__all__ = [
-    "AdmissionEngine",
-    "Cluster",
-    "Decision",
-    "EDFPolicy",
-    "EngineConfig",
-    "Job",
-    "JobState",
-    "LibraPolicy",
-    "LibraRiskPolicy",
-    "MetricsRegistry",
-    "ObsSession",
-    "ResourceManagementSystem",
-    "RngStreams",
-    "RunSink",
-    "Simulator",
-    "UrgencyClass",
-    "__version__",
-    "available_policies",
-    "make_policy",
-]

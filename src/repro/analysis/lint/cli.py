@@ -14,26 +14,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, TextIO
+from typing import TYPE_CHECKING, Optional, TextIO
 
-from repro.analysis.lint.engine import LintResult, run_lint
-from repro.analysis.lint.rules import ALL_RULES
-from repro.obs.exporters import write_jsonl
-from repro.obs.metrics import MetricsRegistry
+if TYPE_CHECKING:
+    from repro.analysis.lint.engine import LintResult
+    from repro.obs.metrics import MetricsRegistry
 
-#: The catalog's rule ids, as the help texts list them.
-RULE_IDS = ", ".join(rule.id for rule in ALL_RULES)
-
-#: Epilog shared by the standalone parser and the ``repro lint`` subparser.
+#: Epilog of the ``repro lint`` subparser.
 EPILOG = (
     "Suppress a finding with `# repro-lint: disable=RULE` plus a "
     "justification; see docs/STATIC_ANALYSIS.md for the rule catalog."
 )
 
+#: The help texts point at ``--list-rules`` rather than listing the rule
+#: ids, so building the parser does not import the analyzer.
 DESCRIPTION = (
     "Static determinism & concurrency analyzer for the repro codebase: "
-    f"per-file and whole-program rules ({RULE_IDS}) over one parse of "
-    "each file."
+    "per-file and whole-program rules (`--list-rules` prints them) over "
+    "one parse of each file."
 )
 
 
@@ -65,6 +63,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
 
 def _list_rules(out: TextIO) -> None:
+    from repro.analysis.lint.rules import ALL_RULES
+
     for rule in ALL_RULES:
         out.write(f"{rule.id}: {rule.title}\n")
         for line in rule.rationale.split(". "):
@@ -79,6 +79,9 @@ def build_stats_registry(result: LintResult) -> MetricsRegistry:
     Every rule gets a counter (zero included — a clean run is a data
     point too), so dashboards see a stable metric set across runs.
     """
+    from repro.analysis.lint.rules import ALL_RULES
+    from repro.obs.metrics import MetricsRegistry
+
     registry = MetricsRegistry()
     counts = result.counts_by_rule()
     for rule in ALL_RULES:
@@ -127,6 +130,9 @@ def run(
     out: Optional[TextIO] = None,
 ) -> int:
     """Execute a parsed lint invocation (shared with ``repro lint``)."""
+    from repro.analysis.lint.engine import run_lint
+    from repro.obs.exporters import write_jsonl
+
     out = out if out is not None else sys.stdout
 
     if args.list_rules:

@@ -30,20 +30,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.experiments.config import ScenarioConfig
-from repro.experiments.reporting import metrics_table, render_table
-from repro.experiments.runner import load_base_records, run_policies, run_scenario
 from repro.obs.log import LOG_LEVELS, configure_logging
-from repro.obs.session import ObsSession, RunSink
 from repro.scheduling.registry import available_policies
+
+if TYPE_CHECKING:
+    from repro.experiments.config import ScenarioConfig
+    from repro.obs.session import RunSink
 
 
 def _package_version() -> str:
     """Installed distribution version, falling back to the source tree's."""
     try:
-        from importlib.metadata import PackageNotFoundError, version
+        from importlib.metadata import version
 
         return version("repro")
     except Exception:  # PackageNotFoundError or exotic environments
@@ -52,7 +52,22 @@ def _package_version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version``, looking the version up only when the flag is given."""
+
+    def __init__(self, option_strings: Sequence[str], dest: str) -> None:
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser: argparse.ArgumentParser, namespace: argparse.Namespace,
+                 values: object, option_string: Optional[str] = None) -> None:
+        print(f"{parser.prog} {_package_version()}")
+        parser.exit()
+
+
 def _base_config(args: argparse.Namespace) -> ScenarioConfig:
+    from repro.experiments.config import ScenarioConfig
+
     return ScenarioConfig(
         num_jobs=args.jobs,
         num_nodes=args.nodes,
@@ -118,6 +133,8 @@ def _obs_sink(args: argparse.Namespace) -> RunSink:
                 return None
 
         return _NullSink()  # type: ignore[return-value]
+    from repro.obs.session import RunSink
+
     if getattr(args, "processes", 1) > 1:
         print(
             "warning: --metrics-out/--profile only capture in-process runs; "
@@ -156,13 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce Yeo & Buyya (ICPP 2006): EDF vs Libra vs LibraRisk",
         epilog=(
             "Static analysis: `repro lint src/` runs the determinism & "
-            f"concurrency analyzer (rules {lint_cli.RULE_IDS}); "
-            "see docs/STATIC_ANALYSIS.md for the catalog."
+            "concurrency analyzer (`repro lint --list-rules` prints its "
+            "rules); see docs/STATIC_ANALYSIS.md for the catalog."
         ),
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_package_version()}",
-    )
+    parser.add_argument("--version", action=_VersionAction)
     parser.add_argument(
         "--log-level", default="warning", choices=LOG_LEVELS,
         help="logging threshold for the repro.* loggers (default: warning)",
@@ -479,7 +494,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"repro serve: bad --faults spec: {exc}", file=sys.stderr)
             return 2
 
-    session = ObsSession() if args.metrics_out is not None else None
+    session = None
+    if args.metrics_out is not None:
+        from repro.obs.session import ObsSession
+
+        session = ObsSession()
     recovery = None
     if args.wal is not None:
         # A crash during the very first header write leaves a torn
@@ -771,6 +790,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     """``repro replay``: stream a trace through an engine or a server."""
+    from repro.experiments.reporting import render_table
     from repro.experiments.runner import build_scenario_jobs
 
     config = _base_config(args).replace(
@@ -833,6 +853,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     session = None
     if args.metrics_out is not None or args.profile:
+        from repro.obs.session import ObsSession
+
         session = ObsSession(scenario=config, profile=args.profile)
     engine, report = replay_scenario(config, obs=session, jobs=jobs)
     print(report)
@@ -995,6 +1017,9 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         return 0 if claims_hold(record) else 1
 
     if args.command == "run":
+        from repro.experiments.reporting import render_table
+        from repro.experiments.runner import run_scenario
+
         config = _base_config(args).replace(
             policy=args.policy,
             estimate_mode=args.estimate_mode,
@@ -1005,6 +1030,8 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         )
         session = None
         if args.metrics_out is not None or args.profile or args.prom_out is not None:
+            from repro.obs.session import ObsSession
+
             session = ObsSession(scenario=config, profile=args.profile)
         result = run_scenario(config, obs=session)
         rows = sorted(result.metrics.as_dict().items())
@@ -1027,6 +1054,9 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         return 0
 
     if args.command == "compare":
+        from repro.experiments.reporting import metrics_table
+        from repro.experiments.runner import run_policies
+
         base = _base_config(args).replace(estimate_mode=args.estimate_mode)
         with _obs_sink(args) as sink:
             results = run_policies(base, available_policies())
@@ -1039,6 +1069,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
 
     if args.command == "trace-stats":
         from repro.experiments.record import stats_table
+        from repro.experiments.runner import load_base_records
         from repro.workload.traces import describe_records
 
         source = args.trace or f"synthetic SDSC-SP2-like (seed={args.seed})"
@@ -1056,6 +1087,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
 
     if args.command == "replicate":
         from repro.experiments.replication import compare_replicated, replicate_policies
+        from repro.experiments.reporting import render_table
 
         base = _base_config(args).replace(estimate_mode=args.estimate_mode)
         reps = replicate_policies(base, args.policies, args.seeds)

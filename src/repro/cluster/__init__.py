@@ -13,24 +13,3 @@ submission interface required by the paper's scenario (Section 3): all
 jobs enter through it, so the admission control is aware of the whole
 cluster workload.
 """
-
-from repro.cluster.job import Job, JobState, UrgencyClass
-from repro.cluster.node import Node, NodeTask, SpaceSharedNode, TimeSharedNode
-from repro.cluster.cluster import Cluster
-from repro.cluster.failures import NodeFailureInjector
-from repro.cluster.rms import ResourceManagementSystem
-from repro.cluster.share import ShareParams
-
-__all__ = [
-    "Cluster",
-    "NodeFailureInjector",
-    "ShareParams",
-    "Job",
-    "JobState",
-    "Node",
-    "NodeTask",
-    "ResourceManagementSystem",
-    "SpaceSharedNode",
-    "TimeSharedNode",
-    "UrgencyClass",
-]

@@ -21,12 +21,14 @@ cleaning up multi-node jobs needs cluster-wide bookkeeping.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:
+    from repro.sim.rng import RngStreams
 
 
 class NodeFailureInjector:

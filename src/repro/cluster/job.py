@@ -21,6 +21,7 @@ Derived quantities (Eq. 3 of the paper):
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from typing import Optional
 
@@ -143,16 +144,20 @@ class Job:
         user: Optional[str] = None,
         job_id: Optional[int] = None,
     ) -> None:
-        if runtime <= 0:
-            raise ValueError(f"runtime must be > 0, got {runtime}")
-        if estimated_runtime <= 0:
-            raise ValueError(f"estimated_runtime must be > 0, got {estimated_runtime}")
+        # Written as ranges so that NaN, which fails every comparison,
+        # is refused along with the infinities.
+        if not 0.0 < runtime < math.inf:
+            raise ValueError(f"runtime must be finite and > 0, got {runtime}")
+        if not 0.0 < estimated_runtime < math.inf:
+            raise ValueError(
+                f"estimated_runtime must be finite and > 0, got {estimated_runtime}"
+            )
         if numproc < 1:
             raise ValueError(f"numproc must be >= 1, got {numproc}")
-        if deadline <= 0:
-            raise ValueError(f"deadline must be > 0, got {deadline}")
-        if submit_time < 0:
-            raise ValueError(f"submit_time must be >= 0, got {submit_time}")
+        if not 0.0 < deadline < math.inf:
+            raise ValueError(f"deadline must be finite and > 0, got {deadline}")
+        if not 0.0 <= submit_time < math.inf:
+            raise ValueError(f"submit_time must be finite and >= 0, got {submit_time}")
         self.job_id = int(job_id) if job_id is not None else _auto_id()
         self.submit_time = float(submit_time)
         self.runtime = float(runtime)

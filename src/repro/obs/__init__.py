@@ -13,34 +13,3 @@ Everything needed to see *inside* a simulation run:
 
 See ``docs/OBSERVABILITY.md`` for the full guide.
 """
-
-from repro.obs.exporters import (
-    prometheus_text,
-    read_jsonl,
-    run_report,
-    write_jsonl,
-)
-from repro.obs.hooks import LifecycleObserver, PolicyObserver
-from repro.obs.log import configure_logging, get_logger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import Profiler
-from repro.obs.session import ObsSession, RunSink, active_sink
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LifecycleObserver",
-    "MetricsRegistry",
-    "ObsSession",
-    "PolicyObserver",
-    "Profiler",
-    "RunSink",
-    "active_sink",
-    "configure_logging",
-    "get_logger",
-    "prometheus_text",
-    "read_jsonl",
-    "run_report",
-    "write_jsonl",
-]

@@ -71,12 +71,6 @@ class SchedulingPolicy(abc.ABC):
         #: Surfaced by the profiler's ``cache`` block and the service
         #: ``stats`` endpoint; never part of deterministic exports.
         self.cache_stats: dict[str, int] = {}
-        #: Trace id of the submission currently being admitted, set by
-        #: the serving engine around each ``submit`` so admission hooks
-        #: and observers can correlate with the job's trace.  Read-only
-        #: for policies; never injected into decision records (byte
-        #: parity between traced and untraced runs).
-        self.trace_context: Optional[str] = None
 
     # -- wiring -----------------------------------------------------------
     def bind(self, sim: "Simulator", cluster: "Cluster", rms: "ResourceManagementSystem") -> None:

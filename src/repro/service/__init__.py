@@ -34,106 +34,3 @@ kernel, cluster and policies behind an incremental API:
 
 See ``docs/SERVICE.md``.
 """
-
-from repro.service.checkpoint import (
-    CheckpointError,
-    load,
-    restore,
-    save,
-    snapshot,
-)
-from repro.service.client import RetryPolicy, RetryingClient
-from repro.service.clock import VirtualClock, WallClock
-from repro.service.engine import (
-    AdmissionEngine,
-    Decision,
-    DuplicateJob,
-    EngineConfig,
-    EngineError,
-    OutOfOrderSubmit,
-    engine_for_scenario,
-)
-from repro.service.faults import (
-    CrashPoint,
-    DropRequest,
-    FaultInjector,
-    FaultSpec,
-    InjectedError,
-)
-from repro.service.loadgen import LoadGenerator, LoadReport, ServiceClient
-from repro.service.protocol import PROTOCOL_VERSION, ErrorCode, ProtocolError
-from repro.service.replay import ReplayReport, replay_jobs, replay_scenario
-from repro.service.server import AdmissionService, ServiceServer
-from repro.service.sharding import (
-    RouterServer,
-    ShardRouter,
-    ShardSupervisor,
-    WorkerSpec,
-    merge_scenario_metrics,
-    plan_shards,
-    shard_for_job,
-    shard_for_submit,
-    shard_for_user,
-    shard_node_counts,
-    shard_path,
-)
-from repro.service.wal import (
-    RecoveryReport,
-    WalCorruptionError,
-    WalError,
-    WriteAheadLog,
-    read_wal,
-    recover,
-)
-
-__all__ = [
-    "AdmissionEngine",
-    "AdmissionService",
-    "CheckpointError",
-    "CrashPoint",
-    "Decision",
-    "DropRequest",
-    "DuplicateJob",
-    "EngineConfig",
-    "EngineError",
-    "ErrorCode",
-    "FaultInjector",
-    "FaultSpec",
-    "InjectedError",
-    "LoadGenerator",
-    "LoadReport",
-    "OutOfOrderSubmit",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "RecoveryReport",
-    "ReplayReport",
-    "RetryPolicy",
-    "RetryingClient",
-    "RouterServer",
-    "ServiceClient",
-    "ServiceServer",
-    "ShardRouter",
-    "ShardSupervisor",
-    "VirtualClock",
-    "WalCorruptionError",
-    "WalError",
-    "WallClock",
-    "WorkerSpec",
-    "WriteAheadLog",
-    "engine_for_scenario",
-    "load",
-    "merge_scenario_metrics",
-    "plan_shards",
-    "read_wal",
-    "recover",
-    "replay_jobs",
-    "replay_scenario",
-    "restore",
-    "save",
-    "shard_for_job",
-    "shard_for_submit",
-    "shard_for_user",
-    "shard_node_counts",
-    "shard_path",
-    "snapshot",
-]

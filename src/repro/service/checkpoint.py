@@ -37,7 +37,6 @@ from typing import Any, Optional
 from repro.cluster.job import Job, JobState, UrgencyClass, reserve_job_ids
 from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
 from repro.service.engine import AdmissionEngine, Decision, EngineConfig
-from repro.sim.rng import RngStreams
 
 #: Identifies a checkpoint document (sanity check before any parsing).
 CHECKPOINT_FORMAT = "repro-admission-engine"
@@ -190,6 +189,8 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
 
     streams = None
     if "rng" in snap:
+        from repro.sim.rng import RngStreams
+
         rng = snap["rng"]
         streams = RngStreams(seed=int(rng["seed"]))
         for name in sorted(rng.get("streams", {})):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.analysis.sanitizer import decision_span
 from repro.cluster.cluster import Cluster
@@ -38,7 +38,9 @@ from repro.obs.windows import WindowAggregator
 from repro.scheduling.registry import make_policy, policy_discipline
 from repro.service.clock import VirtualClock, WallClock
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:
+    from repro.sim.rng import RngStreams
 
 log = get_logger("service.engine")
 
@@ -336,19 +338,10 @@ class AdmissionEngine:
             trace_id = mint_trace_id(self.trace_seed, self._submit_seq, job.job_id)
         if trace_id is not None:
             self.trace_ids[job.job_id] = trace_id
-        # Expose the trace context to the policy for the duration of
-        # this submission: the arrival event fires inside sim.run, so
-        # admission hooks and observers can correlate their records
-        # with the job's trace without the engine injecting anything
-        # into decision records (byte parity with batch runs).
-        self.policy.trace_context = trace_id
-        try:
-            # Decision-path span: with REPRO_SANITIZE=1 any wall-clock /
-            # entropy read fired by the kernel loop below raises.
-            with decision_span():
-                self.sim.run(until=job.submit_time)
-        finally:
-            self.policy.trace_context = None
+        # Decision-path span: with REPRO_SANITIZE=1 any wall-clock /
+        # entropy read fired by the kernel loop below raises.
+        with decision_span():
+            self.sim.run(until=job.submit_time)
         self.clock.advance_to(self.sim.now)
         decision = self._decision_of(job)
         self.decisions.append(decision)

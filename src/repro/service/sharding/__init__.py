@@ -32,44 +32,3 @@ proof (byte-identical exports, deterministic traces):
 ``repro serve --shards N`` wires all of it together; see
 ``docs/SERVICE.md``.
 """
-
-from repro.service.sharding.breaker import ShardBreaker
-from repro.service.sharding.parking import ParkingLot
-from repro.service.sharding.partition import (
-    plan_shards,
-    shard_for_job,
-    shard_for_submit,
-    shard_for_user,
-    shard_node_counts,
-)
-from repro.service.sharding.paths import shard_path, shard_port
-from repro.service.sharding.router import (
-    RouterServer,
-    ShardRouter,
-    merge_scenario_metrics,
-)
-from repro.service.sharding.supervisor import (
-    ShardSupervisor,
-    WorkerSpec,
-    WorkerState,
-    free_ports,
-)
-
-__all__ = [
-    "ParkingLot",
-    "RouterServer",
-    "ShardBreaker",
-    "ShardRouter",
-    "ShardSupervisor",
-    "WorkerSpec",
-    "WorkerState",
-    "free_ports",
-    "merge_scenario_metrics",
-    "plan_shards",
-    "shard_for_job",
-    "shard_for_submit",
-    "shard_for_user",
-    "shard_node_counts",
-    "shard_path",
-    "shard_port",
-]

@@ -11,15 +11,3 @@ paper: a minimal but complete event-driven simulator with
 
 ``Simulator(on_event=...)`` is the one per-event observer hook.
 """
-
-from repro.sim.events import Event, EventPriority
-from repro.sim.kernel import Simulator, SimulationError
-from repro.sim.rng import RngStreams
-
-__all__ = [
-    "Event",
-    "EventPriority",
-    "RngStreams",
-    "SimulationError",
-    "Simulator",
-]

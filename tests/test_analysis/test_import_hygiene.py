@@ -12,12 +12,20 @@ they use is dead code (`PENDING_DELETION` names the few still waiting
 to go). The examples must still import: every name they
 take from `repro` has to resolve. No `REPRO_*` environment flag beyond
 the shrink-only `ENV_FLAGS` may appear in `src/repro`.
+
+A cold start imports only what its command runs: `import repro.cli`
+loads no more than `CLI_MODULES` `repro.*` modules (a shrink-only
+count), and building the parser plus the imports of `repro serve`
+load none of `SERVE_UNUSED`.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set
 
@@ -42,6 +50,26 @@ PENDING_DELETION: frozenset = frozenset()
 #: The `REPRO_*` environment flags the program may read. The set only
 #: shrinks: a behaviour worth having is the default, not a flag.
 ENV_FLAGS = frozenset({"REPRO_SANITIZE", "REPRO_VERIFY_CERT"})
+
+#: How many `repro.*` modules `import repro.cli` loads. The number only
+#: shrinks: a command imports what it runs in its own body, so the
+#: parser that every invocation builds pays for none of it.
+CLI_MODULES = 20
+
+#: Modules that `repro serve` never runs, so a cold start (and every
+#: shard respawn) must not import them. A name also covers its submodules.
+SERVE_UNUSED = (
+    "numpy",
+    "importlib.metadata",
+    "repro.analysis.flow",
+    "repro.experiments",
+    "repro.workload",
+    "repro.obs.console",
+    "repro.service.client",
+    "repro.service.loadgen",
+    "repro.service.sharding.router",
+    "repro.service.sharding.supervisor",
+)
 
 
 def _module_files():
@@ -239,4 +267,62 @@ def test_example_imports_resolve(graph, example, module, name):
         return
     assert name in _top_level_names(graph.tree(graph.files[module])), (
         f"{example}: `from {module} import {name}` does not resolve"
+    )
+
+
+def _serve_imports() -> str:
+    """The import statements at the top level of ``cli._cmd_serve``."""
+    tree = ast.parse((SRC / "repro" / "cli.py").read_text())
+    func = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_cmd_serve"
+    )
+    imports = [node for node in func.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports, "_cmd_serve imports nothing; the guard below would test nothing"
+    return "\n".join(ast.unparse(node) for node in imports)
+
+
+_COLD_START = """
+import sys
+import repro.cli
+print(sum(1 for m in list(sys.modules) if m == "repro" or m.startswith("repro.")))
+repro.cli.build_parser()
+exec(sys.argv[1])
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+@pytest.fixture(scope="module")
+def cold_start():
+    """(repro modules after `import repro.cli`, every module on the serve path)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_START, _serve_imports()],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    return int(out[0]), set(out[1:])
+
+
+def test_serve_cold_start_imports_nothing_it_does_not_run(cold_start):
+    _, loaded = cold_start
+    unused = sorted(
+        module for module in loaded
+        if any(module == name or module.startswith(name + ".") for name in SERVE_UNUSED)
+    )
+    assert not unused, (
+        f"`repro serve` imports {unused} before its first request; import "
+        f"them in the command or branch that runs them"
+    )
+
+
+def test_cli_import_loads_no_more_modules_than_the_ceiling(cold_start):
+    count, _ = cold_start
+    assert count <= CLI_MODULES, (
+        f"`import repro.cli` loads {count} repro modules, over the ceiling "
+        f"of {CLI_MODULES}; import the new module where it is used"
+    )
+    assert count == CLI_MODULES, (
+        f"`import repro.cli` now loads {count} repro modules: lower "
+        f"CLI_MODULES to {count} so the ceiling keeps what was won"
     )

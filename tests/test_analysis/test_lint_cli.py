@@ -152,11 +152,13 @@ def test_repro_lint_subcommand(tmp_path, capsys):
     assert "FLOW001" in capsys.readouterr().out
 
 
-def test_help_lists_the_catalog_and_five_flags(capsys):
+def test_help_points_at_list_rules_and_five_flags(capsys):
+    # The help names `--list-rules` instead of the rule ids, so that
+    # building the parser does not import the analyzer.
     with pytest.raises(SystemExit):
         repro_main(["lint", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert "DET002, DET003, CONC001, API001, FLOW001, FLOW002, FLOW004" in text
+    assert "rules (`--list-rules` prints them)" in text
     flags = sorted(set(re.findall(r"--[a-z][a-z-]+", text)))
     assert flags == ["--format", "--help", "--list-rules", "--metrics-out", "--stats"]
 

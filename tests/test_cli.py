@@ -359,7 +359,8 @@ class TestServiceCommands:
     def test_serve_and_replay_over_http(self, capsys, tmp_path):
         # Boot the real server off the CLI plumbing (ephemeral port, in a
         # thread via ServiceServer) and drive it with `repro replay --url`.
-        from repro.service import AdmissionEngine, AdmissionService, EngineConfig
+        from repro.service.engine import AdmissionEngine, EngineConfig
+        from repro.service.server import AdmissionService
         from repro.service.server import ServiceServer
 
         engine = AdmissionEngine(EngineConfig(policy="librarisk", num_nodes=8))
@@ -379,7 +380,8 @@ class TestServiceCommands:
     def test_replay_with_retries_reports_client_counters(self, capsys):
         # `--retries N` swaps in the retrying client; its counters are the
         # `client:` line, and there is no client-side breaker to report.
-        from repro.service import AdmissionEngine, AdmissionService, EngineConfig
+        from repro.service.engine import AdmissionEngine, EngineConfig
+        from repro.service.server import AdmissionService
         from repro.service.server import ServiceServer
 
         engine = AdmissionEngine(EngineConfig(policy="librarisk", num_nodes=8))

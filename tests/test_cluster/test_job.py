@@ -1,5 +1,7 @@
 """Tests for the Job model and its lifecycle state machine."""
 
+import math
+
 import pytest
 
 from repro.cluster.job import DELAY_TOLERANCE, Job, JobState, UrgencyClass
@@ -15,12 +17,21 @@ class TestValidation:
         ("deadline", 0.0),
         ("deadline", -5.0),
         ("submit_time", -1.0),
+        # NaN fails every comparison, so a bare `x <= 0` check lets it in.
+        ("runtime", math.nan),
+        ("runtime", math.inf),
+        ("estimated_runtime", math.nan),
+        ("estimated_runtime", math.inf),
+        ("deadline", math.nan),
+        ("deadline", math.inf),
+        ("submit_time", math.nan),
+        ("submit_time", math.inf),
     ])
     def test_invalid_arguments_rejected(self, field, value):
         kwargs = dict(runtime=10.0, estimated_runtime=10.0, numproc=1,
                       deadline=20.0, submit_time=0.0)
         kwargs[field] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             Job(**kwargs)
 
     def test_auto_ids_are_unique(self):

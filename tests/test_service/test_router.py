@@ -18,12 +18,8 @@ from repro.service.engine import AdmissionEngine, EngineConfig
 from repro.service.loadgen import ServiceClient
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import AdmissionService, ServiceServer
-from repro.service.sharding import (
-    RouterServer,
-    ShardRouter,
-    plan_shards,
-    shard_for_job,
-)
+from repro.service.sharding.partition import plan_shards, shard_for_job
+from repro.service.sharding.router import RouterServer, ShardRouter
 from tests.test_service.test_server import HOSTILE_BODIES
 
 BASE = EngineConfig(policy="librarisk", num_nodes=8, rating=1.0)

@@ -19,7 +19,8 @@ from repro.service.engine import AdmissionEngine, EngineConfig
 from repro.service.faults import DropRequest
 from repro.service.protocol import PROTOCOL_VERSION, ErrorCode
 from repro.service.server import AdmissionService, ServiceServer
-from repro.service.sharding import ShardRouter, plan_shards, shard_for_job
+from repro.service.sharding.partition import plan_shards, shard_for_job
+from repro.service.sharding.router import ShardRouter
 from repro.service.sharding.breaker import CLOSED, OPEN
 
 BASE = EngineConfig(policy="librarisk", num_nodes=8, rating=1.0)

@@ -6,16 +6,15 @@ import pytest
 
 from repro.obs.tracing import seed_from_config
 from repro.service.engine import EngineConfig
-from repro.service.sharding import (
-    merge_scenario_metrics,
+from repro.service.sharding.partition import (
     plan_shards,
     shard_for_job,
     shard_for_submit,
     shard_for_user,
     shard_node_counts,
-    shard_path,
-    shard_port,
 )
+from repro.service.sharding.paths import shard_path, shard_port
+from repro.service.sharding.router import merge_scenario_metrics
 
 
 class TestNodeCounts:

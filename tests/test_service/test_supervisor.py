@@ -20,14 +20,10 @@ import pytest
 from repro.service import protocol
 from repro.service.engine import EngineConfig
 from repro.service.loadgen import ServiceClient
-from repro.service.sharding import (
-    ShardRouter,
-    ShardSupervisor,
-    WorkerSpec,
-    free_ports,
-    shard_for_job,
-    shard_path,
-)
+from repro.service.sharding.partition import shard_for_job
+from repro.service.sharding.paths import shard_path
+from repro.service.sharding.router import ShardRouter
+from repro.service.sharding.supervisor import ShardSupervisor, WorkerSpec, free_ports
 
 POLICY = "librarisk"
 NODES = 4

@@ -123,7 +123,7 @@ class TestWalRecoveryParity:
 
 
 class TestCheckpointParity:
-    def test_trace_context_survives_checkpoint_restore(self, tmp_path):
+    def test_trace_ids_survive_checkpoint_restore(self, tmp_path):
         config = scenario()
         jobs = build_scenario_jobs(config)
         engine = AdmissionEngine(EngineConfig(

@@ -13,7 +13,7 @@ from repro.service.faults import DropRequest, FaultInjector, FaultSpec
 from repro.service.loadgen import LoadGenerator, ServiceClient
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import AdmissionService, ServiceServer
-from repro.service.sharding import ShardRouter
+from repro.service.sharding.router import ShardRouter
 from repro.service.sharding.breaker import CLOSED
 from repro.service.transport import MAX_IDLE, Transport, TransportError
 from tests.conftest import make_job
