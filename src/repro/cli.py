@@ -2,14 +2,19 @@
 
 Examples
 --------
-Every figure at paper scale (3000 jobs), with the verdict of each §5
-claim; the exit status is 1 iff a claim fails::
+Every figure at paper scale (3000 jobs) and every section beyond the
+paper (ablations, replicate, sensitivity, robustness), with the verdict
+of each claim; the exit status is 1 iff a claim fails::
 
     python -m repro figures --processes 2
 
 Figure 1 only, with a smaller workload, as ASCII charts::
 
     python -m repro figures --only 1 --jobs 600 --format chart
+
+One section, say the node-failure robustness grid::
+
+    python -m repro figures --only robustness
 
 EXPERIMENTS.md, and the same run saved as a JSON record::
 
@@ -20,9 +25,9 @@ Single scenario, trace estimates, CSV of the headline metrics::
 
     python -m repro run --policy librarisk --estimate-mode trace
 
-Workload statistics the paper reports in §4::
+Workload statistics the paper reports in §4 (runs no simulation)::
 
-    python -m repro trace-stats
+    python -m repro figures --only stats
 """
 
 from __future__ import annotations
@@ -63,6 +68,11 @@ class _VersionAction(argparse.Action):
                  values: object, option_string: Optional[str] = None) -> None:
         print(f"{parser.prog} {_package_version()}")
         parser.exit()
+
+
+#: What `repro figures --only` can name: repro.experiments.record.ONLY,
+#: spelled out so that building the parser imports no experiment code.
+ONLY = ("1", "2", "3", "4", "stats", "ablations", "replicate", "sensitivity", "robustness")
 
 
 def _base_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -186,13 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "figures",
-        help="regenerate the paper's figures and check its §5 claims "
-             "(exit 1 iff a claim fails)",
+        help="regenerate the paper's figures and the sections beyond it, "
+             "and check their claims (exit 1 iff a claim fails)",
     )
     _add_common(p)
     _add_obs(p)
-    p.add_argument("--only", nargs="+", default=["1", "2", "3", "4"],
-                   choices=["1", "2", "3", "4"], help="figures to regenerate")
+    p.add_argument("--only", nargs="+", default=list(ONLY), choices=ONLY,
+                   help="figures (1-4) and sections to build (default: all); "
+                        "the workload statistics are always included, and "
+                        "`--only stats` prints only them")
     p.add_argument("--format", default="table",
                    choices=("table", "csv", "chart", "json", "markdown"),
                    help="table: series tables (default); csv; chart: ASCII "
@@ -253,29 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit decisions/transitions as canonical JSON lines "
              "instead of aligned text",
     )
-
-    p = sub.add_parser("trace-stats", help="workload statistics (paper §4)")
-    _add_common(p)
-
-    p = sub.add_parser("ablations", help="run the design-choice ablations")
-    _add_common(p)
-
-    p = sub.add_parser("replicate", help="multi-seed comparison with confidence intervals")
-    _add_common(p)
-    p.add_argument("--estimate-mode", default="trace",
-                   choices=("accurate", "trace", "inaccuracy"))
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    p.add_argument("--policies", nargs="+", default=["edf", "libra", "librarisk"],
-                   choices=available_policies())
-    p.add_argument("--metric", default="pct_deadlines_fulfilled")
-
-    p = sub.add_parser("sensitivity", help="one-factor-at-a-time sensitivity analysis")
-    _add_common(p)
-    p.add_argument("--policy", default="librarisk", choices=available_policies())
-    p.add_argument("--metric", default="pct_deadlines_fulfilled")
-
-    p = sub.add_parser("robustness", help="deadline fulfilment under node failures")
-    _add_common(p)
 
     p = sub.add_parser(
         "serve", help="run the online admission-control HTTP service",
@@ -1065,55 +1054,6 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
             ("pct_deadlines_fulfilled", "avg_slowdown", "acceptance_pct", "completed_late"),
         ))
         _report_sink(args, sink)
-        return 0
-
-    if args.command == "trace-stats":
-        from repro.experiments.record import stats_table
-        from repro.experiments.runner import load_base_records
-        from repro.workload.traces import describe_records
-
-        source = args.trace or f"synthetic SDSC-SP2-like (seed={args.seed})"
-        print(f"workload: {source}")
-        print(stats_table(describe_records(load_base_records(_base_config(args)))))
-        return 0
-
-    if args.command == "ablations":
-        from repro.experiments.ablations import all_ablations
-
-        for ab in all_ablations(_base_config(args)).values():
-            print(ab.render())
-            print()
-        return 0
-
-    if args.command == "replicate":
-        from repro.experiments.replication import compare_replicated, replicate_policies
-        from repro.experiments.reporting import render_table
-
-        base = _base_config(args).replace(estimate_mode=args.estimate_mode)
-        reps = replicate_policies(base, args.policies, args.seeds)
-        rows = []
-        for name, rep in reps.items():
-            rows.append([name, str(rep.summary(args.metric))])
-        print(render_table([f"policy ({args.metric})", "mean ± 95% CI"], rows))
-        if "librarisk" in reps and "libra" in reps:
-            diff = compare_replicated(reps["librarisk"], reps["libra"], args.metric)
-            verdict = "significant" if diff.low > 0 else "not significant"
-            print(f"\npaired librarisk − libra: {diff} ({verdict} at 95%)")
-        return 0
-
-    if args.command == "sensitivity":
-        from repro.experiments.sensitivity import sensitivity
-
-        result = sensitivity(_base_config(args), policy=args.policy, metric=args.metric)
-        print(result.render())
-        print(f"\nmost sensitive knob: {result.most_sensitive()}")
-        return 0
-
-    if args.command == "robustness":
-        from repro.experiments.robustness import robustness_grid
-
-        grid = robustness_grid(_base_config(args))
-        print(grid.render())
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Sequence
 
 from repro.cluster.node import Node, SpaceSharedNode, TimeSharedNode
@@ -27,7 +28,7 @@ class Cluster:
     def __init__(self, nodes: Sequence[Node], reference_rating: float) -> None:
         if not nodes:
             raise ValueError("a cluster needs at least one node")
-        if reference_rating <= 0:
+        if not 0 < reference_rating < math.inf:
             raise ValueError(f"reference_rating must be > 0, got {reference_rating}")
         ids = [n.node_id for n in nodes]
         if len(set(ids)) != len(ids):

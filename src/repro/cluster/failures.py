@@ -21,6 +21,7 @@ cleaning up multi-node jobs needs cluster-wide bookkeeping.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.cluster import Cluster
@@ -44,7 +45,7 @@ class NodeFailureInjector:
         repair_time: float,
         horizon: Optional[float] = None,
     ) -> None:
-        if mtbf <= 0 or repair_time <= 0:
+        if not (0 < mtbf < math.inf and 0 < repair_time < math.inf):
             raise ValueError("mtbf and repair_time must be > 0")
         self.sim = sim
         self.cluster = cluster

@@ -30,6 +30,7 @@ risk metric detects and Libra's Eq. 2 capacity test cannot.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.job import Job
@@ -141,7 +142,7 @@ class Node:
         sim: Simulator,
         listener: Optional[TaskListener] = None,
     ) -> None:
-        if rating <= 0:
+        if not 0 < rating < math.inf:
             raise ValueError(f"rating must be > 0, got {rating}")
         self.node_id = int(node_id)
         self.rating = float(rating)

@@ -4,10 +4,10 @@
 * ``runner`` — :func:`run_scenario`, one deterministic simulation;
 * ``sweeps`` / ``parallel`` — one-parameter sweeps over several policies;
 * ``record`` — the paper record (Figures 1–4, the verdict of every §5
-  claim from ``validation``, the §4 workload statistics) and the
+  claim from ``validation``, the §4 workload statistics, and the
+  ablation, replication, sensitivity and robustness sections) and the
   renderers behind ``repro figures`` and EXPERIMENTS.md;
-* ``ablations``, ``replication``, ``sensitivity``, ``robustness`` —
-  studies beyond the paper;
+* ``robustness`` — the node-failure runner behind the robustness section;
 * ``reporting``, ``compare``, ``stats``, ``asciichart`` — tables, series
   comparisons, confidence intervals and terminal charts.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -64,7 +65,7 @@ class ScenarioConfig:
             raise ValueError("num_jobs must be >= 1")
         if self.estimate_mode not in ESTIMATE_MODES:
             raise ValueError(f"estimate_mode must be one of {ESTIMATE_MODES}")
-        if self.arrival_delay_factor <= 0:
+        if not 0 < self.arrival_delay_factor < math.inf:
             raise ValueError("arrival_delay_factor must be > 0")
         if not 0.0 <= self.high_urgency_fraction <= 1.0:
             raise ValueError("high_urgency_fraction must be in [0, 1]")

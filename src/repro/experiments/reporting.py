@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 from typing import Any, Mapping, Sequence
 
@@ -48,18 +49,24 @@ def series_table(
     return render_table(headers, rows, float_fmt=float_fmt)
 
 
+def rows_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Render table rows as CSV text; floats as ``repr``, so they round-trip."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def to_csv(
     x_label: str,
     x_values: Sequence[Any],
     series: Mapping[str, Sequence[float]],
 ) -> str:
     """Render sweep series as CSV text."""
-    buf = io.StringIO()
-    buf.write(",".join([x_label, *series.keys()]) + "\n")
-    for i, x in enumerate(x_values):
-        row = [str(x)] + [repr(float(series[name][i])) for name in series]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    return rows_csv([x_label, *series],
+                    [[x, *(float(series[name][i]) for name in series)]
+                     for i, x in enumerate(x_values)])
 
 
 def metrics_table(results: Mapping[str, Any], keys: Sequence[str]) -> str:

@@ -1,76 +1,38 @@
-"""Robustness experiment: admission controls under node failures.
+"""Admission control under node failures: the robustness section's runner.
 
 Beyond the paper: real clusters lose nodes, and an admission control
 that guaranteed a deadline on admission cannot keep the promise for a
-job whose node dies.  This experiment sweeps the failure intensity
-(node MTBF) and reports each policy's deadline fulfilment, failure
-casualties, and acceptance — quantifying how gracefully each degrades.
+job whose node dies.  :func:`run_with_failures` runs one scenario with
+exponential node failure/repair cycles; the ``robustness`` section of
+the paper record (:mod:`repro.experiments.record`) sweeps the MTBF for
+each policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import NodeFailureInjector
 from repro.cluster.rms import ResourceManagementSystem
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.reporting import render_table
 from repro.experiments.runner import build_scenario_jobs
-from repro.metrics.summary import ScenarioMetrics, compute_metrics
+from repro.metrics.summary import compute_metrics
 from repro.scheduling.registry import make_policy, policy_discipline
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-
-#: MTBF values in node-hours (None = no failures), default sweep.
-DEFAULT_MTBFS: tuple = (None, 500.0, 100.0, 20.0)
-
-
-@dataclass(frozen=True)
-class RobustnessCell:
-    """One (policy, mtbf) measurement."""
-
-    policy: str
-    mtbf_hours: Optional[float]
-    metrics: ScenarioMetrics
-    failures_injected: int
-
-
-@dataclass(frozen=True)
-class RobustnessResult:
-    """The full policy × failure-intensity grid."""
-
-    cells: tuple[RobustnessCell, ...]
-
-    def cell(self, policy: str, mtbf_hours: Optional[float]) -> RobustnessCell:
-        for c in self.cells:
-            if c.policy == policy and c.mtbf_hours == mtbf_hours:
-                return c
-        raise KeyError((policy, mtbf_hours))
-
-    def render(self) -> str:
-        rows = []
-        for c in self.cells:
-            mtbf = "none" if c.mtbf_hours is None else f"{c.mtbf_hours:g}h"
-            m = c.metrics
-            rows.append([
-                c.policy, mtbf, c.failures_injected,
-                m.pct_deadlines_fulfilled, m.failed, m.acceptance_pct,
-            ])
-        return render_table(
-            ["policy", "MTBF", "node failures", "fulfilled %", "jobs killed",
-             "accepted %"],
-            rows,
-        )
 
 
 def run_with_failures(
     config: ScenarioConfig,
     mtbf_hours: Optional[float],
     repair_hours: float = 2.0,
-) -> RobustnessCell:
-    """One scenario with (optional) failure injection."""
+) -> dict[str, float]:
+    """One scenario with (optional) failure injection.
+
+    Returns ``ScenarioMetrics.as_dict()`` plus ``node_failures``, the
+    number of failures injected (0 when ``mtbf_hours`` is None).
+    """
     jobs = build_scenario_jobs(config)
     horizon_guess = max(j.submit_time for j in jobs) + 864_000.0
     sim = Simulator()
@@ -95,23 +57,6 @@ def run_with_failures(
         )
         injector.start()
     sim.run()
-    return RobustnessCell(
-        policy=config.policy,
-        mtbf_hours=mtbf_hours,
-        metrics=compute_metrics(rms.jobs, cluster, sim.now),
-        failures_injected=injector.failures_injected if injector else 0,
-    )
-
-
-def robustness_grid(
-    base: Optional[ScenarioConfig] = None,
-    policies: Sequence[str] = ("edf", "libra", "librarisk"),
-    mtbfs: Sequence[Optional[float]] = DEFAULT_MTBFS,
-) -> RobustnessResult:
-    """Sweep failure intensity for each policy (matched workloads)."""
-    base = (base or ScenarioConfig()).replace(estimate_mode="trace")
-    cells = []
-    for policy in policies:
-        for mtbf in mtbfs:
-            cells.append(run_with_failures(base.replace(policy=policy), mtbf))
-    return RobustnessResult(cells=tuple(cells))
+    metrics = compute_metrics(rms.jobs, cluster, sim.now).as_dict()
+    metrics["node_failures"] = injector.failures_injected if injector else 0
+    return metrics

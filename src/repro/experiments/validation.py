@@ -45,7 +45,7 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _claim(cid: str, source: str, description: str, passed: Any, detail: str) -> Claim:
+def claim(cid: str, source: str, description: str, passed: Any, detail: str) -> Claim:
     return {"id": cid, "source": source, "description": description,
             "passed": bool(passed), "detail": detail}
 
@@ -55,27 +55,27 @@ def overview_claims(fid: str, fig: Mapping[str, Any]) -> list[Claim]:
     """The claims §5.1 makes about every figure's four panels."""
     a, b, c, d = (_series(fig, label) for label in "abcd")
     return [
-        _claim(
+        claim(
             f"F{fid}.accurate-beats-trace", "§5.1",
             "every policy fulfils more deadlines with accurate estimates",
             all(sum(a[p]) >= sum(b[p]) for p in PAPER_POLICIES),
             ", ".join(f"{p}: {_mean(a[p]):.1f}% vs {_mean(b[p]):.1f}%" for p in PAPER_POLICIES),
         ),
-        _claim(
+        claim(
             f"F{fid}.librarisk-matches-libra-accurate", "§5.1",
             "accurate estimates: LibraRisk fulfils as many jobs as Libra",
             dominance_fraction(a["librarisk"], a["libra"], tolerance=2.0) >= 0.8
             and dominance_fraction(a["libra"], a["librarisk"], tolerance=2.0) >= 0.8,
             f"max gap {max(abs(x - y) for x, y in zip(a['librarisk'], a['libra'])):.2f} pp",
         ),
-        _claim(
+        claim(
             f"F{fid}.librarisk-beats-libra-trace", "§5.1",
             "trace estimates: LibraRisk fulfils many more jobs than Libra",
             dominance_fraction(b["librarisk"], b["libra"]) == 1.0
             and (sum(b["librarisk"]) - sum(b["libra"])) / len(b["libra"]) > 5.0,
             f"mean gain {(sum(b['librarisk']) - sum(b['libra'])) / len(b['libra']):.1f} pp",
         ),
-        _claim(
+        claim(
             f"F{fid}.libra-edge-over-edf-shrinks-with-trace", "§5.1",
             "trace estimates: Libra is only barely better than EDF "
             "(its edge is far smaller than LibraRisk's edge over Libra)",
@@ -83,21 +83,21 @@ def overview_claims(fid: str, fig: Mapping[str, Any]) -> list[Claim]:
             f"libra-edf {_mean(b['libra']) - _mean(b['edf']):.1f} pp "
             f"vs librarisk-libra {_mean(b['librarisk']) - _mean(b['libra']):.1f} pp",
         ),
-        _claim(
+        claim(
             f"F{fid}.same-slowdown-accurate", "§5.1",
             "accurate estimates: Libra and LibraRisk have the same slowdown",
             all(abs(x - y) <= 0.05 * max(x, 1.0) for x, y in zip(c["libra"], c["librarisk"])),
             f"max rel gap "
             f"{max(abs(x - y) / max(x, 1.0) for x, y in zip(c['libra'], c['librarisk'])):.3f}",
         ),
-        _claim(
+        claim(
             f"F{fid}.librarisk-slowdown-below-libra-trace", "§5.1",
             "trace estimates: LibraRisk achieves lower slowdown than Libra",
             dominance_fraction(d["librarisk"], d["libra"], higher_is_better=False,
                                tolerance=0.05) >= 0.8,
             f"means {_mean(d['librarisk']):.2f} vs {_mean(d['libra']):.2f}",
         ),
-        _claim(
+        claim(
             f"F{fid}.edf-lowest-slowdown", "§5.1",
             "EDF has the lowest average slowdown in every panel",
             all(
@@ -117,7 +117,7 @@ def figure1_claims(fig: Mapping[str, Any]) -> list[Claim]:
     a, b = _series(fig, "a"), _series(fig, "b")
     crossings = crossover_points(list(panel(fig, "a")["x_values"]), a["edf"], a["libra"])
     return [
-        _claim(
+        claim(
             "F1.fulfilment-rises-as-load-drops", "§5.2",
             "Libra and LibraRisk fulfil more jobs as the arrival delay factor grows",
             trend(a["libra"], tolerance=1.0) == "increasing"
@@ -125,14 +125,14 @@ def figure1_claims(fig: Mapping[str, Any]) -> list[Claim]:
             f"libra(acc): {trend(a['libra'], tolerance=1.0)}, "
             f"librarisk(trace): {trend(b['librarisk'], tolerance=2.0)}",
         ),
-        _claim(
+        claim(
             "F1.edf-wins-under-heaviest-load", "§5.2",
             "EDF fulfils the most jobs at the heaviest workload (factor 0.1)",
             a["edf"][0] >= a["libra"][0] and b["edf"][0] >= b["libra"][0],
             f"accurate {a['edf'][0]:.1f} vs {a['libra'][0]:.1f}; "
             f"trace {b['edf'][0]:.1f} vs {b['libra'][0]:.1f}",
         ),
-        _claim(
+        claim(
             "F1.edf-advantage-fades-past-0.3", "§5.2",
             "EDF's advantage over Libra disappears around factor 0.3 "
             "(accurate estimates)",
@@ -152,19 +152,19 @@ def figure2_claims(fig: Mapping[str, Any]) -> list[Claim]:
     mean_low = sum(gain[i] for i in lows) / len(lows)
     mean_high = sum(gain[i] for i in highs) / len(highs)
     return [
-        _claim(
+        claim(
             "F2.longer-deadlines-more-fulfilment", "§5.3",
             "more jobs meet their deadlines as the high:low ratio grows",
             trend(a["libra"], tolerance=1.0) == "increasing",
             f"libra(acc): {trend(a['libra'], tolerance=1.0)}",
         ),
-        _claim(
+        claim(
             "F2.improvement-higher-at-low-ratio", "§5.3",
             "LibraRisk's gain over Libra is larger when the ratio is low (< 4)",
             mean_low >= mean_high,
             f"mean gain {mean_low:.1f} pp (ratio<4) vs {mean_high:.1f} pp (ratio>=4)",
         ),
-        _claim(
+        claim(
             "F2.librarisk-slowdown-improves-with-ratio", "§5.3",
             "LibraRisk keeps a slowdown advantage over Libra as deadlines grow",
             dominance_fraction(d["librarisk"], d["libra"], higher_is_better=False,
@@ -180,21 +180,21 @@ def figure3_claims(fig: Mapping[str, Any]) -> list[Claim]:
     gain_first = b["librarisk"][0] - b["libra"][0]
     gain_last = b["librarisk"][-1] - b["libra"][-1]
     return [
-        _claim(
+        claim(
             "F3.edf-libra-degrade-with-urgency", "§5.4",
             "EDF and Libra fulfil fewer jobs as high-urgency jobs increase (trace)",
             b["edf"][-1] < b["edf"][0] and b["libra"][-1] < b["libra"][0],
             f"edf {b['edf'][0]:.1f}->{b['edf'][-1]:.1f}, "
             f"libra {b['libra'][0]:.1f}->{b['libra'][-1]:.1f}",
         ),
-        _claim(
+        claim(
             "F3.librarisk-holds-up-under-urgency", "§5.4",
             "LibraRisk holds its fulfilment level as urgency grows (trace) "
             "while the others collapse",
             b["librarisk"][-1] >= b["librarisk"][0] - 5.0,
             f"librarisk {b['librarisk'][0]:.1f}->{b['librarisk'][-1]:.1f}",
         ),
-        _claim(
+        claim(
             "F3.improvement-grows-with-urgency", "§5.4",
             "LibraRisk's improvement over Libra grows with the share of "
             "high-urgency jobs",
@@ -209,7 +209,7 @@ def figure4_claims(fig: Mapping[str, Any]) -> list[Claim]:
     a, b = _series(fig, "a"), _series(fig, "b")
     claims = []
     for label, series in (("a", a), ("b", b)):
-        claims.append(_claim(
+        claims.append(claim(
             f"F4.{label}.fulfilment-degrades-with-inaccuracy", "§5.5",
             f"panel ({label}): fewer deadlines fulfilled as inaccuracy grows",
             series["libra"][-1] < series["libra"][0],
@@ -217,13 +217,13 @@ def figure4_claims(fig: Mapping[str, Any]) -> list[Claim]:
         ))
         drop_libra = series["libra"][0] - series["libra"][-1]
         drop_risk = series["librarisk"][0] - series["librarisk"][-1]
-        claims.append(_claim(
+        claims.append(claim(
             f"F4.{label}.librarisk-degrades-least", "§5.5",
             f"panel ({label}): LibraRisk loses the least to inaccuracy",
             drop_risk < drop_libra,
             f"drops: librarisk {drop_risk:.1f} pp vs libra {drop_libra:.1f} pp",
         ))
-    claims.append(_claim(
+    claims.append(claim(
         "F4.high-urgency-advantage-about-doubles", "§5.5",
         "at full inaccuracy LibraRisk's margin over Libra is larger with "
         "80% high-urgency jobs than with 20%",

@@ -65,7 +65,8 @@ class LibraRiskPolicy(LibraPolicy):
     ``node_order`` orders the zero-risk nodes for placement.  The paper
     only redefines *which* nodes are candidates; the default saturates
     best fit by pre-acceptance load, and ``"worst_fit"`` and
-    ``"index"`` are ablations (see :mod:`repro.experiments.ablations`).
+    ``"index"`` are ablations (the ``ablations`` section of
+    :mod:`repro.experiments.record`).
     """
 
     name = "librarisk"

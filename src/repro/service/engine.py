@@ -23,6 +23,7 @@ exports (see ``tests/test_service/test_replay.py``).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -90,7 +91,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        if self.rating <= 0:
+        if not 0 < self.rating < math.inf:
             raise ValueError("rating must be > 0")
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")

@@ -21,6 +21,7 @@ generated trace is a pure function of the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,7 @@ class SDSCSP2Model:
     def __post_init__(self) -> None:
         if self.num_jobs < 1:
             raise ValueError("num_jobs must be >= 1")
-        if self.mean_interarrival <= 0 or self.mean_runtime <= 0:
+        if not (0 < self.mean_interarrival < math.inf and 0 < self.mean_runtime < math.inf):
             raise ValueError("means must be positive")
         if len(self.proc_choices) != len(self.proc_weights):
             raise ValueError("proc_choices and proc_weights must have equal length")

@@ -11,6 +11,7 @@ and the **deadline model** (urgency classes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -45,7 +46,7 @@ class WorkloadSpec:
     deadline_model: DeadlineModel = field(default_factory=DeadlineModel)
 
     def __post_init__(self) -> None:
-        if self.arrival_delay_factor <= 0:
+        if not 0 < self.arrival_delay_factor < math.inf:
             raise ValueError("arrival_delay_factor must be > 0")
         if self.estimate_mode not in ESTIMATE_MODES:
             raise ValueError(
@@ -90,7 +91,7 @@ def scale_arrivals(records: Sequence[SWFRecord], factor: float) -> list[SWFRecor
     The paper's example: with factor 0.1 a job that followed its
     predecessor by X seconds now follows it by 0.1·X seconds.
     """
-    if factor <= 0:
+    if not 0 < factor < math.inf:
         raise ValueError(f"arrival delay factor must be > 0, got {factor}")
     ordered = sorted(records, key=lambda r: (r.submit_time, r.job_number))
     if factor == 1.0:

@@ -19,7 +19,7 @@ class TestBasicCommands:
             assert name in out
 
     def test_trace_stats(self, capsys):
-        code, out = run_cli(capsys, "trace-stats", "--jobs", "100")
+        code, out = run_cli(capsys, "figures", "--only", "stats", "--jobs", "100")
         assert code == 0
         assert "mean_runtime_h" in out
         assert "synthetic" in out
@@ -30,12 +30,17 @@ class TestBasicCommands:
         from repro.experiments.runner import load_base_records
         from repro.workload.traces import describe_records
 
-        code, out = run_cli(capsys, "trace-stats", "--jobs", "300", "--nodes", "16")
+        code, out = run_cli(
+            capsys, "figures", "--only", "stats", "--jobs", "300", "--nodes", "16"
+        )
         assert code == 0
         stats = describe_records(load_base_records(ScenarioConfig(num_jobs=300, num_nodes=16)))
         assert stats["max_procs"] <= 16.0
         table = render_table(["statistic", "value"], sorted(stats.items()), float_fmt="{:.3f}")
-        assert out == f"workload: synthetic SDSC-SP2-like (seed=42)\n{table}\n"
+        assert out == (
+            "=== Workload statistics (paper §4) ===\n"
+            f"workload: synthetic SDSC-SP2-like (seed=42)\n{table}\n\n"
+        )
 
     def test_run_single_scenario(self, capsys):
         code, out = run_cli(
@@ -100,9 +105,11 @@ class TestFigureCommands:
         write_swf_file(
             path, generate_sdsc_like_records(SDSCSP2Model(num_jobs=80), RngStreams(seed=1))
         )
-        code, out = run_cli(capsys, "trace-stats", "--trace", str(path), "--jobs", "50")
+        code, out = run_cli(
+            capsys, "figures", "--only", "stats", "--trace", str(path), "--jobs", "50"
+        )
         assert code == 0
-        assert str(path) in out
+        assert f"workload: {path}\n" in out
 
 
 class TestValidateCommand:
@@ -127,37 +134,33 @@ class TestValidateCommand:
 class TestReplicateCommand:
     def test_replicate_reports_ci_and_pairing(self, capsys):
         code, out = run_cli(
-            capsys, "replicate", "--jobs", "80", "--nodes", "16",
-            "--seeds", "1", "2", "--policies", "libra", "librarisk",
+            capsys, "figures", "--only", "replicate", "--jobs", "80", "--nodes", "16",
         )
-        assert code == 0
-        assert "±" in out
-        assert "paired librarisk − libra" in out
-
-    def test_replicate_without_pair_skips_comparison(self, capsys):
-        code, out = run_cli(
-            capsys, "replicate", "--jobs", "60", "--nodes", "16",
-            "--seeds", "1", "--policies", "edf",
-        )
-        assert code == 0
-        assert "paired" not in out
+        assert code == (1 if "[FAIL]" in out else 0)
+        assert "=== Replication" in out and "=== Figure" not in out
+        assert "± 95% CI" in out
+        assert "librarisk − libra (paired)" in out
+        assert "measured: paired librarisk − libra: " in out
 
 
 class TestSensitivityCommand:
     def test_sensitivity_table(self, capsys):
         code, out = run_cli(
-            capsys, "sensitivity", "--jobs", "60", "--nodes", "16",
-            "--policy", "libra",
+            capsys, "figures", "--only", "sensitivity", "--jobs", "60", "--nodes", "16",
         )
-        assert code == 0
-        assert "Sensitivity of libra" in out
-        assert "most sensitive knob:" in out
+        assert code == (1 if "[FAIL]" in out else 0)
+        assert "=== Sensitivity" in out
+        rows = [line.split() for line in out.splitlines()
+                if line.split()[1:2] == ["overrun_floor_share"]]
+        assert [row[0] for row in rows] == ["libra", "librarisk"]
 
 
 class TestRobustnessCommand:
     def test_robustness_grid(self, capsys):
-        code, out = run_cli(capsys, "robustness", "--jobs", "60", "--nodes", "16")
-        assert code == 0
+        code, out = run_cli(
+            capsys, "figures", "--only", "robustness", "--jobs", "60", "--nodes", "16",
+        )
+        assert code == (1 if "[FAIL]" in out else 0)
         assert "MTBF" in out
         assert "librarisk" in out
 
@@ -167,6 +170,24 @@ class TestParser:
         code, out = run_cli(capsys)
         assert code == 2
         assert "usage: repro" in out
+
+    def test_only_names_every_figure_and_section(self):
+        from repro.cli import ONLY
+        from repro.experiments.record import ONLY as RECORD_ONLY
+
+        assert ONLY == RECORD_ONLY
+
+    def test_subcommands(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == [
+            "compare", "figures", "inspect", "lint", "policies", "recover",
+            "replay", "run", "scrub", "serve", "top", "trace",
+        ]
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

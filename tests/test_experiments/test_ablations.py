@@ -1,62 +1,72 @@
-"""Tests for the design-choice ablations."""
+"""Tests for the ablations section of the paper record."""
 
 import pytest
 
-from repro.experiments.ablations import (
-    ablation_node_order,
-    ablation_overrun_floor,
-    ablation_redistribute_spare,
-    ablation_suitability,
-)
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.record import ABLATION_FLOORS, as_table, build_record
 
 SMALL = ScenarioConfig(num_jobs=120, num_nodes=32, seed=13)
 
 
-class TestSuitabilityAblation:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return ablation_suitability(SMALL)
+@pytest.fixture(scope="module")
+def ablated():
+    return build_record(SMALL, only=["ablations"])
 
-    def test_variants_present(self, result):
-        assert set(result.results) == {
+
+@pytest.fixture(scope="module")
+def section(ablated):
+    return ablated["sections"]["ablations"]
+
+
+def variants(section, ablation):
+    """{variant: {column: value}} for one ablation's rows."""
+    columns = section["columns"]
+    return {row[1]: dict(zip(columns, row)) for row in section["rows"] if row[0] == ablation}
+
+
+class TestSuitabilityAblation:
+    def test_variants_present(self, section):
+        assert set(variants(section, "suitability")) == {
             "sigma (paper)", "no-delay (strict)", "libra (reference)"
         }
 
-    def test_sigma_beats_strict_under_trace_estimates(self, result):
+    def test_sigma_beats_strict_under_trace_estimates(self, section):
         """The empty-node gamble is the advantage; removing it (strict
         mode) must not fulfil more jobs than the paper criterion."""
-        s = result.series("pct_deadlines_fulfilled")
-        assert s["sigma (paper)"] >= s["no-delay (strict)"]
+        s = variants(section, "suitability")
+        assert s["sigma (paper)"]["fulfilled %"] >= s["no-delay (strict)"]["fulfilled %"]
+        (verdict,) = section["claims"]
+        assert verdict["id"] == "ablations.sigma-beats-no-delay"
+        assert verdict["passed"] == (
+            s["sigma (paper)"]["fulfilled %"] > s["no-delay (strict)"]["fulfilled %"]
+        )
 
-    def test_sigma_beats_libra(self, result):
-        s = result.series("pct_deadlines_fulfilled")
-        assert s["sigma (paper)"] > s["libra (reference)"]
+    def test_sigma_beats_libra(self, section):
+        s = variants(section, "suitability")
+        assert s["sigma (paper)"]["fulfilled %"] > s["libra (reference)"]["fulfilled %"]
 
-    def test_render_is_table(self, result):
-        out = result.render()
-        assert "Ablation" in out and "sigma (paper)" in out
+    def test_render_is_table(self, ablated):
+        out = as_table(ablated)
+        assert "=== Ablations" in out and "sigma (paper)" in out
+        assert "claims hold ---" in out
 
 
 class TestOtherAblations:
-    def test_node_order_variants(self):
-        result = ablation_node_order(SMALL)
-        assert set(result.results) == {"worst_fit", "best_fit", "index"}
+    def test_node_order_variants(self, section):
+        assert set(variants(section, "node_order")) == {"worst_fit", "best_fit", "index"}
 
-    def test_overrun_floor_grid(self):
-        result = ablation_overrun_floor(SMALL, floors=(0.05, 0.25))
-        assert len(result.results) == 4  # 2 policies x 2 floors
-        assert "libra floor=0.05" in result.results
+    def test_overrun_floor_grid(self, section):
+        grid = variants(section, "overrun_floor")
+        assert len(grid) == 2 * len(ABLATION_FLOORS)  # 2 policies x each floor
+        assert "libra floor=0.05" in grid
 
-    def test_redistribute_spare_variants(self):
-        result = ablation_redistribute_spare(SMALL)
-        assert set(result.results) == {
+    def test_redistribute_spare_variants(self, section):
+        assert set(variants(section, "redistribute_spare")) == {
             "libra spare=off", "libra spare=on",
             "librarisk spare=off", "librarisk spare=on",
         }
 
-    def test_spare_redistribution_reduces_slowdown(self):
+    def test_spare_redistribution_reduces_slowdown(self, section):
         # Giving idle capacity to running jobs finishes them earlier.
-        result = ablation_redistribute_spare(SMALL)
-        s = result.series("avg_slowdown")
-        assert s["libra spare=on"] <= s["libra spare=off"]
+        s = variants(section, "redistribute_spare")
+        assert s["libra spare=on"]["avg slowdown"] <= s["libra spare=off"]["avg slowdown"]

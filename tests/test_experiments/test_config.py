@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.cluster.failures import NodeFailureInjector
+from repro.cluster.node import TimeSharedNode
 from repro.cluster.share import ShareParams
 from repro.experiments.config import ScenarioConfig
+from repro.scheduling.registry import make_policy
+from repro.service.engine import EngineConfig
+from repro.sim.kernel import Simulator
+from repro.sim.rng import RngStreams
+from repro.workload.synthetic import SDSCSP2Model
+from repro.workload.traces import WorkloadSpec, scale_arrivals
 
 
 class TestValidation:
@@ -28,6 +37,47 @@ class TestValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
+
+
+def _node(rating=168.0):
+    return TimeSharedNode(0, rating, Simulator())
+
+
+def _injector(mtbf, repair_time):
+    return NodeFailureInjector(Simulator(), Cluster([_node()], reference_rating=168.0),
+                               make_policy("libra"), RngStreams(seed=1),
+                               mtbf=mtbf, repair_time=repair_time)
+
+
+#: Every positivity check on a float knob, with the message it keeps.
+POSITIVE = [
+    pytest.param(lambda x: ScenarioConfig(arrival_delay_factor=x),
+                 "arrival_delay_factor must be > 0", id="ScenarioConfig"),
+    pytest.param(lambda x: WorkloadSpec(arrival_delay_factor=x),
+                 "arrival_delay_factor must be > 0", id="WorkloadSpec"),
+    pytest.param(lambda x: scale_arrivals([], x),
+                 "arrival delay factor must be > 0", id="scale_arrivals"),
+    pytest.param(lambda x: SDSCSP2Model(mean_interarrival=x),
+                 "means must be positive", id="SDSCSP2Model.mean_interarrival"),
+    pytest.param(lambda x: SDSCSP2Model(mean_runtime=x),
+                 "means must be positive", id="SDSCSP2Model.mean_runtime"),
+    pytest.param(_node, "rating must be > 0", id="Node"),
+    pytest.param(lambda x: Cluster([_node()], reference_rating=x),
+                 "reference_rating must be > 0", id="Cluster"),
+    pytest.param(lambda x: _injector(x, 3600.0),
+                 "mtbf and repair_time must be > 0", id="NodeFailureInjector.mtbf"),
+    pytest.param(lambda x: _injector(3600.0, x),
+                 "mtbf and repair_time must be > 0", id="NodeFailureInjector.repair_time"),
+    pytest.param(lambda x: EngineConfig(rating=x), "rating must be > 0", id="EngineConfig"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("build, message", POSITIVE)
+def test_positivity_checks_are_ranges(build, message, value):
+    """`x <= 0` is False for NaN; each check is `not 0 < x < inf` instead."""
+    with pytest.raises(ValueError, match=message):
+        build(value)
 
 
 class TestBuilders:

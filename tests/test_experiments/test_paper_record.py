@@ -1,4 +1,4 @@
-"""The paper record, pinned: Figures 1–4 at 60 jobs × 16 nodes, seed 42.
+"""The paper record, pinned: Figures 1–4 and every section at 60 jobs × 16 nodes, seed 42.
 
 ``paper_record.json`` is the output of::
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.record import FORMATS, as_markdown, build_record, dumps
+from repro.experiments.record import FORMATS, SECTIONS, as_markdown, build_record, dumps
 from repro.experiments.validation import validate_figure
 
 GOLDEN = Path(__file__).with_name("paper_record.json")
@@ -70,3 +70,16 @@ def test_all_35_claims_are_checked(golden):
     claims = [c for fig in golden["figures"].values() for c in fig["claims"]]
     assert len(claims) == 35
     assert len({c["id"] for c in claims}) == 35
+
+
+def test_every_section_is_a_table_with_one_checked_claim(golden):
+    assert set(golden["sections"]) == set(SECTIONS)
+    ids = []
+    for name, section in golden["sections"].items():
+        assert section["title"] == SECTIONS[name].title
+        assert section["columns"] == list(SECTIONS[name].columns)
+        assert all(len(row) == len(section["columns"]) for row in section["rows"])
+        (verdict,) = section["claims"]
+        assert verdict["id"].startswith(f"{name}.")
+        ids.append(verdict["id"])
+    assert len(set(ids)) == len(SECTIONS)

@@ -71,7 +71,7 @@ class TestPairedDifference:
 
 
 class TestSignificance:
-    """`repro replicate` calls a paired gap significant iff its 95 % CI excludes 0."""
+    """The replicate section's claim holds iff the paired gap's 95 % CI lies above 0."""
 
     def test_clear_winner(self):
         assert paired_difference([10.0, 11.0, 12.0], [1.0, 2.0, 3.0]).low > 0.0

@@ -44,6 +44,7 @@ def paper_like_record(*fids):
         "base": dataclasses.asdict(ScenarioConfig()),
         "stats": {"num_jobs": 3000.0, "mean_runtime_h": 2.7},
         "figures": {fid: paper_like_figure(fid) for fid in fids},
+        "sections": {},
     }
 
 

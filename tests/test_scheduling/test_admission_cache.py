@@ -9,7 +9,6 @@ decision parity that the invalidation rules exist to protect.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -149,11 +148,7 @@ class TestDecisionParityAcrossInvalidation:
                 num_jobs=150, num_nodes=24, seed=11, policy=policy
             )
             result = run_with_failures(config, mtbf_hours=8.0, repair_hours=1.0)
-            return json.dumps(
-                dataclasses.asdict(result.metrics)
-                | {"failures": result.failures_injected},
-                sort_keys=True,
-            )
+            return json.dumps(result, sort_keys=True)
 
         production = cell()
         with reference_scans():
