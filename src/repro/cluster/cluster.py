@@ -65,7 +65,10 @@ class Cluster:
             nodes = [SpaceSharedNode(i, rating, sim) for i in range(num_nodes)]
         else:
             raise ValueError(f"unknown discipline {discipline!r}")
-        return cls(nodes, reference_rating=reference_rating or rating)
+        return cls(
+            nodes,
+            reference_rating=rating if reference_rating is None else reference_rating,
+        )
 
     # -- lookup ---------------------------------------------------------------
     def __len__(self) -> int:

@@ -18,6 +18,7 @@ from repro.cluster.rms import ResourceManagementSystem
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario_jobs
 from repro.metrics.summary import compute_metrics
+from repro.obs.session import active_sink
 from repro.scheduling.registry import make_policy, policy_discipline
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
@@ -31,8 +32,13 @@ def run_with_failures(
     """One scenario with (optional) failure injection.
 
     Returns ``ScenarioMetrics.as_dict()`` plus ``node_failures``, the
-    number of failures injected (0 when ``mtbf_hours`` is None).
+    number of failures injected (0 when ``mtbf_hours`` is None).  Like
+    :func:`~repro.experiments.runner.run_scenario`, the run is observed
+    when a :class:`~repro.obs.session.RunSink` is active (``--metrics-out``,
+    ``--profile``).
     """
+    sink = active_sink()
+    session = sink.new_session(config) if sink is not None else None
     jobs = build_scenario_jobs(config)
     horizon_guess = max(j.submit_time for j in jobs) + 864_000.0
     sim = Simulator()
@@ -45,6 +51,8 @@ def run_with_failures(
     )
     policy = make_policy(config.policy, **config.policy_kwargs)
     rms = ResourceManagementSystem(sim, cluster, policy)
+    if session is not None:
+        session.attach(sim, rms, policy)
     rms.submit_all(jobs)
 
     injector = None
@@ -57,6 +65,10 @@ def run_with_failures(
         )
         injector.start()
     sim.run()
-    metrics = compute_metrics(rms.jobs, cluster, sim.now).as_dict()
+    result = compute_metrics(rms.jobs, cluster, sim.now)
+    if session is not None:
+        session.finalize(metrics=result, sim=sim)
+        sink.take(session)
+    metrics = result.as_dict()
     metrics["node_failures"] = injector.failures_injected if injector else 0
     return metrics

@@ -34,7 +34,6 @@ import zlib
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.job import Job
     from repro.service.engine import AdmissionEngine, Decision
 
 #: Hex digits in a trace id (blake2b digest_size=8).
@@ -113,9 +112,9 @@ def build_trace(engine: "AdmissionEngine", job_id: int) -> dict[str, Any]:
     has never decided the job (unknown id, or the arrival event has not
     fired yet).
     """
-    decision: "Decision" = engine._decision_index[job_id]
-    job = _find_job(engine, job_id)
-    trace_id = engine.trace_ids.get(job_id)
+    decision: "Decision" = engine._decisions[job_id]
+    job = decision.job
+    trace_id = engine.trace_id(job_id)
     if trace_id is None:
         # Pre-tracing WAL segments and direct rms submissions have no
         # minted id; fall back to a seq-0 mint so the trace is still
@@ -129,11 +128,10 @@ def build_trace(engine: "AdmissionEngine", job_id: int) -> dict[str, Any]:
         end_t = job.finish_time
 
     spans.append(_span(trace_id, "submit", submit_t, submit_t))
-    wal_lsn = engine.wal_lsns.get(job_id)
-    if wal_lsn is not None:
+    if decision.wal_lsn:
         spans.append(
             _span(trace_id, "wal.append", submit_t, submit_t,
-                  {"lsn": wal_lsn})
+                  {"lsn": decision.wal_lsn})
         )
     admission_attrs: dict[str, Any] = {"outcome": decision.outcome}
     if decision.reason:
@@ -173,13 +171,6 @@ def build_trace(engine: "AdmissionEngine", job_id: int) -> dict[str, Any]:
         "root": root,
         "spans": spans,
     }
-
-
-def _find_job(engine: "AdmissionEngine", job_id: int) -> Optional["Job"]:
-    for job in engine.rms.jobs:
-        if job.job_id == job_id:
-            return job
-    return None
 
 
 def render_trace(trace: Mapping[str, Any], json_out: bool = False) -> str:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, Iterable
 
 #: Default window length in simulated seconds (one hour of trace time).
 DEFAULT_WINDOW = 3600.0
@@ -124,7 +124,7 @@ class WindowAggregator:
                 by_reason = counts[2]
                 by_reason[reason] = by_reason.get(reason, 0.0) + 1.0
 
-    def replay(self, decisions: Sequence[Any]) -> None:
+    def replay(self, decisions: Iterable[Any]) -> None:
         """Rebuild window state from an engine's decision log.
 
         Used after checkpoint restore: decisions carry ``(t, policy,

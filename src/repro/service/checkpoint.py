@@ -36,6 +36,7 @@ from typing import Any, Optional
 
 from repro.cluster.job import Job, JobState, UrgencyClass, reserve_job_ids
 from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
+from repro.obs.tracing import mint_trace_id
 from repro.service.engine import AdmissionEngine, Decision, EngineConfig
 
 #: Identifies a checkpoint document (sanity check before any parsing).
@@ -48,6 +49,13 @@ CHECKPOINT_VERSION = 1
 #: timers only (``node<id>:completion`` per time-shared node,
 #: ``job<id>:done`` per running space-shared job and completion instant).
 _RESTORABLE_EVENT = re.compile(r"^(node\d+:completion|job\d+:done)$")
+
+#: Every top-level field :func:`snapshot` may write (``checksum`` is
+#: added by :func:`save` and removed by :func:`read`).
+_FIELDS = frozenset({
+    "format", "version", "config", "sim", "jobs", "rms", "policy", "nodes",
+    "decisions", "wal_lsn", "trace", "rng",
+})
 
 
 class CheckpointError(ValueError):
@@ -117,22 +125,20 @@ def snapshot(engine: AdmissionEngine) -> dict[str, Any]:
     }
     if engine.wal_lsn:
         snap["wal_lsn"] = engine.wal_lsn
-    if engine._submit_seq or engine.trace_ids:
+    by_id = sorted(engine._decisions.items())
+    traced = ((job_id, engine.trace_id(job_id)) for job_id, _ in by_id)
+    ids = {str(job_id): trace_id for job_id, trace_id in traced if trace_id is not None}
+    if engine._submit_seq or ids:
         # Optional block (version stays 1): trace-id stream position and
-        # the minted ids, so a restored engine keeps minting the same
-        # deterministic sequence and `repro trace` answers for
-        # pre-checkpoint jobs byte-identically.
+        # the ids (derived, as the engine reads them), so a restored
+        # engine keeps minting the same deterministic sequence and
+        # `repro trace` answers for pre-checkpoint jobs byte-identically.
         trace_state: dict[str, Any] = {"seq": engine._submit_seq}
-        if engine.trace_ids:
-            trace_state["ids"] = {
-                str(job_id): engine.trace_ids[job_id]
-                for job_id in sorted(engine.trace_ids)
-            }
-        if engine.wal_lsns:
-            trace_state["wal_lsns"] = {
-                str(job_id): engine.wal_lsns[job_id]
-                for job_id in sorted(engine.wal_lsns)
-            }
+        if ids:
+            trace_state["ids"] = ids
+        wal_lsns = {str(job_id): d.wal_lsn for job_id, d in by_id if d.wal_lsn}
+        if wal_lsns:
+            trace_state["wal_lsns"] = wal_lsns
         snap["trace"] = trace_state
     if engine.streams is not None:
         snap["rng"] = {
@@ -215,7 +221,6 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
         job = _rebuild_job(data)
         by_id[job.job_id] = job
         engine.rms.jobs.append(job)
-    engine._jobs_by_id.update(by_id)
     # Auto-assigned ids must never collide with restored explicit ids:
     # a post-restore submit without an id would otherwise be refused as
     # a duplicate (or silently answered with the old job's decision).
@@ -275,33 +280,32 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
     ):
         start_job_tasks(by_id[job_id], members, work, added_at)
 
-    engine.decisions = [
-        Decision(
-            job_id=d["job"],
-            outcome=d["outcome"],
-            t=d["t"],
-            policy=d["policy"],
-            reason=d.get("reason", ""),
-        )
-        for d in snap["decisions"]
-    ]
-    engine._decision_index = {d.job_id: d for d in engine.decisions}
     engine.wal_lsn = int(snap.get("wal_lsn", 0))
     trace_state = snap.get("trace", {})
     engine._submit_seq = int(trace_state.get("seq", 0))
-    engine.trace_ids = {
-        int(job_id): str(trace_id)
-        for job_id, trace_id in trace_state.get("ids", {}).items()
-    }
-    engine.wal_lsns = {
-        int(job_id): int(lsn)
-        for job_id, lsn in trace_state.get("wal_lsns", {}).items()
-    }
+    ids = trace_state.get("ids", {})
+    lsns = trace_state.get("wal_lsns", {})
+    # Decisions are stored in submit order and each advanced the submit
+    # counter by one, so the stored counter dates them all; an id that
+    # does not derive from its date is kept as a pin.
+    decisions = snap["decisions"]
+    for seq, d in enumerate(decisions, engine._submit_seq - len(decisions) + 1):
+        job_id = d["job"]
+        trace_id = ids.get(str(job_id))
+        pin = None
+        if trace_id is None:
+            seq = 0
+        elif seq < 1 or trace_id != mint_trace_id(engine.trace_seed, seq, job_id):
+            pin = str(trace_id)
+        engine._decisions[job_id] = Decision(
+            job_id, d["outcome"], d["t"], d["policy"], d.get("reason", ""),
+            _lookup(by_id, job_id), seq, int(lsns.get(str(job_id), 0)), pin,
+        )
     # The windowed telemetry is a pure function of the decision log;
     # replaying it here makes the restored window byte-identical to the
     # uncrashed engine's.
     if engine.window is not None:
-        engine.window.replay(engine.decisions)
+        engine.window.replay(engine._decisions.values())
     return engine
 
 
@@ -390,25 +394,26 @@ def save(engine: AdmissionEngine, path: str) -> dict[str, Any]:
     return doc
 
 
-def load(
-    path: str,
-    clock: Optional[Any] = None,
-    obs: Optional[Any] = None,
-) -> AdmissionEngine:
-    """Restore an engine from a file written by :func:`save`.
+def read(path: str) -> tuple[dict[str, Any], bool]:
+    """The snapshot a file written by :func:`save` holds, verified.
 
-    Validates the embedded content checksum (when present — legacy
-    checkpoints without one are still accepted) and raises
-    :class:`CheckpointError` naming the file on any corruption.
+    Returns the snapshot (``checksum`` entry removed) and whether it
+    carried a checksum: legacy checkpoints without one are accepted.
+    Raises :class:`CheckpointError` naming the file when the bytes are
+    not UTF-8 JSON of an object, the checksum is unsupported or does
+    not match, or a top-level field is unknown (a damaged ``checksum``
+    key would otherwise read as a legacy file and skip verification).
+    ``OSError`` from reading the file propagates.
     """
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            snap = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"{path}: invalid checkpoint JSON ({exc}); the file is "
-                f"corrupt or truncated — restore from an older checkpoint"
-            ) from exc
+    with open(path, "rb") as fp:
+        raw = fp.read()
+    try:
+        snap = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError(
+            f"{path}: invalid checkpoint JSON ({exc}); the file is "
+            f"corrupt or truncated — restore from an older checkpoint"
+        ) from exc
     if not isinstance(snap, dict):
         raise CheckpointError(f"{path}: checkpoint must be a JSON object")
     checksum = snap.pop("checksum", None)
@@ -424,6 +429,23 @@ def load(
                 f"{checksum.get('hex')}, computed {actual}); the file is "
                 f"corrupt — restore from an older checkpoint"
             )
+    unknown = sorted(set(snap) - _FIELDS)
+    if unknown:
+        raise CheckpointError(
+            f"{path}: unknown checkpoint field(s) {', '.join(map(repr, unknown))}; "
+            f"the file is corrupt or from a newer build"
+        )
+    return snap, checksum is not None
+
+
+def load(
+    path: str,
+    clock: Optional[Any] = None,
+    obs: Optional[Any] = None,
+) -> AdmissionEngine:
+    """Restore an engine from a file written by :func:`save`, verified
+    by :func:`read`."""
+    snap, _ = read(path)
     return restore(snap, clock=clock, obs=obs)
 
 
@@ -433,6 +455,7 @@ __all__ = [
     "CheckpointError",
     "dumps",
     "load",
+    "read",
     "restore",
     "save",
     "snapshot",

@@ -37,7 +37,7 @@ from repro.obs.log import get_logger
 from repro.obs.tracing import build_trace, mint_trace_id, seed_from_config
 from repro.obs.windows import WindowAggregator
 from repro.scheduling.registry import make_policy, policy_discipline
-from repro.service.clock import VirtualClock, WallClock
+from repro.service.clock import VirtualClock
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:
@@ -138,7 +138,7 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class Decision:
-    """The engine's immediate answer to one submitted job.
+    """The engine's immediate answer to one submitted job, and its record.
 
     ``outcome`` is the job's admission-time disposition:
 
@@ -150,10 +150,11 @@ class Decision:
       state);
     * ``"rejected"`` — refused at admission, with the policy's reason.
 
-    A slotted record, not a frozen one: ``submit`` builds one per job
-    and a frozen dataclass pays ``object.__setattr__`` per field.
-    Nothing mutates a decision once ``submit`` returns it, and nothing
-    hashes one (equality compares fields; ``hash()`` raises).
+    It is also the engine's one record of the job; the fields after
+    ``reason`` take no part in equality, ``repr`` or :meth:`as_dict`.
+    Slotted, not frozen: a frozen dataclass pays ``object.__setattr__``
+    per field.  Nothing changes a decision's answer once ``submit``
+    returns it, and nothing hashes one (``hash()`` raises).
     """
 
     job_id: int
@@ -161,6 +162,11 @@ class Decision:
     t: float
     policy: str
     reason: str = ""
+    job: Optional[Job] = field(default=None, compare=False, repr=False)
+    seq: int = field(default=0, compare=False, repr=False)  # 0: no trace id
+    wal_lsn: int = field(default=0, compare=False, repr=False)  # 0: not logged
+    #: The trace id, only where it differs from the one ``seq`` derives.
+    pin: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def accepted(self) -> bool:
@@ -201,8 +207,8 @@ class AdmissionEngine:
         workloads); checkpointed and restored with the rest of the
         state so a resumed engine continues the same random sequences.
     telemetry:
-        When false, skips trace-id minting and windowed telemetry
-        entirely; decisions and metrics are identical either way.  It is
+        When false, jobs get no trace id and there is no windowed
+        telemetry; decisions and metrics are identical either way.  It is
         the arm ``scripts/obs_smoke.py``'s overhead stage and
         ``bench/run.py``'s ``obs.telemetry_overhead_pct`` use to price
         the instrumentation.  Recovery paths always run with telemetry on
@@ -231,10 +237,8 @@ class AdmissionEngine:
         self.rms = ResourceManagementSystem(self.sim, self.cluster, self.policy)
         self.obs = obs
         self.streams = streams
-        self.decisions: list[Decision] = []
-        self._decision_index: dict[int, Decision] = {}
-        #: Every submitted job by id: the duplicate check and ``query``.
-        self._jobs_by_id: dict[int, Job] = {}
+        #: job id -> its decision, in submit order: the one per-job record.
+        self._decisions: dict[int, Decision] = {}
         #: LSN of the last write-ahead-log record applied to this engine
         #: (0 = no WAL).  Maintained by the service layer; checkpointed so
         #: recovery can skip the already-materialised log prefix.
@@ -244,16 +248,10 @@ class AdmissionEngine:
         #: the config, so differently configured engines never collide
         #: and identically configured runs mint identical ids.
         self.trace_seed: int = seed_from_config(self.config.as_dict())
-        #: Logical submit counter — the deterministic stand-in for the
-        #: wall-clock tick of conventional tracers.  Advances only on
-        #: submits that reach the kernel, so failed submits (which fail
-        #: identically on replay/recovery) never skew the stream.
+        #: Logical submit counter, the deterministic stand-in for a
+        #: tracer's clock tick.  Only submits that reach the kernel advance
+        #: it, so failed ones (which fail again on replay) never skew it.
         self._submit_seq: int = 0
-        #: job id -> minted trace id, for every traced submission.
-        self.trace_ids: dict[int, str] = {}
-        #: job id -> WAL LSN of its submit frame (service layer fills
-        #: this in; recovery refills it from the log itself).
-        self.wal_lsns: dict[int, int] = {}
         #: Windowed constant-memory telemetry (None when telemetry off).
         self.window: Optional[WindowAggregator] = (
             WindowAggregator() if telemetry else None
@@ -296,12 +294,12 @@ class AdmissionEngine:
         clock instead of raising — live servers use it because network
         delay routinely lands requests a few (simulated) seconds late.
 
-        ``trace`` pins the trace id for this submission (the service
-        layer passes the id it already logged to the WAL, so recovery
-        reuses the original id instead of minting a new one).  When
-        omitted, the engine mints ``mint_trace_id(trace_seed,
-        submit_seq, job_id)`` — deterministic, so a replayed workload
-        regenerates identical ids.
+        ``trace`` gives the trace id for this submission (recovery
+        passes the id the WAL frame carries).  A job's trace id is
+        otherwise ``mint_trace_id(trace_seed, submit_seq, job_id)``,
+        derived when it is read, so a given id is kept only where it
+        differs from that; with telemetry off and no ``trace`` the job
+        has none.
 
         Raises
         ------
@@ -317,7 +315,7 @@ class AdmissionEngine:
             raise EngineError(
                 f"job {job.job_id} already {job.state.value}; cannot submit"
             )
-        if job.job_id in self._jobs_by_id:
+        if job.job_id in self._decisions:
             raise DuplicateJob(
                 f"a job with id {job.job_id} was already submitted; "
                 f"ids are the service's job handle and must be unique"
@@ -332,25 +330,31 @@ class AdmissionEngine:
                     f"{self.sim.now:.6g}s"
                 )
         self.rms.submit(job)
-        self._jobs_by_id[job.job_id] = job
-        self._submit_seq += 1
-        trace_id: Optional[str] = trace
-        if trace_id is None and self.telemetry:
-            trace_id = mint_trace_id(self.trace_seed, self._submit_seq, job.job_id)
-        if trace_id is not None:
-            self.trace_ids[job.job_id] = trace_id
+        seq = self._submit_seq = self._submit_seq + 1
+        pin = None
+        if trace is not None:
+            if trace != mint_trace_id(self.trace_seed, seq, job.job_id):
+                pin = trace
+        elif not self.telemetry:
+            seq = 0
         # Decision-path span: with REPRO_SANITIZE=1 any wall-clock /
         # entropy read fired by the kernel loop below raises.
         with decision_span():
             self.sim.run(until=job.submit_time)
         self.clock.advance_to(self.sim.now)
-        decision = self._decision_of(job)
-        self.decisions.append(decision)
-        self._decision_index[decision.job_id] = decision
+        if job.state is JobState.REJECTED:
+            outcome, reason = "rejected", job.reject_reason or ""
+        elif job.state is JobState.QUEUED:
+            outcome, reason = "queued", ""
+        else:
+            outcome, reason = "accepted", ""
+        decision = Decision(
+            job.job_id, outcome, job.submit_time, self.policy.name, reason,
+            job, seq, 0, pin,
+        )
+        self._decisions[job.job_id] = decision
         if self.window is not None:
-            self.window.note_decision(
-                decision.t, decision.policy, decision.outcome, decision.reason
-            )
+            self.window.note_decision(decision.t, decision.policy, outcome, reason)
         return decision
 
     def advance(self, to_time: float) -> int:
@@ -377,17 +381,30 @@ class AdmissionEngine:
         return self.sim.now
 
     # -- interrogation ------------------------------------------------------
+    @property
+    def decisions(self) -> list[Decision]:
+        """Every decision, in submit order."""
+        return list(self._decisions.values())
+
     def query(self, job_id: int) -> Optional[Job]:
         """The submitted job with ``job_id``, or ``None``."""
-        return self._jobs_by_id.get(job_id)
+        decision = self._decisions.get(job_id)
+        return None if decision is None else decision.job
+
+    def trace_id(self, job_id: int) -> Optional[str]:
+        """The trace id of ``job_id``'s submission, or ``None`` if untraced."""
+        decision = self._decisions.get(job_id)
+        if decision is None or decision.pin is not None or not decision.seq:
+            return None if decision is None else decision.pin
+        return mint_trace_id(self.trace_seed, decision.seq, job_id)
 
     def peek_trace_id(self, job_id: int) -> str:
         """The trace id the *next* successful submit of ``job_id`` gets.
 
         The service layer calls this before appending the submit frame
         to the WAL so the logged record carries the same id the engine
-        is about to mint — which is what makes recovered traces
-        byte-identical to the uncrashed run.
+        derives — which is what makes recovered traces byte-identical
+        to the uncrashed run.
         """
         return mint_trace_id(self.trace_seed, self._submit_seq + 1, job_id)
 
@@ -410,7 +427,7 @@ class AdmissionEngine:
         if buckets is not None:
             kwargs["buckets"] = buckets
         aggregator = WindowAggregator(window, **kwargs)
-        aggregator.replay(self.decisions)
+        aggregator.replay(self._decisions.values())
         self.window = aggregator
 
     def decision_for(self, job_id: int) -> Optional[Decision]:
@@ -421,7 +438,7 @@ class AdmissionEngine:
         decision rather than re-running (and possibly re-deciding) the
         admission test.
         """
-        return self._decision_index.get(job_id)
+        return self._decisions.get(job_id)
 
     def metrics(self) -> ScenarioMetrics:
         """Paper metrics over everything submitted so far."""
@@ -456,22 +473,6 @@ class AdmissionEngine:
             out["window"] = self.window.snapshot(self.sim.now)
         return out
 
-    # -- internals ----------------------------------------------------------
-    def _decision_of(self, job: Job) -> Decision:
-        if job.state is JobState.REJECTED:
-            outcome, reason = "rejected", job.reject_reason or ""
-        elif job.state is JobState.QUEUED:
-            outcome, reason = "queued", ""
-        else:
-            outcome, reason = "accepted", ""
-        return Decision(
-            job_id=job.job_id,
-            outcome=outcome,
-            t=job.submit_time,
-            policy=self.policy.name,
-            reason=reason,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<AdmissionEngine policy={self.policy.name} t={self.sim.now:.6g} "
@@ -498,7 +499,5 @@ __all__ = [
     "EngineConfig",
     "EngineError",
     "OutOfOrderSubmit",
-    "VirtualClock",
-    "WallClock",
     "engine_for_scenario",
 ]

@@ -23,7 +23,6 @@ Exit codes: ``0`` clean (warnings allowed), ``1`` corruption found,
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -117,38 +116,24 @@ class ScrubReport:
 
 
 def scrub_checkpoint(path: str, report: ScrubReport) -> Optional[dict[str, Any]]:
-    """Verify one checkpoint file's embedded content checksum.
+    """Verify one checkpoint file (:func:`repro.service.checkpoint.read`).
 
-    Returns the parsed document (checksum entry removed) when readable,
-    recording findings on the report either way.
+    Returns the verified document (checksum entry removed), or ``None``
+    when it cannot be trusted, recording findings on the report either
+    way.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
+        doc, checked = checkpoint_mod.read(path)
     except OSError as exc:
         report.add(path, "io", f"cannot read checkpoint: {exc}")
         return None
-    except json.JSONDecodeError as exc:
-        report.add(path, "corruption", f"invalid checkpoint JSON: {exc}")
+    except checkpoint_mod.CheckpointError as exc:
+        report.checkpoints += 1
+        report.add(path, "corruption", str(exc))
         return None
     report.checkpoints += 1
-    if not isinstance(doc, dict):
-        report.add(path, "corruption", "checkpoint is not a JSON object")
-        return None
-    checksum = doc.pop("checksum", None)
-    if checksum is None:
+    if not checked:
         report.add(path, "warning", "checkpoint carries no content checksum")
-        return doc
-    if not isinstance(checksum, dict) or checksum.get("algo") != "sha256":
-        report.add(path, "corruption", f"unsupported checksum {checksum!r}")
-        return doc
-    actual = checkpoint_mod._content_checksum(doc)
-    if actual != checksum.get("hex"):
-        report.add(
-            path, "corruption",
-            f"content checksum mismatch (stored {checksum.get('hex')}, "
-            f"computed {actual})",
-        )
     return doc
 
 
@@ -157,26 +142,27 @@ def _scrub_segment_chain(path: str, report: ScrubReport) -> Optional[int]:
     prev_last: Optional[int] = None
     for first, last, seg_path in wal_mod.list_segments(path):
         try:
-            result = wal_mod.read_wal(seg_path)
+            scan = wal_mod.scan_wal(seg_path)
         except wal_mod.WalError as exc:
             report.add(seg_path, "corruption", str(exc))
             return None
         report.files += 1
         report.segments += 1
-        report.records += len(result.records)
-        if result.torn is not None:
+        report.records += scan.count
+        if scan.torn is not None:
             # Archive segments are written whole and never appended to;
             # a torn frame there is corruption, not a crash artifact.
-            report.add(seg_path, "corruption", f"torn frame in archive: {result.torn}")
+            report.add(seg_path, "corruption", f"torn frame in archive: {scan.torn}")
             return None
-        if not result.records:
+        if not scan.count:
             report.add(seg_path, "corruption", "archive segment holds no records")
             return None
-        if (result.records[0].lsn, result.records[-1].lsn) != (first, last):
+        # The reader checked the chain, so the records run base+1..last.
+        if (scan.base_lsn + 1, scan.last_lsn) != (first, last):
             report.add(
                 seg_path, "corruption",
                 f"segment name claims lsn {first}-{last} but contents are "
-                f"{result.records[0].lsn}-{result.records[-1].lsn}",
+                f"{scan.base_lsn + 1}-{scan.last_lsn}",
             )
             return None
         if prev_last is not None and first != prev_last + 1:
@@ -200,26 +186,26 @@ def scrub_wal(path: str, report: Optional[ScrubReport] = None) -> ScrubReport:
     chain_last = _scrub_segment_chain(path, report)
 
     try:
-        result = wal_mod.read_wal(path)
+        scan = wal_mod.scan_wal(path)
     except wal_mod.WalError as exc:
         report.add(path, "corruption", str(exc))
         return report
     report.files += 1
-    report.records += len(result.records)
-    if result.torn is not None:
+    report.records += scan.count
+    if scan.torn is not None:
         report.add(
             path, "warning",
-            f"torn tail ({result.torn}); recovery will truncate it safely",
+            f"torn tail ({scan.torn}); recovery will truncate it safely",
         )
-    if chain_last is not None and result.base_lsn != chain_last:
+    if chain_last is not None and scan.base_lsn != chain_last:
         report.add(
             path, "corruption",
-            f"active tail base_lsn={result.base_lsn} does not continue the "
+            f"active tail base_lsn={scan.base_lsn} does not continue the "
             f"archive chain ending at lsn {chain_last}",
         )
 
     try:
-        checkpoint_path = wal_mod.resolve_checkpoint_ref(path, result.header)
+        checkpoint_path = wal_mod.resolve_checkpoint_ref(path, scan.header)
     except wal_mod.WalError as exc:
         report.add(path, "corruption", str(exc))
         return report
@@ -227,16 +213,16 @@ def scrub_wal(path: str, report: Optional[ScrubReport] = None) -> ScrubReport:
         doc = scrub_checkpoint(checkpoint_path, report)
         if doc is not None:
             cp_lsn = int(doc.get("wal_lsn", 0))
-            if cp_lsn != result.base_lsn:
+            if cp_lsn != scan.base_lsn:
                 report.add(
                     checkpoint_path, "corruption",
                     f"checkpoint stops at lsn={cp_lsn} but the tail's "
-                    f"base_lsn is {result.base_lsn}",
+                    f"base_lsn is {scan.base_lsn}",
                 )
-    elif result.base_lsn:
+    elif scan.base_lsn:
         report.add(
             path, "corruption",
-            f"log compacted through lsn={result.base_lsn} but the header "
+            f"log compacted through lsn={scan.base_lsn} but the header "
             f"names no checkpoint to recover the prefix from",
         )
     return report

@@ -440,9 +440,10 @@ class AdmissionService:
         # so recovery rebuilds the job under the identical handle.
         logged = dict(request.job)
         logged.setdefault("id", job.job_id)
-        # Mint the trace id *before* logging so the WAL frame
-        # carries it and recovery reuses the original id instead of
-        # re-minting (byte-identical recovered traces).
+        # Mint the trace id *before* logging so the WAL frame carries
+        # it and recovery rebuilds the original id (byte-identical
+        # recovered traces).  The engine derives the same id itself, so
+        # only a client-given one is passed on.
         trace_id = request.trace
         if trace_id is None and engine.telemetry:
             trace_id = engine.peek_trace_id(job.job_id)
@@ -453,10 +454,10 @@ class AdmissionService:
             payload["trace"] = trace_id
         lsn = self._wal_append(payload, clamp)
         decision = self._apply_logged(
-            lsn, lambda: engine.submit(job, clamp_past=clamp, trace=trace_id)
+            lsn, lambda: engine.submit(job, clamp_past=clamp, trace=request.trace)
         )
         if lsn is not None:
-            engine.wal_lsns[job.job_id] = lsn
+            decision.wal_lsn = lsn
         response = protocol.ok_response(
             "decision", decision=decision.as_dict()
         )

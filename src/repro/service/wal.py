@@ -75,7 +75,7 @@ import re
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Optional
 
 from repro.cluster.job import reserve_job_ids
 from repro.obs.log import get_logger
@@ -96,6 +96,12 @@ FSYNC_POLICIES = ("always", "batch", "none")
 
 #: Request types that mutate engine state and therefore must be logged.
 MUTATING_TYPES = frozenset({"submit", "advance", "drain"})
+
+#: Records :class:`WalScan` decodes before handing them on.  Replaying
+#: each record as soon as it is decoded costs a wide EDF recovery ~8 %
+#: in lost locality between the decoder and the engine; a batch of 16
+#: (~20 KB) wins it back.
+_READ_AHEAD = 16
 
 #: Archive segment suffix: ``<wal>.seg<first lsn>-<last lsn>`` (zero-padded).
 _SEGMENT_RE = re.compile(r"\.seg(\d{8})-(\d{8})$")
@@ -173,10 +179,9 @@ class WalReadResult:
         return self.records[-1].lsn if self.records else self.base_lsn
 
 
-def _read_bytes(path: str) -> bytes:
+def _open_log(path: str) -> BinaryIO:
     try:
-        with open(path, "rb") as fp:
-            return fp.read()
+        return open(path, "rb")
     except OSError as exc:
         raise WalError(f"cannot read WAL {path}: {exc}") from exc
 
@@ -193,8 +198,9 @@ def discard_torn_header(path: str) -> bool:
     """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return False
-    if b"\n" in _read_bytes(path):
-        return False
+    with _open_log(path) as fp:
+        if fp.readline().endswith(b"\n"):
+            return False
     log.warning(
         "%s: discarding torn header-only WAL (no record was ever acked)", path
     )
@@ -205,8 +211,104 @@ def discard_torn_header(path: str) -> bool:
     return True
 
 
+class WalScan:
+    """One validating pass over a log file, a few records at a time.
+
+    Opening reads and checks the header; iterating yields the records
+    in LSN order, holding at most a few decoded records.  Every
+    verdict is the one a whole-file read would give: an invalid final
+    line ends the pass as a torn tail (:attr:`torn`), an invalid line
+    with anything after it raises :class:`WalCorruptionError`, and a
+    header defect or an LSN break raises :class:`WalError` wherever it
+    is.  Once iteration ends, :attr:`valid_bytes` is the offset of the
+    end of the last valid record and :attr:`last_lsn` its LSN.  Use it
+    as a context manager so the file closes even if the pass stops
+    early::
+
+        with WalScan(path) as scan:
+            for record in scan:
+                ...
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        #: Human-readable description of a torn tail, or ``None`` if clean.
+        self.torn: Optional[str] = None
+        self._fp = _open_log(path)
+        try:
+            line = self._fp.readline()
+            if not line:
+                raise WalError(f"{path}: empty WAL file (missing header)")
+            try:
+                if not line.endswith(b"\n"):
+                    raise ValueError("record is not newline-terminated")
+                payload = _parse_line(line[:-1])
+            except ValueError as exc:
+                raise WalError(f"{path}: unreadable WAL header ({exc})") from exc
+            self.header: dict[str, Any] = _check_header(path, payload)
+        except BaseException:
+            self._fp.close()
+            raise
+        #: Byte offset of the end of the last *valid* record (truncation point).
+        self.valid_bytes = len(line)
+        #: Last LSN materialised by the compaction checkpoint (0 = none).
+        self.base_lsn = int(self.header.get("base_lsn", 0) or 0)
+        #: LSN of the last valid record read so far (``base_lsn`` before any).
+        self.last_lsn = self.base_lsn
+        #: Valid records read so far.
+        self.count = 0
+
+    def __enter__(self) -> "WalScan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._fp.close()
+
+    def __iter__(self) -> Iterator[WalRecord]:
+        path, fp = self.path, self._fp
+        batch: list[WalRecord] = []
+        for line in fp:
+            try:
+                if not line.endswith(b"\n"):
+                    raise ValueError("record is not newline-terminated")
+                record = _record_from(path, _parse_line(line[:-1]), self.last_lsn + 1)
+            except WalError:
+                # LSN sequence breaks survive checksumming, so they cannot
+                # be explained by a torn write — always fatal.
+                raise
+            except ValueError as exc:
+                index = self.count + 1  # every earlier line was valid
+                if fp.read(1):
+                    raise WalCorruptionError(
+                        f"{path}: record {index} is invalid before the end of the "
+                        f"log ({exc}); refusing to replay an untrustworthy log"
+                    ) from exc
+                self.torn = f"record {index} ({exc})"
+                break
+            self.last_lsn = record.lsn
+            self.valid_bytes += len(line)
+            self.count += 1
+            batch.append(record)
+            if len(batch) == _READ_AHEAD:
+                yield from batch
+                batch.clear()
+        yield from batch
+
+
+def scan_wal(path: str) -> WalScan:
+    """A finished pass over ``path``: its header, counts and torn tail,
+    with no record kept (the checks a reopen or a scrub needs)."""
+    with WalScan(path) as scan:
+        for _ in scan:
+            pass
+    return scan
+
+
 def read_wal(path: str) -> WalReadResult:
     """Read and validate a WAL file, tolerating a torn final record.
+
+    The list-building form of :class:`WalScan`, for callers that need
+    every record at once (compaction).
 
     Raises
     ------
@@ -215,54 +317,12 @@ def read_wal(path: str) -> WalReadResult:
     WalCorruptionError
         If a record *before* the final one is invalid.
     """
-    raw = _read_bytes(path)
-    if not raw:
-        raise WalError(f"{path}: empty WAL file (missing header)")
-
-    lines = raw.split(b"\n")
-    # split() leaves a trailing "" when the file ends in \n; anything else
-    # in the last slot is an unterminated (torn) final line.
-    if lines[-1]:
-        unterminated = len(lines) - 1
-    else:
-        lines.pop()
-        unterminated = -1
-    final = len(lines) - 1
-
-    header: Optional[dict[str, Any]] = None
-    records: list[WalRecord] = []
-    append = records.append
-    offset = 0
-    lsn = 0
-    torn: Optional[str] = None
-    for index, line in enumerate(lines):
-        try:
-            if index == unterminated:
-                raise ValueError("record is not newline-terminated")
-            payload = _parse_line(line)
-            if index == 0:
-                header = _check_header(path, payload)
-                lsn = int(header.get("base_lsn", 0) or 0)
-            else:
-                lsn += 1
-                append(_record_from(path, payload, lsn))
-        except WalError:
-            # Header defects and LSN sequence breaks survive checksumming,
-            # so they cannot be explained by a torn write — always fatal.
-            raise
-        except ValueError as exc:
-            if index == 0:
-                raise WalError(f"{path}: unreadable WAL header ({exc})") from exc
-            if index != final:
-                raise WalCorruptionError(
-                    f"{path}: record {index} is invalid before the end of the "
-                    f"log ({exc}); refusing to replay an untrustworthy log"
-                ) from exc
-            torn = f"record {index} ({exc})"
-            break
-        offset += len(line) + 1
-    assert header is not None
-    return WalReadResult(header=header, records=records, valid_bytes=offset, torn=torn)
+    with WalScan(path) as scan:
+        records = list(scan)
+    return WalReadResult(
+        header=scan.header, records=records, valid_bytes=scan.valid_bytes,
+        torn=scan.torn,
+    )
 
 
 def _check_header(path: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -431,25 +491,25 @@ class WriteAheadLog:
         else:
             exists = os.path.exists(path) and os.path.getsize(path) > 0
         if exists:
-            result = read_wal(path)
-            if config is not None and result.header.get("config") not in (None, config):
+            scan = scan_wal(path)
+            if config is not None and scan.header.get("config") not in (None, config):
                 raise WalError(
                     f"{path}: WAL belongs to a different engine config; "
                     f"refusing to append (use a fresh log per configuration)"
                 )
-            if result.torn is not None:
+            if scan.torn is not None:
                 log.warning(
                     "%s: truncating torn tail at byte %d (%s)",
-                    path, result.valid_bytes, result.torn,
+                    path, scan.valid_bytes, scan.torn,
                 )
                 with open(path, "r+b") as fp:
-                    fp.truncate(result.valid_bytes)
+                    fp.truncate(scan.valid_bytes)
                     fp.flush()
                     os.fsync(fp.fileno())
-            wal.next_lsn = result.last_lsn + 1
-            wal.base_lsn = result.base_lsn
+            wal.next_lsn = scan.last_lsn + 1
+            wal.base_lsn = scan.base_lsn
             wal._fp = open(path, "ab", buffering=0)
-            wal._good_offset = result.valid_bytes
+            wal._good_offset = scan.valid_bytes
         else:
             wal._fp = open(path, "ab", buffering=0)
             header: dict[str, Any] = {"format": WAL_FORMAT, "version": WAL_VERSION}
@@ -755,7 +815,7 @@ def resolve_checkpoint_ref(wal_path: str, header: dict[str, Any]) -> Optional[st
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
         raise WalError(f"{wal_path}: unreadable referenced checkpoint {path}: {exc}") from exc
     stored = (doc.get("checksum") or {}).get("hex") if isinstance(doc, dict) else None
     if stored != ref.get("sha256"):
@@ -809,13 +869,13 @@ def apply_record(engine: AdmissionEngine, record: WalRecord) -> Optional[str]:
     request = protocol.parse_request(record.req)
     if isinstance(request, protocol.SubmitRequest):
         job = protocol.job_from_payload(request.job, default_submit_time=record.t)
-        # The frame carries the trace id the original run minted (when
-        # telemetry was on); reusing it keeps recovered traces
+        # The frame carries the trace id the original run gave the job
+        # (when telemetry was on); passing it keeps recovered traces
         # byte-identical to the uncrashed run.
         decision = engine.submit(
             job, clamp_past=record.clamp, trace=request.trace
         )
-        engine.wal_lsns[job.job_id] = record.lsn
+        decision.wal_lsn = record.lsn
         return decision.outcome
     if isinstance(request, protocol.AdvanceRequest):
         engine.advance(request.to)
@@ -840,70 +900,71 @@ def recover(  # repro-lint: safe=CONC001  replays into a private engine before a
     Records at or below the checkpoint's recorded LSN are skipped; the
     rest are replayed in order.  Applications that failed originally
     (duplicate ids, out-of-order submits) fail identically on replay
-    and are counted, preserving the exact original state.
+    and are counted, preserving the exact original state.  The log is
+    read a few records at a time (:class:`WalScan`), so a restart holds
+    the engine it builds and not the log, whatever the log's length.
     """
-    result = read_wal(wal_path)
-    if checkpoint_path is None:
-        # A compacted log names its own base checkpoint; chain it so
-        # `recover(wal)` keeps working transparently after compaction.
-        checkpoint_path = resolve_checkpoint_ref(wal_path, result.header)
-    report = RecoveryReport(
-        wal_records=len(result.records),
-        torn=result.torn,
-        checkpoint=checkpoint_path,
-        last_lsn=result.last_lsn,
-    )
+    with WalScan(wal_path) as scan:
+        if checkpoint_path is None:
+            # A compacted log names its own base checkpoint; chain it so
+            # `recover(wal)` keeps working transparently after compaction.
+            checkpoint_path = resolve_checkpoint_ref(wal_path, scan.header)
+        report = RecoveryReport(checkpoint=checkpoint_path)
+        if checkpoint_path is not None:
+            from repro.service import checkpoint as checkpoint_mod
 
-    if checkpoint_path is not None:
-        from repro.service import checkpoint as checkpoint_mod
-
-        engine = checkpoint_mod.load(checkpoint_path, clock=clock, obs=obs)
-    else:
-        config = result.header.get("config")
-        if config is None:
-            raise WalError(
-                f"{wal_path}: WAL header carries no engine config and no "
-                f"checkpoint was given; cannot rebuild an engine"
-            )
-        try:
-            engine = AdmissionEngine(EngineConfig.from_dict(config), clock=clock, obs=obs)
-        except (TypeError, ValueError) as exc:
-            raise WalError(
-                f"{wal_path}: WAL header config cannot build an engine: {exc}"
-            ) from exc
-
-    if engine.wal_lsn < result.base_lsn:
-        raise WalError(
-            f"{wal_path}: checkpoint stops at lsn={engine.wal_lsn} but the "
-            f"log was compacted through lsn={result.base_lsn}; the records "
-            f"between them are only in archive segments — recover from the "
-            f"referenced compaction checkpoint instead"
-        )
-    start_lsn = engine.wal_lsn
-    for record in result.records:
-        if record.lsn <= start_lsn:
-            report.skipped += 1
-            continue
-        try:
-            outcome = apply_record(engine, record)
-        except (EngineError, ProtocolError) as exc:
-            report.failed += 1
-            log.debug("replay of lsn=%d failed as it originally did: %s",
-                      record.lsn, exc)
+            engine = checkpoint_mod.load(checkpoint_path, clock=clock, obs=obs)
         else:
-            if outcome is not None:
-                report.outcomes[outcome] = report.outcomes.get(outcome, 0) + 1
-            report.replayed += 1
-        finally:
-            engine.wal_lsn = record.lsn
+            config = scan.header.get("config")
+            if config is None:
+                raise WalError(
+                    f"{wal_path}: WAL header carries no engine config and no "
+                    f"checkpoint was given; cannot rebuild an engine"
+                )
+            try:
+                engine = AdmissionEngine(
+                    EngineConfig.from_dict(config), clock=clock, obs=obs
+                )
+            except (TypeError, ValueError) as exc:
+                raise WalError(
+                    f"{wal_path}: WAL header config cannot build an engine: {exc}"
+                ) from exc
+
+        if engine.wal_lsn < scan.base_lsn:
+            raise WalError(
+                f"{wal_path}: checkpoint stops at lsn={engine.wal_lsn} but the "
+                f"log was compacted through lsn={scan.base_lsn}; the records "
+                f"between them are only in archive segments — recover from the "
+                f"referenced compaction checkpoint instead"
+            )
+        start_lsn = engine.wal_lsn
+        outcomes = report.outcomes
+        for record in scan:
+            if record.lsn <= start_lsn:
+                report.skipped += 1
+                continue
+            try:
+                outcome = apply_record(engine, record)
+            except (EngineError, ProtocolError) as exc:
+                report.failed += 1
+                log.debug("replay of lsn=%d failed as it originally did: %s",
+                          record.lsn, exc)
+            else:
+                if outcome is not None:
+                    outcomes[outcome] = outcomes.get(outcome, 0) + 1
+                report.replayed += 1
+            finally:
+                engine.wal_lsn = record.lsn
+    report.wal_records = scan.count
+    report.torn = scan.torn
+    report.last_lsn = scan.last_lsn
     # Jobs were rebuilt under their original explicit ids without
     # touching the auto-id counter; advance it so a fresh submit
     # without an id can never collide with a recovered job.
-    reserve_job_ids(max(engine._jobs_by_id, default=0))
+    reserve_job_ids(max(engine._decisions, default=0))
     report.horizon = engine.now
     log.info("%s", report)
     return engine, report
-
 
 __all__ = [
     "CompactionReport",
@@ -916,6 +977,7 @@ __all__ = [
     "WalError",
     "WalReadResult",
     "WalRecord",
+    "WalScan",
     "WriteAheadLog",
     "apply_record",
     "discard_torn_header",
@@ -923,4 +985,5 @@ __all__ = [
     "read_wal",
     "recover",
     "resolve_checkpoint_ref",
+    "scan_wal",
 ]

@@ -80,12 +80,13 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
     ("API001", "service/protocol.py",
      "def encode(response: dict[str, Any]) -> bytes:\n",
      "def encode(response: dict[str, Any]):\n"),
-    # A wall-clock stamp one call below AdmissionEngine.submit.
+    # A wall-clock stamp one call below build_trace, in the engine's
+    # trace-id read.
     ("FLOW001", "service/engine.py",
-     "    def _decision_of(self, job: Job) -> Decision:\n",
-     "    def _decision_of(self, job: Job) -> Decision:\n"
+     "    def trace_id(self, job_id: int) -> Optional[str]:\n",
+     "    def trace_id(self, job_id: int) -> Optional[str]:\n"
      "        import time\n\n"
-     "        job.decided_at = time.monotonic()\n"),
+     "        self.read_at = time.monotonic()\n"),
     # The inflight lock taken before the engine lock, the reverse of
     # health_response's order.
     ("FLOW002", "service/server.py",
@@ -107,10 +108,10 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
     ("FLOW004", "service/server.py",
      "        lsn = self._wal_append(payload, clamp)\n"
      "        decision = self._apply_logged(\n"
-     "            lsn, lambda: engine.submit(job, clamp_past=clamp, trace=trace_id)\n"
+     "            lsn, lambda: engine.submit(job, clamp_past=clamp, trace=request.trace)\n"
      "        )\n",
      "        decision = self._apply_logged(\n"
-     "            None, lambda: engine.submit(job, clamp_past=clamp, trace=trace_id)\n"
+     "            None, lambda: engine.submit(job, clamp_past=clamp, trace=request.trace)\n"
      "        )\n"
      "        lsn = self._wal_append(payload, clamp)\n"),
 )

@@ -250,6 +250,20 @@ class TestObservabilityFlags:
         assert len(metas) == 60
         assert "wrote metrics for 60 runs" in out
 
+    def test_section_metrics_out_captures_robustness_runs(self, capsys, tmp_path):
+        path = tmp_path / "sections.jsonl"
+        code, out = run_cli(
+            capsys, "figures", "--only", "robustness", "ablations", "--jobs", "40",
+            "--nodes", "8", "--metrics-out", str(path),
+        )
+        assert code == (1 if "[FAIL]" in out else 0)
+        from repro.obs.exporters import read_jsonl
+
+        metas = [r for r in read_jsonl(str(path)) if r["type"] == "meta"]
+        # 18 ablation cells + 3 policies × 4 MTBFs of the failure runner.
+        assert len(metas) == 30
+        assert "wrote metrics for 30 runs" in out
+
     def test_inspect_report(self, capsys, tmp_path):
         path = tmp_path / "m.jsonl"
         run_cli(

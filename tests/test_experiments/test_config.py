@@ -64,6 +64,8 @@ POSITIVE = [
     pytest.param(_node, "rating must be > 0", id="Node"),
     pytest.param(lambda x: Cluster([_node()], reference_rating=x),
                  "reference_rating must be > 0", id="Cluster"),
+    pytest.param(lambda x: Cluster.homogeneous(Simulator(), 1, reference_rating=x),
+                 "reference_rating must be > 0", id="Cluster.homogeneous"),
     pytest.param(lambda x: _injector(x, 3600.0),
                  "mtbf and repair_time must be > 0", id="NodeFailureInjector.mtbf"),
     pytest.param(lambda x: _injector(3600.0, x),

@@ -66,7 +66,7 @@ class TestBuildTrace:
         engine.submit(make_job(runtime=10.0, deadline=100.0, job_id=1))
         engine.drain()
         trace = engine.trace(1)
-        assert trace["trace_id"] == engine.trace_ids[1]
+        assert trace["trace_id"] == engine.trace_id(1)
         assert trace["job_id"] == 1
         names = [span["name"] for span in trace["spans"]]
         assert names == ["submit", "admission", "queue.wait", "execute",
@@ -97,7 +97,7 @@ class TestBuildTrace:
         engine = small_engine()
         engine.submit(make_job(runtime=5.0, deadline=100.0, job_id=1))
         engine.submit(make_job(runtime=5.0, deadline=100.0, job_id=2))
-        assert engine.trace_ids[1] != engine.trace_ids[2]
+        assert engine.trace_id(1) != engine.trace_id(2)
 
     def test_identical_runs_mint_identical_traces(self):
         def run():
@@ -114,15 +114,31 @@ class TestBuildTrace:
         engine = small_engine()
         peeked = engine.peek_trace_id(7)
         engine.submit(make_job(runtime=5.0, deadline=100.0, job_id=7))
-        assert engine.trace_ids[7] == peeked
+        assert engine.trace_id(7) == peeked
 
     def test_explicit_trace_id_wins_over_minting(self):
         engine = small_engine()
         engine.submit(
             make_job(runtime=5.0, deadline=100.0, job_id=1), trace="cafe" * 4
         )
-        assert engine.trace_ids[1] == "cafe" * 4
+        assert engine.trace_id(1) == "cafe" * 4
         assert engine.trace(1)["trace_id"] == "cafe" * 4
+
+    def test_only_an_id_that_differs_from_the_derived_one_is_pinned(self, tmp_path):
+        from repro.service import checkpoint
+
+        engine = small_engine()
+        derived = engine.peek_trace_id(1)
+        engine.submit(make_job(runtime=5.0, deadline=100.0, job_id=1), trace=derived)
+        engine.submit(make_job(runtime=5.0, deadline=100.0, submit=1.0, job_id=2),
+                      trace="cafe" * 4)
+        engine.submit(make_job(runtime=5.0, deadline=100.0, submit=2.0, job_id=3))
+        assert [d.pin for d in engine.decisions] == [None, "cafe" * 4, None]
+        checkpoint.save(engine, str(tmp_path / "pin.ckpt"))
+        restored = checkpoint.load(str(tmp_path / "pin.ckpt"))
+        assert [d.pin for d in restored.decisions] == [None, "cafe" * 4, None]
+        assert [restored.trace_id(i) for i in (1, 2, 3)] == \
+            [engine.trace_id(i) for i in (1, 2, 3)]
 
     @pytest.mark.parametrize("policy", ["edf", "libra", "librarisk"])
     def test_telemetry_off_decides_identically(self, policy):
@@ -135,7 +151,8 @@ class TestBuildTrace:
             decisions = [engine.submit(job) for job in build_scenario_jobs(config)]
             engine.drain()
             runs.append(([d.as_dict() for d in decisions],
-                         engine.metrics().as_dict(), len(engine.trace_ids)))
+                         engine.metrics().as_dict(),
+                         sum(engine.trace_id(d.job_id) is not None for d in decisions)))
         (on_decisions, on_metrics, on_ids), (off_decisions, off_metrics, off_ids) = runs
         assert off_decisions == on_decisions
         assert off_metrics == on_metrics
@@ -148,7 +165,7 @@ class TestBuildTrace:
             telemetry=False,
         )
         engine.submit(make_job(runtime=5.0, deadline=100.0, job_id=1))
-        assert engine.trace_ids == {}
+        assert engine.trace_id(1) is None
         # The trace is still renderable via the seq-0 fallback mint.
         trace = engine.trace(1)
         assert trace["trace_id"] == mint_trace_id(engine.trace_seed, 0, 1)

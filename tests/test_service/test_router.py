@@ -77,8 +77,8 @@ class TestRouting:
         for job_id in range(1, 9):
             owner = shard_for_job(job_id, 4)
             for shard, service in enumerate(fleet.services):
-                known = service.engine._jobs_by_id
-                assert (job_id in known) == (shard == owner)
+                known = service.engine.query(job_id) is not None
+                assert known == (shard == owner)
 
     def test_queries_follow_the_submit_hash(self, fleet):
         fleet.handle(submit_frame(submit_payload(5)))
@@ -562,7 +562,7 @@ class TestRouterServer:
                 assert not thread.is_alive()
             assert failures == []
             assert all(1 <= t.opened <= 4 for t in f.router._transports)
-            assert sum(len(svc.engine._jobs_by_id) for svc in f.services) == 4 * 40 * 6
+            assert sum(len(svc.engine.decisions) for svc in f.services) == 4 * 40 * 6
         finally:
             server.stop()
             f.stop()

@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario_jobs
-from repro.obs.tracing import canonical_json
+from repro.obs.tracing import canonical_json, mint_trace_id
 from repro.obs.windows import WindowAggregator
 from repro.service import checkpoint as checkpoint_mod
 from repro.service import protocol
@@ -51,13 +51,24 @@ def sha(data: bytes) -> str:
 
 def telemetry(engine: AdmissionEngine) -> tuple[str, str, dict[int, str]]:
     """The live window and a three-day one over the decision log (both
-    canonical JSON, read at the engine clock), and the trace ids."""
+    canonical JSON, read at the engine clock), and the trace ids.
+
+    Every id must be the one derived from the job's submit counter: an
+    engine stores a trace id only where it differs from that, and on
+    these paths none does.
+    """
+    pins = [d.job_id for d in engine.decisions if d.pin is not None]
+    assert pins == []
+    for d in engine.decisions:
+        assert engine.trace_id(d.job_id) == mint_trace_id(
+            engine.trace_seed, d.seq, d.job_id
+        )
     wide = WindowAggregator(window=3 * 86400.0)
     wide.replay(engine.decisions)
     return (
         canonical_json(engine.stats()["window"]),
         canonical_json(wide.snapshot(engine.now)),
-        dict(engine.trace_ids),
+        {d.job_id: engine.trace_id(d.job_id) for d in engine.decisions},
     )
 
 

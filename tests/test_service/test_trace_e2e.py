@@ -45,11 +45,22 @@ def fresh_service(config: ScenarioConfig, wal_path, faults=None) -> AdmissionSer
     return AdmissionService(engine, wal=wal, faults=faults)
 
 
+def trace_ids(engine: AdmissionEngine) -> dict[int, str]:
+    """job id -> trace id of every traced submission."""
+    ids = {d.job_id: engine.trace_id(d.job_id) for d in engine.decisions}
+    return {job_id: trace_id for job_id, trace_id in ids.items() if trace_id is not None}
+
+
+def wal_lsns(engine: AdmissionEngine) -> dict[int, int]:
+    """job id -> WAL LSN of its submit frame, for every logged job."""
+    return {d.job_id: d.wal_lsn for d in engine.decisions if d.wal_lsn}
+
+
 def all_traces(engine: AdmissionEngine) -> dict[int, str]:
     """Canonical JSON of every decided job's trace, keyed by job id."""
     return {
         job_id: canonical_json(engine.trace(job_id))
-        for job_id in sorted(engine._decision_index)
+        for job_id in sorted(d.job_id for d in engine.decisions)
     }
 
 
@@ -62,7 +73,7 @@ class TestWalRecoveryParity:
             status, response = service.handle(submit_body(job))
             assert status == 200
             # The ack carries the trace id the WAL frame recorded.
-            assert response["trace"] == service.engine.trace_ids[job.job_id]
+            assert response["trace"] == service.engine.trace_id(job.job_id)
         status, _ = service.handle(b'{"v": 1, "type": "drain"}')
         assert status == 200
         service.close_wal()
@@ -70,8 +81,8 @@ class TestWalRecoveryParity:
 
         recovered_engine, _ = recover(str(tmp_path / "wal.log"))
         assert all_traces(recovered_engine) == live
-        assert recovered_engine.trace_ids == service.engine.trace_ids
-        assert recovered_engine.wal_lsns == service.engine.wal_lsns
+        assert trace_ids(recovered_engine) == trace_ids(service.engine)
+        assert wal_lsns(recovered_engine) == wal_lsns(service.engine)
 
     def test_wal_append_span_carries_the_lsn(self, tmp_path):
         config = scenario()
@@ -84,7 +95,7 @@ class TestWalRecoveryParity:
         wal_span = next(
             s for s in trace["spans"] if s["name"] == "wal.append"
         )
-        assert wal_span["attrs"]["lsn"] == service.engine.wal_lsns[jobs[0].job_id]
+        assert wal_span["attrs"]["lsn"] == service.engine.decision_for(jobs[0].job_id).wal_lsn
 
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_traces_survive_crash_at_kill_point(self, tmp_path, point):
@@ -135,7 +146,7 @@ class TestCheckpointParity:
         restored = checkpoint_mod.load(str(tmp_path / "snap.ckpt"))
 
         assert restored._submit_seq == engine._submit_seq
-        assert restored.trace_ids == engine.trace_ids
+        assert trace_ids(restored) == trace_ids(engine)
         assert all_traces(restored) == all_traces(engine)
         # The windowed telemetry is rebuilt from the decision log.
         assert restored.window is not None
@@ -148,7 +159,7 @@ class TestCheckpointParity:
             engine.submit(job)
         for job in build_scenario_jobs(config)[20:]:
             restored.submit(job)
-        assert restored.trace_ids == engine.trace_ids
+        assert trace_ids(restored) == trace_ids(engine)
 
     def test_pre_tracing_checkpoint_still_loads(self, tmp_path):
         """A legacy snapshot without the `trace` block restores cleanly."""
@@ -166,7 +177,7 @@ class TestCheckpointParity:
         path.write_text(json.dumps(snap))
         restored = checkpoint_mod.load(str(path))
         assert restored._submit_seq == 0
-        assert restored.trace_ids == {}
+        assert trace_ids(restored) == {}
         # Traces still render via the seq-0 fallback mint.
         assert restored.trace(jobs[0].job_id)["trace_id"]
 
@@ -207,7 +218,7 @@ class TestServiceEndpoints:
         status, payload = client.trace(jobs[0].job_id)
         assert status == 200
         trace = payload["trace"]
-        assert trace["trace_id"] == server.service.engine.trace_ids[jobs[0].job_id]
+        assert trace["trace_id"] == server.service.engine.trace_id(jobs[0].job_id)
         assert canonical_json(trace) == canonical_json(
             server.service.engine.trace(jobs[0].job_id)
         )

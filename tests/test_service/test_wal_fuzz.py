@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from typing import Any, Optional
 
 import pytest
 
@@ -23,8 +24,14 @@ from repro.service.server import AdmissionService
 from repro.service.wal import (
     WalCorruptionError,
     WalError,
+    WalReadResult,
+    WalRecord,
+    WalScan,
     WriteAheadLog,
+    _check_header,
     _frame,
+    _parse_line,
+    _record_from,
     _record_payload,
     read_wal,
     recover,
@@ -238,3 +245,121 @@ class TestOldLogs:
         assert len(result.records) == len(PINNED_RECORDS)
         with pytest.raises(WalCorruptionError):
             read_bytes(tmp_path, PINNED_LOG + line + line)
+
+
+# -- the streaming reader against the whole-file reader it replaced ----------------
+
+def whole_file_read_wal(path: str) -> WalReadResult:
+    """The whole-file reader the streaming one replaced, kept verbatim."""
+    raw = _read_bytes(path)
+    if not raw:
+        raise WalError(f"{path}: empty WAL file (missing header)")
+
+    lines = raw.split(b"\n")
+    # split() leaves a trailing "" when the file ends in \n; anything else
+    # in the last slot is an unterminated (torn) final line.
+    if lines[-1]:
+        unterminated = len(lines) - 1
+    else:
+        lines.pop()
+        unterminated = -1
+    final = len(lines) - 1
+
+    header: Optional[dict[str, Any]] = None
+    records: list[WalRecord] = []
+    append = records.append
+    offset = 0
+    lsn = 0
+    torn: Optional[str] = None
+    for index, line in enumerate(lines):
+        try:
+            if index == unterminated:
+                raise ValueError("record is not newline-terminated")
+            payload = _parse_line(line)
+            if index == 0:
+                header = _check_header(path, payload)
+                lsn = int(header.get("base_lsn", 0) or 0)
+            else:
+                lsn += 1
+                append(_record_from(path, payload, lsn))
+        except WalError:
+            # Header defects and LSN sequence breaks survive checksumming,
+            # so they cannot be explained by a torn write — always fatal.
+            raise
+        except ValueError as exc:
+            if index == 0:
+                raise WalError(f"{path}: unreadable WAL header ({exc})") from exc
+            if index != final:
+                raise WalCorruptionError(
+                    f"{path}: record {index} is invalid before the end of the "
+                    f"log ({exc}); refusing to replay an untrustworthy log"
+                ) from exc
+            torn = f"record {index} ({exc})"
+            break
+        offset += len(line) + 1
+    assert header is not None
+    return WalReadResult(header=header, records=records, valid_bytes=offset, torn=torn)
+
+
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fp:
+            return fp.read()
+    except OSError as exc:
+        raise WalError(f"cannot read WAL {path}: {exc}") from exc
+
+
+def outcome(read, path: str) -> tuple:
+    """Everything a reader says about one file, exceptions included."""
+    try:
+        result = read(path)
+    except WalError as exc:
+        return (type(exc), str(exc))
+    return (result.header, fields(result.records), result.valid_bytes, result.torn,
+            result.last_lsn)
+
+
+def streamed(path: str) -> WalReadResult:
+    """One :class:`WalScan` pass, collected by hand."""
+    with WalScan(path) as scan:
+        records = [record for record in scan]
+    assert scan.count == len(records)
+    return WalReadResult(scan.header, records, scan.valid_bytes, scan.torn)
+
+
+class TestStreamingParity:
+    """The streaming reader gives the whole-file reader's every verdict."""
+
+    def corpus(self, raw: bytes):
+        yield raw
+        yield b""
+        yield raw + raw[:40]
+        for cut in range(len(raw)):
+            yield raw[:cut]
+        for position in range(len(raw)):
+            for mask in (0x01, 0x20, 0x80):
+                damaged = bytearray(raw)
+                damaged[position] ^= mask
+                yield bytes(damaged)
+            for byte in (0x0A, 0x00, 0x7B, 0xFF):
+                damaged = bytearray(raw)
+                damaged[position] = byte
+                yield bytes(damaged)
+
+    @pytest.mark.parametrize("source", ["served", "pinned"])
+    def test_every_damaged_log_reads_the_same(self, log, tmp_path, source):
+        raw = log[0] if source == "served" else PINNED_LOG
+        path = str(tmp_path / "cut.wal")
+        verdicts = set()
+        for data in self.corpus(raw):
+            with open(path, "wb") as fp:
+                fp.write(data)
+            expected = outcome(whole_file_read_wal, path)
+            assert outcome(read_wal, path) == expected, data
+            assert outcome(streamed, path) == expected, data
+            verdicts.add(expected[0] if isinstance(expected[0], type) else "read")
+        assert verdicts == {WalError, WalCorruptionError, "read"}
+
+    def test_a_missing_file_is_the_same_wal_error(self, tmp_path):
+        path = str(tmp_path / "absent.wal")
+        assert outcome(streamed, path) == outcome(whole_file_read_wal, path)
