@@ -7,8 +7,8 @@ workflow so a real archive trace drops straight in:
 
 1. generate a calibrated synthetic trace and *write it as an SWF file*
    (stands in for downloading SDSC-SP2-1998-4.2-cln.swf);
-2. parse the file back, take the last-N tail subset and print the
-   §4-style statistics;
+2. parse the file back, turn its rows into trace columns, take the
+   last-N tail subset and print the §4-style statistics;
 3. run a scenario directly from the file via ``trace_path``.
 
 With a real archive file on disk, skip step 1 and pass its path.
@@ -28,11 +28,11 @@ from repro.experiments.runner import run_scenario
 from repro.sim.rng import RngStreams
 from repro.workload.swf import SWFHeader, read_swf_file, write_swf_file
 from repro.workload.synthetic import SDSCSP2Model, generate_sdsc_like_records
-from repro.workload.traces import describe_records, tail_subset
+from repro.workload.traces import TraceColumns, describe_records, tail_subset
 
 
 def make_synthetic_swf(path: Path) -> None:
-    records = generate_sdsc_like_records(SDSCSP2Model(num_jobs=1500), RngStreams(seed=7))
+    trace = generate_sdsc_like_records(SDSCSP2Model(num_jobs=1500), RngStreams(seed=7))
     header = SWFHeader(
         version="2.2",
         computer="IBM SP2 (synthetic look-alike)",
@@ -41,7 +41,7 @@ def make_synthetic_swf(path: Path) -> None:
         max_procs=128,
         note="statistics calibrated to the SDSC SP2 subset of Yeo & Buyya 2006",
     )
-    count = write_swf_file(path, records, header=header)
+    count = write_swf_file(path, trace.to_records(), header=header)
     print(f"wrote {count} jobs to {path}")
 
 
@@ -57,7 +57,7 @@ def main() -> None:
     header, records = read_swf_file(path)
     print(f"\nheader: computer={header.computer!r} max_nodes={header.max_nodes}")
 
-    subset = tail_subset(records, 1000)
+    subset = tail_subset(TraceColumns.from_records(records), 1000)
     stats = describe_records(subset)
     print("\n=== last-1000-job subset statistics ===")
     print(render_table(["statistic", "value"], sorted(stats.items()), float_fmt="{:.3f}"))

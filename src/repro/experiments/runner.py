@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job
@@ -24,13 +24,14 @@ from repro.cluster.rms import ResourceManagementSystem
 from repro.experiments.config import ScenarioConfig
 from repro.metrics.summary import ScenarioMetrics, compute_metrics
 from repro.obs.log import get_logger
-from repro.obs.session import ObsSession, active_sink
 from repro.scheduling.registry import make_policy, policy_discipline
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.workload.swf import SWFRecord
 from repro.workload.synthetic import generate_sdsc_like_records
-from repro.workload.traces import build_jobs, tail_subset
+from repro.workload.traces import TraceColumns, build_jobs, tail_subset
+
+if TYPE_CHECKING:
+    from repro.obs.session import ObsSession
 
 log = get_logger("experiments.runner")
 
@@ -58,22 +59,20 @@ class ScenarioResult:
         )
 
 
-def load_base_records(config: ScenarioConfig) -> list[SWFRecord]:
-    """The base trace for a scenario: real SWF tail subset or synthetic."""
+def load_base_records(config: ScenarioConfig) -> TraceColumns:
+    """The base trace for a scenario, as columns: real SWF tail subset or synthetic."""
     if config.trace_path is not None:
         from repro.workload.swf import read_swf_file
 
         _, records = read_swf_file(config.trace_path)
-        return tail_subset(records, config.num_jobs)
-    streams = RngStreams(seed=config.seed)
-    return generate_sdsc_like_records(config.synthetic_model(), streams)
+        return tail_subset(TraceColumns.from_records(records), config.num_jobs)
+    return generate_sdsc_like_records(config.synthetic_model(), RngStreams(seed=config.seed))
 
 
 def build_scenario_jobs(config: ScenarioConfig) -> list[Job]:
     """Construct the exact job stream a scenario will submit."""
-    records = load_base_records(config)
-    streams = RngStreams(seed=config.seed)
-    return build_jobs(records, config.workload_spec(), streams)
+    return build_jobs(load_base_records(config), config.workload_spec(),
+                      RngStreams(seed=config.seed))
 
 
 def run_scenario(
@@ -99,6 +98,8 @@ def run_scenario(
         sink; with neither, the run is completely uninstrumented (the
         hooks cost one ``is None`` check each).
     """
+    from repro.obs.session import active_sink  # not needed to build jobs: a cold start skips it
+
     job_list = list(jobs) if jobs is not None else build_scenario_jobs(config)
 
     sink = active_sink() if obs is None else None

@@ -394,11 +394,11 @@ def save(engine: AdmissionEngine, path: str) -> dict[str, Any]:
     return doc
 
 
-def read(path: str) -> tuple[dict[str, Any], bool]:
+def read(path: str) -> tuple[dict[str, Any], Optional[str]]:
     """The snapshot a file written by :func:`save` holds, verified.
 
-    Returns the snapshot (``checksum`` entry removed) and whether it
-    carried a checksum: legacy checkpoints without one are accepted.
+    Returns the snapshot (``checksum`` entry removed) and its verified
+    SHA-256 hex, or ``None`` for a legacy checkpoint without a checksum.
     Raises :class:`CheckpointError` naming the file when the bytes are
     not UTF-8 JSON of an object, the checksum is unsupported or does
     not match, or a top-level field is unknown (a damaged ``checksum``
@@ -435,7 +435,7 @@ def read(path: str) -> tuple[dict[str, Any], bool]:
             f"{path}: unknown checkpoint field(s) {', '.join(map(repr, unknown))}; "
             f"the file is corrupt or from a newer build"
         )
-    return snap, checksum is not None
+    return snap, None if checksum is None else checksum["hex"]
 
 
 def load(

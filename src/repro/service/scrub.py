@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.service import checkpoint as checkpoint_mod
 from repro.service import wal as wal_mod
@@ -115,15 +115,20 @@ class ScrubReport:
         return base + f" — {len(self.findings)} finding(s), worst: {_SEVERITIES[worst]}"
 
 
-def scrub_checkpoint(path: str, report: ScrubReport) -> Optional[dict[str, Any]]:
-    """Verify one checkpoint file (:func:`repro.service.checkpoint.read`).
+def scrub_checkpoint(
+    path: str,
+    report: ScrubReport,
+    read: Callable[[str], tuple[dict[str, Any], Optional[str]]] = checkpoint_mod.read,
+) -> Optional[dict[str, Any]]:
+    """Verify one checkpoint file, read once by ``read`` (by default
+    :func:`repro.service.checkpoint.read`).
 
     Returns the verified document (checksum entry removed), or ``None``
     when it cannot be trusted, recording findings on the report either
     way.
     """
     try:
-        doc, checked = checkpoint_mod.read(path)
+        doc, checked = read(path)
     except OSError as exc:
         report.add(path, "io", f"cannot read checkpoint: {exc}")
         return None
@@ -206,20 +211,22 @@ def scrub_wal(path: str, report: Optional[ScrubReport] = None) -> ScrubReport:
 
     try:
         checkpoint_path = wal_mod.resolve_checkpoint_ref(path, scan.header)
+        doc = None if checkpoint_path is None else scrub_checkpoint(
+            checkpoint_path, report,
+            lambda p: wal_mod.read_checkpoint_ref(path, scan.header, p),
+        )
     except wal_mod.WalError as exc:
         report.add(path, "corruption", str(exc))
         return report
-    if checkpoint_path is not None:
-        doc = scrub_checkpoint(checkpoint_path, report)
-        if doc is not None:
-            cp_lsn = int(doc.get("wal_lsn", 0))
-            if cp_lsn != scan.base_lsn:
-                report.add(
-                    checkpoint_path, "corruption",
-                    f"checkpoint stops at lsn={cp_lsn} but the tail's "
-                    f"base_lsn is {scan.base_lsn}",
-                )
-    elif scan.base_lsn:
+    if doc is not None:
+        cp_lsn = int(doc.get("wal_lsn", 0))
+        if cp_lsn != scan.base_lsn:
+            report.add(
+                checkpoint_path, "corruption",
+                f"checkpoint stops at lsn={cp_lsn} but the tail's "
+                f"base_lsn is {scan.base_lsn}",
+            )
+    elif checkpoint_path is None and scan.base_lsn:
         report.add(
             path, "corruption",
             f"log compacted through lsn={scan.base_lsn} but the header "

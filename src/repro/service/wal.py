@@ -791,13 +791,11 @@ class CompactionReport:
 
 
 def resolve_checkpoint_ref(wal_path: str, header: dict[str, Any]) -> Optional[str]:
-    """Path of the checkpoint a compacted WAL header references, verified.
+    """Path of the checkpoint a compacted WAL header references.
 
     Returns ``None`` when the header carries no reference.  Relative
-    paths resolve against the WAL's directory.  The referenced file's
-    embedded content checksum must equal the SHA-256 recorded at
-    compaction time — a swapped or regenerated checkpoint would
-    otherwise silently splice a different history under the tail.
+    paths resolve against the WAL's directory.  The file must exist;
+    :func:`read_checkpoint_ref` reads and verifies it.
     """
     ref = header.get("checkpoint")
     if ref is None:
@@ -812,18 +810,39 @@ def resolve_checkpoint_ref(wal_path: str, header: dict[str, Any]) -> Optional[st
             f"{wal_path}: compacted WAL references missing checkpoint {path}; "
             f"records at or below base_lsn are only recoverable through it"
         )
+    return path
+
+
+def read_checkpoint_ref(
+    wal_path: str, header: dict[str, Any], path: str
+) -> tuple[dict[str, Any], Optional[str]]:
+    """The referenced checkpoint at ``path``, decoded once and verified.
+
+    Returns what :func:`repro.service.checkpoint.read` returns, which
+    checks the file against its own checksum.  That checksum must also
+    equal the SHA-256 the WAL recorded at compaction time — a swapped or
+    regenerated checkpoint would otherwise silently splice a different
+    history under the tail.
+    """
+    from repro.service import checkpoint as checkpoint_mod
+
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
+        snap, stored = checkpoint_mod.read(path)
+    except OSError as exc:
         raise WalError(f"{wal_path}: unreadable referenced checkpoint {path}: {exc}") from exc
-    stored = (doc.get("checksum") or {}).get("hex") if isinstance(doc, dict) else None
-    if stored != ref.get("sha256"):
+    except checkpoint_mod.CheckpointError as exc:
+        if not isinstance(exc.__cause__, ValueError):  # decoded, but corrupt
+            raise
+        raise WalError(  # not UTF-8, not JSON
+            f"{wal_path}: unreadable referenced checkpoint {path}: {exc.__cause__}"
+        ) from exc
+    expected = header["checkpoint"].get("sha256")
+    if stored != expected:
         raise WalError(
             f"{path}: checkpoint SHA-256 does not match the WAL's compaction "
-            f"reference (stored {stored}, expected {ref.get('sha256')})"
+            f"reference (stored {stored}, expected {expected})"
         )
-    return path
+    return snap, stored
 
 
 # -- recovery -----------------------------------------------------------------
@@ -905,7 +924,8 @@ def recover(  # repro-lint: safe=CONC001  replays into a private engine before a
     the engine it builds and not the log, whatever the log's length.
     """
     with WalScan(wal_path) as scan:
-        if checkpoint_path is None:
+        referenced = checkpoint_path is None
+        if referenced:
             # A compacted log names its own base checkpoint; chain it so
             # `recover(wal)` keeps working transparently after compaction.
             checkpoint_path = resolve_checkpoint_ref(wal_path, scan.header)
@@ -913,7 +933,9 @@ def recover(  # repro-lint: safe=CONC001  replays into a private engine before a
         if checkpoint_path is not None:
             from repro.service import checkpoint as checkpoint_mod
 
-            engine = checkpoint_mod.load(checkpoint_path, clock=clock, obs=obs)
+            snap, _ = (read_checkpoint_ref(wal_path, scan.header, checkpoint_path)
+                       if referenced else checkpoint_mod.read(checkpoint_path))
+            engine = checkpoint_mod.restore(snap, clock=clock, obs=obs)
         else:
             config = scan.header.get("config")
             if config is None:
@@ -982,6 +1004,7 @@ __all__ = [
     "apply_record",
     "discard_torn_header",
     "list_segments",
+    "read_checkpoint_ref",
     "read_wal",
     "recover",
     "resolve_checkpoint_ref",

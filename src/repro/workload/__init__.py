@@ -16,8 +16,9 @@ This package provides each piece:
   including the paper's inaccuracy-percentage interpolation (§5.5);
 * :mod:`repro.workload.deadlines` — the urgency-class deadline
   assignment of §4;
-* :mod:`repro.workload.traces` — subsetting, statistics, and the
-  pipeline that turns all of the above into simulator jobs.
+* :mod:`repro.workload.traces` — the trace as columns (one array per
+  field), subsetting, statistics, and the pipeline that turns all of
+  the above into simulator jobs, building each job once at the end.
 """
 
 from repro.workload.swf import SWFHeader, SWFRecord, parse_swf, read_swf_file, write_swf_file
@@ -29,6 +30,7 @@ from repro.workload.estimates import (
 )
 from repro.workload.deadlines import DeadlineModel
 from repro.workload.traces import (
+    TraceColumns,
     WorkloadSpec,
     build_jobs,
     describe_records,
@@ -43,6 +45,7 @@ __all__ = [
     "SDSCSP2Model",
     "SWFHeader",
     "SWFRecord",
+    "TraceColumns",
     "WorkloadSpec",
     "accurate_estimates",
     "build_jobs",

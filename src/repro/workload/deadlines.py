@@ -76,5 +76,6 @@ class DeadlineModel:
         factors = rng.normal(means, self.cv * means)
         factors = np.maximum(factors, self.min_factor)
         deadlines = factors * runtimes
-        classes = [UrgencyClass.HIGH if h else UrgencyClass.LOW for h in is_high]
+        high, low = UrgencyClass.HIGH, UrgencyClass.LOW
+        classes = [high if h else low for h in is_high.tolist()]
         return deadlines, classes

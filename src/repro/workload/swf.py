@@ -21,6 +21,7 @@ Field order::
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO, Union
@@ -59,25 +60,6 @@ class SWFRecord:
     partition: int = MISSING
     preceding_job: int = MISSING
     think_time: float = MISSING
-
-    # -- derived views --------------------------------------------------------
-    @property
-    def procs(self) -> int:
-        """Best available processor count: allocated, else requested."""
-        if self.allocated_procs != MISSING and self.allocated_procs > 0:
-            return self.allocated_procs
-        return self.requested_procs
-
-    @property
-    def usable(self) -> bool:
-        """True if the record can drive a simulation job."""
-        return (
-            self.submit_time != MISSING
-            and self.run_time != MISSING
-            and self.run_time > 0
-            and self.procs != MISSING
-            and self.procs > 0
-        )
 
     def to_line(self) -> str:
         """Render the record as a canonical SWF data line."""
@@ -144,27 +126,17 @@ class SWFHeader:
         self.extra.append(body)
 
     def to_lines(self) -> list[str]:
-        out = []
-        if self.version is not None:
-            out.append(f"; Version: {self.version}")
-        if self.computer is not None:
-            out.append(f"; Computer: {self.computer}")
-        if self.installation is not None:
-            out.append(f"; Installation: {self.installation}")
-        if self.max_jobs is not None:
-            out.append(f"; MaxJobs: {self.max_jobs}")
-        if self.max_nodes is not None:
-            out.append(f"; MaxNodes: {self.max_nodes}")
-        if self.max_procs is not None:
-            out.append(f"; MaxProcs: {self.max_procs}")
-        if self.unix_start_time is not None:
-            out.append(f"; UnixStartTime: {self.unix_start_time}")
-        if self.timezone is not None:
-            out.append(f"; TimeZone: {self.timezone}")
-        if self.note is not None:
-            out.append(f"; Note: {self.note}")
+        out = [f"; {label}: {getattr(self, attr)}" for label, attr in _DIRECTIVES
+               if getattr(self, attr) is not None]
         out.extend(f"; {line}" for line in self.extra)
         return out
+
+
+#: Header directives in the order :meth:`SWFHeader.to_lines` writes them.
+_DIRECTIVES = (("Version", "version"), ("Computer", "computer"),
+               ("Installation", "installation"), ("MaxJobs", "max_jobs"),
+               ("MaxNodes", "max_nodes"), ("MaxProcs", "max_procs"),
+               ("UnixStartTime", "unix_start_time"), ("TimeZone", "timezone"), ("Note", "note"))
 
 
 class SWFParseError(ValueError):
@@ -185,12 +157,14 @@ def _parse_line(line: str, lineno: int) -> SWFRecord:
     kwargs = {}
     for name, token in zip(_FIELD_NAMES, parts):
         try:
-            if name in _FLOAT_FIELDS:
-                kwargs[name] = float(token)
-            else:
-                kwargs[name] = int(float(token))
+            value = float(token)
         except ValueError as exc:
             raise SWFParseError(f"line {lineno}: bad value {token!r} for {name}") from exc
+        if not math.isfinite(value):  # nan, inf, or an overflow such as 1e999
+            raise SWFParseError(f"line {lineno}: non-finite value {token!r} for {name}")
+        if name not in _FLOAT_FIELDS and not -2**63 <= value < 2**63:  # an int64 column
+            raise SWFParseError(f"line {lineno}: value {token!r} out of range for {name}")
+        kwargs[name] = value if name in _FLOAT_FIELDS else int(value)
     return SWFRecord(**kwargs)
 
 

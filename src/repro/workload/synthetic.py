@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.sim.rng import RngStreams
 from repro.workload.estimates import ModalOverestimateModel
-from repro.workload.swf import STATUS_COMPLETED, SWFRecord
+from repro.workload.traces import TraceColumns
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ def _draw_procs(model: SDSCSP2Model, rng: np.random.Generator) -> np.ndarray:
 def generate_sdsc_like_records(
     model: SDSCSP2Model,
     streams: RngStreams,
-) -> list[SWFRecord]:
-    """Generate a synthetic SDSC-SP2-like trace as SWF records.
+) -> TraceColumns:
+    """Generate a synthetic SDSC-SP2-like trace as columns, one row per job.
 
-    The records carry ``run_time`` (actual), ``requested_time`` (the
-    modal user estimate), ``requested_procs`` and ``submit_time``; other
-    SWF fields are filled with plausible values or left missing.
+    Each column is drawn whole: submit times (first job at t = 0), actual
+    run times, processor counts, the modal user estimate as the requested
+    time, and user ids; jobs are numbered from 1.
     """
     arr_rng = streams.get("synthetic.interarrival")
     run_rng = streams.get("synthetic.runtime")
@@ -121,20 +121,7 @@ def generate_sdsc_like_records(
     procs = _draw_procs(model, proc_rng)
     estimates = model.estimate_model.draw(runtimes, est_rng)
     users = user_rng.integers(1, 200, size=model.num_jobs)
-
-    records = []
-    for i in range(model.num_jobs):
-        records.append(
-            SWFRecord(
-                job_number=i + 1,
-                submit_time=float(submit_times[i]),
-                wait_time=0.0,
-                run_time=float(runtimes[i]),
-                allocated_procs=int(procs[i]),
-                requested_procs=int(procs[i]),
-                requested_time=float(estimates[i]),
-                status=STATUS_COMPLETED,
-                user_id=int(users[i]),
-            )
-        )
-    return records
+    return TraceColumns(
+        job_number=np.arange(1, model.num_jobs + 1), submit_time=submit_times,
+        run_time=runtimes, procs=procs, requested_time=estimates, user_id=users,
+    )

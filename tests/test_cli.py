@@ -103,7 +103,7 @@ class TestFigureCommands:
 
         path = tmp_path / "t.swf"
         write_swf_file(
-            path, generate_sdsc_like_records(SDSCSP2Model(num_jobs=80), RngStreams(seed=1))
+            path, generate_sdsc_like_records(SDSCSP2Model(num_jobs=80), RngStreams(seed=1)).to_records()
         )
         code, out = run_cli(
             capsys, "figures", "--only", "stats", "--trace", str(path), "--jobs", "50"

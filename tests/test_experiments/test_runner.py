@@ -87,12 +87,12 @@ class TestLoadBaseRecords:
 
         trace = tmp_path / "trace.swf"
         records = generate_sdsc_like_records(SDSCSP2Model(num_jobs=300), RngStreams(seed=5))
-        write_swf_file(trace, records)
+        write_swf_file(trace, records.to_records())
 
         cfg = SMALL.replace(trace_path=str(trace), num_jobs=100)
         loaded = load_base_records(cfg)
         assert len(loaded) == 100  # tail subset
-        assert loaded[0].submit_time == 0.0
+        assert loaded.submit_time[0] == 0.0
 
     def test_trace_scenario_runs_end_to_end(self, tmp_path):
         from repro.workload.swf import write_swf_file
@@ -102,7 +102,7 @@ class TestLoadBaseRecords:
         trace = tmp_path / "trace.swf"
         write_swf_file(
             trace,
-            generate_sdsc_like_records(SDSCSP2Model(num_jobs=200), RngStreams(seed=5)),
+            generate_sdsc_like_records(SDSCSP2Model(num_jobs=200), RngStreams(seed=5)).to_records(),
         )
         cfg = SMALL.replace(trace_path=str(trace), num_jobs=120)
         result = run_scenario(cfg)

@@ -16,7 +16,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.workload.estimates import interpolate_inaccuracy
 from repro.workload.swf import SWFRecord, parse_swf
-from repro.workload.traces import scale_arrivals
+from repro.workload.traces import TraceColumns, scale_arrivals
 
 finite_pos = st.floats(min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False)
 small_pos = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -148,7 +148,7 @@ class TestSWFProperties:
             assert back.job_number == orig.job_number
             assert back.submit_time == pytest.approx(orig.submit_time)
             assert back.run_time == pytest.approx(orig.run_time)
-            assert back.procs == orig.procs
+            assert back.allocated_procs == orig.allocated_procs
 
 
 class TestArrivalScalingProperties:
@@ -159,28 +159,27 @@ class TestArrivalScalingProperties:
     )
     def test_interarrival_scaling_exact(self, submits, factor):
         submits = sorted(submits)
-        records = [
+        records = TraceColumns.from_records([
             SWFRecord(job_number=i + 1, submit_time=s, run_time=10.0,
                       allocated_procs=1, requested_procs=1)
             for i, s in enumerate(submits)
-        ]
+        ])
         scaled = scale_arrivals(records, factor)
-        for (a, b), (sa, sb) in zip(
-            zip(records, records[1:]), zip(scaled, scaled[1:])
-        ):
-            orig_gap = b.submit_time - a.submit_time
-            new_gap = sb.submit_time - sa.submit_time
+        orig, new = records.submit_time.tolist(), scaled.submit_time.tolist()
+        for (a, b), (sa, sb) in zip(zip(orig, orig[1:]), zip(new, new[1:])):
+            orig_gap = b - a
+            new_gap = sb - sa
             assert new_gap == pytest.approx(orig_gap * factor, rel=1e-9, abs=1e-6)
 
     @given(st.floats(min_value=0.05, max_value=4.0, allow_nan=False))
     def test_scaling_preserves_order(self, factor):
-        records = [
+        records = TraceColumns.from_records([
             SWFRecord(job_number=i + 1, submit_time=float(i * 17 % 97), run_time=1.0,
                       allocated_procs=1, requested_procs=1)
             for i in range(20)
-        ]
+        ])
         scaled = scale_arrivals(records, factor)
-        times = [r.submit_time for r in scaled]
+        times = scaled.submit_time.tolist()
         assert times == sorted(times)
 
 

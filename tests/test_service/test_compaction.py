@@ -153,6 +153,58 @@ class TestCompaction:
         assert service.wal.compactions == 1
 
 
+class TestReferencedCheckpoint:
+    """`recover(wal)` reads the checkpoint a compacted header names once."""
+
+    def compacted(self, tmp_path) -> tuple[str, str]:
+        path, ckpt = str(tmp_path / "w.wal"), str(tmp_path / "w.ckpt")
+        service = build_service(path)
+        run_submits(service, range(1, 6))
+        service.wal.compact(service.engine, ckpt)
+        run_submits(service, range(6, 9))
+        service.close_wal()
+        return path, ckpt
+
+    def test_recovery_parses_the_checkpoint_once(self, tmp_path, monkeypatch):
+        path, ckpt = self.compacted(tmp_path)
+        text = open(ckpt, encoding="utf-8").read()
+        parses = []
+        loads = json.loads
+
+        def counting(s, *args, **kwargs):
+            parses.append(s == text)
+            return loads(s, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        engine, report = wal_mod.recover(path)
+        assert report.checkpoint == ckpt and report.replayed == 3
+        assert parses.count(True) == 1
+
+    def test_a_swapped_checkpoint_is_refused(self, tmp_path):
+        path, ckpt = self.compacted(tmp_path)
+        other = build_service(str(tmp_path / "other.wal"))
+        run_submits(other, range(1, 3))
+        checkpoint_mod.save(other.engine, ckpt)  # valid, but not the one compacted against
+        with pytest.raises(wal_mod.WalError, match="SHA-256 does not match"):
+            wal_mod.recover(path)
+
+    def test_an_unreadable_checkpoint_names_the_wal(self, tmp_path):
+        path, ckpt = self.compacted(tmp_path)
+        with open(ckpt, "wb") as fp:
+            fp.write(b"\xff not json")
+        with pytest.raises(wal_mod.WalError, match="unreadable referenced checkpoint"):
+            wal_mod.recover(path)
+
+    def test_corrupt_content_fails_its_own_checksum(self, tmp_path):
+        path, ckpt = self.compacted(tmp_path)
+        doc = json.load(open(ckpt))
+        doc["t"] = 123456.0  # mutate content, keep the stored checksum
+        with open(ckpt, "w") as fp:
+            json.dump(doc, fp)
+        with pytest.raises(checkpoint_mod.CheckpointError, match="content checksum mismatch"):
+            wal_mod.recover(path)
+
+
 class TestServerAutoCompaction:
     def test_threshold_drives_compaction_and_health(self, tmp_path):
         path = str(tmp_path / "w.wal")

@@ -13,6 +13,7 @@ from repro.workload.swf import (
     read_swf_file,
     write_swf_file,
 )
+from repro.workload.traces import TraceColumns, usable_records
 
 SAMPLE = """\
 ; Version: 2.2
@@ -68,26 +69,51 @@ class TestParsing:
         with pytest.raises(SWFParseError, match="run_time"):
             parse_swf(line)
 
+    @pytest.mark.parametrize("field,index", [
+        ("submit_time", 1), ("run_time", 3), ("requested_time", 8),  # float fields
+        ("job_number", 0), ("allocated_procs", 4), ("user_id", 11),  # integer fields
+    ])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_value_names_line_and_field(self, field, index, token):
+        parts = "1 0 0 100 1 -1 -1 1 20 -1 1 1 1 -1 1 -1 -1 -1".split()
+        parts[index] = token
+        with pytest.raises(SWFParseError, match=f"line 2: non-finite value .* for {field}$"):
+            parse_swf("; header\n" + " ".join(parts) + "\n")
+
+    @pytest.mark.parametrize("token", ["1e19", "-1e19", "9223372036854775808"])
+    def test_integer_beyond_int64_names_line_and_field(self, token):
+        line = f"{token} 0 0 100 1 -1 -1 1 20 -1 1 1 1 -1 1 -1 -1 -1\n"
+        with pytest.raises(SWFParseError, match="line 1: value .* out of range for job_number$"):
+            parse_swf(line)
+
+    def test_non_finite_value_refused_when_streaming(self, tmp_path):
+        path = tmp_path / "t.swf"
+        path.write_text("1 0 0 100 inf -1 -1 1 20 -1 1 1 1 -1 1 -1 -1 -1\n")
+        with pytest.raises(SWFParseError, match="line 1: .* for allocated_procs"):
+            list(iter_swf_records(path))
+
     def test_float_submit_times_allowed(self):
         _, records = parse_swf("1 12.5 0 10 1 -1 -1 1 20 -1 1 1 1 -1 1 -1 -1 -1\n")
         assert records[0].submit_time == 12.5
 
 
 class TestRecordViews:
+    """The simulator reads parsed rows as :class:`TraceColumns`."""
+
     def test_procs_prefers_allocated(self):
         _, records = parse_swf(SAMPLE)
-        assert records[0].procs == 8
-        assert records[1].procs == 16  # allocated missing -> requested
+        procs = TraceColumns.from_records(records).procs
+        assert procs[0] == 8
+        assert procs[1] == 16  # allocated missing -> requested
 
     def test_usable(self):
         _, records = parse_swf(SAMPLE)
-        assert records[0].usable
-        assert records[1].usable
-        assert not records[2].usable  # run_time missing
+        usable = usable_records(TraceColumns.from_records(records))
+        assert usable.job_number.tolist() == [1, 2]  # 3: run_time missing
 
     def test_unusable_without_procs(self):
         r = SWFRecord(job_number=1, submit_time=0.0, run_time=10.0)
-        assert not r.usable
+        assert len(usable_records(TraceColumns.from_records([r]))) == 0
 
 
 class TestRoundTrip:

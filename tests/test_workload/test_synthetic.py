@@ -5,7 +5,7 @@ import pytest
 
 from repro.sim.rng import RngStreams
 from repro.workload.synthetic import SDSCSP2Model, generate_sdsc_like_records
-from repro.workload.traces import describe_records
+from repro.workload.traces import describe_records, usable_records
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +32,10 @@ class TestCalibration:
         assert len(records) == 3000
 
     def test_first_arrival_at_zero(self, records):
-        assert records[0].submit_time == 0.0
+        assert records.submit_time[0] == 0.0
 
     def test_submit_times_nondecreasing(self, records):
-        times = [r.submit_time for r in records]
+        times = records.submit_time.tolist()
         assert all(b >= a for a, b in zip(times, times[1:]))
 
     def test_mean_interarrival_near_target(self, records):
@@ -54,14 +54,14 @@ class TestCalibration:
         assert 10.0 <= stats["mean_procs"] <= 25.0
 
     def test_procs_within_machine(self, records):
-        assert all(1 <= r.procs <= 128 for r in records)
+        assert all(1 <= p <= 128 for p in records.procs.tolist())
 
     def test_runtimes_clamped(self, records):
         model = SDSCSP2Model()
-        assert all(model.min_runtime <= r.run_time <= model.max_runtime for r in records)
+        assert all(model.min_runtime <= r <= model.max_runtime for r in records.run_time.tolist())
 
     def test_interarrivals_bursty(self, records):
-        times = np.array([r.submit_time for r in records])
+        times = records.submit_time
         gaps = np.diff(times)
         cv = gaps.std() / gaps.mean()
         assert cv > 1.0  # burstier than Poisson
@@ -76,7 +76,7 @@ class TestCalibration:
         assert 0.03 <= stats["estimate_frac_underestimated"] <= 0.25
 
     def test_all_records_usable(self, records):
-        assert all(r.usable for r in records)
+        assert len(usable_records(records)) == len(records)
 
 
 class TestValidation:

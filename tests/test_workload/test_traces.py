@@ -1,4 +1,4 @@
-"""Tests for trace subsetting, arrival scaling and the job pipeline."""
+"""Tests for trace subsetting, arrival scaling and the job pipeline on trace columns."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.sim.rng import RngStreams
 from repro.workload.swf import SWFRecord
 from repro.workload.traces import (
+    TraceColumns,
     WorkloadSpec,
     build_jobs,
     describe_records,
@@ -23,29 +24,33 @@ def rec(n, submit, run=100.0, procs=2, req_time=150.0):
     )
 
 
+def cols(*records):
+    return TraceColumns.from_records(records)
+
+
 class TestTailSubset:
     def test_takes_last_n_by_submit_time(self):
-        records = [rec(i, submit=float(i * 10)) for i in range(1, 11)]
+        records = cols(*[rec(i, submit=float(i * 10)) for i in range(1, 11)])
         subset = tail_subset(records, 3)
-        assert [r.job_number for r in subset] == [8, 9, 10]
+        assert subset.job_number.tolist() == [8, 9, 10]
 
     def test_rebased_to_zero(self):
-        records = [rec(i, submit=float(1000 + i)) for i in range(5)]
+        records = cols(*[rec(i, submit=float(1000 + i)) for i in range(5)])
         subset = tail_subset(records, 3)
-        assert subset[0].submit_time == 0.0
-        assert subset[1].submit_time == 1.0
+        assert subset.submit_time[0] == 0.0
+        assert subset.submit_time[1] == 1.0
 
     def test_unusable_records_dropped_first(self):
-        records = [rec(1, 0.0), rec(2, 10.0, run=-1), rec(3, 20.0)]
+        records = cols(rec(1, 0.0), rec(2, 10.0, run=-1), rec(3, 20.0))
         subset = tail_subset(records, 10)
-        assert [r.job_number for r in subset] == [1, 3]
+        assert subset.job_number.tolist() == [1, 3]
 
     def test_n_larger_than_trace(self):
-        records = [rec(1, 0.0)]
+        records = cols(rec(1, 0.0))
         assert len(tail_subset(records, 100)) == 1
 
     def test_empty(self):
-        assert tail_subset([], 5) == []
+        assert tail_subset(cols(), 5) == cols()
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -54,39 +59,40 @@ class TestTailSubset:
 
 class TestScaleArrivals:
     def test_identity_factor(self):
-        records = [rec(1, 0.0), rec(2, 100.0)]
+        records = cols(rec(1, 0.0), rec(2, 100.0))
         assert scale_arrivals(records, 1.0) == records
 
     def test_compression(self):
-        records = [rec(1, 0.0), rec(2, 100.0), rec(3, 300.0)]
+        records = cols(rec(1, 0.0), rec(2, 100.0), rec(3, 300.0))
         scaled = scale_arrivals(records, 0.1)
-        assert [r.submit_time for r in scaled] == [0.0, 10.0, 30.0]
+        assert scaled.submit_time.tolist() == [0.0, 10.0, 30.0]
 
     def test_paper_example(self):
         # "a job with X seconds of inter arrival time from the trace now
         # has a simulated inter arrival time of 0.1 X seconds"
-        records = [rec(1, 50.0), rec(2, 50.0 + 640.0)]
+        records = cols(rec(1, 50.0), rec(2, 50.0 + 640.0))
         scaled = scale_arrivals(records, 0.1)
-        assert scaled[1].submit_time - scaled[0].submit_time == pytest.approx(64.0)
+        assert scaled.submit_time[1] - scaled.submit_time[0] == pytest.approx(64.0)
 
     def test_expansion(self):
-        records = [rec(1, 0.0), rec(2, 10.0)]
+        records = cols(rec(1, 0.0), rec(2, 10.0))
         scaled = scale_arrivals(records, 2.0)
-        assert scaled[1].submit_time == pytest.approx(20.0)
+        assert scaled.submit_time[1] == pytest.approx(20.0)
 
     def test_first_submit_preserved(self):
-        records = [rec(1, 77.0), rec(2, 100.0)]
+        records = cols(rec(1, 77.0), rec(2, 100.0))
         scaled = scale_arrivals(records, 0.5)
-        assert scaled[0].submit_time == 77.0
+        assert scaled.submit_time[0] == 77.0
 
     def test_bad_factor(self):
         with pytest.raises(ValueError):
-            scale_arrivals([], 0.0)
+            scale_arrivals(cols(), 0.0)
 
 
 class TestBuildJobs:
     def _records(self):
-        return [rec(i, submit=float(i * 10), run=100.0, req_time=400.0) for i in range(1, 6)]
+        return cols(*[rec(i, submit=float(i * 10), run=100.0, req_time=400.0)
+                      for i in range(1, 6)])
 
     def test_trace_mode_uses_requested_time(self):
         jobs = build_jobs(self._records(), WorkloadSpec(estimate_mode="trace"),
@@ -117,7 +123,7 @@ class TestBuildJobs:
         assert all(j.deadline > j.runtime for j in jobs)
 
     def test_missing_requested_time_falls_back_to_runtime(self):
-        records = [rec(1, 0.0, req_time=-1)]
+        records = cols(rec(1, 0.0, req_time=-1))
         jobs = build_jobs(records, WorkloadSpec(estimate_mode="trace"), RngStreams(seed=1))
         assert jobs[0].estimated_runtime == 100.0
 
@@ -132,7 +138,7 @@ class TestBuildJobs:
 
     def test_records_to_jobs_alignment_check(self):
         with pytest.raises(ValueError, match="align"):
-            records_to_jobs([rec(1, 0.0)], np.array([1.0, 2.0]), np.array([1.0]), ["x"])
+            records_to_jobs(cols(rec(1, 0.0)), np.array([1.0, 2.0]), np.array([1.0]), ["x"])
 
 
 class TestWorkloadSpec:
@@ -148,15 +154,15 @@ class TestWorkloadSpec:
 
 class TestDescribe:
     def test_empty(self):
-        assert describe_records([]) == {"num_jobs": 0}
+        assert describe_records(cols()) == {"num_jobs": 0}
 
     def test_fields_present(self):
-        stats = describe_records([rec(1, 0.0), rec(2, 3600.0)])
+        stats = describe_records(cols(rec(1, 0.0), rec(2, 3600.0)))
         assert stats["num_jobs"] == 2
         assert stats["mean_interarrival_s"] == pytest.approx(3600.0)
         assert stats["mean_procs"] == 2.0
         assert "estimate_mean_factor" in stats
 
     def test_usable_records_helper(self):
-        records = [rec(1, 0.0), rec(2, 1.0, run=-1)]
+        records = cols(rec(1, 0.0), rec(2, 1.0, run=-1))
         assert len(usable_records(records)) == 1
