@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario_jobs
-from repro.obs.tracing import canonical_json, mint_trace_id
+from repro.obs.tracing import canonical_json, mint_trace_id, render_trace
 from repro.obs.windows import WindowAggregator
 from repro.service import checkpoint as checkpoint_mod
 from repro.service import protocol
@@ -151,3 +151,96 @@ class TestDecisionRecord:
             and isinstance(node.func, ast.Name) and node.func.id == "hash"
         ]
         assert calls == []
+
+
+#: (policy, nodes, seed) -> sha256 prefixes of (checkpoint bytes,
+#: ``metrics()``, window, per-id answers) mid-stream, then after drain.
+#: The per-id answers are, for every job id submitted so far: the
+#: ``query`` response, the ``repro trace --json`` text, the answer to an
+#: identical resubmit and the error a conflicting one gets.
+ANSWERS = {
+    ("edf", 64, 42): ("26db569bad2a3b74", "9f07be3809248b01", "0862c84b2b6687e2",
+                      "0f7f5ed504d72cc2", "95aa7b2c56d4139e", "38bc144ea2fa7787",
+                      "93c580887e5526a9", "0d055ae3462fa62e"),
+    ("edf", 64, 7): ("b649b345e7741501", "a66dcc5b355ea3c5", "3d5193069b954624",
+                     "48ccfb2e6a904566", "ff2a64d16755422b", "76ff4074350bd557",
+                     "dd9113968f5ed7ed", "10f5df2d53dd6253"),
+    ("libra", 32, 42): ("db47b66f792b236b", "905f40f59e304b0e", "b5b5ae0c9a88c8a6",
+                        "1fa3ad3d0f6a1afd", "9bb6b2faba865e26", "a7c95885bfac1d16",
+                        "19356f7c6d1f5289", "8c5806c8de232c03"),
+    ("libra", 32, 7): ("855aaaff48abdbfa", "f2f88536d708a15c", "dfdf9c97cd330a18",
+                       "3e6c25fbbe767e76", "44a5a46230ac7a78", "1220b51973470c70",
+                       "5fad2413a397b479", "5e4705a4d3fc1bb7"),
+    ("librarisk", 32, 42): ("a4b50cbcefde3db0", "78ebddbec74bbcc2", "d12bc0c4c5e89b33",
+                            "886472d6d6a5877e", "0fa32cd522c23448", "53fdfe0d721ceb80",
+                            "428154c88de0171a", "23f0520c5b35db14"),
+    ("librarisk", 32, 7): ("29b2043b852e9587", "52594a1c804b6b2c", "c2cb315bc8f404e4",
+                           "4abce9ddea98580e", "57a0eeb656978f32", "a078d03f55136d35",
+                           "b5959e30aefab967", "271b20312c2d8b4c"),
+}
+
+ANSWER_JOBS, ANSWER_CUT = 160, 100
+
+
+def answers(service: AdmissionService, payloads: list[dict]) -> tuple[str, ...]:
+    """Digests of everything the service answers about its past jobs."""
+    engine = service.engine
+
+    def ask(request: dict) -> str:
+        status, response = service.handle(json.dumps(
+            {"v": protocol.PROTOCOL_VERSION, **request}
+        ).encode())
+        return f"{status} {canonical_json(response)}"
+
+    per_id = []
+    for payload in payloads:
+        job_id = payload["id"]
+        conflict = dict(payload, runtime=payload["runtime"] * 2.0)
+        per_id += [
+            ask({"type": "query", "job": job_id}),
+            render_trace(engine.trace(job_id), json_out=True),
+            ask({"type": "submit", "job": payload}),
+            ask({"type": "submit", "job": conflict}),
+        ]
+    return (
+        sha(checkpoint_mod.dumps(checkpoint_mod.snapshot(engine)).encode()),
+        sha(canonical_json(engine.metrics().as_dict()).encode()),
+        sha(canonical_json(engine.stats()["window"]).encode()),
+        sha("\n".join(per_id).encode()),
+    )
+
+
+@pytest.mark.parametrize("policy,nodes,seed", sorted(ANSWERS))
+def test_every_past_id_answers_as_pinned(tmp_path, policy, nodes, seed):
+    """Mid-stream and after a drain, on the live engine, the recovered
+    one and a restored checkpoint: every answer about a past job is the
+    pinned one."""
+    config = ScenarioConfig(policy=policy, num_jobs=ANSWER_JOBS,
+                            num_nodes=nodes, seed=seed)
+    engine = AdmissionEngine(EngineConfig(policy=policy, num_nodes=nodes))
+    wal_path = str(tmp_path / "wal.log")
+    service = AdmissionService(
+        engine, wal=WriteAheadLog.open(wal_path, config=engine.config.as_dict()),
+    )
+    payloads = [job_request_payload(job) for job in build_scenario_jobs(config)]
+    got = []
+    for i, payload in enumerate(payloads, 1):
+        status, _ = service.handle(json.dumps({
+            "v": protocol.PROTOCOL_VERSION, "type": "submit", "job": payload,
+        }).encode())
+        assert status == 200
+        if i == ANSWER_CUT:
+            got += answers(service, payloads[:i])
+    status, _ = service.handle(json.dumps(
+        {"v": protocol.PROTOCOL_VERSION, "type": "drain"}
+    ).encode())
+    assert status == 200
+    drained = answers(service, payloads)
+    service.close_wal()
+    got += drained
+    assert tuple(got) == ANSWERS[(policy, nodes, seed)]
+
+    recovered, _ = recover(wal_path)
+    assert answers(AdmissionService(recovered), payloads) == drained
+    restored = checkpoint_mod.restore(checkpoint_mod.snapshot(engine))
+    assert answers(AdmissionService(restored), payloads) == drained
