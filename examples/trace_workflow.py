@@ -7,7 +7,7 @@ workflow so a real archive trace drops straight in:
 
 1. generate a calibrated synthetic trace and *write it as an SWF file*
    (stands in for downloading SDSC-SP2-1998-4.2-cln.swf);
-2. parse the file back, turn its rows into trace columns, take the
+2. parse the file straight into trace columns, take the
    last-N tail subset and print the §4-style statistics;
 3. run a scenario directly from the file via ``trace_path``.
 
@@ -26,7 +26,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.reporting import render_table
 from repro.experiments.runner import run_scenario
 from repro.sim.rng import RngStreams
-from repro.workload.swf import SWFHeader, read_swf_file, write_swf_file
+from repro.workload.swf import SWFHeader, write_swf_file
 from repro.workload.synthetic import SDSCSP2Model, generate_sdsc_like_records
 from repro.workload.traces import TraceColumns, describe_records, tail_subset
 
@@ -54,10 +54,10 @@ def main() -> None:
         path = Path(tmp.name) / "synthetic-sdsc-sp2.swf"
         make_synthetic_swf(path)
 
-    header, records = read_swf_file(path)
+    header, trace = TraceColumns.read_swf(path)
     print(f"\nheader: computer={header.computer!r} max_nodes={header.max_nodes}")
 
-    subset = tail_subset(TraceColumns.from_records(records), 1000)
+    subset = tail_subset(trace, 1000)
     stats = describe_records(subset)
     print("\n=== last-1000-job subset statistics ===")
     print(render_table(["statistic", "value"], sorted(stats.items()), float_fmt="{:.3f}"))

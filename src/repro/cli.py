@@ -524,7 +524,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         print(f"restored engine from {args.restore}: policy={engine.policy.name} "
-              f"t={engine.now:.6g}s, {len(engine.rms.jobs)} jobs known")
+              f"t={engine.now:.6g}s, {engine.rms.ledger.rows} jobs known")
     else:
         config = EngineConfig(policy=args.policy, num_nodes=args.nodes,
                               rating=args.rating)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from typing import Optional
+from typing import NoReturn, Optional, Sequence
 
 
 class JobState(enum.Enum):
@@ -38,6 +38,7 @@ class JobState(enum.Enum):
     FAILED = "failed"          # a node it ran on failed
 
     successors: tuple["JobState", ...]  # this member's row of _VALID_TRANSITIONS
+    code: int  # position in declaration order, the state byte of a ledger row
 
 
 class UrgencyClass(enum.Enum):
@@ -45,6 +46,8 @@ class UrgencyClass(enum.Enum):
 
     HIGH = "high"  # low deadline/runtime factor — tight deadline
     LOW = "low"    # high deadline/runtime factor — loose deadline
+
+    code: int  # position in declaration order, the urgency byte of a ledger row
 
 
 _VALID_TRANSITIONS: dict[JobState, tuple[JobState, ...]] = {
@@ -60,6 +63,13 @@ _VALID_TRANSITIONS: dict[JobState, tuple[JobState, ...]] = {
 # identity, where indexing the table would run the Python ``Enum.__hash__``.
 for _state, _allowed in _VALID_TRANSITIONS.items():
     _state.successors = _allowed
+# Codes are read as attributes for the same reason.
+for _members in (JobState, UrgencyClass):
+    for _code, _member in enumerate(_members):
+        _member.code = _code
+
+#: Job ids and node counts are stored as signed 64-bit integers.
+INT64 = 1 << 63
 
 _id_lock = threading.Lock()
 _next_auto_id = 1
@@ -154,10 +164,14 @@ class Job:
             )
         if numproc < 1:
             raise ValueError(f"numproc must be >= 1, got {numproc}")
+        if numproc >= INT64:
+            raise ValueError(f"numproc must be < 2**63, got {numproc}")
         if not 0.0 < deadline < math.inf:
             raise ValueError(f"deadline must be finite and > 0, got {deadline}")
         if not 0.0 <= submit_time < math.inf:
             raise ValueError(f"submit_time must be finite and >= 0, got {submit_time}")
+        if job_id is not None and not -INT64 <= job_id < INT64:
+            raise ValueError(f"job_id must fit in 64 bits, got {job_id}")
         self.job_id = int(job_id) if job_id is not None else _auto_id()
         self.submit_time = float(submit_time)
         self.runtime = float(runtime)
@@ -169,40 +183,59 @@ class Job:
         self.state = JobState.CREATED
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
-        self.assigned_nodes: list[int] = []
+        #: Unstarted jobs share one empty tuple; ``mark_running`` stores a list.
+        self.assigned_nodes: Sequence[int] = ()
         self.reject_reason: Optional[str] = None
 
     # -- state machine ----------------------------------------------------
+    # Each ``mark_*`` checks its own transition inline: they run a few
+    # times per job on the submit path, where a call to ``transition``
+    # per step is measurable.
     def transition(self, new_state: JobState) -> None:
         """Move the job to ``new_state``, enforcing legal transitions."""
         if new_state not in self.state.successors:
-            raise ValueError(
-                f"job {self.job_id}: illegal transition {self.state.value} -> {new_state.value}"
-            )
+            self._illegal(new_state)
         self.state = new_state
 
+    def _illegal(self, new_state: JobState) -> NoReturn:
+        raise ValueError(
+            f"job {self.job_id}: illegal transition {self.state.value} -> {new_state.value}"
+        )
+
     def mark_submitted(self) -> None:
-        self.transition(JobState.SUBMITTED)
+        if JobState.SUBMITTED not in self.state.successors:
+            self._illegal(JobState.SUBMITTED)
+        self.state = JobState.SUBMITTED
 
     def mark_queued(self) -> None:
-        self.transition(JobState.QUEUED)
+        if JobState.QUEUED not in self.state.successors:
+            self._illegal(JobState.QUEUED)
+        self.state = JobState.QUEUED
 
     def mark_running(self, now: float, nodes: list[int]) -> None:
-        self.transition(JobState.RUNNING)
+        if JobState.RUNNING not in self.state.successors:
+            self._illegal(JobState.RUNNING)
+        self.state = JobState.RUNNING
         self.start_time = float(now)
         self.assigned_nodes = list(nodes)
 
     def mark_completed(self, now: float) -> None:
-        self.transition(JobState.COMPLETED)
+        if JobState.COMPLETED not in self.state.successors:
+            self._illegal(JobState.COMPLETED)
+        self.state = JobState.COMPLETED
         self.finish_time = float(now)
 
     def mark_rejected(self, reason: str = "") -> None:
-        self.transition(JobState.REJECTED)
+        if JobState.REJECTED not in self.state.successors:
+            self._illegal(JobState.REJECTED)
+        self.state = JobState.REJECTED
         self.reject_reason = reason or None
 
     def mark_failed(self, now: float) -> None:
         """The job was killed by a node failure; it will never finish."""
-        self.transition(JobState.FAILED)
+        if JobState.FAILED not in self.state.successors:
+            self._illegal(JobState.FAILED)
+        self.state = JobState.FAILED
         self.finish_time = float(now)
 
     # -- deadlines and SLA quantities (Eq. 3) ------------------------------

@@ -7,7 +7,8 @@ aware of the entire workload.  It:
 * turns a workload (a list of :class:`~repro.cluster.job.Job`) into
   arrival events on the simulator,
 * hands each arriving job to the policy's ``on_job_submitted``,
-* records the outcome of every job for the metrics layer.
+* records every job in one :class:`~repro.cluster.ledger.JobLedger`:
+  live jobs as objects, finished ones as packed rows.
 
 The policy object owns all scheduling state (queues, node listeners);
 the RMS is deliberately thin so that policies are interchangeable.
@@ -19,6 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job, JobState
+from repro.cluster.ledger import JobLedger
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
 
@@ -34,19 +36,12 @@ class ResourceManagementSystem:
         self.sim = sim
         self.cluster = cluster
         self.policy = policy
-        self.jobs: list[Job] = []           # every job ever submitted, in arrival order
-        self.accepted: list[Job] = []
-        self.rejected: list[Job] = []
-        self.completed: list[Job] = []
-        self.failed: list[Job] = []
+        #: Every job that arrived, in arrival order.
+        self.ledger = JobLedger()
         #: Optional :class:`~repro.obs.hooks.LifecycleObserver` notified
         #: of every job transition the RMS witnesses.  Must be passive.
         self.observer: Optional["LifecycleObserver"] = None
         policy.bind(sim=sim, cluster=cluster, rms=self)
-
-    def _notify_observer(self, job: Job, transition: str) -> None:
-        if self.observer is not None:
-            self.observer.on_job_transition(job, transition, self.sim.now)
 
     # -- workload intake -----------------------------------------------------
     def submit(self, job: Job) -> None:
@@ -90,42 +85,80 @@ class ResourceManagementSystem:
     def _on_arrival(self, event: Event) -> None:
         job: Job = event.payload
         job.mark_submitted()
-        self.jobs.append(job)
-        self._notify_observer(job, "submitted")
+        self.ledger.arrive(job)
+        # The observer checks are inline: these run once or twice a job.
+        if self.observer is not None:
+            self.observer.on_job_transition(job, "submitted", self.sim.now)
         self.policy.on_job_submitted(job, self.sim.now)
 
     # -- policy callbacks -------------------------------------------------------
     def notify_accepted(self, job: Job) -> None:
-        """Policy accepted ``job`` (it is queued or running)."""
-        self.accepted.append(job)
-        self._notify_observer(job, "accepted")
+        """Policy accepted ``job`` (it is running)."""
+        self.ledger.accept(job)
+        if self.observer is not None:
+            self.observer.on_job_transition(job, "accepted", self.sim.now)
 
     def notify_rejected(self, job: Job, reason: str = "") -> None:
         """Policy refused ``job`` at admission (or EDF's dispatch check)."""
         if not job.state is JobState.REJECTED:
             job.mark_rejected(reason)
-        self.rejected.append(job)
-        self._notify_observer(job, "rejected")
+        self.ledger.retire(job)
+        if self.observer is not None:
+            self.observer.on_job_transition(job, "rejected", self.sim.now)
 
     def notify_completed(self, job: Job) -> None:
         """Policy observed the last task of ``job`` finish."""
-        self.completed.append(job)
-        self._notify_observer(job, "completed")
+        self.ledger.retire(job)
+        if self.observer is not None:
+            self.observer.on_job_transition(job, "completed", self.sim.now)
 
     def notify_failed(self, job: Job) -> None:
         """Policy observed ``job`` die with a failed node."""
-        self.failed.append(job)
-        self._notify_observer(job, "failed")
+        self.ledger.retire(job)
+        if self.observer is not None:
+            self.observer.on_job_transition(job, "failed", self.sim.now)
 
-    # -- bookkeeping views ---------------------------------------------------------
+    # -- views read from the ledger -------------------------------------------------
+    # Each builds a fresh list: a finished job comes back as a new Job
+    # equal in every field to the one that finished.  For tests, examples
+    # and reports, not for a per-job path.
+    @property
+    def jobs(self) -> list[Job]:
+        """Every job that arrived, in arrival order."""
+        return list(self.ledger.jobs())
+
+    @property
+    def accepted(self) -> list[Job]:
+        """Accepted jobs, in the order they started."""
+        ledger = self.ledger
+        return [ledger.job(row) for row in ledger.accepted_rows()]
+
+    @property
+    def rejected(self) -> list[Job]:
+        return self._finished(JobState.REJECTED)
+
+    @property
+    def completed(self) -> list[Job]:
+        return self._finished(JobState.COMPLETED)
+
+    @property
+    def failed(self) -> list[Job]:
+        return self._finished(JobState.FAILED)
+
+    def _finished(self, state: JobState) -> list[Job]:
+        ledger = self.ledger
+        return [ledger.job(row) for row in ledger.finished_rows(state)]
+
     @property
     def acceptance_ratio(self) -> Optional[float]:
-        if not self.jobs:
+        if not self.ledger.rows:
             return None
-        return len(self.accepted) / len(self.jobs)
+        return self.ledger.accepted_count / self.ledger.rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        counts = self.ledger.state_counts()
         return (
-            f"<RMS jobs={len(self.jobs)} accepted={len(self.accepted)} "
-            f"rejected={len(self.rejected)} completed={len(self.completed)}>"
+            f"<RMS jobs={self.ledger.rows} accepted={self.ledger.accepted_count} "
+            f"rejected={counts[JobState.REJECTED.code]} "
+            f"completed={counts[JobState.COMPLETED.code]}>"
         )

@@ -65,7 +65,7 @@ def run_with_failures(
         )
         injector.start()
     sim.run()
-    result = compute_metrics(rms.jobs, cluster, sim.now)
+    result = compute_metrics(rms.ledger, cluster, sim.now)
     if session is not None:
         session.finalize(metrics=result, sim=sim)
         sink.take(session)

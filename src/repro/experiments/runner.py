@@ -62,10 +62,8 @@ class ScenarioResult:
 def load_base_records(config: ScenarioConfig) -> TraceColumns:
     """The base trace for a scenario, as columns: real SWF tail subset or synthetic."""
     if config.trace_path is not None:
-        from repro.workload.swf import read_swf_file
-
-        _, records = read_swf_file(config.trace_path)
-        return tail_subset(TraceColumns.from_records(records), config.num_jobs)
+        _, trace = TraceColumns.read_swf(config.trace_path)
+        return tail_subset(trace, config.num_jobs)
     return generate_sdsc_like_records(config.synthetic_model(), RngStreams(seed=config.seed))
 
 
@@ -130,10 +128,10 @@ def run_scenario(
     elapsed = time.perf_counter() - t0
 
     if session is None:
-        metrics = compute_metrics(rms.jobs, cluster, sim.now)
+        metrics = compute_metrics(rms.ledger, cluster, sim.now)
     else:
         with session.span("collect"):
-            metrics = compute_metrics(rms.jobs, cluster, sim.now)
+            metrics = compute_metrics(rms.ledger, cluster, sim.now)
         session.finalize(metrics=metrics, sim=sim)
         if sink is not None:
             sink.take(session)

@@ -1,12 +1,13 @@
-"""Scenario metric computation from completed job sets."""
+"""Scenario metric computation from an RMS ledger (or a set of jobs)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Union
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.job import Job, JobState, UrgencyClass
+from repro.cluster.job import DELAY_TOLERANCE, Job, JobState, UrgencyClass
+from repro.cluster.ledger import JobLedger
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,8 @@ class ScenarioMetrics:
         }
 
 
-def _class_breakdown(jobs: Sequence[Job], cls: UrgencyClass) -> ClassBreakdown:
-    members = [j for j in jobs if j.urgency is cls]
-    fulfilled = sum(1 for j in members if j.deadline_met)
-    return ClassBreakdown(submitted=len(members), fulfilled=fulfilled)
-
-
 def compute_metrics(
-    jobs: Sequence[Job],
+    jobs: Union[JobLedger, Iterable[Job]],
     cluster: Optional[Cluster] = None,
     horizon: Optional[float] = None,
 ) -> ScenarioMetrics:
@@ -97,41 +92,63 @@ def compute_metrics(
     Parameters
     ----------
     jobs:
-        All jobs that were submitted to the RMS (any state).
+        An RMS's :class:`~repro.cluster.ledger.JobLedger`, or jobs in
+        any state (those never submitted are left out).  Sums run in
+        arrival order.
     cluster, horizon:
         When both are given, cluster utilisation over ``[0, horizon]``
         is included.
     """
-    submitted = [j for j in jobs if j.state is not JobState.CREATED]
-    accepted = [j for j in submitted if j.accepted]
-    rejected = [j for j in submitted if j.state is JobState.REJECTED]
-    completed = [j for j in submitted if j.completed]
-    failed = [j for j in submitted if j.state is JobState.FAILED]
-    fulfilled = [j for j in completed if j.deadline_met]
-    late = [j for j in completed if not j.deadline_met]
-
-    slowdowns = [j.slowdown for j in fulfilled]
-    delays = [j.delay for j in late]
+    ledger = jobs if isinstance(jobs, JobLedger) else JobLedger.of(jobs)
+    submitted = accepted = rejected = completed = failed = 0
+    slowdowns: list[float] = []
+    delays: list[float] = []
+    members = {UrgencyClass.HIGH: 0, UrgencyClass.LOW: 0}
+    fulfilled = {UrgencyClass.HIGH: 0, UrgencyClass.LOW: 0}
+    for state, urgency, submit, runtime, deadline, finish in ledger.summary_rows():
+        submitted += 1
+        members[urgency] += 1
+        if state is JobState.REJECTED:
+            rejected += 1
+            continue
+        if state is JobState.SUBMITTED:
+            continue
+        accepted += 1
+        if state is JobState.FAILED:
+            failed += 1
+        elif state is JobState.COMPLETED:
+            completed += 1
+            # Job.delay / Job.deadline_met / Job.slowdown, term for term.
+            response = finish - submit
+            late = response - deadline
+            if late <= DELAY_TOLERANCE:
+                fulfilled[urgency] += 1
+                slowdowns.append(response / runtime)
+            else:
+                delays.append(late)
 
     utilisation = 0.0
     if cluster is not None and horizon is not None and horizon > 0:
         utilisation = cluster.utilisation(horizon)
 
+    met = len(slowdowns)
     return ScenarioMetrics(
-        total_submitted=len(submitted),
-        accepted=len(accepted),
-        rejected=len(rejected),
-        completed=len(completed),
-        unfinished=len(accepted) - len(completed) - len(failed),
-        failed=len(failed),
-        deadlines_fulfilled=len(fulfilled),
-        pct_deadlines_fulfilled=(
-            100.0 * len(fulfilled) / len(submitted) if submitted else 0.0
-        ),
-        avg_slowdown=(sum(slowdowns) / len(slowdowns)) if slowdowns else 0.0,
+        total_submitted=submitted,
+        accepted=accepted,
+        rejected=rejected,
+        completed=completed,
+        unfinished=accepted - completed - failed,
+        failed=failed,
+        deadlines_fulfilled=met,
+        pct_deadlines_fulfilled=100.0 * met / submitted if submitted else 0.0,
+        avg_slowdown=(sum(slowdowns) / met) if slowdowns else 0.0,
         avg_delay_of_late_jobs=(sum(delays) / len(delays)) if delays else 0.0,
-        completed_late=len(late),
+        completed_late=len(delays),
         utilisation=utilisation,
-        high_urgency=_class_breakdown(submitted, UrgencyClass.HIGH),
-        low_urgency=_class_breakdown(submitted, UrgencyClass.LOW),
+        high_urgency=ClassBreakdown(
+            members[UrgencyClass.HIGH], fulfilled[UrgencyClass.HIGH]
+        ),
+        low_urgency=ClassBreakdown(
+            members[UrgencyClass.LOW], fulfilled[UrgencyClass.LOW]
+        ),
     )

@@ -34,7 +34,7 @@ import zlib
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.engine import AdmissionEngine, Decision
+    from repro.service.engine import AdmissionEngine
 
 #: Hex digits in a trace id (blake2b digest_size=8).
 TRACE_ID_WIDTH = 16
@@ -112,8 +112,10 @@ def build_trace(engine: "AdmissionEngine", job_id: int) -> dict[str, Any]:
     has never decided the job (unknown id, or the arrival event has not
     fired yet).
     """
-    decision: "Decision" = engine._decisions[job_id]
-    job = decision.job
+    decision = engine.decision_for(job_id)
+    job = engine.query(job_id)
+    if decision is None or job is None:
+        raise KeyError(job_id)
     trace_id = engine.trace_id(job_id)
     if trace_id is None:
         # Pre-tracing WAL segments and direct rms submissions have no
@@ -122,10 +124,8 @@ def build_trace(engine: "AdmissionEngine", job_id: int) -> dict[str, Any]:
         trace_id = mint_trace_id(engine.trace_seed, 0, job_id)
 
     spans: list[dict[str, Any]] = []
-    submit_t = job.submit_time if job is not None else decision.t
-    end_t = decision.t
-    if job is not None and job.finish_time is not None:
-        end_t = job.finish_time
+    submit_t = job.submit_time
+    end_t = decision.t if job.finish_time is None else job.finish_time
 
     spans.append(_span(trace_id, "submit", submit_t, submit_t))
     if decision.wal_lsn:
@@ -139,14 +139,14 @@ def build_trace(engine: "AdmissionEngine", job_id: int) -> dict[str, Any]:
     spans.append(
         _span(trace_id, "admission", submit_t, decision.t, admission_attrs)
     )
-    if job is not None and job.start_time is not None:
+    if job.start_time is not None:
         spans.append(_span(trace_id, "queue.wait", submit_t, job.start_time))
         exec_end = job.finish_time
         exec_attrs: dict[str, Any] = {"nodes": list(job.assigned_nodes)}
         spans.append(
             _span(trace_id, "execute", job.start_time, exec_end, exec_attrs)
         )
-    if job is not None and job.finish_time is not None:
+    if job.finish_time is not None:
         completion_attrs: dict[str, Any] = {"state": job.state.value}
         if job.deadline_met is not None:
             completion_attrs["deadline_met"] = job.deadline_met

@@ -35,9 +35,10 @@ import tempfile
 from typing import Any, Optional
 
 from repro.cluster.job import Job, JobState, UrgencyClass, reserve_job_ids
+from repro.cluster.ledger import OUTCOME_CODES, TRACED
 from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
 from repro.obs.tracing import mint_trace_id
-from repro.service.engine import AdmissionEngine, Decision, EngineConfig
+from repro.service.engine import AdmissionEngine, EngineConfig
 
 #: Identifies a checkpoint document (sanity check before any parsing).
 CHECKPOINT_FORMAT = "repro-admission-engine"
@@ -58,6 +59,10 @@ _FIELDS = frozenset({
 })
 
 
+#: The ``rms`` lists of finished jobs, by state (their key is the value).
+_FINISHED = (JobState.REJECTED, JobState.COMPLETED, JobState.FAILED)
+
+
 class CheckpointError(ValueError):
     """Raised for unsnapshottable state or malformed checkpoint data."""
 
@@ -74,7 +79,8 @@ def snapshot(engine: AdmissionEngine) -> dict[str, Any]:
                 f"at t={event.time:.6g} is not a reconstructible completion timer"
             )
 
-    jobs = [_job_state(job) for job in engine.rms.jobs]
+    ledger = engine.rms.ledger
+    jobs = [_job_state(job) for job in ledger.jobs()]
     nodes = []
     for node in engine.cluster:
         if isinstance(node, TimeSharedNode) and node.online:
@@ -97,6 +103,20 @@ def snapshot(engine: AdmissionEngine) -> dict[str, Any]:
             }
         )
 
+    # One pass over the decision log: each decision, its trace id (as the
+    # engine reads it: a pin, else derived) and the LSN that logged it.
+    decisions: list[dict[str, Any]] = []
+    ids: dict[str, str] = {}
+    wal_lsns: dict[str, int] = {}
+    for d in engine.decisions:
+        decisions.append(d.as_dict())
+        if d.pin is not None:
+            ids[str(d.job_id)] = d.pin
+        elif d.seq:
+            ids[str(d.job_id)] = mint_trace_id(engine.trace_seed, d.seq, d.job_id)
+        if d.wal_lsn:
+            wal_lsns[str(d.job_id)] = d.wal_lsn
+
     policy_state: dict[str, Any] = {
         "pending_tasks": {
             str(job_id): count
@@ -114,20 +134,18 @@ def snapshot(engine: AdmissionEngine) -> dict[str, Any]:
         "sim": engine.sim.clock_state(),
         "jobs": jobs,
         "rms": {
-            "accepted": [j.job_id for j in engine.rms.accepted],
-            "rejected": [j.job_id for j in engine.rms.rejected],
-            "completed": [j.job_id for j in engine.rms.completed],
-            "failed": [j.job_id for j in engine.rms.failed],
+            "accepted": [ledger.job_id(row) for row in ledger.accepted_rows()],
+            **{
+                state.value: [ledger.job_id(row) for row in ledger.finished_rows(state)]
+                for state in _FINISHED
+            },
         },
         "policy": policy_state,
         "nodes": nodes,
-        "decisions": [d.as_dict() for d in engine.decisions],
+        "decisions": decisions,
     }
     if engine.wal_lsn:
         snap["wal_lsn"] = engine.wal_lsn
-    by_id = sorted(engine._decisions.items())
-    traced = ((job_id, engine.trace_id(job_id)) for job_id, _ in by_id)
-    ids = {str(job_id): trace_id for job_id, trace_id in traced if trace_id is not None}
     if engine._submit_seq or ids:
         # Optional block (version stays 1): trace-id stream position and
         # the ids (derived, as the engine reads them), so a restored
@@ -136,7 +154,6 @@ def snapshot(engine: AdmissionEngine) -> dict[str, Any]:
         trace_state: dict[str, Any] = {"seq": engine._submit_seq}
         if ids:
             trace_state["ids"] = ids
-        wal_lsns = {str(job_id): d.wal_lsn for job_id, d in by_id if d.wal_lsn}
         if wal_lsns:
             trace_state["wal_lsns"] = wal_lsns
         snap["trace"] = trace_state
@@ -216,19 +233,32 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
     )
     engine.clock.advance_to(now)
 
+    # Every job arrives in its order, the accepted ones are accepted in
+    # theirs, and then each finished one is retired in its list's order:
+    # the ledger keeps all four orders, and drops the finished objects.
+    ledger = engine.rms.ledger
     by_id: dict[int, Job] = {}
     for data in snap["jobs"]:
         job = _rebuild_job(data)
         by_id[job.job_id] = job
-        engine.rms.jobs.append(job)
+        ledger.arrive(job)
     # Auto-assigned ids must never collide with restored explicit ids:
     # a post-restore submit without an id would otherwise be refused as
     # a duplicate (or silently answered with the old job's decision).
     reserve_job_ids(max(by_id, default=0))
-    for list_name in ("accepted", "rejected", "completed", "failed"):
-        target = getattr(engine.rms, list_name)
-        for job_id in snap["rms"][list_name]:
-            target.append(_lookup(by_id, job_id))
+    for job_id in snap["rms"]["accepted"]:
+        ledger.accept(_lookup(by_id, job_id))
+    retired: set[int] = set()
+    for state in _FINISHED:
+        for job_id in snap["rms"][state.value]:
+            job = _lookup(by_id, job_id)
+            if job.state is not state or job.job_id in retired:
+                raise CheckpointError(
+                    f"checkpoint lists job {job_id} as {state.value} but it is "
+                    f"{job.state.value} or listed twice"
+                )
+            retired.add(job.job_id)
+            ledger.retire(job)
 
     policy_state = snap["policy"]
     engine.policy._pending_tasks = {
@@ -287,25 +317,32 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
     lsns = trace_state.get("wal_lsns", {})
     # Decisions are stored in submit order and each advanced the submit
     # counter by one, so the stored counter dates them all; an id that
-    # does not derive from its date is kept as a pin.
+    # does not derive from its date is kept as a pin.  Time, policy and
+    # reason are the job's own and are read back from it.
     decisions = snap["decisions"]
-    for seq, d in enumerate(decisions, engine._submit_seq - len(decisions) + 1):
-        job_id = d["job"]
+    engine._seq_base = engine._submit_seq - len(decisions)
+    for d in decisions:
+        job_id = _lookup(by_id, d["job"]).job_id
+        row = ledger.row_of(job_id)
+        outcome = OUTCOME_CODES.get(d["outcome"])
+        if row is None or outcome is None:
+            raise CheckpointError(f"job {job_id}: unknown decision {d['outcome']!r}")
         trace_id = ids.get(str(job_id))
-        pin = None
-        if trace_id is None:
-            seq = 0
-        elif seq < 1 or trace_id != mint_trace_id(engine.trace_seed, seq, job_id):
-            pin = str(trace_id)
-        engine._decisions[job_id] = Decision(
-            job_id, d["outcome"], d["t"], d["policy"], d.get("reason", ""),
-            _lookup(by_id, job_id), seq, int(lsns.get(str(job_id), 0)), pin,
-        )
+        seq = engine._seq_base + row + 1
+        if trace_id is not None and (
+            seq < 1 or trace_id != mint_trace_id(engine.trace_seed, seq, job_id)
+        ):
+            engine._pins[job_id] = str(trace_id)
+        ledger.outcomes[row] = outcome if trace_id is None else outcome | TRACED
+        lsn = int(lsns.get(str(job_id), 0))
+        if lsn:
+            ledger.log(row, lsn)
+        engine._decided += 1
     # The windowed telemetry is a pure function of the decision log;
     # replaying it here makes the restored window byte-identical to the
     # uncrashed engine's.
     if engine.window is not None:
-        engine.window.replay(engine._decisions.values())
+        engine.window.replay(engine.decisions)
     return engine
 
 
@@ -326,7 +363,9 @@ def _rebuild_job(data: dict[str, Any]) -> Job:
         raise CheckpointError(f"job {data['id']}: unknown state {data['state']!r}") from exc
     job.start_time = data.get("start_time")
     job.finish_time = data.get("finish_time")
-    job.assigned_nodes = list(data.get("assigned_nodes", ()))
+    nodes = data.get("assigned_nodes")
+    if nodes:
+        job.assigned_nodes = list(nodes)
     job.reject_reason = data.get("reject_reason")
     return job
 

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Union, overload
 
 from repro.analysis.sanitizer import decision_span
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job, JobState
+from repro.cluster.ledger import OUTCOME_CODES, TRACED
 from repro.cluster.rms import ResourceManagementSystem
 from repro.cluster.share import ShareParams
 from repro.metrics.summary import ScenarioMetrics, compute_metrics
@@ -150,11 +152,11 @@ class Decision:
       state);
     * ``"rejected"`` — refused at admission, with the policy's reason.
 
-    It is also the engine's one record of the job; the fields after
-    ``reason`` take no part in equality, ``repr`` or :meth:`as_dict`.
-    Slotted, not frozen: a frozen dataclass pays ``object.__setattr__``
-    per field.  Nothing changes a decision's answer once ``submit``
-    returns it, and nothing hashes one (``hash()`` raises).
+    The engine keeps none: each is read from the RMS ledger's row when
+    asked for.  The fields after ``reason`` take no part in equality,
+    ``repr`` or :meth:`as_dict`.  Slotted, not frozen: a frozen
+    dataclass pays ``object.__setattr__`` per field.  Nothing hashes a
+    decision (``hash()`` raises).
     """
 
     job_id: int
@@ -162,7 +164,6 @@ class Decision:
     t: float
     policy: str
     reason: str = ""
-    job: Optional[Job] = field(default=None, compare=False, repr=False)
     seq: int = field(default=0, compare=False, repr=False)  # 0: no trace id
     wal_lsn: int = field(default=0, compare=False, repr=False)  # 0: not logged
     #: The trace id, only where it differs from the one ``seq`` derives.
@@ -183,6 +184,37 @@ class Decision:
         if self.reason:
             out["reason"] = self.reason
         return out
+
+
+class DecisionLog(Sequence[Decision]):
+    """Every decision of one engine, in submit order, read lazily from
+    its RMS ledger (nothing is copied; a decision is built per read)."""
+
+    def __init__(self, engine: "AdmissionEngine") -> None:
+        self._engine = engine
+
+    def __len__(self) -> int:
+        return self._engine._decided
+
+    def __iter__(self) -> Iterator[Decision]:
+        engine = self._engine
+        policy, pins, base = engine.policy.name, engine._pins, engine._seq_base
+        for row, job_id, outcome, traced, lsn, t, reason in (
+            engine.rms.ledger.decisions()
+        ):
+            yield Decision(
+                job_id, outcome, t, policy, reason,
+                base + row + 1 if traced else 0, lsn, pins.get(job_id),
+            )
+
+    @overload
+    def __getitem__(self, index: int) -> Decision: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Decision]: ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[Decision, list[Decision]]:
+        return list(self)[index]
 
 
 class AdmissionEngine:
@@ -237,8 +269,12 @@ class AdmissionEngine:
         self.rms = ResourceManagementSystem(self.sim, self.cluster, self.policy)
         self.obs = obs
         self.streams = streams
-        #: job id -> its decision, in submit order: the one per-job record.
-        self._decisions: dict[int, Decision] = {}
+        #: Decisions recorded in the RMS ledger; the k-th decided row's
+        #: submit counter is ``_seq_base + row + 1``.
+        self._decided = 0
+        self._seq_base = 0
+        #: job id -> trace id, only where it differs from the derived one.
+        self._pins: dict[int, str] = {}
         #: LSN of the last write-ahead-log record applied to this engine
         #: (0 = no WAL).  Maintained by the service layer; checkpointed so
         #: recovery can skip the already-materialised log prefix.
@@ -283,6 +319,7 @@ class AdmissionEngine:
         job: Job,
         clamp_past: bool = False,
         trace: Optional[str] = None,
+        wal_lsn: int = 0,
     ) -> Decision:
         """Admit one arriving job; returns the policy's decision.
 
@@ -301,6 +338,9 @@ class AdmissionEngine:
         differs from that; with telemetry off and no ``trace`` the job
         has none.
 
+        ``wal_lsn`` is the LSN of the write-ahead-log record that carries
+        this submit (0: not logged); ``repro trace`` shows it.
+
         Raises
         ------
         OutOfOrderSubmit
@@ -315,7 +355,9 @@ class AdmissionEngine:
             raise EngineError(
                 f"job {job.job_id} already {job.state.value}; cannot submit"
             )
-        if job.job_id in self._decisions:
+        ledger = self.rms.ledger
+        job_id = job.job_id
+        if job_id <= ledger.max_id and ledger.row_of(job_id) is not None:
             raise DuplicateJob(
                 f"a job with id {job.job_id} was already submitted; "
                 f"ids are the service's job handle and must be unique"
@@ -331,12 +373,6 @@ class AdmissionEngine:
                 )
         self.rms.submit(job)
         seq = self._submit_seq = self._submit_seq + 1
-        pin = None
-        if trace is not None:
-            if trace != mint_trace_id(self.trace_seed, seq, job.job_id):
-                pin = trace
-        elif not self.telemetry:
-            seq = 0
         # Decision-path span: with REPRO_SANITIZE=1 any wall-clock /
         # entropy read fired by the kernel loop below raises.
         with decision_span():
@@ -348,11 +384,30 @@ class AdmissionEngine:
             outcome, reason = "queued", ""
         else:
             outcome, reason = "accepted", ""
+        # The ledger derives the trace id from the row; one that differs
+        # (a client's, or a counter that skipped) is kept as a pin.
+        row = ledger.last_row if ledger.last_job is job else ledger.row_of(job_id)
+        assert row is not None
+        seq_of_row = self._seq_base + row + 1
+        traced, pin = True, None
+        if trace is not None:
+            if seq_of_row < 1 or trace != mint_trace_id(
+                self.trace_seed, seq_of_row, job_id
+            ):
+                pin = self._pins[job_id] = trace
+        elif not self.telemetry:
+            traced, seq_of_row = False, 0
+        elif seq != seq_of_row:
+            pin = self._pins[job_id] = mint_trace_id(self.trace_seed, seq, job_id)
+        code = OUTCOME_CODES[outcome]
+        ledger.outcomes[row] = code | TRACED if traced else code
+        if wal_lsn:
+            ledger.log(row, wal_lsn)
+        self._decided += 1
         decision = Decision(
-            job.job_id, outcome, job.submit_time, self.policy.name, reason,
-            job, seq, 0, pin,
+            job_id, outcome, job.submit_time, self.policy.name, reason,
+            seq_of_row, wal_lsn, pin,
         )
-        self._decisions[job.job_id] = decision
         if self.window is not None:
             self.window.note_decision(decision.t, decision.policy, outcome, reason)
         return decision
@@ -382,18 +437,22 @@ class AdmissionEngine:
 
     # -- interrogation ------------------------------------------------------
     @property
-    def decisions(self) -> list[Decision]:
-        """Every decision, in submit order."""
-        return list(self._decisions.values())
+    def decisions(self) -> DecisionLog:
+        """Every decision, in submit order (a lazy view of the ledger)."""
+        return DecisionLog(self)
 
     def query(self, job_id: int) -> Optional[Job]:
-        """The submitted job with ``job_id``, or ``None``."""
-        decision = self._decisions.get(job_id)
-        return None if decision is None else decision.job
+        """The submitted job with ``job_id``, or ``None``.
+
+        A finished job comes back as a fresh :class:`Job` read from its
+        ledger row, equal in every field to the one that finished.
+        """
+        row = self.rms.ledger.row_of(job_id)
+        return None if row is None else self.rms.ledger.job(row)
 
     def trace_id(self, job_id: int) -> Optional[str]:
         """The trace id of ``job_id``'s submission, or ``None`` if untraced."""
-        decision = self._decisions.get(job_id)
+        decision = self.decision_for(job_id)
         if decision is None or decision.pin is not None or not decision.seq:
             return None if decision is None else decision.pin
         return mint_trace_id(self.trace_seed, decision.seq, job_id)
@@ -427,7 +486,7 @@ class AdmissionEngine:
         if buckets is not None:
             kwargs["buckets"] = buckets
         aggregator = WindowAggregator(window, **kwargs)
-        aggregator.replay(self._decisions.values())
+        aggregator.replay(self.decisions)
         self.window = aggregator
 
     def decision_for(self, job_id: int) -> Optional[Decision]:
@@ -438,24 +497,35 @@ class AdmissionEngine:
         decision rather than re-running (and possibly re-deciding) the
         admission test.
         """
-        return self._decisions.get(job_id)
+        ledger = self.rms.ledger
+        row = ledger.row_of(job_id)
+        decided = None if row is None else ledger.decision(row)
+        if decided is None:
+            return None
+        outcome, traced, lsn, t, reason = decided
+        return Decision(
+            job_id, outcome, t, self.policy.name, reason,
+            self._seq_base + row + 1 if traced else 0, lsn,
+            self._pins.get(job_id),
+        )
 
     def metrics(self) -> ScenarioMetrics:
         """Paper metrics over everything submitted so far."""
-        return compute_metrics(self.rms.jobs, self.cluster, self.sim.now)
+        return compute_metrics(self.rms.ledger, self.cluster, self.sim.now)
 
     def stats(self) -> dict[str, Any]:
         """Live counters for the service ``stats`` endpoint (JSON-able)."""
         rms = self.rms
+        counts = rms.ledger.state_counts()
         out: dict[str, Any] = {
             "t": self.sim.now,
             "policy": self.policy.name,
             "nodes": len(self.cluster),
-            "submitted": len(rms.jobs),
-            "accepted": len(rms.accepted),
-            "rejected": len(rms.rejected),
-            "completed": len(rms.completed),
-            "failed": len(rms.failed),
+            "submitted": rms.ledger.rows,
+            "accepted": rms.ledger.accepted_count,
+            "rejected": counts[JobState.REJECTED.code],
+            "completed": counts[JobState.COMPLETED.code],
+            "failed": counts[JobState.FAILED.code],
             "running": self.policy.running_jobs,
             "queued": len(getattr(self.policy, "queue", ())),
             "events_fired": self.sim.events_fired,
@@ -476,7 +546,7 @@ class AdmissionEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<AdmissionEngine policy={self.policy.name} t={self.sim.now:.6g} "
-            f"submitted={len(self.rms.jobs)} running={self.policy.running_jobs}>"
+            f"submitted={self.rms.ledger.rows} running={self.policy.running_jobs}>"
         )
 
 
@@ -496,6 +566,7 @@ def engine_for_scenario(
 __all__ = [
     "AdmissionEngine",
     "Decision",
+    "DecisionLog",
     "EngineConfig",
     "EngineError",
     "OutOfOrderSubmit",

@@ -35,6 +35,7 @@ from time import monotonic, perf_counter
 from typing import Any, Optional, TypeVar
 
 from repro.cluster.job import Job
+from repro.metrics.summary import compute_metrics
 from repro.obs.log import get_logger
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.service import checkpoint as checkpoint_mod
@@ -454,10 +455,10 @@ class AdmissionService:
             payload["trace"] = trace_id
         lsn = self._wal_append(payload, clamp)
         decision = self._apply_logged(
-            lsn, lambda: engine.submit(job, clamp_past=clamp, trace=request.trace)
+            lsn, lambda: engine.submit(
+                job, clamp_past=clamp, trace=request.trace, wal_lsn=lsn or 0
+            )
         )
-        if lsn is not None:
-            decision.wal_lsn = lsn
         response = protocol.ok_response(
             "decision", decision=decision.as_dict()
         )
@@ -538,10 +539,8 @@ class AdmissionService:
         with self._engine_lock:
             self.engine.poll()
             engine = self.engine
-            completed = len(engine.rms.completed)
-            missed = sum(
-                1 for j in engine.rms.completed if j.deadline_met is False
-            )
+            metrics = compute_metrics(engine.rms.ledger)
+            completed, missed = metrics.completed, metrics.completed_late
             miss_ratio = missed / completed if completed else 0.0
             burn_rate = miss_ratio / self.slo_deadline_miss_objective
             appended = self.wal.next_lsn - 1 if self.wal is not None else 0

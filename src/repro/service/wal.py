@@ -307,8 +307,8 @@ def scan_wal(path: str) -> WalScan:
 def read_wal(path: str) -> WalReadResult:
     """Read and validate a WAL file, tolerating a torn final record.
 
-    The list-building form of :class:`WalScan`, for callers that need
-    every record at once (compaction).
+    The list-building form of :class:`WalScan`, for callers that want
+    every record at once (tests, tools); the service streams.
 
     Raises
     ------
@@ -393,32 +393,56 @@ def list_segments(path: str) -> list[tuple[int, int, str]]:
     return out
 
 
-def _write_file_atomic(path: str, data: bytes) -> None:
-    """Whole-file write: tmp in the same directory, fsync, rename, dir fsync."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as fp:
-            fp.write(data)
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
+class _AtomicFile:
+    """A file written under a temporary name in its directory, then made
+    durable and renamed into place by :meth:`commit` (tmp, fsync, rename,
+    directory fsync).  Until then the real path is untouched; a file
+    never committed is removed by :meth:`discard`."""
+
+    def __init__(self, path: str) -> None:
+        self._directory = os.path.dirname(os.path.abspath(path)) or "."
+        fd, self._tmp_path = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".", suffix=".tmp", dir=self._directory
+        )
+        self._fp: Optional[BinaryIO] = os.fdopen(fd, "wb")
+        self.size = 0
+
+    def write(self, data: bytes) -> None:
+        assert self._fp is not None
+        self._fp.write(data)
+        self.size += len(data)
+
+    def commit(self, path: str) -> None:
+        """Make the bytes durable and rename them over ``path``."""
+        assert self._fp is not None
         try:
-            os.unlink(tmp_path)
+            self._fp.flush()
+            os.fsync(self._fp.fileno())
+            self._fp.close()
+            self._fp = None
+            os.replace(self._tmp_path, path)
+        except BaseException:
+            self.discard()
+            raise
+        try:
+            dir_fd = os.open(self._directory, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        except OSError:  # pragma: no cover - platform-dependent
+            pass
+
+    def discard(self) -> None:
+        """Drop an uncommitted file (a no-op once committed)."""
+        if self._fp is None:
+            return
+        try:
+            self._fp.close()
+            os.unlink(self._tmp_path)
         except OSError:
             pass
-        raise
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
+        self._fp = None
 
 
 class WriteAheadLog:
@@ -569,7 +593,8 @@ class WriteAheadLog:
     ) -> "CompactionReport":
         """Checkpoint ``engine`` and archive every record it has applied.
 
-        Three crash-safe steps, each a whole-file write + atomic rename:
+        Three crash-safe steps, each a file written under a temporary
+        name, fsynced and atomically renamed into place:
 
         1. snapshot the engine to ``checkpoint_path``
            (:func:`repro.service.checkpoint.save`);
@@ -579,6 +604,9 @@ class WriteAheadLog:
            ``base_lsn = engine.wal_lsn`` and a checkpoint reference
            (path + content SHA-256), keeping only not-yet-checkpointed
            records.
+
+        Steps 2 and 3 stream the log once, record by record, so the pass
+        holds no more of the log than :func:`recover` does.
 
         A crash before step 3 leaves the full log intact (the new
         checkpoint and segment are redundant but harmless — stale
@@ -608,111 +636,143 @@ class WriteAheadLog:
 
         compact_lsn = int(engine.wal_lsn)
         self._sync()
-        result = read_wal(self.path)
         bytes_before = os.path.getsize(self.path)
-        archived = [r for r in result.records if r.lsn <= compact_lsn]
-        retained = [r for r in result.records if r.lsn > compact_lsn]
-        report = CompactionReport(
-            first_lsn=archived[0].lsn if archived else 0,
-            last_lsn=compact_lsn,
-            archived=len(archived),
-            retained=len(retained),
-            checkpoint=checkpoint_path,
-            bytes_before=bytes_before,
-            bytes_after=bytes_before,
-        )
-        if not archived:
-            # Nothing the checkpoint newly covers — but the snapshot
-            # above may have just overwritten the very checkpoint the
-            # header references (a recovered engine re-derives kernel
-            # sequence numbers, changing the content checksum), so the
-            # stale reference must be refreshed before leaving the log
-            # alone, or the next recovery would refuse the chain.
-            old_ref = result.header.get("checkpoint")
-            if isinstance(old_ref, dict):
-                old_path = str(old_ref.get("path", ""))
-                if not os.path.isabs(old_path):
-                    old_path = os.path.join(
-                        os.path.dirname(self.path) or ".", old_path
-                    )
-                if (
-                    os.path.abspath(old_path) == os.path.abspath(checkpoint_path)
-                    and old_ref.get("sha256") != checkpoint_sha
-                ):
-                    new_header = dict(result.header)
-                    new_header["checkpoint"] = {
-                        "path": old_ref.get("path"), "sha256": checkpoint_sha,
-                    }
-                    tail_bytes = b"".join(
-                        [_frame(new_header)]
-                        + [_frame(_record_payload(r)) for r in result.records]
-                    )
-                    self._fp.close()
-                    self._fp = None
-                    try:
-                        _write_file_atomic(self.path, tail_bytes)
-                    except BaseException:
-                        self._fail("checkpoint reference refresh failed")
-                        raise
-                    self._fp = open(self.path, "ab", buffering=0)
-                    self._good_offset = len(tail_bytes)
-                    self._unsynced = 0
-                    report.bytes_after = len(tail_bytes)
-            hook("compact.after_truncate")
-            return report
-
-        # Sweep stale segments from an interrupted earlier pass: any
-        # segment reaching past the current base still has all of its
-        # records in the live log, so dropping it loses nothing.
-        for _first, last, seg_path in list_segments(self.path):
-            if last > self.base_lsn:
-                try:
-                    os.unlink(seg_path)
-                except OSError:  # pragma: no cover - best-effort sweep
-                    pass
-
-        segment = f"{self.path}.seg{archived[0].lsn:08d}-{archived[-1].lsn:08d}"
-        seg_header = dict(result.header)
-        seg_header.pop("checkpoint", None)  # the reference moves with the tail
-        _write_file_atomic(
-            segment,
-            b"".join([_frame(seg_header)]
-                     + [_frame(_record_payload(r)) for r in archived]),
-        )
-
-        cp_abs = os.path.abspath(checkpoint_path)
-        if os.path.dirname(cp_abs) == os.path.dirname(os.path.abspath(self.path)):
-            ref_path = os.path.basename(checkpoint_path)
-        else:
-            ref_path = cp_abs
-        tail_header: dict[str, Any] = {"format": WAL_FORMAT, "version": WAL_VERSION}
-        if "config" in result.header:
-            tail_header["config"] = result.header["config"]
-        tail_header["base_lsn"] = compact_lsn
-        tail_header["checkpoint"] = {"path": ref_path, "sha256": checkpoint_sha}
-        tail_bytes = b"".join([_frame(tail_header)]
-                              + [_frame(_record_payload(r)) for r in retained])
-        self._fp.close()
-        self._fp = None
+        # One pass copies each record, frame by frame, into the archive
+        # segment (lsn <= compact_lsn) or the new tail.  Both are temp
+        # files until committed, segment first.
+        segment_file: Optional[_AtomicFile] = None
+        tail_file: Optional[_AtomicFile] = None
         try:
-            _write_file_atomic(self.path, tail_bytes)
-        except BaseException:
-            self._fail("compaction tail replace failed")
-            raise
-        self._fp = open(self.path, "ab", buffering=0)
-        self._good_offset = len(tail_bytes)
-        self._unsynced = 0
-        self.base_lsn = compact_lsn
-        self.compactions += 1
-        report.segment = segment
-        report.bytes_after = len(tail_bytes)
-        log.info(
-            "%s: compacted %d records (lsn<=%d) into %s; tail %d -> %d bytes",
-            self.path, len(archived), compact_lsn, segment,
-            bytes_before, len(tail_bytes),
-        )
+            with WalScan(self.path) as scan:
+                header = scan.header
+                report = CompactionReport(
+                    first_lsn=0, last_lsn=compact_lsn, archived=0, retained=0,
+                    checkpoint=checkpoint_path, bytes_before=bytes_before,
+                    bytes_after=bytes_before,
+                )
+                tail_opened = False
+                last_archived = 0
+                for record in scan:
+                    frame = _frame(_record_payload(record))
+                    if record.lsn <= compact_lsn:
+                        if segment_file is None:
+                            report.first_lsn = record.lsn
+                            seg_header = dict(header)
+                            # The reference moves with the tail.
+                            seg_header.pop("checkpoint", None)
+                            segment_file = _AtomicFile(self.path)
+                            segment_file.write(_frame(seg_header))
+                        segment_file.write(frame)
+                        report.archived += 1
+                        last_archived = record.lsn
+                        continue
+                    if not tail_opened:
+                        tail_opened = True
+                        tail_file = self._tail_file(
+                            header, report.archived, compact_lsn, checkpoint_path,
+                            checkpoint_sha,
+                        )
+                    if tail_file is not None:
+                        tail_file.write(frame)
+                    report.retained += 1
+                if not tail_opened:
+                    tail_file = self._tail_file(
+                        header, report.archived, compact_lsn, checkpoint_path,
+                        checkpoint_sha,
+                    )
+
+            if segment_file is not None:
+                # Sweep stale segments from an interrupted earlier pass: any
+                # segment reaching past the current base still has all of
+                # its records in the live log, so dropping it loses nothing.
+                for _first, last, seg_path in list_segments(self.path):
+                    if last > self.base_lsn:
+                        try:
+                            os.unlink(seg_path)
+                        except OSError:  # pragma: no cover - best-effort sweep
+                            pass
+                report.segment = (
+                    f"{self.path}.seg{report.first_lsn:08d}-{last_archived:08d}"
+                )
+                segment_file.commit(report.segment)
+            if tail_file is not None:
+                self._fp.close()
+                self._fp = None
+                try:
+                    tail_file.commit(self.path)
+                except BaseException:
+                    self._fail(
+                        "compaction tail replace failed" if report.archived
+                        else "checkpoint reference refresh failed"
+                    )
+                    raise
+                self._fp = open(self.path, "ab", buffering=0)
+                self._good_offset = tail_file.size
+                self._unsynced = 0
+                report.bytes_after = tail_file.size
+        finally:
+            for file in (segment_file, tail_file):
+                if file is not None:
+                    file.discard()
+        if report.archived:
+            self.base_lsn = compact_lsn
+            self.compactions += 1
+            log.info(
+                "%s: compacted %d records (lsn<=%d) into %s; tail %d -> %d bytes",
+                self.path, report.archived, compact_lsn, report.segment,
+                bytes_before, report.bytes_after,
+            )
         hook("compact.after_truncate")
         return report
+
+    def _tail_file(
+        self,
+        header: dict[str, Any],
+        archived: int,
+        compact_lsn: int,
+        checkpoint_path: str,
+        checkpoint_sha: str,
+    ) -> Optional[_AtomicFile]:
+        """The new live log, its header written; ``None`` to keep the log.
+
+        With records archived, the tail starts at ``base_lsn =
+        compact_lsn`` and references the new checkpoint.  With none, the
+        log is kept as it is, unless the snapshot just overwrote the very
+        checkpoint its header references (a recovered engine re-derives
+        kernel sequence numbers, changing the content checksum): then
+        the stale reference is refreshed, or the next recovery would
+        refuse the chain.
+        """
+        if archived:
+            cp_abs = os.path.abspath(checkpoint_path)
+            if os.path.dirname(cp_abs) == os.path.dirname(os.path.abspath(self.path)):
+                ref_path = os.path.basename(checkpoint_path)
+            else:
+                ref_path = cp_abs
+            new_header: dict[str, Any] = {"format": WAL_FORMAT, "version": WAL_VERSION}
+            if "config" in header:
+                new_header["config"] = header["config"]
+            new_header["base_lsn"] = compact_lsn
+            new_header["checkpoint"] = {"path": ref_path, "sha256": checkpoint_sha}
+        else:
+            old_ref = header.get("checkpoint")
+            if not isinstance(old_ref, dict):
+                return None
+            old_path = str(old_ref.get("path", ""))
+            if not os.path.isabs(old_path):
+                old_path = os.path.join(os.path.dirname(self.path) or ".", old_path)
+            if (
+                os.path.abspath(old_path) != os.path.abspath(checkpoint_path)
+                or old_ref.get("sha256") == checkpoint_sha
+            ):
+                return None
+            new_header = dict(header)
+            new_header["checkpoint"] = {
+                "path": old_ref.get("path"), "sha256": checkpoint_sha,
+            }
+        tail = _AtomicFile(self.path)
+        tail.write(_frame(new_header))
+        return tail
 
     def _write(self, frame: bytes) -> None:
         """Write one whole frame (unbuffered fd), rolling back any tear."""
@@ -892,9 +952,9 @@ def apply_record(engine: AdmissionEngine, record: WalRecord) -> Optional[str]:
         # (when telemetry was on); passing it keeps recovered traces
         # byte-identical to the uncrashed run.
         decision = engine.submit(
-            job, clamp_past=record.clamp, trace=request.trace
+            job, clamp_past=record.clamp, trace=request.trace,
+            wal_lsn=record.lsn,
         )
-        decision.wal_lsn = record.lsn
         return decision.outcome
     if isinstance(request, protocol.AdvanceRequest):
         engine.advance(request.to)
@@ -983,7 +1043,7 @@ def recover(  # repro-lint: safe=CONC001  replays into a private engine before a
     # Jobs were rebuilt under their original explicit ids without
     # touching the auto-id counter; advance it so a fresh submit
     # without an id can never collide with a recovered job.
-    reserve_job_ids(max(engine._decisions, default=0))
+    reserve_job_ids(engine.rms.ledger.max_id)
     report.horizon = engine.now
     log.info("%s", report)
     return engine, report

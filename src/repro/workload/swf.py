@@ -146,15 +146,20 @@ class SWFParseError(ValueError):
 _FIELD_NAMES = [f.name for f in fields(SWFRecord)]
 _FLOAT_FIELDS = {"submit_time", "wait_time", "run_time", "avg_cpu_time", "requested_time",
                  "think_time"}
+_INT64 = 2**63
 
 
-def _parse_line(line: str, lineno: int) -> SWFRecord:
+def _values(line: str, lineno: int) -> list[float]:
+    """The 18 values of a data line, each checked: a number, finite, and
+    within int64 where the field is an integer (an SWF integer field is
+    read as a float and truncated, so ``1.5`` reads as 1).  Raises
+    :class:`SWFParseError` naming the line and the first bad field."""
     parts = line.split()
     if len(parts) != 18:
         raise SWFParseError(
             f"line {lineno}: expected 18 fields, got {len(parts)}: {line[:80]!r}"
         )
-    kwargs = {}
+    values = []
     for name, token in zip(_FIELD_NAMES, parts):
         try:
             value = float(token)
@@ -162,10 +167,18 @@ def _parse_line(line: str, lineno: int) -> SWFRecord:
             raise SWFParseError(f"line {lineno}: bad value {token!r} for {name}") from exc
         if not math.isfinite(value):  # nan, inf, or an overflow such as 1e999
             raise SWFParseError(f"line {lineno}: non-finite value {token!r} for {name}")
-        if name not in _FLOAT_FIELDS and not -2**63 <= value < 2**63:  # an int64 column
+        if name not in _FLOAT_FIELDS and not -_INT64 <= value < _INT64:  # an int64 column
             raise SWFParseError(f"line {lineno}: value {token!r} out of range for {name}")
-        kwargs[name] = value if name in _FLOAT_FIELDS else int(value)
-    return SWFRecord(**kwargs)
+        values.append(value)
+    return values
+
+
+def _parse_line(line: str, lineno: int) -> SWFRecord:
+    values = _values(line, lineno)
+    return SWFRecord(*[
+        value if name in _FLOAT_FIELDS else int(value)
+        for name, value in zip(_FIELD_NAMES, values)
+    ])
 
 
 def parse_swf(stream: Union[str, TextIO]) -> tuple[SWFHeader, list[SWFRecord]]:
@@ -192,6 +205,57 @@ def read_swf_file(path: Union[str, Path]) -> tuple[SWFHeader, list[SWFRecord]]:
     """Read and parse an SWF trace file."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return parse_swf(fh)
+
+
+#: The columns :func:`read_swf_columns` fills, in order.
+COLUMNS = ("job_number", "submit_time", "run_time", "procs", "requested_time", "user_id")
+
+
+def read_swf_columns(
+    path: Union[str, Path],
+) -> tuple[SWFHeader, tuple[list[int], list[float], list[float], list[int],
+                            list[float], list[int]]]:
+    """Read an SWF trace file straight into the :data:`COLUMNS` lists.
+
+    Every data line is checked as :func:`read_swf_file` checks it (same
+    errors, same messages) but no :class:`SWFRecord` is built.  ``procs``
+    is the allocated processor count, else the requested one.
+    """
+    header = SWFHeader()
+    number: list[int] = []
+    submit: list[float] = []
+    run: list[float] = []
+    procs: list[int] = []
+    requested: list[float] = []
+    user: list[int] = []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith(";"):
+                header.absorb(line)
+                continue
+            # A line of 18 numbers whose sum is finite (so is every value)
+            # and that all lie within int64 passes every check at once;
+            # any other line is checked field by field, which raises.
+            try:
+                values = list(map(float, line.split()))
+                total = sum(values)
+                valid = (len(values) == 18 and total - total == 0.0
+                         and -_INT64 <= min(values) and max(values) < _INT64)
+            except ValueError:
+                valid = False
+            if not valid:
+                values = _values(line, lineno)
+            number.append(int(values[0]))
+            submit.append(values[1])
+            run.append(values[3])
+            allocated = int(values[4])
+            procs.append(allocated if allocated > 0 else int(values[7]))
+            requested.append(values[8])
+            user.append(int(values[11]))
+    return header, (number, submit, run, procs, requested, user)
 
 
 def iter_swf_records(path: Union[str, Path]) -> Iterator[SWFRecord]:

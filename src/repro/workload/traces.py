@@ -5,7 +5,7 @@ simulator jobs``
 
 A trace travels the pipeline as one :class:`TraceColumns`, an array per
 field the simulator reads.  The synthetic generator returns one; an SWF
-file becomes one where it is read (:meth:`TraceColumns.from_records`).
+file is parsed straight into one (:meth:`TraceColumns.read_swf`).
 Every stage is an array operation, and :func:`records_to_jobs` builds
 each :class:`~repro.cluster.job.Job` once, at the end.
 
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from pathlib import Path
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -31,7 +32,13 @@ from repro.workload.estimates import (
     interpolate_inaccuracy,
     overestimation_summary,
 )
-from repro.workload.swf import MISSING, STATUS_COMPLETED, SWFRecord
+from repro.workload.swf import (
+    MISSING,
+    STATUS_COMPLETED,
+    SWFHeader,
+    SWFRecord,
+    read_swf_columns,
+)
 
 ESTIMATE_MODES = ("accurate", "trace", "inaccuracy")
 
@@ -88,6 +95,15 @@ class TraceColumns:
         return cls(column("job_number", np.int64), column("submit_time", float),
                    column("run_time", float), np.where(alloc > 0, alloc, req),
                    column("requested_time", float), column("user_id", np.int64))
+
+    @classmethod
+    def read_swf(cls, path: Union[str, Path]) -> tuple[SWFHeader, TraceColumns]:
+        """An SWF file's header and columns, in file order, parsed with no
+        per-row record (:func:`~repro.workload.swf.read_swf_columns`)."""
+        header, (number, submit, run, procs, requested, user) = read_swf_columns(path)
+        return header, cls(np.array(number, np.int64), np.array(submit, float),
+                           np.array(run, float), np.array(procs, np.int64),
+                           np.array(requested, float), np.array(user, np.int64))
 
     def to_records(self) -> list[SWFRecord]:
         """SWF rows for writing a trace file; a job is written as completed, with no wait."""

@@ -54,6 +54,15 @@ def make_job(
     )
 
 
+def job_fields(job: Job) -> tuple:
+    """Every field of ``job``: an RMS hands a finished job back as a new
+    object read from its ledger row, equal field for field."""
+    return tuple(
+        tuple(job.assigned_nodes) if name == "assigned_nodes" else getattr(job, name)
+        for name in Job.__slots__
+    )
+
+
 def heterogeneous_cluster(
     sim: Simulator,
     ratings: list[float],

@@ -108,10 +108,14 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
     ("FLOW004", "service/server.py",
      "        lsn = self._wal_append(payload, clamp)\n"
      "        decision = self._apply_logged(\n"
-     "            lsn, lambda: engine.submit(job, clamp_past=clamp, trace=request.trace)\n"
+     "            lsn, lambda: engine.submit(\n"
+     "                job, clamp_past=clamp, trace=request.trace, wal_lsn=lsn or 0\n"
+     "            )\n"
      "        )\n",
      "        decision = self._apply_logged(\n"
-     "            None, lambda: engine.submit(job, clamp_past=clamp, trace=request.trace)\n"
+     "            None, lambda: engine.submit(\n"
+     "                job, clamp_past=clamp, trace=request.trace, wal_lsn=0\n"
+     "            )\n"
      "        )\n"
      "        lsn = self._wal_append(payload, clamp)\n"),
 )

@@ -9,7 +9,7 @@ from repro.scheduling.registry import make_policy
 from repro.service import checkpoint
 from repro.service.engine import AdmissionEngine, EngineConfig
 from repro.sim.kernel import Simulator
-from tests.conftest import heterogeneous_cluster, make_job, run_jobs
+from tests.conftest import heterogeneous_cluster, job_fields, make_job, run_jobs
 
 
 def make_node(sim, rating=1.0, listener=None):
@@ -237,13 +237,14 @@ class TestKilledMembers:
         assert sim.pending == 2
         rms.policy.handle_node_failure(cluster.node(3), sim.now)
         job = rms.jobs[0]
-        assert rms.failed == [job]
+        assert [job_fields(j) for j in rms.failed] == [job_fields(job)]
         assert all(not n.tasks for n in cluster)
         busy = [n.busy_time for n in cluster]
         assert busy == [20.0, 20.0, 10.0, 10.0]  # elapsed 10 s x rating
         sim.run()  # both group events fire on an empty job
         assert sim.events_fired == 3  # the arrival + two no-ops
-        assert rms.failed == [job] and rms.completed == []
+        assert [job_fields(j) for j in rms.failed] == [job_fields(job)]
+        assert rms.completed == []
         assert [n.busy_time for n in cluster] == busy
 
     def test_partly_killed_group_notifies_with_the_resident_count(self, sim):

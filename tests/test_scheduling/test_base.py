@@ -7,7 +7,7 @@ from repro.cluster.job import JobState
 from repro.cluster.rms import ResourceManagementSystem
 from repro.scheduling.base import SchedulingPolicy
 from repro.sim.kernel import Simulator
-from tests.conftest import make_job
+from tests.conftest import job_fields, make_job
 
 
 class RecordingPolicy(SchedulingPolicy):
@@ -66,7 +66,7 @@ class TestCompletionTracking:
             cluster.node(nid).add_task(job, work=10.0, est_work=10.0, now=0.0)
         sim.run()
         assert policy.completed == [(1, pytest.approx(100.0))]
-        assert rms.completed == [job]
+        assert [job_fields(j) for j in rms.completed] == [job_fields(job)]
 
     def test_running_jobs_property(self):
         sim, cluster, policy, rms = wire()
@@ -95,7 +95,7 @@ class TestRejectHelper:
         policy._reject(job, "because")
         assert job.state is JobState.REJECTED
         assert job.reject_reason == "because"
-        assert rms.rejected == [job]
+        assert [job_fields(j) for j in rms.rejected] == [job_fields(job)]
 
 
 class TestFailureHooks:

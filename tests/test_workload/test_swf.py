@@ -116,6 +116,75 @@ class TestRecordViews:
         assert len(usable_records(TraceColumns.from_records([r]))) == 0
 
 
+GOOD = "1 0 0 100 1 -1 -1 1 20 -1 1 1 1 -1 1 -1 -1 -1".split()
+
+
+def line_with(index: int, token: str) -> str:
+    parts = list(GOOD)
+    parts[index] = token
+    return " ".join(parts)
+
+
+#: Data lines at every check a line can fail, and near ones it passes.
+EDGE_LINES = [
+    "1 2 3",
+    " ".join(GOOD + ["7"]),
+    line_with(3, "abc"),
+    line_with(0, "1e19"),
+    line_with(11, "-9223372036854775809"),
+    line_with(0, "9223372036854775807"),  # rounds to 2**63: out of range
+    line_with(1, "1e19"),  # a float field may exceed int64
+    " ".join(GOOD[:1] + ["1e308", "0", "1e308"] + GOOD[4:]),  # a sum that overflows
+    line_with(4, "1.5"),  # an integer field truncates
+    line_with(0, "-5"),
+] + [
+    line_with(index, token)
+    for index in (0, 1, 3, 4, 8, 11, 17)
+    for token in ("nan", "inf", "-inf", "Infinity", "1e999")
+] + [
+    line_with(2, "inf") + " x",  # too many fields outranks a bad value
+    "\n".join([line_with(4, "nan"), line_with(3, "abc")]),  # the first line's error
+]
+
+
+class TestColumnReader:
+    """``read_swf_columns`` builds no record yet answers as ``read_swf_file``."""
+
+    def read_both(self, tmp_path, text):
+        path = tmp_path / "t.swf"
+        path.write_text(text)
+
+        def outcome(read):
+            try:
+                return read(path)
+            except SWFParseError as exc:
+                return str(exc)
+
+        columns = outcome(TraceColumns.read_swf)
+        records = outcome(read_swf_file)
+        if isinstance(records, tuple):
+            records = (records[0], TraceColumns.from_records(records[1]))
+        return columns, records
+
+    def test_sample_reads_to_the_same_columns_and_header(self, tmp_path):
+        (header, columns), (header2, columns2) = self.read_both(tmp_path, SAMPLE)
+        assert columns == columns2 and len(columns) == 3
+        assert header == header2
+        assert columns.procs.tolist() == [8, 16, 4]
+
+    @pytest.mark.parametrize("line", EDGE_LINES)
+    def test_every_line_gets_the_record_readers_verdict(self, tmp_path, line):
+        columns, records = self.read_both(tmp_path, "; header\n" + line + "\n")
+        if isinstance(records, str):
+            assert columns == records
+            assert records.startswith("line 2: ")
+        else:
+            assert columns[1] == records[1]
+            assert [c.dtype for c in columns[1]._columns()] == [
+                c.dtype for c in records[1]._columns()
+            ]
+
+
 class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         header, records = parse_swf(SAMPLE)
