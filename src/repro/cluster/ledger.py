@@ -8,6 +8,8 @@ plus about a hundred bytes for each finished job:
 
 * ``buf`` holds one :data:`ROW` per arrival, in arrival order: zero
   (state 0) while the job is live, then every field of the finished job.
+  It grows by the rows that arrived since, each time finished jobs are
+  packed (growing it by one row an arrival costs a resize each time).
 * ``outcomes`` holds one byte per row: the engine's decision (0: none)
   and whether the submission has a trace id.
 * The node ids a finished job ran on go into one flat ``array('i')``,
@@ -47,7 +49,6 @@ from repro.cluster.job import INT64, Job, JobState, UrgencyClass
 ROW = Struct("<4dqIBIdId3IBq")
 LSN = Struct("<q")
 LSN_AT = ROW.size - LSN.size
-_BLANK = bytes(ROW.size)
 
 # Positions in an unpacked row.
 _SUBMIT, _RUNTIME, _DEADLINE, _URGENCY, _ACCEPTED, _FINISH = 0, 1, 3, 6, 7, 10
@@ -83,7 +84,7 @@ class JobLedger:
         self.rows = 0
         self.buf = bytearray()
         #: Per row: the decision's outcome code, ``| TRACED`` when the
-        #: submission has a trace id (0: no decision).  Written by the engine.
+        #: submission has a trace id (0: no decision).
         self.outcomes = bytearray()
         #: Highest job id arrived so far.
         self.max_id = -INT64 - 1
@@ -121,15 +122,11 @@ class JobLedger:
                     ledger.retire(job)
         return ledger
 
-    def __len__(self) -> int:
-        return self.rows
-
     # -- writers ----------------------------------------------------------
     def arrive(self, job: Job) -> int:
         """Give an arriving ``job`` the next row; returns the row."""
         row = self.rows
         self.rows = row + 1
-        self.buf += _BLANK
         self.outcomes += b"\0"
         job_id = job.job_id
         if job_id > self.max_id:
@@ -162,15 +159,27 @@ class JobLedger:
         if len(self._done) >= BATCH:
             self._pack()
 
-    def log(self, row: int, wal_lsn: int) -> None:
-        """Record the LSN of the WAL record that submitted ``row``."""
+    def decide(self, row: int, outcome: str, traced: bool, wal_lsn: int = 0) -> None:
+        """Record the engine's decision for ``row``: its outcome, whether the
+        submission has a trace id, and the LSN of the WAL record that
+        carried it (0: not logged)."""
+        code = OUTCOME_CODES[outcome]
+        self.outcomes[row] = code | TRACED if traced else code
+        if not wal_lsn:
+            return
         if row in self._live:
             self._lsn_of[row] = wal_lsn
         else:
             LSN.pack_into(self.buf, row * ROW.size + LSN_AT, wal_lsn)
 
     def _pack(self) -> None:
-        """Pack every finished job into its row and drop the objects."""
+        """Give every arrival its row and pack every finished job into it,
+        dropping the objects (row readers call this first)."""
+        short = self.rows * ROW.size - len(self.buf)
+        if short:
+            self.buf += bytes(short)
+        if not self._done:
+            return
         done, self._done = self._done, []
         buf, live, live_rows, counts = self.buf, self._live, self._live_rows, self._counts
         accept_of, lsn_of, user_ids, nodes = (
@@ -212,12 +221,6 @@ class JobLedger:
             self._finished += 1
             counts[state] += 1
 
-    def packed(self) -> "JobLedger":
-        """This ledger, every finished job packed (what a row reader needs)."""
-        if self._done:
-            self._pack()
-        return self
-
     # -- lookups ----------------------------------------------------------
     def row_of(self, job_id: int) -> Optional[int]:
         """The row of the job that arrived with ``job_id``, or ``None``."""
@@ -241,7 +244,8 @@ class JobLedger:
 
     def jobs(self) -> Iterator[Job]:
         """Every job, in arrival order."""
-        live = self.packed()._live
+        self._pack()
+        live = self._live
         for row, fields in enumerate(ROW.iter_unpack(self.buf)):
             yield live[row] if fields[_STATE] == LIVE else self._read(row, fields)
 
@@ -273,11 +277,13 @@ class JobLedger:
 
     def state_counts(self) -> list[int]:
         """Finished jobs by state code."""
-        return self.packed()._counts
+        self._pack()
+        return self._counts
 
     def accepted_rows(self) -> list[int]:
         """Rows of the accepted jobs, in the order they were accepted."""
-        live_rows = self.packed()._live_rows
+        self._pack()
+        live_rows = self._live_rows
         ordered = [(ordinal, live_rows[job]) for job, ordinal in self._accept_of.items()]
         ordered += [
             (fields[_ACCEPTED], row)
@@ -289,10 +295,11 @@ class JobLedger:
 
     def finished_rows(self, state: JobState) -> list[int]:
         """Rows of the jobs that finished in ``state``, in finish order."""
+        self._pack()
         code = state.code
         ordered = [
             (fields[_ORDINAL], row)
-            for row, fields in enumerate(ROW.iter_unpack(self.packed().buf))
+            for row, fields in enumerate(ROW.iter_unpack(self.buf))
             if fields[_STATE] == code
         ]
         ordered.sort()
@@ -316,7 +323,8 @@ class JobLedger:
     def decisions(self) -> Iterator[tuple[int, int, str, bool, int, float, str]]:
         """``(row, job_id, outcome, traced, wal_lsn, t, reason)`` of every
         decided row, in arrival order."""
-        job_id, outcomes = self.job_id, self.packed().outcomes
+        self._pack()
+        job_id, outcomes = self.job_id, self.outcomes
         for row, fields in enumerate(ROW.iter_unpack(self.buf)):
             code = outcomes[row]
             if not code:
@@ -339,7 +347,8 @@ class JobLedger:
     ) -> Iterator[tuple[JobState, UrgencyClass, float, float, float, float]]:
         """``(state, urgency, submit, runtime, deadline, finish)`` of every
         job in arrival order (finish NaN while none)."""
-        live = self.packed()._live
+        self._pack()
+        live = self._live
         for row, fields in enumerate(ROW.iter_unpack(self.buf)):
             state = fields[_STATE]
             if state == LIVE:

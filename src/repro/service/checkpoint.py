@@ -35,7 +35,7 @@ import tempfile
 from typing import Any, Optional
 
 from repro.cluster.job import Job, JobState, UrgencyClass, reserve_job_ids
-from repro.cluster.ledger import OUTCOME_CODES, TRACED
+from repro.cluster.ledger import OUTCOME_CODES
 from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
 from repro.obs.tracing import mint_trace_id
 from repro.service.engine import AdmissionEngine, EngineConfig
@@ -324,19 +324,16 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
     for d in decisions:
         job_id = _lookup(by_id, d["job"]).job_id
         row = ledger.row_of(job_id)
-        outcome = OUTCOME_CODES.get(d["outcome"])
-        if row is None or outcome is None:
-            raise CheckpointError(f"job {job_id}: unknown decision {d['outcome']!r}")
+        outcome = d["outcome"]
+        if row is None or outcome not in OUTCOME_CODES:
+            raise CheckpointError(f"job {job_id}: unknown decision {outcome!r}")
         trace_id = ids.get(str(job_id))
         seq = engine._seq_base + row + 1
         if trace_id is not None and (
             seq < 1 or trace_id != mint_trace_id(engine.trace_seed, seq, job_id)
         ):
             engine._pins[job_id] = str(trace_id)
-        ledger.outcomes[row] = outcome if trace_id is None else outcome | TRACED
-        lsn = int(lsns.get(str(job_id), 0))
-        if lsn:
-            ledger.log(row, lsn)
+        ledger.decide(row, outcome, trace_id is not None, int(lsns.get(str(job_id), 0)))
         engine._decided += 1
     # The windowed telemetry is a pure function of the decision log;
     # replaying it here makes the restored window byte-identical to the

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Union, overload
 from repro.analysis.sanitizer import decision_span
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job, JobState
-from repro.cluster.ledger import OUTCOME_CODES, TRACED
 from repro.cluster.rms import ResourceManagementSystem
 from repro.cluster.share import ShareParams
 from repro.metrics.summary import ScenarioMetrics, compute_metrics
@@ -197,15 +196,11 @@ class DecisionLog(Sequence[Decision]):
         return self._engine._decided
 
     def __iter__(self) -> Iterator[Decision]:
-        engine = self._engine
-        policy, pins, base = engine.policy.name, engine._pins, engine._seq_base
+        as_decision = self._engine._as_decision
         for row, job_id, outcome, traced, lsn, t, reason in (
-            engine.rms.ledger.decisions()
+            self._engine.rms.ledger.decisions()
         ):
-            yield Decision(
-                job_id, outcome, t, policy, reason,
-                base + row + 1 if traced else 0, lsn, pins.get(job_id),
-            )
+            yield as_decision(row, job_id, outcome, traced, lsn, t, reason)
 
     @overload
     def __getitem__(self, index: int) -> Decision: ...
@@ -399,10 +394,7 @@ class AdmissionEngine:
             traced, seq_of_row = False, 0
         elif seq != seq_of_row:
             pin = self._pins[job_id] = mint_trace_id(self.trace_seed, seq, job_id)
-        code = OUTCOME_CODES[outcome]
-        ledger.outcomes[row] = code | TRACED if traced else code
-        if wal_lsn:
-            ledger.log(row, wal_lsn)
+        ledger.decide(row, outcome, traced, wal_lsn)
         self._decided += 1
         decision = Decision(
             job_id, outcome, job.submit_time, self.policy.name, reason,
@@ -499,13 +491,19 @@ class AdmissionEngine:
         """
         ledger = self.rms.ledger
         row = ledger.row_of(job_id)
-        decided = None if row is None else ledger.decision(row)
-        if decided is None:
+        if row is None:
             return None
-        outcome, traced, lsn, t, reason = decided
+        decided = ledger.decision(row)
+        return None if decided is None else self._as_decision(row, job_id, *decided)
+
+    def _as_decision(
+        self, row: int, job_id: int, outcome: str, traced: bool, wal_lsn: int,
+        t: float, reason: str,
+    ) -> Decision:
+        """The decision the ledger recorded for ``row``, as ``submit`` returned it."""
+        seq = self._seq_base + row + 1 if traced else 0
         return Decision(
-            job_id, outcome, t, self.policy.name, reason,
-            self._seq_base + row + 1 if traced else 0, lsn,
+            job_id, outcome, t, self.policy.name, reason, seq, wal_lsn,
             self._pins.get(job_id),
         )
 
