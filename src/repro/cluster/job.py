@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from typing import NoReturn, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class JobState(enum.Enum):
@@ -68,7 +68,7 @@ for _members in (JobState, UrgencyClass):
     for _code, _member in enumerate(_members):
         _member.code = _code
 
-#: Job ids and node counts are stored as signed 64-bit integers.
+#: A ledger row stores a job's node count as a signed 64-bit integer.
 INT64 = 1 << 63
 
 _id_lock = threading.Lock()
@@ -170,8 +170,6 @@ class Job:
             raise ValueError(f"deadline must be finite and > 0, got {deadline}")
         if not 0.0 <= submit_time < math.inf:
             raise ValueError(f"submit_time must be finite and >= 0, got {submit_time}")
-        if job_id is not None and not -INT64 <= job_id < INT64:
-            raise ValueError(f"job_id must fit in 64 bits, got {job_id}")
         self.job_id = int(job_id) if job_id is not None else _auto_id()
         self.submit_time = float(submit_time)
         self.runtime = float(runtime)
@@ -188,54 +186,36 @@ class Job:
         self.reject_reason: Optional[str] = None
 
     # -- state machine ----------------------------------------------------
-    # Each ``mark_*`` checks its own transition inline: they run a few
-    # times per job on the submit path, where a call to ``transition``
-    # per step is measurable.
     def transition(self, new_state: JobState) -> None:
         """Move the job to ``new_state``, enforcing legal transitions."""
         if new_state not in self.state.successors:
-            self._illegal(new_state)
+            raise ValueError(
+                f"job {self.job_id}: illegal transition {self.state.value} -> {new_state.value}"
+            )
         self.state = new_state
 
-    def _illegal(self, new_state: JobState) -> NoReturn:
-        raise ValueError(
-            f"job {self.job_id}: illegal transition {self.state.value} -> {new_state.value}"
-        )
-
     def mark_submitted(self) -> None:
-        if JobState.SUBMITTED not in self.state.successors:
-            self._illegal(JobState.SUBMITTED)
-        self.state = JobState.SUBMITTED
+        self.transition(JobState.SUBMITTED)
 
     def mark_queued(self) -> None:
-        if JobState.QUEUED not in self.state.successors:
-            self._illegal(JobState.QUEUED)
-        self.state = JobState.QUEUED
+        self.transition(JobState.QUEUED)
 
     def mark_running(self, now: float, nodes: list[int]) -> None:
-        if JobState.RUNNING not in self.state.successors:
-            self._illegal(JobState.RUNNING)
-        self.state = JobState.RUNNING
+        self.transition(JobState.RUNNING)
         self.start_time = float(now)
         self.assigned_nodes = list(nodes)
 
     def mark_completed(self, now: float) -> None:
-        if JobState.COMPLETED not in self.state.successors:
-            self._illegal(JobState.COMPLETED)
-        self.state = JobState.COMPLETED
+        self.transition(JobState.COMPLETED)
         self.finish_time = float(now)
 
     def mark_rejected(self, reason: str = "") -> None:
-        if JobState.REJECTED not in self.state.successors:
-            self._illegal(JobState.REJECTED)
-        self.state = JobState.REJECTED
+        self.transition(JobState.REJECTED)
         self.reject_reason = reason or None
 
     def mark_failed(self, now: float) -> None:
         """The job was killed by a node failure; it will never finish."""
-        if JobState.FAILED not in self.state.successors:
-            self._illegal(JobState.FAILED)
-        self.state = JobState.FAILED
+        self.transition(JobState.FAILED)
         self.finish_time = float(now)
 
     # -- deadlines and SLA quantities (Eq. 3) ------------------------------

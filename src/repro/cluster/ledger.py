@@ -4,25 +4,27 @@ A live job — arrived, not yet finished — is a :class:`~repro.cluster.job.Job
 object, because the policy and the nodes work on it.  A job that reaches
 COMPLETED, REJECTED or FAILED is packed into one fixed-size row and the
 ledger drops its object, so what an RMS keeps grows with its live work
-plus about a hundred bytes for each finished job:
+plus a fixed number of bytes for each finished job:
 
-* ``buf`` holds one :data:`ROW` per arrival, in arrival order: zero
-  (state 0) while the job is live, then every field of the finished job.
-  It grows by the rows that arrived since, each time finished jobs are
-  packed (growing it by one row an arrival costs a resize each time).
+* ``index`` maps every job id to its row; rows are numbered in arrival
+  order, whatever order the ids come in.
+* ``buf`` holds one :data:`ROW` per arrival: zero (state 0) while the
+  job is live, then every field of the finished job.  It grows by the
+  rows that arrived since, each time finished jobs are packed.
 * ``outcomes`` holds one byte per row: the engine's decision (0: none)
-  and whether the submission has a trace id.
+  and whether the submission has a trace id.  It grows a batch of rows
+  at a time.
+* Per row, ``_jobs`` holds the live job, and once the row is packed the
+  job's id (the object the job was submitted with).
 * The node ids a finished job ran on go into one flat ``array('i')``,
   reject reasons into one UTF-8 text heap, and users are interned.
-* Job ids are a running-maximum column, searched by bisection; an id
-  that arrives below the maximum is a "stray" kept in a small dict.  The
-  column holds the jobs' own id objects, so an id read back is the very
-  object the job was submitted with.
 
-The submit path only notes what happens to a job (arrival, acceptance,
-finish); finished jobs are packed :data:`BATCH` at a time, or as soon as
-a reader needs the rows, so a submit pays for no packing.  Until then a
-finished job is still its object, and single-job readers answer from it.
+The submit path only notes what happens to a job: its arrival, and its
+acceptance and finish as one list append each (``accept`` and ``retire``
+are those lists' ``append``).  Every :data:`BATCH` arrivals, and as soon
+as a reader needs the rows, the notes are applied and the finished jobs
+packed.  Until then a finished job is still its object, and single-job
+readers answer from it.
 
 Every reader — metrics, the engine's decision log, ``query``, traces,
 checkpoints — gets its answer from these rows (or from the job object),
@@ -33,11 +35,10 @@ field to the one that finished.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from struct import Struct
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
-from repro.cluster.job import INT64, Job, JobState, UrgencyClass
+from repro.cluster.job import Job, JobState, UrgencyClass
 
 #: Submit time, runtime, estimate, deadline, numproc, user (0: none),
 #: urgency; acceptance ordinal (0: never accepted, and then no start
@@ -54,7 +55,7 @@ LSN_AT = ROW.size - LSN.size
 _SUBMIT, _RUNTIME, _DEADLINE, _URGENCY, _ACCEPTED, _FINISH = 0, 1, 3, 6, 7, 10
 _REASON_AT, _REASON_N, _ORDINAL, _STATE, _LSN = 11, 12, 13, 14, 15
 
-#: Finished jobs packed at a time on the submit path.
+#: Arrivals between two packings of the finished jobs.
 BATCH = 256
 
 #: Decision outcomes by code (0: the engine has not decided the row).
@@ -66,7 +67,6 @@ TRACED = 4
 LIVE = 0  # state byte of a row not packed yet
 STATES = tuple(JobState)
 URGENCIES = tuple(UrgencyClass)
-TERMINAL = (JobState.COMPLETED, JobState.REJECTED, JobState.FAILED)
 NAN = float("nan")
 
 
@@ -74,35 +74,33 @@ class JobLedger:
     """Live jobs as objects, finished jobs as packed rows, in arrival order."""
 
     __slots__ = (
-        "rows", "buf", "outcomes", "max_id", "last_job", "last_row",
-        "accepted_count", "_counts", "_keys", "_strays", "_stray_ids", "_live",
-        "_live_rows", "_accept_of", "_lsn_of", "_done", "_finished", "_nodes",
-        "_nodes_len", "_node_counts", "_text", "_text_len", "_users", "_user_ids",
+        "index", "rows", "buf", "outcomes", "accept", "retire", "_jobs",
+        "_accepted", "_done", "_accept_of", "_accepted_n", "_lsn_of", "_finished",
+        "_counts", "_nodes", "_nodes_len", "_node_counts", "_text", "_text_len",
+        "_users", "_user_ids",
     )
 
     def __init__(self) -> None:
+        #: job id -> row, for every job that arrived.
+        self.index: dict[int, int] = {}
         self.rows = 0
         self.buf = bytearray()
         #: Per row: the decision's outcome code, ``| TRACED`` when the
         #: submission has a trace id (0: no decision).
         self.outcomes = bytearray()
-        #: Highest job id arrived so far.
-        self.max_id = -INT64 - 1
-        #: The most recent arrival and its row.
-        self.last_job: Optional[Job] = None
-        self.last_row = -1
-        self.accepted_count = 0
-        self._counts = [0] * len(STATES)  # packed rows by state code
-        self._keys: list[int] = []  # running maximum of the ids, per row
-        self._strays: dict[int, int] = {}  # id -> row, ids below the maximum
-        self._stray_ids: dict[int, int] = {}  # row -> id, the same rows
-        # Jobs not packed yet: their rows, acceptance ordinals and LSNs.
-        self._live: dict[int, Job] = {}  # row -> job, arrival order
-        self._live_rows: dict[Job, int] = {}  # job -> row
-        self._accept_of: dict[Job, int] = {}
-        self._lsn_of: dict[int, int] = {}
-        self._done: list[Job] = []  # finished, in finish order
+        self._jobs: list[Union[Job, int]] = []  # per row: the live job, or its id
+        # Acceptances and finishes since the last packing, in order.
+        self._accepted: list[Job] = []
+        self._done: list[Job] = []
+        #: Record that a live job was accepted (it started).
+        self.accept: Callable[[Job], None] = self._accepted.append
+        #: Record that a live job finished; it is packed with its batch.
+        self.retire: Callable[[Job], None] = self._done.append
+        self._accept_of: dict[Job, int] = {}  # live accepted job -> ordinal
+        self._accepted_n = 0  # acceptance ordinals handed out
+        self._lsn_of: dict[int, int] = {}  # row -> LSN, rows not packed yet
         self._finished = 0  # finish ordinal of the next packed row
+        self._counts = [0] * len(STATES)  # packed rows by state code
         self._nodes = array("i")
         self._nodes_len = 0
         self._node_counts: dict[int, int] = {}  # row -> count, where unusual
@@ -111,53 +109,32 @@ class JobLedger:
         self._users: list[Optional[str]] = [None]
         self._user_ids: dict[Optional[str], int] = {None: 0}
 
-    @classmethod
-    def of(cls, jobs: Iterable[Job]) -> "JobLedger":
-        """A ledger of every submitted job in ``jobs``, in their order."""
-        ledger = cls()
-        for job in jobs:
-            if job.state is not JobState.CREATED:
-                ledger.arrive(job)
-                if job.state in TERMINAL:
-                    ledger.retire(job)
-        return ledger
-
     # -- writers ----------------------------------------------------------
     def arrive(self, job: Job) -> int:
-        """Give an arriving ``job`` the next row; returns the row."""
+        """Give an arriving ``job`` the next row; returns the row.
+
+        Raises
+        ------
+        ValueError
+            If a job with the same id already arrived: the id is the
+            handle every reader finds the job by.
+        """
+        job_id, index = job.job_id, self.index
+        if job_id in index:
+            raise ValueError(f"job {job_id} already arrived; job ids must be unique")
         row = self.rows
         self.rows = row + 1
-        self.outcomes += b"\0"
-        job_id = job.job_id
-        if job_id > self.max_id:
-            self._keys.append(job_id)
-            self.max_id = job_id
-        else:
-            self._keys.append(self.max_id)
-            self._strays[job_id] = row
-            self._stray_ids[row] = job_id
-        self._live[row] = job
-        self._live_rows[job] = row
-        self.last_job = job
-        self.last_row = row
+        index[job_id] = row
+        self._jobs.append(job)
+        if not row % BATCH:
+            self.outcomes += bytes(BATCH)
+            self._pack()
         return row
 
-    # A job a policy reports that never arrived through the RMS (a policy
-    # driven by hand) arrives when it is first reported.
-    def accept(self, job: Job) -> None:
-        """Record that the live ``job`` was accepted (it started)."""
-        if job not in self._live_rows:
-            self.arrive(job)
-        self.accepted_count += 1
-        self._accept_of[job] = self.accepted_count
-
-    def retire(self, job: Job) -> None:
-        """Record that ``job`` finished; it is packed with its batch."""
-        if job not in self._live_rows:
-            self.arrive(job)
-        self._done.append(job)
-        if len(self._done) >= BATCH:
-            self._pack()
+    @property
+    def accepted_count(self) -> int:
+        """Jobs accepted so far."""
+        return self._accepted_n + len(self._accepted)
 
     def decide(self, row: int, outcome: str, traced: bool, wal_lsn: int = 0) -> None:
         """Record the engine's decision for ``row``: its outcome, whether the
@@ -167,38 +144,53 @@ class JobLedger:
         self.outcomes[row] = code | TRACED if traced else code
         if not wal_lsn:
             return
-        if row in self._live:
+        if isinstance(self._jobs[row], Job):
             self._lsn_of[row] = wal_lsn
         else:
             LSN.pack_into(self.buf, row * ROW.size + LSN_AT, wal_lsn)
 
     def _pack(self) -> None:
-        """Give every arrival its row and pack every finished job into it,
-        dropping the objects (row readers call this first)."""
+        """Give every arrival its row, number the acceptances, and pack
+        every finished job into its row, dropping the object (row readers
+        call this first)."""
         short = self.rows * ROW.size - len(self.buf)
         if short:
             self.buf += bytes(short)
-        if not self._done:
+        accept_of = self._accept_of
+        if self._accepted:
+            ordinal = self._accepted_n
+            for job in self._accepted:
+                ordinal += 1
+                accept_of[job] = ordinal
+            self._accepted_n = ordinal
+            self._accepted.clear()
+        done = self._done
+        if not done:
             return
-        done, self._done = self._done, []
-        buf, live, live_rows, counts = self.buf, self._live, self._live_rows, self._counts
-        accept_of, lsn_of, user_ids, nodes = (
-            self._accept_of, self._lsn_of, self._user_ids, self._nodes,
-        )
+        buf, index, jobs, counts = self.buf, self.index, self._jobs, self._counts
+        lsn_of, user_ids, nodes = self._lsn_of, self._user_ids, self._nodes
+        pack_into, size = ROW.pack_into, ROW.size
+        nodes_len, finished = self._nodes_len, self._finished
         for job in done:
-            row = live_rows.pop(job)
-            del live[row]
+            job_id = job.job_id
+            row = index[job_id]
+            jobs[row] = job_id
             user = job.user
             if user not in user_ids:
                 user_ids[user] = len(self._users)
                 self._users.append(user)
-            accepted = accept_of.pop(job, 0)
+            start = job.start_time
+            if start is None:
+                accepted, start = 0, NAN
+            else:  # only a started job was accepted
+                accepted = accept_of.pop(job, 0)
             node_ids = job.assigned_nodes
-            nodes_at = self._nodes_len
-            nodes_n = len(node_ids)
-            if nodes_n:  # a started job's list (``mark_running`` stores one)
+            nodes_at = nodes_len
+            nodes_n = 0
+            if node_ids:  # a started job's list (``mark_running`` stores one)
                 nodes.fromlist(node_ids)  # type: ignore[arg-type]
-                self._nodes_len = nodes_at + nodes_n
+                nodes_n = len(node_ids)
+                nodes_len += nodes_n
             if nodes_n != (job.numproc if accepted else 0):
                 self._node_counts[row] = nodes_n
             reason = job.reject_reason
@@ -209,51 +201,44 @@ class JobLedger:
                 reason_n = len(raw)
                 self._text += raw
                 self._text_len = reason_at + reason_n
-            start, finish, state = job.start_time, job.finish_time, job.state.code
-            ROW.pack_into(
-                buf, row * ROW.size,
+            finish, state = job.finish_time, job.state.code
+            pack_into(
+                buf, row * size,
                 job.submit_time, job.runtime, job.estimated_runtime, job.deadline,
-                job.numproc, user_ids[user], job.urgency.code,
-                accepted, NAN if start is None else start,
+                job.numproc, user_ids[user], job.urgency.code, accepted, start,
                 nodes_at, NAN if finish is None else finish,
-                reason_at, reason_n, self._finished, state, lsn_of.pop(row, 0),
+                reason_at, reason_n, finished, state,
+                lsn_of.pop(row, 0) if lsn_of else 0,
             )
-            self._finished += 1
+            finished += 1
             counts[state] += 1
+        self._nodes_len, self._finished = nodes_len, finished
+        done.clear()
 
     # -- lookups ----------------------------------------------------------
-    def row_of(self, job_id: int) -> Optional[int]:
-        """The row of the job that arrived with ``job_id``, or ``None``."""
-        row = self._strays.get(job_id)
-        if row is None:
-            keys = self._keys
-            row = bisect_left(keys, job_id)
-            if row == self.rows or keys[row] != job_id:
-                return None
-        return row
-
     def job_id(self, row: int) -> int:
-        return self._stray_ids.get(row, self._keys[row])
+        """The id of the job that arrived in ``row``."""
+        slot = self._jobs[row]
+        return slot.job_id if isinstance(slot, Job) else slot
 
     def job(self, row: int) -> Job:
         """The job of ``row``: its object until packed, then read back."""
-        job = self._live.get(row)
-        if job is not None:
-            return job
-        return self._read(row, ROW.unpack_from(self.buf, row * ROW.size))
+        slot = self._jobs[row]
+        if isinstance(slot, Job):
+            return slot
+        return self._read(slot, ROW.unpack_from(self.buf, row * ROW.size), row)
 
     def jobs(self) -> Iterator[Job]:
         """Every job, in arrival order."""
         self._pack()
-        live = self._live
-        for row, fields in enumerate(ROW.iter_unpack(self.buf)):
-            yield live[row] if fields[_STATE] == LIVE else self._read(row, fields)
+        for row, (slot, fields) in enumerate(zip(self._jobs, ROW.iter_unpack(self.buf))):
+            yield slot if isinstance(slot, Job) else self._read(slot, fields, row)
 
-    def _read(self, row: int, fields: tuple) -> Job:
+    def _read(self, job_id: int, fields: tuple, row: int) -> Job:
         (submit, runtime, estimate, deadline, numproc, user, urgency, accepted, start,
          nodes_at, finish, _, _, _, state, _) = fields
         job = Job.__new__(Job)
-        job.job_id = self.job_id(row)
+        job.job_id = job_id
         job.submit_time = submit
         job.runtime = runtime
         job.estimated_runtime = estimate
@@ -283,8 +268,8 @@ class JobLedger:
     def accepted_rows(self) -> list[int]:
         """Rows of the accepted jobs, in the order they were accepted."""
         self._pack()
-        live_rows = self._live_rows
-        ordered = [(ordinal, live_rows[job]) for job, ordinal in self._accept_of.items()]
+        index = self.index
+        ordered = [(ordinal, index[job.job_id]) for job, ordinal in self._accept_of.items()]
         ordered += [
             (fields[_ACCEPTED], row)
             for row, fields in enumerate(ROW.iter_unpack(self.buf))
@@ -312,8 +297,8 @@ class JobLedger:
         code = self.outcomes[row]
         if not code:
             return None
-        job = self._live.get(row)
-        if job is None:
+        job = self._jobs[row]
+        if not isinstance(job, Job):
             return self._decision(code, ROW.unpack_from(self.buf, row * ROW.size))
         outcome = OUTCOMES[code & ~TRACED]
         reason = job.reject_reason if outcome == "rejected" else None
@@ -324,17 +309,16 @@ class JobLedger:
         """``(row, job_id, outcome, traced, wal_lsn, t, reason)`` of every
         decided row, in arrival order."""
         self._pack()
-        job_id, outcomes = self.job_id, self.outcomes
-        for row, fields in enumerate(ROW.iter_unpack(self.buf)):
-            code = outcomes[row]
+        rows = zip(self._jobs, ROW.iter_unpack(self.buf), self.outcomes)
+        for row, (slot, fields, code) in enumerate(rows):
             if not code:
                 continue
-            decided = (
-                self.decision(row) if fields[_STATE] == LIVE
-                else self._decision(code, fields)
-            )
-            assert decided is not None
-            yield (row, job_id(row)) + decided
+            if isinstance(slot, Job):
+                decided = self.decision(row)
+                assert decided is not None
+                yield (row, slot.job_id) + decided
+            else:
+                yield (row, slot) + self._decision(code, fields)
 
     def _decision(self, code: int, fields: tuple) -> tuple[str, bool, int, float, str]:
         outcome = OUTCOMES[code & ~TRACED]
@@ -348,14 +332,12 @@ class JobLedger:
         """``(state, urgency, submit, runtime, deadline, finish)`` of every
         job in arrival order (finish NaN while none)."""
         self._pack()
-        live = self._live
-        for row, fields in enumerate(ROW.iter_unpack(self.buf)):
-            state = fields[_STATE]
-            if state == LIVE:
-                job = live[row]
-                finish = job.finish_time
-                yield (job.state, job.urgency, job.submit_time, job.runtime,
-                       job.deadline, NAN if finish is None else finish)
+        for slot, fields in zip(self._jobs, ROW.iter_unpack(self.buf)):
+            if isinstance(slot, Job):
+                finish = slot.finish_time
+                yield (slot.state, slot.urgency, slot.submit_time, slot.runtime,
+                       slot.deadline, NAN if finish is None else finish)
             else:
-                yield (STATES[state], URGENCIES[fields[_URGENCY]], fields[_SUBMIT],
-                       fields[_RUNTIME], fields[_DEADLINE], fields[_FINISH])
+                yield (STATES[fields[_STATE]], URGENCIES[fields[_URGENCY]],
+                       fields[_SUBMIT], fields[_RUNTIME], fields[_DEADLINE],
+                       fields[_FINISH])

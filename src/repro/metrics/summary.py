@@ -1,12 +1,12 @@
-"""Scenario metric computation from an RMS ledger (or a set of jobs)."""
+"""Scenario metric computation from an RMS ledger."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.job import DELAY_TOLERANCE, Job, JobState, UrgencyClass
+from repro.cluster.job import DELAY_TOLERANCE, JobState, UrgencyClass
 from repro.cluster.ledger import JobLedger
 
 
@@ -83,7 +83,7 @@ class ScenarioMetrics:
 
 
 def compute_metrics(
-    jobs: Union[JobLedger, Iterable[Job]],
+    ledger: JobLedger,
     cluster: Optional[Cluster] = None,
     horizon: Optional[float] = None,
 ) -> ScenarioMetrics:
@@ -91,15 +91,13 @@ def compute_metrics(
 
     Parameters
     ----------
-    jobs:
-        An RMS's :class:`~repro.cluster.ledger.JobLedger`, or jobs in
-        any state (those never submitted are left out).  Sums run in
-        arrival order.
+    ledger:
+        An RMS's :class:`~repro.cluster.ledger.JobLedger`: every job that
+        arrived, in any state.  Sums run in arrival order.
     cluster, horizon:
         When both are given, cluster utilisation over ``[0, horizon]``
         is included.
     """
-    ledger = jobs if isinstance(jobs, JobLedger) else JobLedger.of(jobs)
     submitted = accepted = rejected = completed = failed = 0
     slowdowns: list[float] = []
     delays: list[float] = []

@@ -113,8 +113,7 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
 
     def _feasible(self, job: Job, now: float) -> bool:
         """Paper's dispatch-time check, based on the *estimate*."""
-        # ``job.absolute_deadline``, spelled out: this runs once a dispatch.
-        return now + job.estimated_runtime <= job.submit_time + job.deadline
+        return now + job.estimated_runtime <= job.absolute_deadline
 
     def _start(self, job: Job, nodes: list[SpaceSharedNode], now: float) -> None:
         assert self.cluster is not None and self.rms is not None
@@ -136,5 +135,5 @@ class EDFPolicy(QueuedSpaceSharedPolicy):
             return None
         return min(
             self.queue,
-            key=lambda j: (j.submit_time + j.deadline, j.submit_time, j.job_id),
+            key=lambda j: (j.absolute_deadline, j.submit_time, j.job_id),
         )

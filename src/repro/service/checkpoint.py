@@ -323,7 +323,7 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
     engine._seq_base = engine._submit_seq - len(decisions)
     for d in decisions:
         job_id = _lookup(by_id, d["job"]).job_id
-        row = ledger.row_of(job_id)
+        row = ledger.index.get(job_id)
         outcome = d["outcome"]
         if row is None or outcome not in OUTCOME_CODES:
             raise CheckpointError(f"job {job_id}: unknown decision {outcome!r}")

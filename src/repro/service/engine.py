@@ -352,7 +352,7 @@ class AdmissionEngine:
             )
         ledger = self.rms.ledger
         job_id = job.job_id
-        if job_id <= ledger.max_id and ledger.row_of(job_id) is not None:
+        if job_id in ledger.index:
             raise DuplicateJob(
                 f"a job with id {job.job_id} was already submitted; "
                 f"ids are the service's job handle and must be unique"
@@ -381,8 +381,7 @@ class AdmissionEngine:
             outcome, reason = "accepted", ""
         # The ledger derives the trace id from the row; one that differs
         # (a client's, or a counter that skipped) is kept as a pin.
-        row = ledger.last_row if ledger.last_job is job else ledger.row_of(job_id)
-        assert row is not None
+        row = ledger.index[job_id]
         seq_of_row = self._seq_base + row + 1
         traced, pin = True, None
         if trace is not None:
@@ -439,7 +438,7 @@ class AdmissionEngine:
         A finished job comes back as a fresh :class:`Job` read from its
         ledger row, equal in every field to the one that finished.
         """
-        row = self.rms.ledger.row_of(job_id)
+        row = self.rms.ledger.index.get(job_id)
         return None if row is None else self.rms.ledger.job(row)
 
     def trace_id(self, job_id: int) -> Optional[str]:
@@ -490,7 +489,7 @@ class AdmissionEngine:
         admission test.
         """
         ledger = self.rms.ledger
-        row = ledger.row_of(job_id)
+        row = ledger.index.get(job_id)
         if row is None:
             return None
         decided = ledger.decision(row)

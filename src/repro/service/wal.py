@@ -1043,7 +1043,7 @@ def recover(  # repro-lint: safe=CONC001  replays into a private engine before a
     # Jobs were rebuilt under their original explicit ids without
     # touching the auto-id counter; advance it so a fresh submit
     # without an id can never collide with a recovered job.
-    reserve_job_ids(engine.rms.ledger.max_id)
+    reserve_job_ids(max(engine.rms.ledger.index, default=0))
     report.horizon = engine.now
     log.info("%s", report)
     return engine, report

@@ -10,7 +10,8 @@ import pytest
 
 from repro.analysis import sanitizer
 from repro.cluster.cluster import Cluster
-from repro.cluster.job import Job, UrgencyClass
+from repro.cluster.job import Job, JobState, UrgencyClass
+from repro.cluster.ledger import JobLedger
 from repro.cluster.node import Node, SpaceSharedNode, TimeSharedNode
 from repro.cluster.rms import ResourceManagementSystem
 from repro.cluster.share import ShareParams
@@ -61,6 +62,21 @@ def job_fields(job: Job) -> tuple:
         tuple(job.assigned_nodes) if name == "assigned_nodes" else getattr(job, name)
         for name in Job.__slots__
     )
+
+
+def ledger_of(jobs: list[Job]) -> JobLedger:
+    """A ledger of ``jobs`` as an RMS records them: every submitted job
+    arrives in list order, a started one is accepted, a finished one retires."""
+    ledger = JobLedger()
+    for job in jobs:
+        if job.state is JobState.CREATED:
+            continue
+        ledger.arrive(job)
+        if job.start_time is not None:
+            ledger.accept(job)
+        if job.state in (JobState.COMPLETED, JobState.REJECTED, JobState.FAILED):
+            ledger.retire(job)
+    return ledger
 
 
 def heterogeneous_cluster(

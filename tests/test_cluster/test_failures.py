@@ -153,7 +153,7 @@ class TestInjector:
         from repro.metrics import compute_metrics
 
         rms, _, cluster = self.run_with_failures("libra", mtbf=300.0, repair=100.0)
-        m = compute_metrics(rms.jobs)
+        m = compute_metrics(rms.ledger)
         assert m.failed == len(rms.failed)
         assert m.unfinished == 0
         assert m.accepted == m.completed + m.failed

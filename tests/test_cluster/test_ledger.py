@@ -49,22 +49,31 @@ class TestRows:
 
 
 class TestIds:
-    def test_ids_below_the_maximum_are_found(self):
+    def test_ids_in_any_order_are_found(self):
         ledger = JobLedger()
-        for job_id in (5, 9, 2, 12, 9_000, 3):
+        ids = (5, 9, 2, 12, 9_000, 3)
+        for job_id in ids:
             ledger.arrive(make_job(job_id=job_id))
-        assert [ledger.row_of(i) for i in (5, 9, 2, 12, 9_000, 3)] == [0, 1, 2, 3, 4, 5]
-        assert [ledger.job_id(row) for row in range(6)] == [5, 9, 2, 12, 9_000, 3]
-        assert ledger.row_of(4) is None and ledger.row_of(10_000) is None
+        assert [ledger.index.get(i) for i in ids] == [0, 1, 2, 3, 4, 5]
+        assert [ledger.job_id(row) for row in range(6)] == list(ids)
+        assert ledger.index.get(4) is None and ledger.index.get(10_000) is None
 
     def test_an_id_read_back_is_the_submitted_object(self):
         ledger = JobLedger()
         job = finished(123_456_789)
         ledger.arrive(job)
         ledger.retire(job)
+        assert ledger.state_counts()[JobState.COMPLETED.code] == 1
         assert ledger.job_id(0) is job.job_id
 
-    def test_the_engine_refuses_a_stray_duplicate(self):
+    def test_a_repeated_id_is_refused(self):
+        ledger = JobLedger()
+        ledger.arrive(make_job(job_id=4))
+        with pytest.raises(ValueError, match="already arrived"):
+            ledger.arrive(make_job(job_id=4))
+        assert ledger.rows == 1
+
+    def test_the_engine_refuses_a_duplicate_below_the_maximum(self):
         engine = AdmissionEngine(EngineConfig(policy="edf", num_nodes=4, rating=1.0))
         for job_id in (10, 4, 20):
             engine.submit(make_job(runtime=1.0, deadline=100.0, job_id=job_id))
@@ -72,7 +81,55 @@ class TestIds:
             engine.submit(make_job(runtime=1.0, deadline=100.0, job_id=4))
         assert engine.query(4).job_id == 4
 
-    @pytest.mark.parametrize("field", ["job_id", "numproc"])
-    def test_values_beyond_int64_are_refused(self, field):
-        with pytest.raises(ValueError, match=field):
-            make_job(**{"job_id" if field == "job_id" else "numproc": INT64})
+    def test_ids_beyond_int64_are_kept(self):
+        ledger = JobLedger()
+        jobs = [finished(job_id) for job_id in (INT64, 1, INT64 * 4 + 1)]
+        for job in jobs:
+            ledger.arrive(job)
+            ledger.retire(job)
+        assert [job.job_id for job in ledger.jobs()] == [INT64, 1, INT64 * 4 + 1]
+        assert ledger.index.get(INT64 * 4 + 1) == 2
+
+    def test_a_numproc_beyond_int64_is_refused(self):
+        # A ledger row stores the node count as a signed 64-bit integer.
+        with pytest.raises(ValueError, match="numproc"):
+            make_job(numproc=INT64)
+
+
+class TestShuffledIds:
+    """Ids a client picks need not rise with submit time: every answer
+    is the same whatever order the ids arrive in."""
+
+    @staticmethod
+    def answers(ids):
+        engine = AdmissionEngine(EngineConfig(policy="edf", num_nodes=8, rating=1.0))
+        for k, job_id in enumerate(ids):
+            engine.submit(make_job(runtime=5.0 + k % 7, deadline=30.0 + k % 11,
+                                   numproc=1 + k % 3, submit=float(k), job_id=job_id))
+        engine.drain()
+        by_id = {
+            job_id: (job_fields(engine.query(job_id)), engine.decision_for(job_id))
+            for job_id in ids
+        }
+        return [by_id[job_id] for job_id in sorted(ids)], engine.metrics()
+
+    def test_shuffled_ids_answer_as_rising_ones(self):
+        import random
+
+        n = 3 * BATCH + 17
+        rising = list(range(1, n + 1))
+        shuffled = rising[:]
+        random.Random(7).shuffle(shuffled)
+        # The same jobs in the same submit order; only the ids differ.
+        (got, got_metrics), (want, want_metrics) = (
+            self.answers(shuffled), self.answers(rising),
+        )
+        renamed = dict(zip(rising, shuffled))
+        want_by_new_id = {}
+        for (fields, decision), old in zip(want, rising):
+            new = renamed[old]
+            fields = (new,) + fields[1:]
+            decision.job_id = new
+            want_by_new_id[new] = (fields, decision)
+        assert got == [want_by_new_id[job_id] for job_id in sorted(shuffled)]
+        assert got_metrics == want_metrics

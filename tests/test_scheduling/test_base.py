@@ -59,6 +59,7 @@ class TestCompletionTracking:
         sim, cluster, policy, rms = wire()
         job = make_job(runtime=10.0, deadline=100.0, numproc=2, job_id=1)
         job.mark_submitted()
+        rms.ledger.arrive(job)  # as the RMS records an arrival
         job.mark_running(0.0, [0, 1])
         policy._track(job)
         rms.notify_accepted(job)
@@ -92,6 +93,7 @@ class TestRejectHelper:
         _, _, policy, rms = wire()
         job = make_job()
         job.mark_submitted()
+        rms.ledger.arrive(job)  # as the RMS records an arrival
         policy._reject(job, "because")
         assert job.state is JobState.REJECTED
         assert job.reject_reason == "because"

@@ -68,7 +68,7 @@ def simulate(config, per_task, ratings=None, mtbf=None):
             for j in rms.jobs
         ],
         "nodes": [(n.busy_time, n.failures, n.online) for n in cluster],
-        "metrics": compute_metrics(rms.jobs, cluster, sim.now).as_dict(),
+        "metrics": compute_metrics(rms.ledger, cluster, sim.now).as_dict(),
         "order": [j.job_id for j in rms.completed],
     }
     return outcome, sim.events_fired

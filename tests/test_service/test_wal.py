@@ -400,6 +400,27 @@ class TestRecovery:
         assert err.startswith("repro recover: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_ids_beyond_int64_recover(self, tmp_path):
+        # The protocol sets no upper bound on a client's id, so a log can
+        # hold any: every such job comes back, answered as before.
+        path = tmp_path / "wal.log"
+        svc = self.service(path)
+        ids = (2**63, 3, 2**64 + 5)
+        for i, job_id in enumerate(ids):
+            status, _ = svc.handle(json.dumps(submit_req(job_id, float(i))).encode())
+            assert status == 200
+        svc.close_wal()
+
+        engine, report = recover(str(path))
+        assert report.replayed == 3 and report.failed == 0
+        assert [d.as_dict() for d in engine.decisions] == [
+            d.as_dict() for d in svc.engine.decisions
+        ]
+        engine.drain()
+        svc.engine.drain()
+        for job_id in ids:
+            assert job_fields(engine.query(job_id)) == job_fields(svc.engine.query(job_id))
+
     def test_recovered_service_assigns_fresh_auto_ids(self, tmp_path):
         # Recovery rebuilds jobs under their original explicit ids; a
         # later submit *without* an id must draw a fresh one, not
