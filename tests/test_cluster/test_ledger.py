@@ -1,5 +1,7 @@
 """The RMS ledger: finished jobs as packed rows, read back field for field."""
 
+import random
+
 import pytest
 
 from repro.cluster.job import INT64, JobState
@@ -114,8 +116,6 @@ class TestShuffledIds:
         return [by_id[job_id] for job_id in sorted(ids)], engine.metrics()
 
     def test_shuffled_ids_answer_as_rising_ones(self):
-        import random
-
         n = 3 * BATCH + 17
         rising = list(range(1, n + 1))
         shuffled = rising[:]
