@@ -67,9 +67,8 @@ for _state, _allowed in _VALID_TRANSITIONS.items():
 for _members in (JobState, UrgencyClass):
     for _code, _member in enumerate(_members):
         _member.code = _code
-
-#: A ledger row stores a job's node count as a signed 64-bit integer.
-INT64 = 1 << 63
+# The states as globals: a submit reads a dozen, and a global is cheaper.
+CREATED, SUBMITTED, QUEUED, RUNNING, COMPLETED, REJECTED, FAILED = JobState
 
 _id_lock = threading.Lock()
 _next_auto_id = 1
@@ -164,8 +163,6 @@ class Job:
             )
         if numproc < 1:
             raise ValueError(f"numproc must be >= 1, got {numproc}")
-        if numproc >= INT64:
-            raise ValueError(f"numproc must be < 2**63, got {numproc}")
         if not 0.0 < deadline < math.inf:
             raise ValueError(f"deadline must be finite and > 0, got {deadline}")
         if not 0.0 <= submit_time < math.inf:
@@ -178,7 +175,7 @@ class Job:
         self.deadline = float(deadline)
         self.urgency = urgency
         self.user = user
-        self.state = JobState.CREATED
+        self.state = CREATED
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
         #: Unstarted jobs share one empty tuple; ``mark_running`` stores a list.
@@ -195,27 +192,35 @@ class Job:
         self.state = new_state
 
     def mark_submitted(self) -> None:
-        self.transition(JobState.SUBMITTED)
+        if SUBMITTED not in self.state.successors:
+            self.transition(SUBMITTED)
+        self.state = SUBMITTED
 
     def mark_queued(self) -> None:
-        self.transition(JobState.QUEUED)
+        if QUEUED not in self.state.successors:
+            self.transition(QUEUED)
+        self.state = QUEUED
 
-    def mark_running(self, now: float, nodes: list[int]) -> None:
-        self.transition(JobState.RUNNING)
+    def mark_running(self, now: float, nodes: list[int]) -> None:  # keeps ``nodes``
+        if RUNNING not in self.state.successors:
+            self.transition(RUNNING)
+        self.state = RUNNING
         self.start_time = float(now)
-        self.assigned_nodes = list(nodes)
+        self.assigned_nodes = nodes
 
     def mark_completed(self, now: float) -> None:
-        self.transition(JobState.COMPLETED)
+        if COMPLETED not in self.state.successors:
+            self.transition(COMPLETED)
+        self.state = COMPLETED
         self.finish_time = float(now)
 
     def mark_rejected(self, reason: str = "") -> None:
-        self.transition(JobState.REJECTED)
+        self.transition(REJECTED)
         self.reject_reason = reason or None
 
     def mark_failed(self, now: float) -> None:
         """The job was killed by a node failure; it will never finish."""
-        self.transition(JobState.FAILED)
+        self.transition(FAILED)
         self.finish_time = float(now)
 
     # -- deadlines and SLA quantities (Eq. 3) ------------------------------
@@ -230,13 +235,11 @@ class Job:
 
     @property
     def accepted(self) -> bool:
-        return self.state in (
-            JobState.QUEUED, JobState.RUNNING, JobState.COMPLETED, JobState.FAILED
-        )
+        return self.state in (QUEUED, RUNNING, COMPLETED, FAILED)
 
     @property
     def completed(self) -> bool:
-        return self.state is JobState.COMPLETED
+        return self.state is COMPLETED
 
     @property
     def response_time(self) -> Optional[float]:
@@ -258,7 +261,7 @@ class Job:
     def deadline_met(self) -> Optional[bool]:
         """True iff the job completed within its hard deadline."""
         if not self.completed:
-            return None if self.state is JobState.RUNNING else False
+            return None if self.state is RUNNING else False
         return self.delay == 0.0
 
     @property

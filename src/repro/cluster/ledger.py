@@ -17,14 +17,15 @@ plus a fixed number of bytes for each finished job:
 * Per row, ``_jobs`` holds the live job, and once the row is packed the
   job's id (the object the job was submitted with).
 * The node ids a finished job ran on go into one flat ``array('i')``,
-  reject reasons into one UTF-8 text heap, and users are interned.
+  reject reasons into one UTF-8 text heap, and users are interned; a
+  ``numproc`` of 2**63 or more is kept beside its row (which holds 0).
 
 The submit path only notes what happens to a job: its arrival, and its
 acceptance and finish as one list append each (``accept`` and ``retire``
-are those lists' ``append``).  Every :data:`BATCH` arrivals, and as soon
-as a reader needs the rows, the notes are applied and the finished jobs
-packed.  Until then a finished job is still its object, and single-job
-readers answer from it.
+are those lists' ``append``); the engine writes the decision's byte.
+Every :data:`BATCH` arrivals, and as soon as a reader needs the rows,
+the notes are applied and the finished jobs packed.  Until then a
+finished job is still its object, and single-job readers answer from it.
 
 Every reader — metrics, the engine's decision log, ``query``, traces,
 checkpoints — gets its answer from these rows (or from the job object),
@@ -35,6 +36,8 @@ field to the one that finished.
 from __future__ import annotations
 
 from array import array
+from itertools import count
+from operator import attrgetter
 from struct import Struct
 from typing import Callable, Iterator, Optional, Union
 
@@ -50,6 +53,7 @@ from repro.cluster.job import Job, JobState, UrgencyClass
 ROW = Struct("<4dqIBIdId3IBq")
 LSN = Struct("<q")
 LSN_AT = ROW.size - LSN.size
+INT64 = 1 << 63  #: the first ``numproc`` a row's int64 field cannot hold
 
 # Positions in an unpacked row.
 _SUBMIT, _RUNTIME, _DEADLINE, _URGENCY, _ACCEPTED, _FINISH = 0, 1, 3, 6, 7, 10
@@ -64,10 +68,10 @@ OUTCOME_CODES = {name: code for code, name in enumerate(OUTCOMES) if name}
 #: Outcome-byte flag: the submission has a trace id.
 TRACED = 4
 
-LIVE = 0  # state byte of a row not packed yet
 STATES = tuple(JobState)
 URGENCIES = tuple(UrgencyClass)
 NAN = float("nan")
+_VALUES = attrgetter(*Job.__slots__)  # a live job's fields, in slot order
 
 
 class JobLedger:
@@ -76,8 +80,7 @@ class JobLedger:
     __slots__ = (
         "index", "rows", "buf", "outcomes", "accept", "retire", "_jobs",
         "_accepted", "_done", "_accept_of", "_accepted_n", "_lsn_of", "_finished",
-        "_counts", "_nodes", "_nodes_len", "_node_counts", "_text", "_text_len",
-        "_users", "_user_ids",
+        "_counts", "_nodes", "_node_counts", "_numprocs", "_text", "_users", "_user_ids",
     )
 
     def __init__(self) -> None:
@@ -102,10 +105,9 @@ class JobLedger:
         self._finished = 0  # finish ordinal of the next packed row
         self._counts = [0] * len(STATES)  # packed rows by state code
         self._nodes = array("i")
-        self._nodes_len = 0
         self._node_counts: dict[int, int] = {}  # row -> count, where unusual
+        self._numprocs: dict[int, int] = {}  # row -> numproc, where >= INT64
         self._text = bytearray()
-        self._text_len = 0
         self._users: list[Optional[str]] = [None]
         self._user_ids: dict[Optional[str], int] = {None: 0}
 
@@ -119,12 +121,10 @@ class JobLedger:
             If a job with the same id already arrived: the id is the
             handle every reader finds the job by.
         """
-        job_id, index = job.job_id, self.index
-        if job_id in index:
+        job_id, row = job.job_id, self.rows
+        if self.index.setdefault(job_id, row) != row:
             raise ValueError(f"job {job_id} already arrived; job ids must be unique")
-        row = self.rows
         self.rows = row + 1
-        index[job_id] = row
         self._jobs.append(job)
         if not row % BATCH:
             self.outcomes += bytes(BATCH)
@@ -136,14 +136,8 @@ class JobLedger:
         """Jobs accepted so far."""
         return self._accepted_n + len(self._accepted)
 
-    def decide(self, row: int, outcome: str, traced: bool, wal_lsn: int = 0) -> None:
-        """Record the engine's decision for ``row``: its outcome, whether the
-        submission has a trace id, and the LSN of the WAL record that
-        carried it (0: not logged)."""
-        code = OUTCOME_CODES[outcome]
-        self.outcomes[row] = code | TRACED if traced else code
-        if not wal_lsn:
-            return
+    def log(self, row: int, wal_lsn: int) -> None:
+        """Record the LSN of the WAL record that carried ``row``'s submit."""
         if isinstance(self._jobs[row], Job):
             self._lsn_of[row] = wal_lsn
         else:
@@ -156,63 +150,61 @@ class JobLedger:
         short = self.rows * ROW.size - len(self.buf)
         if short:
             self.buf += bytes(short)
-        accept_of = self._accept_of
-        if self._accepted:
-            ordinal = self._accepted_n
-            for job in self._accepted:
-                ordinal += 1
-                accept_of[job] = ordinal
-            self._accepted_n = ordinal
-            self._accepted.clear()
+        accepted, accept_of = self._accepted, self._accept_of
+        if accepted:
+            accept_of.update(zip(accepted, count(self._accepted_n + 1)))
+            self._accepted_n += len(accepted)
+            accepted.clear()
         done = self._done
         if not done:
             return
         buf, index, jobs, counts = self.buf, self.index, self._jobs, self._counts
-        lsn_of, user_ids, nodes = self._lsn_of, self._user_ids, self._nodes
+        lsn_of, user_ids = self._lsn_of, self._user_ids
         pack_into, size = ROW.pack_into, ROW.size
-        nodes_len, finished = self._nodes_len, self._finished
-        for job in done:
+        fromlist = self._nodes.fromlist
+        raws: list[bytes] = []  # the batch's reasons go into the heap at once
+        nodes_at, text_at = len(self._nodes), len(self._text)
+        for finished, job in enumerate(done, self._finished):
             job_id = job.job_id
             row = index[job_id]
             jobs[row] = job_id
-            user = job.user
-            if user not in user_ids:
-                user_ids[user] = len(self._users)
-                self._users.append(user)
+            user = user_ids.get(job.user)
+            if user is None:
+                user = user_ids[job.user] = len(self._users)
+                self._users.append(job.user)
             start = job.start_time
             if start is None:
-                accepted, start = 0, NAN
+                accepted_at, start = 0, NAN
             else:  # only a started job was accepted
-                accepted = accept_of.pop(job, 0)
-            node_ids = job.assigned_nodes
-            nodes_at = nodes_len
-            nodes_n = 0
-            if node_ids:  # a started job's list (``mark_running`` stores one)
-                nodes.fromlist(node_ids)  # type: ignore[arg-type]
-                nodes_n = len(node_ids)
-                nodes_len += nodes_n
-            if nodes_n != (job.numproc if accepted else 0):
+                accepted_at = accept_of.pop(job, 0)
+            numproc, node_ids = job.numproc, job.assigned_nodes
+            nodes_n = len(node_ids)
+            if nodes_n != (numproc if accepted_at else 0):
                 self._node_counts[row] = nodes_n
+            if numproc >= INT64:
+                self._numprocs[row], numproc = numproc, 0
             reason = job.reject_reason
-            reason_at = reason_n = 0
             if reason:
                 raw = reason.encode()
-                reason_at = self._text_len
+                raws.append(raw)
                 reason_n = len(raw)
-                self._text += raw
-                self._text_len = reason_at + reason_n
+            else:
+                reason_n = 0
             finish, state = job.finish_time, job.state.code
             pack_into(
                 buf, row * size,
                 job.submit_time, job.runtime, job.estimated_runtime, job.deadline,
-                job.numproc, user_ids[user], job.urgency.code, accepted, start,
-                nodes_at, NAN if finish is None else finish,
-                reason_at, reason_n, finished, state,
+                numproc, user, job.urgency.code, accepted_at, start, nodes_at,
+                NAN if finish is None else finish, text_at, reason_n, finished, state,
                 lsn_of.pop(row, 0) if lsn_of else 0,
             )
-            finished += 1
+            if nodes_n:
+                fromlist(node_ids)
+                nodes_at += nodes_n
+            text_at += reason_n
             counts[state] += 1
-        self._nodes_len, self._finished = nodes_len, finished
+        self._text += b"".join(raws)
+        self._finished = finished + 1
         done.clear()
 
     # -- lookups ----------------------------------------------------------
@@ -234,27 +226,37 @@ class JobLedger:
         for row, (slot, fields) in enumerate(zip(self._jobs, ROW.iter_unpack(self.buf))):
             yield slot if isinstance(slot, Job) else self._read(slot, fields, row)
 
+    def records(self) -> Iterator[tuple[int, tuple, int, int]]:
+        """``(row, fields in Job.__slots__ order, outcome byte, wal_lsn)`` of
+        every job in arrival order; a packed row builds no :class:`Job`."""
+        self._pack()
+        rows = zip(self._jobs, ROW.iter_unpack(self.buf), self.outcomes)
+        for row, (slot, fields, code) in enumerate(rows):
+            if isinstance(slot, Job):
+                yield row, _VALUES(slot), code, self._lsn_of.get(row, 0)
+            else:
+                yield row, self._values(slot, fields, row), code, fields[_LSN]
+
     def _read(self, job_id: int, fields: tuple, row: int) -> Job:
+        job = Job.__new__(Job)
+        (job.job_id, job.submit_time, job.runtime, job.estimated_runtime, job.numproc,
+         job.deadline, job.urgency, job.user, job.state, job.start_time, job.finish_time,
+         job.assigned_nodes, job.reject_reason) = self._values(job_id, fields, row)
+        return job
+
+    def _values(self, job_id: int, fields: tuple, row: int) -> tuple:
+        """The fields of the job packed in ``row``, in ``Job.__slots__`` order."""
         (submit, runtime, estimate, deadline, numproc, user, urgency, accepted, start,
          nodes_at, finish, _, _, _, state, _) = fields
-        job = Job.__new__(Job)
-        job.job_id = job_id
-        job.submit_time = submit
-        job.runtime = runtime
-        job.estimated_runtime = estimate
-        job.numproc = numproc
-        job.deadline = deadline
-        job.urgency = URGENCIES[urgency]
-        job.user = self._users[user]
-        job.state = STATES[state]
-        job.start_time = start if accepted else None
-        job.finish_time = None if finish != finish else finish
+        numproc = numproc or self._numprocs[row]  # 0: the row could not hold it
         nodes_n = self._node_counts.get(row, numproc if accepted else 0)
-        job.assigned_nodes = (
-            self._nodes[nodes_at:nodes_at + nodes_n].tolist() if nodes_n else ()
+        return (
+            job_id, submit, runtime, estimate, numproc, deadline, URGENCIES[urgency],
+            self._users[user], STATES[state], start if accepted else None,
+            None if finish != finish else finish,
+            self._nodes[nodes_at:nodes_at + nodes_n].tolist() if nodes_n else (),
+            self._reason(fields),
         )
-        job.reject_reason = self._reason(fields)
-        return job
 
     def _reason(self, fields: tuple) -> Optional[str]:
         at, n = fields[_REASON_AT], fields[_REASON_N]
@@ -294,16 +296,13 @@ class JobLedger:
     def decision(self, row: int) -> Optional[tuple[str, bool, int, float, str]]:
         """``(outcome, traced, wal_lsn, t, reason)`` the engine recorded
         for ``row``, or ``None`` if it decided none."""
-        code = self.outcomes[row]
+        code, job = self.outcomes[row], self._jobs[row]
         if not code:
             return None
-        job = self._jobs[row]
-        if not isinstance(job, Job):
-            return self._decision(code, ROW.unpack_from(self.buf, row * ROW.size))
-        outcome = OUTCOMES[code & ~TRACED]
-        reason = job.reject_reason if outcome == "rejected" else None
-        return (outcome, bool(code & TRACED), self._lsn_of.get(row, 0),
-                job.submit_time, reason or "")
+        if isinstance(job, Job):
+            return _decided(code, job.submit_time, job.reject_reason, self._lsn_of.get(row, 0))
+        fields = ROW.unpack_from(self.buf, row * ROW.size)
+        return _decided(code, fields[_SUBMIT], self._reason(fields), fields[_LSN])
 
     def decisions(self) -> Iterator[tuple[int, int, str, bool, int, float, str]]:
         """``(row, job_id, outcome, traced, wal_lsn, t, reason)`` of every
@@ -311,20 +310,12 @@ class JobLedger:
         self._pack()
         rows = zip(self._jobs, ROW.iter_unpack(self.buf), self.outcomes)
         for row, (slot, fields, code) in enumerate(rows):
-            if not code:
-                continue
-            if isinstance(slot, Job):
-                decided = self.decision(row)
-                assert decided is not None
-                yield (row, slot.job_id) + decided
-            else:
-                yield (row, slot) + self._decision(code, fields)
-
-    def _decision(self, code: int, fields: tuple) -> tuple[str, bool, int, float, str]:
-        outcome = OUTCOMES[code & ~TRACED]
-        # A rejection's reason is the one it was refused with.
-        reason = self._reason(fields) if outcome == "rejected" else None
-        return outcome, bool(code & TRACED), fields[_LSN], fields[_SUBMIT], reason or ""
+            if code and isinstance(slot, Job):
+                yield (row, slot.job_id) + _decided(
+                    code, slot.submit_time, slot.reject_reason, self._lsn_of.get(row, 0))
+            elif code:
+                yield (row, slot) + _decided(
+                    code, fields[_SUBMIT], self._reason(fields), fields[_LSN])
 
     def summary_rows(
         self,
@@ -341,3 +332,11 @@ class JobLedger:
                 yield (STATES[fields[_STATE]], URGENCIES[fields[_URGENCY]],
                        fields[_SUBMIT], fields[_RUNTIME], fields[_DEADLINE],
                        fields[_FINISH])
+
+
+def _decided(code: int, t: float, reason: Optional[str],
+             wal_lsn: int) -> tuple[str, bool, int, float, str]:
+    """The decision an outcome byte records; a rejection's reason is the
+    one its job was refused with."""
+    outcome = OUTCOMES[code & ~TRACED]
+    return outcome, bool(code & TRACED), wal_lsn, t, (reason or "") if outcome == "rejected" else ""

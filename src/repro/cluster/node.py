@@ -53,6 +53,7 @@ TaskListener = Callable[["Node", "NodeTask", float, int], None]
 PREDICTED_DELAY_EPSILON = 1e-6
 
 _INF = float("inf")
+_COMPLETION = EventPriority.COMPLETION  # a global read: see ``repro.cluster.job.CREATED``
 
 # Robustness constants of TimeSharedNode.refutes_zero_risk: its
 # arithmetic is the projection's regrouped, not bit-identical, so a
@@ -109,7 +110,7 @@ class NodeTask:
         #: *before* admission, so the copy cannot go stale while the
         #: task is resident — and it turns the admission scan's
         #: per-resident deadline read into a plain slot load.
-        self.deadline = job.absolute_deadline
+        self.deadline = job.submit_time + job.deadline
 
     @property
     def finished(self) -> bool:
@@ -158,10 +159,6 @@ class Node:
     # -- common helpers ----------------------------------------------------
     def has_job(self, job_id: int) -> bool:
         return job_id in self.tasks
-
-    def _notify(self, task: NodeTask, now: float, count: int = 1) -> None:
-        if self.listener is not None:
-            self.listener(self, task, now, count)
 
     def utilisation(self, horizon: float) -> float:
         """Fraction of this node's capacity used over ``[0, horizon]``."""
@@ -261,7 +258,7 @@ def start_job_tasks(
         nodes[0].sim.schedule_at(
             finish,
             _complete_tasks,
-            priority=EventPriority.COMPLETION,
+            priority=_COMPLETION,
             name=f"job{job_id}:done",
             payload=(task, members),
         )
@@ -285,7 +282,9 @@ def _complete_tasks(event: Event) -> None:
         del node.tasks[job_id]
     if done:
         task.remaining_work = task.remaining_est_work = 0.0
-        done[0]._notify(task, event.time, len(done))
+        first = done[0]
+        if first.listener is not None:
+            first.listener(first, task, event.time, len(done))
 
 
 class TimeSharedNode(Node):
@@ -426,7 +425,7 @@ class TimeSharedNode(Node):
             self._completion_event = self.sim.schedule(
                 horizon,
                 self._on_completion_event,
-                priority=EventPriority.COMPLETION,
+                priority=_COMPLETION,
                 name=self._completion_name,
             )
 
@@ -441,7 +440,8 @@ class TimeSharedNode(Node):
         # Notify after the node state settled so listeners observe the
         # post-completion share allocation.
         for task in finished:
-            self._notify(task, now)
+            if self.listener is not None:
+                self.listener(self, task, now, 1)
 
     # -- failure/repair -------------------------------------------------------
     def fail(self, now: float) -> list[Job]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.job import Job, JobState
+from repro.cluster.job import CREATED, REJECTED, Job, JobState
 from repro.cluster.ledger import JobLedger
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
@@ -27,6 +27,8 @@ from repro.sim.kernel import Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.hooks import LifecycleObserver
     from repro.scheduling.base import SchedulingPolicy
+
+_ARRIVAL = EventPriority.ARRIVAL  # a global read: see ``repro.cluster.job.CREATED``
 
 
 class ResourceManagementSystem:
@@ -59,7 +61,7 @@ class ResourceManagementSystem:
             lies before the simulated clock — an out-of-order arrival
             the event heap could not honour.
         """
-        if job.state is not JobState.CREATED:
+        if job.state is not CREATED:
             raise ValueError(f"job {job.job_id} already {job.state.value}; cannot submit")
         if job.submit_time < self.sim.now:
             raise ValueError(
@@ -67,11 +69,8 @@ class ResourceManagementSystem:
                 f"{job.submit_time:.6g}s is before the clock at {self.sim.now:.6g}s"
             )
         self.sim.schedule_at(
-            job.submit_time,
-            self._on_arrival,
-            priority=EventPriority.ARRIVAL,
-            name=f"arrive:job{job.job_id}",
-            payload=job,
+            job.submit_time, self._on_arrival, _ARRIVAL,
+            f"arrive:job{job.job_id}", job,
         )
 
     def submit_all(self, jobs: Iterable[Job]) -> int:
@@ -88,8 +87,8 @@ class ResourceManagementSystem:
         self.ledger.arrive(job)
         # The observer checks are inline: these run once or twice a job.
         if self.observer is not None:
-            self.observer.on_job_transition(job, "submitted", self.sim.now)
-        self.policy.on_job_submitted(job, self.sim.now)
+            self.observer.on_job_transition(job, "submitted", event.time)
+        self.policy.on_job_submitted(job, event.time)
 
     # -- policy callbacks -------------------------------------------------------
     def notify_accepted(self, job: Job) -> None:
@@ -100,7 +99,7 @@ class ResourceManagementSystem:
 
     def notify_rejected(self, job: Job, reason: str = "") -> None:
         """Policy refused ``job`` at admission (or EDF's dispatch check)."""
-        if not job.state is JobState.REJECTED:
+        if not job.state is REJECTED:
             job.mark_rejected(reason)
         self.ledger.retire(job)
         if self.observer is not None:

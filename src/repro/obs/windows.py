@@ -10,14 +10,15 @@ run length.
 Layout
 ------
 The window is ``buckets`` equal slices of simulated time.  Each policy
-keeps a deque of live slices, oldest first, each ``(slice index,
-[submitted, rejected, {reason: n}])``; the last slice's index is the
-policy's *cursor*.  A note past the cursor appends a fresh slice and
-evicts every slice that fell ``buckets`` slices behind; a note at or
-behind the cursor lands in the cursor's slice.  Reads move the cursor
-the same way, so a policy that stopped receiving decisions decays to
-zero as the window slides past them.  Distinct reason names are capped
-at :data:`MAX_REASONS` per policy for the life of the aggregator; later
+keeps a deque of live slices, oldest first, each a list ``[slice index,
+submitted, rejected, {reason: n} or None]`` (int counts; the dict comes
+with the first rejection); the last slice's index is the policy's
+*cursor*.  A note past the cursor appends a fresh slice and evicts
+every slice that fell ``buckets`` slices behind; a note at or behind
+the cursor lands in the cursor's slice.  Reads move the cursor the same
+way, so a policy that stopped receiving decisions decays to zero as the
+window slides past them.  Distinct reason names are capped at
+:data:`MAX_REASONS` per policy for the life of the aggregator; later
 reasons fold into :data:`OVERFLOW_REASON`.
 
 Determinism
@@ -76,31 +77,12 @@ class WindowAggregator:
         self.window = float(window)
         self.buckets = int(buckets)
         self._slice = self.window / self.buckets
-        #: policy -> live slices ``(index, [submitted, rejected,
-        #: {reason: n}])``, oldest first; the last one is the cursor's.
-        self._slices: dict[str, deque[tuple[int, list[Any]]]] = {}
+        #: policy -> live slices ``[index, submitted, rejected, {reason:
+        #: n} or None]``, oldest first; the last one is the cursor's.
+        self._slices: dict[str, deque[list[Any]]] = {}
         #: policy -> every reason name it has ever counted (the cap).
         self._reasons: dict[str, set[str]] = {}
         self._lock = threading.Lock()
-
-    def _advance(self, policy: str, index: int) -> list[Any]:  # repro-lint: locked  private helper, every caller holds self._lock
-        """Move ``policy``'s cursor up to slice ``index`` (lock held).
-
-        Returns the counts of the cursor's slice, creating the policy on
-        its first note.
-        """
-        slices = self._slices.get(policy)
-        if slices is None:
-            slices = self._slices[policy] = deque()
-            self._reasons[policy] = set()
-        elif index <= slices[-1][0]:
-            return slices[-1][1]  # same slice, or a stale time behind the cursor
-        counts: list[Any] = [0.0, 0.0, {}]
-        slices.append((index, counts))
-        horizon = index - self.buckets
-        while slices[0][0] <= horizon:
-            slices.popleft()
-        return counts
 
     def note_decision(self, t: float, policy: str, outcome: str,
                       reason: str = "") -> None:
@@ -108,21 +90,30 @@ class WindowAggregator:
         index = math.floor(t / self._slice)
         with self._lock:
             slices = self._slices.get(policy)
-            if slices is not None and index <= slices[-1][0]:
-                counts = slices[-1][1]  # the common case, without a call
-            else:
-                counts = self._advance(policy, index)
-            counts[0] += 1.0
+            if slices is None:  # the policy's first note
+                slices = self._slices[policy] = deque([[index, 0, 0, None]])
+                self._reasons[policy] = set()
+            cursor = slices[-1]
+            if index > cursor[0]:  # past the cursor: a fresh slice, and evict
+                cursor = [index, 0, 0, None]
+                slices.append(cursor)
+                horizon = index - self.buckets
+                while slices[0][0] <= horizon:
+                    slices.popleft()
+            cursor[1] += 1
             if outcome == "rejected":
-                counts[1] += 1.0
+                cursor[2] += 1
                 reason = reason or "<unspecified>"
                 seen = self._reasons[policy]
                 if reason not in seen:
                     if len(seen) >= MAX_REASONS:
                         reason = OVERFLOW_REASON
                     seen.add(reason)
-                by_reason = counts[2]
-                by_reason[reason] = by_reason.get(reason, 0.0) + 1.0
+                by_reason = cursor[3]
+                if by_reason is None:
+                    cursor[3] = {reason: 1}
+                else:
+                    by_reason[reason] = by_reason.get(reason, 0) + 1
 
     def replay(self, decisions: Iterable[Any]) -> None:
         """Rebuild window state from an engine's decision log.
@@ -142,21 +133,25 @@ class WindowAggregator:
         index = math.floor(t / self._slice)
         policies: dict[str, Any] = {}
         with self._lock:
-            for name in sorted(self._slices):
-                self._advance(name, index)
-                submitted = rejected = 0.0
-                reasons: dict[str, float] = {}
-                for _, (sub, rej, by_reason) in self._slices[name]:
+            for name, slices in sorted(self._slices.items()):
+                if index > slices[-1][0]:  # a read moves the cursor as a note does
+                    slices.append([index, 0, 0, None])
+                    horizon = index - self.buckets
+                    while slices[0][0] <= horizon:
+                        slices.popleft()
+                submitted = rejected = 0
+                reasons: dict[str, int] = {}
+                for _, sub, rej, by_reason in slices:
                     submitted += sub
                     rejected += rej
-                    for reason, n in by_reason.items():
-                        reasons[reason] = reasons.get(reason, 0.0) + n
+                    for reason, n in (by_reason or {}).items():
+                        reasons[reason] = reasons.get(reason, 0) + n
                 policies[name] = {
                     "window_s": self.window,
-                    "submitted": submitted,
-                    "rejected": rejected,
+                    "submitted": float(submitted),
+                    "rejected": float(rejected),
                     "loss_ratio": rejected / submitted if submitted > 0 else 0.0,
-                    "reject_reasons": dict(sorted(reasons.items())),
+                    "reject_reasons": {r: float(n) for r, n in sorted(reasons.items())},
                 }
         return {"t": float(t), "window_s": self.window, "policies": policies}
 

@@ -54,7 +54,8 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
         self._dispatch(now)
 
     def on_job_completed(self, job: Job, now: float) -> None:
-        self._dispatch(now)
+        if self.queue:  # freed nodes matter only to waiting work
+            self._dispatch(now)
 
     def on_node_failure(self, node, now: float) -> None:
         # Failed jobs freed sibling nodes; queued work may now fit.
@@ -70,13 +71,14 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
             job = self.select_next(now)
             if job is None:
                 return
-            if not self._feasible(job, now):
-                # "Prior to execution": a job that cannot meet its deadline
-                # even if started right now will only get worse by waiting,
-                # so reject it at selection rather than letting a doomed
-                # wide job block the head of the queue.
+            # The paper's check on the *estimate*, "prior to execution": a job
+            # that cannot meet its deadline if started now only gets worse
+            # by waiting, so reject it at selection rather than let a doomed
+            # wide job block the head of the queue.
+            deadline = job.submit_time + job.deadline  # absolute
+            if now + job.estimated_runtime > deadline:
                 self.queue.remove(job)
-                remaining = job.remaining_deadline(now)
+                remaining = deadline - now
                 if remaining <= 0:
                     reason = (
                         f"deadline expired {-remaining:.6g}s before dispatch"
@@ -111,10 +113,6 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
             self.queue.remove(job)
             self._start(job, free, now)
 
-    def _feasible(self, job: Job, now: float) -> bool:
-        """Paper's dispatch-time check, based on the *estimate*."""
-        return now + job.estimated_runtime <= job.absolute_deadline
-
     def _start(self, job: Job, nodes: list[SpaceSharedNode], now: float) -> None:
         assert self.cluster is not None and self.rms is not None
         work = self.cluster.work_of(job.runtime)
@@ -131,9 +129,7 @@ class EDFPolicy(QueuedSpaceSharedPolicy):
     name = "edf"
 
     def select_next(self, now: float) -> Optional[Job]:
-        if not self.queue:
-            return None
-        return min(
-            self.queue,
-            key=lambda j: (j.absolute_deadline, j.submit_time, j.job_id),
-        )
+        queue = self.queue
+        if len(queue) < 2:  # a lone job needs no key
+            return queue[0] if queue else None
+        return min(queue, key=lambda j: (j.submit_time + j.deadline, j.submit_time, j.job_id))

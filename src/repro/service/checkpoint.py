@@ -35,7 +35,7 @@ import tempfile
 from typing import Any, Optional
 
 from repro.cluster.job import Job, JobState, UrgencyClass, reserve_job_ids
-from repro.cluster.ledger import OUTCOME_CODES
+from repro.cluster.ledger import OUTCOME_CODES, OUTCOMES, TRACED
 from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
 from repro.obs.tracing import mint_trace_id
 from repro.service.engine import AdmissionEngine, EngineConfig
@@ -79,8 +79,30 @@ def snapshot(engine: AdmissionEngine) -> dict[str, Any]:
                 f"at t={event.time:.6g} is not a reconstructible completion timer"
             )
 
+    # One pass over the ledger's rows: each job, and its decision, trace id (a
+    # pin, else derived) and LSN; a decision shares its job's time and reason.
     ledger = engine.rms.ledger
-    jobs = [_job_state(job) for job in ledger.jobs()]
+    jobs: list[dict[str, Any]] = []
+    decisions: list[dict[str, Any]] = []
+    ids: dict[str, str] = {}
+    wal_lsns: dict[str, int] = {}
+    for row, values, code, wal_lsn in ledger.records():
+        jobs.append(_job_state(values))
+        if not code:
+            continue
+        job_id, outcome = values[0], OUTCOMES[code & ~TRACED]
+        decision: dict[str, Any] = {
+            "job": job_id, "outcome": outcome, "t": values[1], "policy": engine.policy.name}
+        if outcome == "rejected" and values[-1]:
+            decision["reason"] = values[-1]
+        decisions.append(decision)
+        pin = engine._pins.get(job_id)
+        if pin is None and code & TRACED:
+            pin = mint_trace_id(engine.trace_seed, engine._seq_base + row + 1, job_id)
+        if pin is not None:
+            ids[str(job_id)] = pin
+        if wal_lsn:
+            wal_lsns[str(job_id)] = wal_lsn
     nodes = []
     for node in engine.cluster:
         if isinstance(node, TimeSharedNode) and node.online:
@@ -102,20 +124,6 @@ def snapshot(engine: AdmissionEngine) -> dict[str, Any]:
                 ],
             }
         )
-
-    # One pass over the decision log: each decision, its trace id (as the
-    # engine reads it: a pin, else derived) and the LSN that logged it.
-    decisions: list[dict[str, Any]] = []
-    ids: dict[str, str] = {}
-    wal_lsns: dict[str, int] = {}
-    for d in engine.decisions:
-        decisions.append(d.as_dict())
-        if d.pin is not None:
-            ids[str(d.job_id)] = d.pin
-        elif d.seq:
-            ids[str(d.job_id)] = mint_trace_id(engine.trace_seed, d.seq, d.job_id)
-        if d.wal_lsn:
-            wal_lsns[str(d.job_id)] = d.wal_lsn
 
     policy_state: dict[str, Any] = {
         "pending_tasks": {
@@ -168,27 +176,25 @@ def snapshot(engine: AdmissionEngine) -> dict[str, Any]:
     return snap
 
 
-def _job_state(job: Job) -> dict[str, Any]:
+def _job_state(values: tuple) -> dict[str, Any]:
+    """A job's checkpoint entry from its fields in ``Job.__slots__`` order."""
+    (job_id, submit, runtime, estimate, numproc, deadline, urgency, user, state,
+     start, finish, nodes, reason) = values
     out: dict[str, Any] = {
-        "id": job.job_id,
-        "submit_time": job.submit_time,
-        "runtime": job.runtime,
-        "estimated_runtime": job.estimated_runtime,
-        "numproc": job.numproc,
-        "deadline": job.deadline,
-        "urgency": job.urgency.value,
-        "state": job.state.value,
+        "id": job_id, "submit_time": submit, "runtime": runtime,
+        "estimated_runtime": estimate, "numproc": numproc, "deadline": deadline,
+        "urgency": urgency.value, "state": state.value,
     }
-    if job.user is not None:
-        out["user"] = job.user
-    if job.start_time is not None:
-        out["start_time"] = job.start_time
-    if job.finish_time is not None:
-        out["finish_time"] = job.finish_time
-    if job.assigned_nodes:
-        out["assigned_nodes"] = list(job.assigned_nodes)
-    if job.reject_reason:
-        out["reject_reason"] = job.reject_reason
+    if user is not None:
+        out["user"] = user
+    if start is not None:
+        out["start_time"] = start
+    if finish is not None:
+        out["finish_time"] = finish
+    if nodes:
+        out["assigned_nodes"] = list(nodes)
+    if reason:
+        out["reject_reason"] = reason
     return out
 
 
@@ -333,7 +339,9 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
             seq < 1 or trace_id != mint_trace_id(engine.trace_seed, seq, job_id)
         ):
             engine._pins[job_id] = str(trace_id)
-        ledger.decide(row, outcome, trace_id is not None, int(lsns.get(str(job_id), 0)))
+        ledger.outcomes[row] = OUTCOME_CODES[outcome] | (0 if trace_id is None else TRACED)
+        if lsns.get(str(job_id)):
+            ledger.log(row, int(lsns[str(job_id)]))
         engine._decided += 1
     # The windowed telemetry is a pure function of the decision log;
     # replaying it here makes the restored window byte-identical to the

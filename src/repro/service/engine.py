@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Union, overload
 
 from repro.analysis.sanitizer import decision_span
 from repro.cluster.cluster import Cluster
-from repro.cluster.job import Job, JobState
+from repro.cluster.job import CREATED, QUEUED, REJECTED, Job, JobState
+from repro.cluster.ledger import OUTCOME_CODES, TRACED
 from repro.cluster.rms import ResourceManagementSystem
 from repro.cluster.share import ShareParams
 from repro.metrics.summary import ScenarioMetrics, compute_metrics
@@ -45,6 +46,7 @@ if TYPE_CHECKING:
     from repro.sim.rng import RngStreams
 
 log = get_logger("service.engine")
+_SPAN = decision_span()
 
 
 class EngineError(RuntimeError):
@@ -346,7 +348,7 @@ class AdmissionEngine:
         EngineError
             If the job was already submitted to some RMS.
         """
-        if job.state is not JobState.CREATED:
+        if job.state is not CREATED:
             raise EngineError(
                 f"job {job.job_id} already {job.state.value}; cannot submit"
             )
@@ -370,38 +372,37 @@ class AdmissionEngine:
         seq = self._submit_seq = self._submit_seq + 1
         # Decision-path span: with REPRO_SANITIZE=1 any wall-clock /
         # entropy read fired by the kernel loop below raises.
-        with decision_span():
-            self.sim.run(until=job.submit_time)
-        self.clock.advance_to(self.sim.now)
-        if job.state is JobState.REJECTED:
+        t = job.submit_time
+        with _SPAN:
+            self.sim.run(t)
+        self.clock.advance_to(t)  # the kernel stops at exactly ``t``
+        state = job.state
+        if state is REJECTED:
             outcome, reason = "rejected", job.reject_reason or ""
-        elif job.state is JobState.QUEUED:
-            outcome, reason = "queued", ""
         else:
-            outcome, reason = "accepted", ""
+            outcome, reason = "queued" if state is QUEUED else "accepted", ""
         # The ledger derives the trace id from the row; one that differs
         # (a client's, or a counter that skipped) is kept as a pin.
         row = ledger.index[job_id]
         seq_of_row = self._seq_base + row + 1
-        traced, pin = True, None
+        code, pin = OUTCOME_CODES[outcome] | TRACED, None
         if trace is not None:
             if seq_of_row < 1 or trace != mint_trace_id(
                 self.trace_seed, seq_of_row, job_id
             ):
                 pin = self._pins[job_id] = trace
         elif not self.telemetry:
-            traced, seq_of_row = False, 0
+            code, seq_of_row = code & ~TRACED, 0
         elif seq != seq_of_row:
             pin = self._pins[job_id] = mint_trace_id(self.trace_seed, seq, job_id)
-        ledger.decide(row, outcome, traced, wal_lsn)
+        ledger.outcomes[row] = code
+        if wal_lsn:
+            ledger.log(row, wal_lsn)
         self._decided += 1
-        decision = Decision(
-            job_id, outcome, job.submit_time, self.policy.name, reason,
-            seq_of_row, wal_lsn, pin,
-        )
+        policy = self.policy.name
         if self.window is not None:
-            self.window.note_decision(decision.t, decision.policy, outcome, reason)
-        return decision
+            self.window.note_decision(t, policy, outcome, reason)
+        return Decision(job_id, outcome, t, policy, reason, seq_of_row, wal_lsn, pin)
 
     def advance(self, to_time: float) -> int:
         """Run the kernel up to ``to_time``; returns events fired.
@@ -414,14 +415,14 @@ class AdmissionEngine:
                 f"cannot advance to t={to_time:.6g}: clock is at {self.sim.now:.6g}"
             )
         before = self.sim.events_fired
-        with decision_span():
+        with _SPAN:
             self.sim.run(until=to_time)
         self.clock.advance_to(self.sim.now)
         return self.sim.events_fired - before
 
     def drain(self) -> float:
         """Run every remaining event (open jobs finish); returns the horizon."""
-        with decision_span():
+        with _SPAN:
             self.sim.run()
         self.clock.advance_to(self.sim.now)
         return self.sim.now

@@ -127,17 +127,15 @@ class Simulator:
         name: str = "",
         payload: Any = None,
     ) -> Event:
-        """Schedule ``callback`` at absolute simulated ``time``.
+        """Schedule ``callback`` at absolute simulated ``time``: the one
+        validated heap push behind both ``schedule*`` calls.
 
         Raises
         ------
         SimulationError
             If ``time`` lies in the past or is not finite.
         """
-        return self._push(Event(time, priority, callback, name=name, payload=payload))
-
-    def _push(self, event: Event) -> Event:
-        """The one validated heap push behind both ``schedule*`` calls."""
+        event = Event(time, priority, callback, name=name, payload=payload)
         time = event.time
         # `not (now <= time < inf)` is also true for NaN, which a plain
         # `time < now` lets through to corrupt the heap order.

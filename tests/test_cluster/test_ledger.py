@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.cluster.job import INT64, JobState
-from repro.cluster.ledger import BATCH, JobLedger
+from repro.cluster.job import JobState
+from repro.cluster.ledger import BATCH, INT64, JobLedger
 from repro.service.engine import AdmissionEngine, DuplicateJob, EngineConfig
 from tests.conftest import job_fields, make_job
 
@@ -92,10 +92,19 @@ class TestIds:
         assert [job.job_id for job in ledger.jobs()] == [INT64, 1, INT64 * 4 + 1]
         assert ledger.index.get(INT64 * 4 + 1) == 2
 
-    def test_a_numproc_beyond_int64_is_refused(self):
-        # A ledger row stores the node count as a signed 64-bit integer.
-        with pytest.raises(ValueError, match="numproc"):
-            make_job(numproc=INT64)
+    def test_a_numproc_beyond_int64_is_kept(self):
+        # A row's numproc field is a signed int64: a larger count is kept
+        # beside the row, and a job that never ran reads back equal.
+        ledger = JobLedger()
+        jobs = [make_job(numproc=numproc, job_id=k + 1)
+                for k, numproc in enumerate((INT64, 2, INT64 * 3 + 5))]
+        for job in jobs:
+            job.mark_submitted()
+            job.mark_rejected("too wide")
+            ledger.arrive(job)
+            ledger.retire(job)
+        assert [job_fields(back) for back in ledger.jobs()] == list(map(job_fields, jobs))
+        assert ledger.job(2).numproc == INT64 * 3 + 5
 
 
 class TestShuffledIds:

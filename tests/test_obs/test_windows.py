@@ -238,9 +238,9 @@ def retained_cells(agg):
     """State cells the aggregator retains: per slice, two counts and
     one entry per reject reason."""
     return sum(
-        2 + len(counts[2])
+        2 + len(by_reason or ())
         for slices in agg._slices.values()
-        for _, counts in slices
+        for _, _, _, by_reason in slices
     )
 
 

@@ -421,6 +421,30 @@ class TestRecovery:
         for job_id in ids:
             assert job_fields(engine.query(job_id)) == job_fields(svc.engine.query(job_id))
 
+    def test_a_numproc_beyond_int64_recovers(self, tmp_path):
+        # The protocol sets only a minimum on numproc, so a log can hold a
+        # submit wider than a row's int64 field; the policy rejects it
+        # with a 200, and recovery brings it back answered as before.
+        path = tmp_path / "wal.log"
+        svc = self.service(path)
+        wide = submit_req(7, 1.0)
+        wide["job"]["numproc"] = 2**63
+        for req in (submit_req(3, 0.5), wide, submit_req(9, 2.0)):
+            status, _ = svc.handle(json.dumps(req).encode())
+            assert status == 200
+        query = json.dumps({"v": protocol.PROTOCOL_VERSION, "type": "query", "job": 7})
+        before = svc.handle(query.encode())
+        svc.close_wal()
+
+        engine, report = recover(str(path))
+        assert report.replayed == 3 and report.failed == 0
+        assert engine.query(7).numproc == 2**63
+        assert AdmissionService(engine).handle(query.encode()) == before
+        engine.drain()
+        svc.engine.drain()
+        for job_id in (3, 7, 9):
+            assert job_fields(engine.query(job_id)) == job_fields(svc.engine.query(job_id))
+
     def test_recovered_service_assigns_fresh_auto_ids(self, tmp_path):
         # Recovery rebuilds jobs under their original explicit ids; a
         # later submit *without* an id must draw a fresh one, not
