@@ -238,10 +238,26 @@ class JobLedger:
                 yield row, self._values(slot, fields, row), code, fields[_LSN]
 
     def _read(self, job_id: int, fields: tuple, row: int) -> Job:
+        """The job packed in ``row`` as a fresh :class:`Job`: ``_values``'s
+        decoding, each field stored straight into its slot."""
+        (submit, runtime, estimate, deadline, numproc, user, urgency, accepted, start,
+         nodes_at, finish, reason_at, reason_n, _, state, _) = fields
+        numproc = numproc or self._numprocs[row]  # 0: the row could not hold it
+        nodes_n = self._node_counts.get(row, numproc if accepted else 0)
         job = Job.__new__(Job)
-        (job.job_id, job.submit_time, job.runtime, job.estimated_runtime, job.numproc,
-         job.deadline, job.urgency, job.user, job.state, job.start_time, job.finish_time,
-         job.assigned_nodes, job.reject_reason) = self._values(job_id, fields, row)
+        job.job_id = job_id
+        job.submit_time = submit
+        job.runtime = runtime
+        job.estimated_runtime = estimate
+        job.numproc = numproc
+        job.deadline = deadline
+        job.urgency = URGENCIES[urgency]
+        job.user = self._users[user]
+        job.state = STATES[state]
+        job.start_time = start if accepted else None
+        job.finish_time = None if finish != finish else finish
+        job.assigned_nodes = self._nodes[nodes_at:nodes_at + nodes_n].tolist() if nodes_n else ()
+        job.reject_reason = self._text[reason_at:reason_at + reason_n].decode() if reason_n else None
         return job
 
     def _values(self, job_id: int, fields: tuple, row: int) -> tuple:

@@ -31,7 +31,8 @@ risk metric detects and Libra's Eq. 2 capacity test cannot.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.cluster.job import Job
 from repro.cluster.share import (
@@ -133,8 +134,32 @@ class NodeTask:
         )
 
 
+class _Offline:
+    """The occupancy marker of a position that takes no whole-node job."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "OFFLINE"
+
+
+#: What a :class:`~repro.cluster.cluster.Cluster`'s ``occupancy`` holds for
+#: a failed space-shared node, and for a node of another discipline.
+OFFLINE = _Offline()
+
+_NO_TASKS: Mapping[int, NodeTask] = MappingProxyType({})
+
+
 class Node:
-    """Base node: identity, SPEC rating, and a task-completion listener."""
+    """Base node: identity, SPEC rating, and a task-completion listener.
+
+    Each discipline provides ``tasks`` (job id -> resident task) and
+    ``online`` (failed nodes are offline: they execute nothing and no
+    policy may place work on them until repaired).
+    """
+
+    tasks: Mapping[int, NodeTask]
+    online: bool
 
     def __init__(
         self,
@@ -149,11 +174,7 @@ class Node:
         self.rating = float(rating)
         self.sim = sim
         self.listener = listener
-        self.tasks: dict[int, NodeTask] = {}  # job_id -> task
         self.busy_time = 0.0  # integrated rating-seconds executed (utilisation)
-        #: Failed nodes are offline: they execute nothing and no policy
-        #: may place work on them until repaired.
-        self.online = True
         self.failures = 0
 
     # -- common helpers ----------------------------------------------------
@@ -173,9 +194,7 @@ class Node:
 
     def repair(self, now: float) -> None:
         """Bring a failed node back online, empty."""
-        if self.online:
-            raise RuntimeError(f"node {self.node_id} is not failed")
-        self.online = True
+        raise NotImplementedError
 
 
 class SpaceSharedNode(Node):
@@ -183,9 +202,53 @@ class SpaceSharedNode(Node):
 
     Used by EDF: the task executes at the node's full rating, so its
     completion instant is known exactly at start time.  The node owns
-    no timer: :func:`start_job_tasks` schedules one completion event
-    for all of a job's nodes that finish together.
+    neither its occupancy nor a timer.  Its state is one slot of its
+    cluster's ``occupancy`` list, at the node's position in cluster
+    order: the resident :class:`NodeTask`, ``None`` when idle and
+    online, or :data:`OFFLINE`.  ``tasks`` and ``online`` read that
+    slot, and :meth:`~repro.cluster.cluster.Cluster.occupy` fills it and
+    schedules one completion event for all of a job's nodes that finish
+    together.  A node not yet in a cluster holds a one-slot list of its
+    own.
     """
+
+    def __init__(
+        self,
+        node_id: int,
+        rating: float,
+        sim: Simulator,
+        listener: Optional[TaskListener] = None,
+    ) -> None:
+        super().__init__(node_id, rating, sim, listener)
+        self._occupancy: list = [None]
+        self._pos = 0
+
+    def _resident(self) -> Optional[NodeTask]:
+        task = self._occupancy[self._pos]
+        return None if task is OFFLINE else task
+
+    @property
+    def tasks(self) -> Mapping[int, NodeTask]:
+        """Read-only: job id -> the resident task (empty when idle or offline)."""
+        task = self._resident()
+        if task is None:
+            return _NO_TASKS
+        return MappingProxyType({task.job.job_id: task})
+
+    @property
+    def online(self) -> bool:
+        return self._occupancy[self._pos] is not OFFLINE
+
+    @online.setter
+    def online(self, value: bool) -> None:
+        """Checkpoint restore's write; refused while the node runs a job."""
+        if self._resident() is not None:
+            raise RuntimeError(f"node {self.node_id} is running a job")
+        self._occupancy[self._pos] = None if value else OFFLINE
+
+    def has_job(self, job_id: int) -> bool:
+        task = self._resident()
+        return task is not None and task.job.job_id == job_id
 
     def fail(self, now: float) -> list[Job]:
         """Kill the resident task (if any) and go offline.
@@ -194,97 +257,30 @@ class SpaceSharedNode(Node):
         proportionally to elapsed run time.  The job's completion event
         stays scheduled and skips the killed task when it fires.
         """
-        if not self.online:
+        occupancy, pos = self._occupancy, self._pos
+        task = occupancy[pos]
+        if task is OFFLINE:
             raise RuntimeError(f"node {self.node_id} already failed")
-        self.online = False
+        occupancy[pos] = OFFLINE
         self.failures += 1
-        affected: list[Job] = []
-        for task in list(self.tasks.values()):
-            started = task.added_at
-            self.busy_time += max(0.0, (now - started)) * self.rating
-            affected.append(task.job)
-        self.tasks.clear()
-        return affected
+        if task is None:
+            return []
+        self.busy_time += max(0.0, (now - task.added_at)) * self.rating
+        return [task.job]
+
+    def repair(self, now: float) -> None:
+        if self._occupancy[self._pos] is not OFFLINE:
+            raise RuntimeError(f"node {self.node_id} is not failed")
+        self._occupancy[self._pos] = None
 
     def remove_task(self, job_id: int, now: float) -> Optional[NodeTask]:
         """Forcibly remove a job's task (sibling of a failed task)."""
-        task = self.tasks.pop(job_id, None)
-        if task is None:
+        task = self._resident()
+        if task is None or task.job.job_id != job_id:
             return None
+        self._occupancy[self._pos] = None
         self.busy_time += max(0.0, (now - task.added_at)) * self.rating
         return task
-
-
-def start_job_tasks(
-    job: Job, nodes: Sequence[SpaceSharedNode], work: float, start: float
-) -> None:
-    """Run ``work`` rating-seconds of ``job`` on each of ``nodes`` from ``start``.
-
-    The single start path of the space-shared discipline: policies call
-    it once per dispatched job, and checkpoint restore calls it with the
-    stored ``added_at`` as ``start`` (the work ledger is only zeroed at
-    completion, so ``start + work / rating`` is the original instant).
-
-    Nodes are grouped by completion instant ``start + work / rating``
-    (one group on equal-rated nodes).  A group is one allocation: one
-    :class:`NodeTask` in every member's ``tasks`` and one ``COMPLETION``
-    event carrying the record and its members in start order.  Every
-    node is checked before any is touched: a refused start changes
-    nothing.
-
-    Equivalence with one event per node: those events would share
-    ``(time, priority)`` within a group and hold consecutive sequence
-    numbers (nothing else is scheduled while a job starts), so the
-    kernel would fire them back to back in start order with nothing in
-    between.  The group event is that run, fired once.
-    """
-    job_id = job.job_id
-    groups: dict[float, list[SpaceSharedNode]] = {}
-    rating = None
-    for node in nodes:
-        if node.tasks:
-            raise RuntimeError(f"node {node.node_id} is space-shared and already busy")
-        if not node.online:
-            raise RuntimeError(f"node {node.node_id} is offline")
-        if node.rating != rating:  # else: the previous node's group
-            rating = node.rating
-            members = groups.setdefault(start + work / rating, [])
-        members.append(node)
-    for finish, members in groups.items():
-        task = NodeTask(job, work=work, est_work=work, added_at=start)
-        task.rate = 1.0
-        for node in members:
-            node.tasks[job_id] = task
-        nodes[0].sim.schedule_at(
-            finish,
-            _complete_tasks,
-            priority=_COMPLETION,
-            name=f"job{job_id}:done",
-            payload=(task, members),
-        )
-
-
-def _complete_tasks(event: Event) -> None:
-    """Free, in start order, each member of the group still running the task.
-
-    A member killed meanwhile by ``fail`` / ``remove_task`` is skipped;
-    the check is on task identity, so a new job placed on that node
-    before this (now stale) event fires is left running.  The listener
-    hears once, after every member is free, how many completed; an
-    event whose members are all gone still fires, as a no-op: nobody
-    holds it to cancel.
-    """
-    task, members = event.payload
-    job_id = task.job.job_id
-    done = [node for node in members if node.tasks.get(job_id) is task]
-    for node in done:
-        node.busy_time += task.remaining_work
-        del node.tasks[job_id]
-    if done:
-        task.remaining_work = task.remaining_est_work = 0.0
-        first = done[0]
-        if first.listener is not None:
-            first.listener(first, task, event.time, len(done))
 
 
 class TimeSharedNode(Node):
@@ -321,6 +317,8 @@ class TimeSharedNode(Node):
         share_params: ShareParams = DEFAULT_SHARE_PARAMS,
     ) -> None:
         super().__init__(node_id, rating, sim, listener)
+        self.tasks: dict[int, NodeTask] = {}  # job_id -> task
+        self.online = True
         self.share_params = share_params
         self._last_sync = sim.now
         self._completion_event: Optional[Event] = None
@@ -460,7 +458,9 @@ class TimeSharedNode(Node):
         return affected
 
     def repair(self, now: float) -> None:
-        super().repair(now)
+        if self.online:
+            raise RuntimeError(f"node {self.node_id} is not failed")
+        self.online = True
         # Restart the clock: nothing ran while offline.
         self._last_sync = now
         self.generation += 1

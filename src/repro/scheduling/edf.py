@@ -20,10 +20,9 @@ their value as load drops.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.cluster.job import Job
-from repro.cluster.node import SpaceSharedNode, start_job_tasks
 from repro.scheduling.base import SchedulingPolicy
 
 
@@ -67,6 +66,7 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
     # -- dispatch loop ----------------------------------------------------------
     def _dispatch(self, now: float) -> None:
         assert self.cluster is not None and self.rms is not None
+        occupancy = self.cluster.occupancy
         while self.queue:
             job = self.select_next(now)
             if job is None:
@@ -95,31 +95,35 @@ class QueuedSpaceSharedPolicy(SchedulingPolicy):
                     queued=len(self.queue),
                 )
                 continue
-            # Stop scanning as soon as numproc free nodes are found: the
-            # first numproc in cluster order are exactly the slice the
-            # full list comprehension would have taken.
-            free: list[SpaceSharedNode] = []
+            # The first numproc idle online positions in cluster order, found
+            # by C-level scans of the occupancy list: a slice when they are
+            # one consecutive run, else the positions one by one.
             wanted = job.numproc
-            for n in self.cluster.nodes:
-                if not n.tasks and n.online:
-                    free.append(n)
-                    wanted -= 1
-                    if not wanted:
-                        break
-            else:
-                # Non-preemptive wait: the selection is revisited at the
-                # next scheduling event, which may pick a different job.
+            try:
+                lo = occupancy.index(None)
+                if occupancy[lo:lo + wanted].count(None) == wanted:
+                    where: Union[slice, list[int]] = slice(lo, lo + wanted)
+                else:
+                    where = [lo]
+                    for _ in range(wanted - 1):
+                        lo = occupancy.index(None, lo + 1)
+                        where.append(lo)
+            except ValueError:
+                # Too few free nodes.  Non-preemptive wait: the selection is
+                # revisited at the next scheduling event, which may pick a
+                # different job.
                 return
             self.queue.remove(job)
-            self._start(job, free, now)
+            self._start(job, where, now)
 
-    def _start(self, job: Job, nodes: list[SpaceSharedNode], now: float) -> None:
-        assert self.cluster is not None and self.rms is not None
-        work = self.cluster.work_of(job.runtime)
-        job.mark_running(now, [n.node_id for n in nodes])
+    def _start(self, job: Job, where: Union[slice, list[int]], now: float) -> None:
+        cluster = self.cluster
+        assert cluster is not None and self.rms is not None
+        ids = cluster.ids
+        job.mark_running(now, ids[where] if type(where) is slice else [ids[pos] for pos in where])
         self._track(job)
         self.rms.notify_accepted(job)
-        start_job_tasks(job, nodes, work, now)
+        cluster.occupy(job, where, cluster.work_of(job.runtime), now)
 
 
 class EDFPolicy(QueuedSpaceSharedPolicy):

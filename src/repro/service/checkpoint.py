@@ -36,7 +36,7 @@ from typing import Any, Optional
 
 from repro.cluster.job import Job, JobState, UrgencyClass, reserve_job_ids
 from repro.cluster.ledger import OUTCOME_CODES, OUTCOMES, TRACED
-from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
+from repro.cluster.node import SpaceSharedNode, TimeSharedNode
 from repro.obs.tracing import mint_trace_id
 from repro.service.engine import AdmissionEngine, EngineConfig
 
@@ -314,7 +314,7 @@ def restore(  # repro-lint: safe=CONC001  builds a private engine; not shared un
     for (job_id, work, added_at), members in sorted(
         space_jobs.items(), key=lambda item: item[0][2]
     ):
-        start_job_tasks(by_id[job_id], members, work, added_at)
+        engine.cluster.start_job(by_id[job_id], members, work, added_at)
 
     engine.wal_lsn = int(snap.get("wal_lsn", 0))
     trace_state = snap.get("trace", {})

@@ -34,13 +34,13 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
     ("DET001", "sim/events.py",
      "import enum\n",
      "import enum\nimport time\n\n_LOADED_AT = time.time()\n"),
-    # Nodes shuffled through a from-imported `random.shuffle`: the bare
-    # call resolves through the module's import table.
+    # Node ids shuffled through a from-imported `random.shuffle`: the
+    # bare call resolves through the module's import table.
     ("DET001", "scheduling/edf.py",
-     "        job.mark_running(now, [n.node_id for n in nodes])\n",
+     "        ids = cluster.ids\n",
      "        from random import shuffle\n\n"
-     "        shuffle(nodes)\n"
-     "        job.mark_running(now, [n.node_id for n in nodes])\n"),
+     "        ids = cluster.ids\n"
+     "        shuffle(ids)\n"),
     # De-duplicated policy names, iterated without sorting.
     ("DET002", "scheduling/registry.py",
      "    return sorted(_REGISTRY)\n",

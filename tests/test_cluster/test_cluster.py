@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.node import SpaceSharedNode, TimeSharedNode, start_job_tasks
+from repro.cluster.node import SpaceSharedNode, TimeSharedNode
 from tests.conftest import make_job
 
 
@@ -72,7 +72,7 @@ class TestAggregates:
 
     def test_utilisation_aggregates_nodes(self, sim):
         cluster = Cluster.homogeneous(sim, 2, rating=1.0, discipline="space_shared")
-        start_job_tasks(make_job(), [cluster.node(0)], 50.0, 0.0)
+        cluster.start_job(make_job(), [cluster.node(0)], 50.0, 0.0)
         sim.run()
         # 50 work over 2 nodes * 1 rating * 100 s horizon.
         assert cluster.utilisation(100.0) == pytest.approx(0.25)

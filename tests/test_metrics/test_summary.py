@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.job import UrgencyClass
-from repro.cluster.node import start_job_tasks
 from repro.metrics.summary import compute_metrics
 from tests.conftest import ledger_of, make_job
 
@@ -108,7 +107,7 @@ class TestAsDict:
         from repro.cluster.cluster import Cluster
 
         cluster = Cluster.homogeneous(sim, 2, rating=1.0, discipline="space_shared")
-        start_job_tasks(make_job(), [cluster.node(0)], 50.0, 0.0)
+        cluster.start_job(make_job(), [cluster.node(0)], 50.0, 0.0)
         sim.run()
         m = compute_metrics(ledger_of([]), cluster=cluster, horizon=100.0)
         assert m.utilisation == pytest.approx(0.25)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.scheduling import registry
 from tests.test_scheduling.reference_scans import WITNESSES
+from tests.test_scheduling.reference_walk import WITNESSES as WALK_WITNESSES
 
 
 @pytest.fixture
@@ -25,6 +26,23 @@ def reference_scans(monkeypatch):
     def installed():
         with monkeypatch.context() as patch:
             for name, witness in WITNESSES.items():
+                patch.setitem(registry._REGISTRY, name, witness)
+            yield
+
+    return installed
+
+
+@pytest.fixture
+def reference_walk(monkeypatch):
+    """As ``reference_scans``, for ``make_policy("edf")`` and
+    ``make_policy("fcfs")``: inside ``with reference_walk(): ...`` they
+    return the per-node-walk witnesses of
+    :mod:`tests.test_scheduling.reference_walk`."""
+
+    @contextlib.contextmanager
+    def installed():
+        with monkeypatch.context() as patch:
+            for name, witness in WALK_WITNESSES.items():
                 patch.setitem(registry._REGISTRY, name, witness)
             yield
 
